@@ -20,7 +20,6 @@ stages plus a pipeline that chains them:
 from .channel import (
     PULSE_HALF_WIDTH,
     RadioConfig,
-    beamformed_taps,
     beamformed_taps_batch,
     delay_window_length,
     noise_variance,

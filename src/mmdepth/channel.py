@@ -32,7 +32,6 @@ __all__ = [
     "path_gain",
     "raised_cosine",
     "pulse_taps",
-    "beamformed_taps",
     "beamformed_taps_batch",
     "delay_window_length",
     "PULSE_HALF_WIDTH",
@@ -177,46 +176,6 @@ def pulse_taps(delays_s: np.ndarray, l_d: int, sample_period_s: float, rolloff: 
     t = idx * sample_period_s - delays_s[:, None]
     val = raised_cosine(t, sample_period_s, rolloff)
     return idx, val
-
-
-def _beam_couplings(paths, f: np.ndarray, w: np.ndarray, upa: UpaConfig) -> np.ndarray:
-    """(w^H a_g)(a_g^H f) per path without forming a_g a_g^H."""
-    k_d = 2.0 * np.pi * upa.spacing_wavelengths
-    b_v = np.exp(-1j * k_d * np.outer(np.cos(paths.theta_z), np.arange(upa.n_v)))  # (P, n_v)
-    b_h = np.exp(-1j * k_d * np.outer(np.cos(paths.theta_x), np.arange(upa.n_h)))  # (P, n_h)
-    f_mat = f.reshape(upa.n_v, upa.n_h)
-    a_h_f = np.einsum("pv,vh,ph->p", b_v.conj(), f_mat, b_h.conj())
-    if w is f or w is None:
-        w_h_a = a_h_f.conj()  # w = f: (w^H a) = (a^H f)* and the product is |a^H f|^2
-    else:
-        w_mat = w.reshape(upa.n_v, upa.n_h)
-        w_h_a = np.einsum("pv,vh,ph->p", b_v.conj(), w_mat, b_h.conj()).conj()
-    return w_h_a * a_h_f
-
-
-def beamformed_taps(
-    paths,
-    f: np.ndarray,
-    w: np.ndarray,
-    upa: UpaConfig,
-    radio: RadioConfig,
-    l_d: int,
-) -> np.ndarray:
-    """
-    Discrete channel taps h[d], d = 0..l_d-1, for one (f, w) beam pair.
-
-    paths is a PathSet (see mmdepth.scene) with fields delay_s, amplitude,
-    theta_z, theta_x. Cost is O(P * (N + L_p)): one factorized steering
-    contraction per path plus a 17-tap pulse scatter; no N x N matrix is
-    ever built, and delays beyond the window raise with the offender list.
-    """
-    coupling = _beam_couplings(paths, f, w, upa)
-    idx, val = pulse_taps(paths.delay_s, l_d, radio.sample_period_s, radio.rolloff)
-    weights = (paths.amplitude * coupling)[:, None] * val
-    flat = idx.reshape(-1)
-    taps_re = np.bincount(flat, weights=weights.real.reshape(-1), minlength=l_d)
-    taps_im = np.bincount(flat, weights=weights.imag.reshape(-1), minlength=l_d)
-    return taps_re + 1j * taps_im
 
 
 def beamformed_taps_batch(

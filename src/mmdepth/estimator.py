@@ -6,11 +6,13 @@ The processing ladder, lowest to highest:
   cross_correlation    matched filter of one record against the preamble,
                        one output per candidate delay bin q = 0 .. l_d.
   basic_correlator     argmax of the matched filter, the one-path estimator.
-  sic_candidates       successive interference cancellation: detect the
-                       strongest correlation peak, subtract its least-squares
-                       contribution from the working record, repeat while
-                       anything clears the threshold. Returns the candidate
-                       delay set of the beam.
+  sic_candidates       successive interference cancellation: matched-filter
+                       the record once, then repeatedly detect the strongest
+                       correlation peak and subtract its least-squares
+                       contribution in the correlation domain (the peak times
+                       the shifted preamble autocorrelation) while anything
+                       clears the threshold. Returns the candidate delay set
+                       of the beam.
   joint_processing     resolves each beam's candidate set against the sets of
                        its already-processed neighbors, preferring delays the
                        neighborhood has not seen (new scatterers enter the
@@ -19,7 +21,8 @@ The processing ladder, lowest to highest:
                        raster order.
   build_bank /         sub-sample refinement: correlate the record window at
   massive_correlator   the selected coarse delay against a bank of fractionally
-                       delayed preamble replicas on a ratio-times finer grid.
+                       delayed preamble replicas on a ratio-times finer grid,
+                       all beams in one matrix product.
   construct_maps       delays to range, range to depth through the beam angles.
   interpolate_map      nearest or cubic-convolution upscaling to display size.
 
@@ -54,6 +57,21 @@ __all__ = [
 ]
 
 
+def _matched_filter(samples: np.ndarray, preamble: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """
+    Matched filter through one FFT product, and the preamble spectrum it used.
+
+    The FFT size is the power of two at or above the record length, so none
+    of the full-overlap lags 0 .. len(samples) - n_p wraps around.
+    """
+    if len(samples) < len(preamble):
+        raise ValueError("record shorter than preamble")
+    nfft = 1 << (len(samples) - 1).bit_length()
+    spectrum = np.fft.fft(preamble, nfft)
+    c = np.fft.ifft(np.fft.fft(samples, nfft) * spectrum.conj())
+    return c[: len(samples) - len(preamble) + 1].copy(), spectrum
+
+
 def cross_correlation(samples: np.ndarray, preamble: np.ndarray) -> np.ndarray:
     """
     Matched-filter the record: c[q] = sum_n s*[n] y[n + q].
@@ -62,9 +80,7 @@ def cross_correlation(samples: np.ndarray, preamble: np.ndarray) -> np.ndarray:
     q = 0 .. l_d, so a path at integer delay d peaks at c[d] with value
     (LS coefficient) * (preamble energy).
     """
-    if len(samples) < len(preamble):
-        raise ValueError("record shorter than preamble")
-    return np.correlate(samples, preamble, mode="valid")
+    return _matched_filter(samples, preamble)[0]
 
 
 def preamble_energy(preamble: np.ndarray) -> float:
@@ -127,25 +143,33 @@ def sic_candidates(
     """
     Successive interference cancellation on one record.
 
-    Each pass matched-filters the working copy, takes the strongest bin, and
-    subtracts that path's least-squares contribution c[q]/E_Q * s[n - q]
-    before looking again; this keeps weak paths detectable next to strong
-    ones whose sidelobes would otherwise bury them. The loop ends when no
-    bin clears `threshold` (units of |c|^2) or after max_iterations passes,
-    whichever is first. Re-detections of an already-cancelled delay refine
-    its coefficient instead of adding a duplicate.
+    Each pass takes the strongest matched-filter bin and subtracts that
+    path's least-squares contribution c[q]/E_Q * s[n - q] before looking
+    again; this keeps weak paths detectable next to strong ones whose
+    sidelobes would otherwise bury them. The loop ends when no bin clears
+    `threshold` (units of |c|^2) or after max_iterations passes, whichever
+    is first. Re-detections of an already-cancelled delay refine its
+    coefficient instead of adding a duplicate.
+
+    The record is filtered once. Subtracting a path from the record changes
+    the filter output by the path coefficient times the preamble
+    autocorrelation R shifted to its delay, so each pass updates
+    c[q'] -= coeff * R[q' - q] instead of filtering again (the
+    matching-pursuit inner-product update). R covers lags -l_d .. l_d and
+    comes from the same preamble spectrum as the filter, with E_Q = R[0].
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
-    e_q = preamble_energy(preamble)
-    n_p = len(preamble)
-    working = np.array(samples, dtype=complex, copy=True)
+    c, spectrum = _matched_filter(samples, preamble)
+    l_d = len(c) - 1
+    auto = np.fft.ifft(np.abs(spectrum) ** 2)
+    r = np.concatenate([auto[len(auto) - l_d :], auto[: l_d + 1]])  # r[l_d + k] = R[k]
+    e_q = r[l_d].real
     order: list[int] = []
     coeffs: dict[int, complex] = {}
     iterations = 0
     truncated = False
     while True:
-        c = cross_correlation(working, preamble)
         q = int(np.argmax(np.abs(c) ** 2))
         if np.abs(c[q]) ** 2 <= threshold:
             break
@@ -157,7 +181,7 @@ def sic_candidates(
             order.append(q)
             coeffs[q] = 0.0
         coeffs[q] += coeff
-        working[q : q + n_p] -= coeff * preamble
+        c -= coeff * r[l_d - q : 2 * l_d + 1 - q]
         iterations += 1
     return SicResult(
         delays=np.array(order, dtype=int),
@@ -270,24 +294,32 @@ def build_bank(preamble: np.ndarray, ratio: int, rolloff: float = 0.25) -> Corre
 
 
 def massive_correlator(
-    samples: np.ndarray,
+    samples: np.ndarray | list[np.ndarray],
     bank: CorrelatorBank,
-    coarse_delay: int,
-) -> float:
+    coarse_delay: int | np.ndarray,
+) -> float | np.ndarray:
     """
-    Refine one beam's delay to the bank's fine grid.
+    Refine beam delays to the bank's fine grid.
 
-    Correlates the raw record window starting at the selected coarse bin
-    against every replica and returns the winning shift as a fraction of a
-    coarse sample (in -1/2 .. +1/2), to be added to the coarse delay.
+    samples is one record with a scalar coarse_delay, or a stack of records
+    (a 2-D array or a list) with one coarse delay per row. The raw record
+    windows starting at the selected coarse bins are correlated against
+    every replica in one product, and the winning shift comes back as a
+    fraction of a coarse sample (in -1/2 .. +1/2), to be added to the coarse
+    delay: a float for one record, an array for a stack.
     """
+    single = np.ndim(coarse_delay) == 0
+    records = [samples] if single else samples
+    delays = np.atleast_1d(coarse_delay)
+    if len(records) != len(delays):
+        raise ValueError("need one coarse delay per record")
     n_p = bank.n_p
-    if coarse_delay < 0 or coarse_delay + n_p > len(samples):
+    if any(d < 0 or d + n_p > len(y) for y, d in zip(records, delays)):
         raise ValueError("coarse delay window leaves the record")
-    window = samples[coarse_delay : coarse_delay + n_p]
-    g = bank.rows.conj() @ window
-    j_star = int(np.argmax(np.abs(g))) - bank.delta
-    return j_star / bank.ratio
+    windows = np.array([y[d : d + n_p] for y, d in zip(records, delays)])
+    g = windows @ bank.rows.conj().T
+    fine = (np.argmax(np.abs(g), axis=1) - bank.delta) / bank.ratio
+    return float(fine[0]) if single else fine
 
 
 def construct_maps(

@@ -16,9 +16,9 @@ and optionally writes the artifact files (PGM and CSV maps, error table,
 run.json, record and codebook dumps). Every artifact except run.json is
 byte-deterministic for a given config; run.json carries wall-clock timings.
 
-Beam-level work can be spread over threads with the MMDEPTH_WORKERS
-environment variable; results are identical regardless of worker count
-because every beam draws noise from its own spawned generator.
+Beams are detected one after another, each record filtered once; refinement
+takes all beams in one matrix product. Every beam draws its noise from its
+own spawned generator, so results do not depend on beam order.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -63,7 +61,7 @@ from .scene import (
     scene_from_dict,
     trace_backscatter_paths,
 )
-from .waveform import SensingRecord, make_preamble, synthesize_rx
+from .waveform import PREAMBLE_LENGTH, SensingRecord, make_preamble, synthesize_rx
 
 __all__ = [
     "CodebookConfig",
@@ -105,8 +103,12 @@ class WaveformConfig:
     seed: int = 0                      # pn draw seed, ignored for golay
 
     def __post_init__(self):
+        if self.kind not in ("golay_80211ad", "pn"):
+            raise ValueError(f"unknown preamble kind {self.kind!r}")
         if self.length < 1:
             raise ValueError("preamble length must be positive")
+        if self.kind == "golay_80211ad" and self.length > PREAMBLE_LENGTH:
+            raise ValueError(f"golay_80211ad preamble length must be <= {PREAMBLE_LENGTH}")
 
 
 @dataclass(frozen=True)
@@ -123,6 +125,14 @@ class EstimatorConfig:
             raise ValueError(f"unknown noise_policy {self.noise_policy!r}")
         if self.noise_policy == "fixed" and self.fixed_noise_var is None:
             raise ValueError("noise_policy 'fixed' needs fixed_noise_var")
+        if self.gamma <= 0:
+            raise ValueError("gamma must be positive")
+        if self.tail_samples < 1:
+            raise ValueError("tail_samples must be >= 1")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
+        if self.refine_ratio < 2 or self.refine_ratio % 2:
+            raise ValueError("refine_ratio must be an even integer >= 2")
 
 
 @dataclass(frozen=True)
@@ -130,7 +140,6 @@ class SimConfig:
     seed: int = 0                      # master seed: scene phases + per-beam noise
     cell_size_m: float = 0.05          # diffuse scatter cell edge
     include_specular: bool = True
-    include_two_bounce: bool = False
     guard_taps: int = 64               # delay-window tail past the last path
     noiseless: bool = False            # skip the noise draw (diagnostics)
 
@@ -164,6 +173,14 @@ class ScenarioConfig:
     sim: SimConfig = field(default_factory=SimConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
     scene: dict = field(default_factory=lambda: {"builtin": "one_wall"})
+
+    def __post_init__(self):
+        # The noise tail window must stay inside the record's signal-free guard.
+        est, sim = self.estimator, self.sim
+        if est.noise_policy == "tail" and est.tail_samples > sim.guard_taps:
+            raise ValueError(
+                f"estimator.tail_samples ({est.tail_samples}) exceeds sim.guard_taps ({sim.guard_taps})"
+            )
 
 
 def _build_section(cls, data: dict, where: str):
@@ -468,20 +485,13 @@ class RunArtifacts:
     files: list[str] = field(default_factory=list)
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("MMDEPTH_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunArtifacts:
     """
     Execute one scenario end to end; optionally write artifacts to out_dir.
 
     Determinism: a master SeedSequence from sim.seed spawns one child for
     the scene scattering phases and one per beam for record noise, so
-    results do not depend on beam execution order or MMDEPTH_WORKERS.
+    results do not depend on beam execution order.
     """
     timings: dict[str, float] = {}
     t_start = time.perf_counter()
@@ -512,7 +522,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunArtifacts:
         cell_size_m=cfg.sim.cell_size_m,
         seed=seeds[0],
         include_specular=cfg.sim.include_specular,
-        include_two_bounce=cfg.sim.include_two_bounce,
     )
     t0 = _clock("scene_paths", t0)
 
@@ -553,12 +562,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunArtifacts:
             records[m].samples, preamble, thr, cfg.estimator.max_iterations
         )
 
-    workers = _workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_detect, range(cb.m)))
-    else:
-        results = [_detect(m) for m in range(cb.m)]
+    results = [_detect(m) for m in range(cb.m)]
     truncated_beams = sum(r.truncated for r in results)
     t0 = _clock("sic", t0)
 
@@ -566,11 +570,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunArtifacts:
     t0 = _clock("joint", t0)
 
     bank = build_bank(preamble, cfg.estimator.refine_ratio, cfg.radio.rolloff)
-    fine = np.zeros((cb.n_bar_v, cb.n_bar_h))
-    for v in range(cb.n_bar_v):
-        for h in range(cb.n_bar_h):
-            m = v * cb.n_bar_h + h
-            fine[v, h] = massive_correlator(records[m].samples, bank, int(selected[v, h]))
+    fine = massive_correlator([r.samples for r in records], bank, selected.ravel())
+    fine = fine.reshape(selected.shape)
     t0 = _clock("refine", t0)
 
     range_map, depth_map = construct_maps(

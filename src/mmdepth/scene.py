@@ -341,7 +341,6 @@ def trace_backscatter_paths(
     cell_size_m: float = 0.05,
     seed: int | np.random.SeedSequence = 0,
     include_specular: bool = True,
-    include_two_bounce: bool = False,
 ) -> PathSet:
     """
     Extract the monostatic backscatter paths of a scene.
@@ -359,10 +358,6 @@ def trace_backscatter_paths(
     of the transmitter; the path uses the image-source gain
     G = G_T*G_R*lambda^2*(1 - scatter_ratio^2) / ((4*pi)^2 * (2*rho)^2) and
     a deterministic carrier phase.
-
-    Two-bounce specular chains between facet pairs (double image-source
-    construction) are available behind include_two_bounce and disabled by
-    default.
     """
     if cell_size_m <= 0:
         raise ValueError("cell_size_m must be positive")
@@ -412,16 +407,6 @@ def trace_backscatter_paths(
                 rhos.append(np.array([rho]))
                 specs.append(np.array([True]))
 
-    if include_two_bounce:
-        for path in _two_bounce_paths(scene, tx_gain_dbi, rx_gain_dbi, wavelength_m, f_c):
-            tau, amp, theta_z, theta_x, rho = path
-            delays.append(np.array([tau]))
-            amps.append(np.array([amp]))
-            tzs.append(np.array([theta_z]))
-            txs.append(np.array([theta_x]))
-            rhos.append(np.array([rho]))
-            specs.append(np.array([True]))
-
     if not delays:
         raise ValueError("scene produced no backscatter paths")
     return PathSet(
@@ -465,50 +450,6 @@ def _specular_path(scene: Scene, fi: int, tx_gain_dbi, rx_gain_dbi, wavelength_m
     theta_z, theta_x, _ = _device_angles(scene, foot[None, :])
     amp = np.sqrt(gain) * np.exp(-1j * 2.0 * np.pi * f_c * tau)
     return tau, amp, float(theta_z[0]), float(theta_x[0]), rho
-
-
-def _two_bounce_paths(scene: Scene, tx_gain_dbi, rx_gain_dbi, wavelength_m, f_c):
-    """
-    Double-mirror specular chains device -> A -> B -> device, by imaging the
-    device through B then through A and walking the unfolded straight line.
-    """
-    g_t = 10.0 ** (tx_gain_dbi / 10.0)
-    g_r = 10.0 ** (rx_gain_dbi / 10.0)
-    d = scene.device.position
-    out = []
-    for ai, fa in enumerate(scene.facets):
-        for bi, fb in enumerate(scene.facets):
-            if ai == bi:
-                continue
-            refl = (1.0 - fa.material.scatter_ratio**2) * (1.0 - fb.material.scatter_ratio**2)
-            if refl <= 0:
-                continue
-            nb = fb.normal
-            img_b = d - 2.0 * np.dot(d - fb.vertices[0], nb) * nb
-            na = fa.normal
-            img_ba = img_b - 2.0 * np.dot(img_b - fa.vertices[0], na) * na
-            total = np.linalg.norm(img_ba - d)
-            if total < 1e-9:
-                continue
-            u = (img_ba - d) / total
-            t_a = _ray_quad(d, u[None, :], fa)[0]
-            if not np.isfinite(t_a) or t_a >= total:
-                continue
-            x_a = d + t_a * u
-            # Reflect the continuation at A and find the B crossing.
-            u2 = u - 2.0 * np.dot(u, na) * na
-            t_b = _ray_quad(x_a, u2[None, :], fb)[0]
-            if not np.isfinite(t_b):
-                continue
-            x_b = x_a + t_b * u2
-            leg3 = np.linalg.norm(d - x_b)
-            length = t_a + t_b + leg3
-            gain = g_t * g_r * wavelength_m**2 * refl / ((4.0 * np.pi) ** 2 * length**2)
-            tau = length / SPEED_OF_LIGHT
-            tz_d, tx_d, _ = _device_angles(scene, x_a[None, :])
-            amp = np.sqrt(gain) * np.exp(-1j * 2.0 * np.pi * f_c * tau)
-            out.append((tau, amp, float(tz_d[0]), float(tx_d[0]), length / 2.0))
-    return out
 
 
 # ---------------------------------------------------------------------------

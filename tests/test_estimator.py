@@ -3,13 +3,16 @@ Delay-estimation ladder tests: matched filter, SIC, joint beam selection,
 fractional-delay refinement, and map construction.
 
 Oracles are synthetic records built from the same pulse model the channel
-uses, so every expected value is known by construction.
+uses, so every expected value is known by construction. The correlation-domain
+cancellation and the stacked refinement are also checked against their
+record-domain and one-beam-at-a-time references on noisy multipath records.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.constants import c as SPEED_OF_LIGHT
 
+from mmdepth.channel import noise_variance
 from mmdepth.estimator import (
     basic_correlator,
     build_bank,
@@ -37,6 +40,56 @@ def record_builder(radio, golay_preamble, tapline):
     return build
 
 
+def reference_sic(samples, preamble, threshold, max_iterations=32):
+    """Record-domain SIC: subtract each path from the record and re-correlate."""
+    e_q = preamble_energy(preamble)
+    n_p = len(preamble)
+    working = np.array(samples, dtype=complex, copy=True)
+    order, coeffs = [], {}
+    iterations, truncated = 0, False
+    while True:
+        c = np.correlate(working, preamble, mode="valid")
+        q = int(np.argmax(np.abs(c) ** 2))
+        if np.abs(c[q]) ** 2 <= threshold:
+            break
+        if iterations == max_iterations:
+            truncated = True
+            break
+        coeff = c[q] / e_q
+        if q not in coeffs:
+            order.append(q)
+            coeffs[q] = 0.0
+        coeffs[q] += coeff
+        working[q : q + n_p] -= coeff * preamble
+        iterations += 1
+    return np.array(order, dtype=int), np.array([coeffs[q] for q in order]), iterations, truncated
+
+
+@pytest.fixture(scope="module")
+def noisy_multipath(radio, tapline):
+    """
+    Noisy record with two to six off-grid paths and its gamma = 4 threshold.
+    The strong paths sit 10-30 dB above the threshold amplitude, the weakest
+    only 1.05-1.3 times above it.
+    """
+
+    def build(preamble, seed, l_d=160):
+        rng = np.random.default_rng(seed)
+        e_q = preamble_energy(preamble)
+        noise_var = noise_variance(radio)
+        # Amplitude whose matched-filter peak sits exactly on the gamma = 4 threshold.
+        edge = 4.0 * np.sqrt(noise_var / e_q) / np.sqrt(radio.symbol_energy_j)
+        count = int(rng.integers(2, 7))
+        delays = rng.uniform(10, l_d - 20, count)
+        amps = edge * 10 ** rng.uniform(0.5, 1.5, count) * np.exp(1j * rng.uniform(0, 2 * np.pi, count))
+        amps[-1] = edge * rng.uniform(1.05, 1.3) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        taps = tapline(delays, amps, l_d=l_d)
+        y = synthesize_rx(taps, preamble, radio, 1.0, rng=rng).samples
+        return y, correlation_threshold(preamble, noise_var, gamma=4.0)
+
+    return build
+
+
 class TestCrossCorrelation:
     def test_full_overlap_lag_count(self, record_builder, golay_preamble):
         y = record_builder([40], [1e-5], l_d=160)
@@ -53,6 +106,14 @@ class TestCrossCorrelation:
     def test_short_record_rejected(self, golay_preamble):
         with pytest.raises(ValueError, match="shorter"):
             cross_correlation(golay_preamble[:100], golay_preamble)
+
+    def test_matches_direct_sum(self, noisy_multipath, golay_preamble, pn_preamble):
+        for preamble in (golay_preamble, pn_preamble):
+            y, _ = noisy_multipath(preamble, 21)
+            ref = np.correlate(y, preamble, mode="valid")
+            c = cross_correlation(y, preamble)
+            assert c.shape == ref.shape
+            assert np.abs(c - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestEnergyAndThreshold:
@@ -134,6 +195,25 @@ class TestSicCandidates:
     def test_bad_iteration_cap_rejected(self, golay_preamble):
         with pytest.raises(ValueError, match="max_iterations"):
             sic_candidates(np.zeros(4000, dtype=complex), golay_preamble, 1.0, max_iterations=0)
+
+    @pytest.mark.parametrize("kind", ["golay", "pn"])
+    @pytest.mark.parametrize("max_iterations", [32, 3])
+    def test_matches_record_domain_reference(
+        self, noisy_multipath, golay_preamble, pn_preamble, kind, max_iterations
+    ):
+        preamble = golay_preamble if kind == "golay" else pn_preamble
+        truncated_seen = 0
+        for seed in range(8):
+            y, thr = noisy_multipath(preamble, seed)
+            delays, coeffs, iterations, truncated = reference_sic(y, preamble, thr, max_iterations)
+            res = sic_candidates(y, preamble, thr, max_iterations)
+            assert res.delays.tolist() == delays.tolist()
+            assert res.iterations == iterations
+            assert res.truncated == truncated
+            np.testing.assert_allclose(res.coefficients, coeffs, rtol=1e-12)
+            truncated_seen += truncated
+        # The 3-pass cap has to bite, or the truncation branch goes unchecked.
+        assert (truncated_seen > 0) == (max_iterations == 3)
 
 
 def sets_to_list(rows):
@@ -248,6 +328,21 @@ class TestMassiveCorrelator:
             massive_correlator(y, bank, -1)
         with pytest.raises(ValueError, match="window"):
             massive_correlator(y, bank, 161)
+        # A stack is rejected when any one row's window leaves its record.
+        stack = np.zeros((3, 3328 + 160), dtype=complex)
+        for bad in ([5, -1, 7], [5, 7, 161]):
+            with pytest.raises(ValueError, match="window"):
+                massive_correlator(stack, bank, np.array(bad))
+        with pytest.raises(ValueError, match="one coarse delay per record"):
+            massive_correlator(stack, bank, np.array([1, 2]))
+
+    def test_stack_equals_per_row_loop(self, noisy_multipath, golay_preamble, radio):
+        bank = build_bank(golay_preamble, 100, radio.rolloff)
+        records = [noisy_multipath(golay_preamble, 100 + k)[0] for k in range(6)]
+        coarse = np.array([0, 17, 58, 99, 140, 160])
+        loop = np.array([massive_correlator(y, bank, int(d)) for y, d in zip(records, coarse)])
+        assert np.array_equal(massive_correlator(records, bank, coarse), loop)
+        assert np.array_equal(massive_correlator(np.stack(records), bank, coarse), loop)
 
 
 class TestConstructMaps:

@@ -101,10 +101,33 @@ class TestConfigFromDict:
             EstimatorConfig(noise_policy="guess")
         with pytest.raises(ValueError, match="fixed_noise_var"):
             EstimatorConfig(noise_policy="fixed")
+        for bad, match in [
+            ({"gamma": 0.0}, "gamma"),
+            ({"gamma": -1.0}, "gamma"),
+            ({"max_iterations": 0}, "max_iterations"),
+            ({"refine_ratio": 3}, "refine_ratio"),
+            ({"refine_ratio": 0}, "refine_ratio"),
+            ({"tail_samples": 0}, "tail_samples"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                config_from_dict({"estimator": bad})
+        # The tail window has to fit in the record's signal-free guard.
+        with pytest.raises(ValueError, match="guard_taps"):
+            config_from_dict({"estimator": {"tail_samples": 200}})
+        with pytest.raises(ValueError, match="guard_taps"):
+            config_from_dict({"estimator": {"tail_samples": 40}, "sim": {"guard_taps": 32}})
+        assert config_from_dict({"estimator": {"tail_samples": 64}}).estimator.tail_samples == 64
+        analytic = {"noise_policy": "analytic", "tail_samples": 200}
+        assert config_from_dict({"estimator": analytic}).estimator.tail_samples == 200
 
     def test_waveform_length_validated(self):
         with pytest.raises(ValueError, match="positive"):
             WaveformConfig(length=0)
+        with pytest.raises(ValueError, match="3328"):
+            config_from_dict({"waveform": {"length": 3329}})
+        with pytest.raises(ValueError, match="preamble kind"):
+            config_from_dict({"waveform": {"kind": "chirp"}})
+        assert config_from_dict({"waveform": {"kind": "pn", "length": 4096}}).waveform.length == 4096
 
     def test_output_config_validated(self):
         with pytest.raises(ValueError, match="interpolation"):
@@ -359,6 +382,12 @@ class TestCli:
     def test_malformed_set_is_usage_error(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
         assert cli_main(["run", "--config", str(cfg), "--set", "noequals"]) == 2
+
+    def test_invalid_estimator_setting_is_usage_error(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        code = cli_main(["run", "--config", str(cfg), "--set", "estimator.refine_ratio=3"])
+        assert code == 2
+        assert "refine_ratio" in capsys.readouterr().err
 
     def test_missing_scene_file_is_runtime_error(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
