@@ -12,8 +12,10 @@ discrete-time tap sequence is
 where amp_g already carries sqrt(G_g), the carrier phase e^(-j*2*pi*f_c*tau),
 and any scattering phase; a_g is the UPA response at the scatterer's angles
 (identical for departure and arrival, monostatic); and p is the composite
-raised-cosine pulse of the transmit and receive filters. Everything here is
-O(paths * (N + L_p)) per beam; the N x N outer product a a^H is never formed.
+raised-cosine pulse of the transmit and receive filters. With a separable
+(Kronecker) beam the coupling costs O(paths * (n_v + n_h)) per beam, and
+O(paths * N) for a general weight vector; the pulse adds O(paths * L_p). The
+N x N outer product a a^H is never formed.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ __all__ = [
 
 # Truncation of the composite pulse, in symbol periods on each side of the peak.
 PULSE_HALF_WIDTH = 8
+_PULSE_OFFSETS = np.arange(-PULSE_HALF_WIDTH, PULSE_HALF_WIDTH + 1)
+
+# Paths per block of tap synthesis; working memory is O(_BLOCK * (M + N)).
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -145,6 +151,28 @@ def delay_window_length(max_delay_s: float, sample_period_s: float, guard: int =
     return int(np.ceil(max_delay_s / sample_period_s)) + guard
 
 
+def _pulse_centers(delays_s: np.ndarray, l_d: int, sample_period_s: float) -> np.ndarray:
+    """
+    Nearest tap round(tau/T_s) of each delay. Raises a ValueError listing
+    the offending path indices if any path's 17-tap window leaves [0, l_d).
+    """
+    center = np.round(delays_s / sample_period_s).astype(int)
+    bad = np.nonzero((center - PULSE_HALF_WIDTH < 0) | (center + PULSE_HALF_WIDTH >= l_d))[0]
+    if bad.size:
+        raise ValueError(
+            f"path delays outside the L_d={l_d} tap window for path indices {bad.tolist()[:20]}"
+            + ("..." if bad.size > 20 else "")
+        )
+    return center
+
+
+def _pulse_values(center: np.ndarray, delays_s: np.ndarray, sample_period_s: float, rolloff: float):
+    """(idx, val) of the 17-tap pulse window around each centre tap."""
+    idx = center[:, None] + _PULSE_OFFSETS[None, :]
+    t = idx * sample_period_s - delays_s[:, None]
+    return idx, raised_cosine(t, sample_period_s, rolloff)
+
+
 def pulse_taps(delays_s: np.ndarray, l_d: int, sample_period_s: float, rolloff: float):
     """
     Pulse sample positions and values for a batch of path delays.
@@ -164,64 +192,75 @@ def pulse_taps(delays_s: np.ndarray, l_d: int, sample_period_s: float, rolloff: 
         representable window.
     """
     delays_s = np.asarray(delays_s, dtype=float)
-    center = np.round(delays_s / sample_period_s).astype(int)
-    offsets = np.arange(-PULSE_HALF_WIDTH, PULSE_HALF_WIDTH + 1)
-    idx = center[:, None] + offsets[None, :]
-    bad = np.nonzero((idx[:, 0] < 0) | (idx[:, -1] >= l_d))[0]
-    if bad.size:
-        raise ValueError(
-            f"path delays outside the L_d={l_d} tap window for path indices {bad.tolist()[:20]}"
-            + ("..." if bad.size > 20 else "")
-        )
-    t = idx * sample_period_s - delays_s[:, None]
-    val = raised_cosine(t, sample_period_s, rolloff)
-    return idx, val
+    center = _pulse_centers(delays_s, l_d, sample_period_s)
+    return _pulse_values(center, delays_s, sample_period_s, rolloff)
 
 
 def beamformed_taps_batch(
     paths,
-    weights: np.ndarray,
+    weights: np.ndarray | tuple[np.ndarray, np.ndarray],
     upa: UpaConfig,
     radio: RadioConfig,
     l_d: int,
-    chunk: int = 8192,
 ) -> np.ndarray:
     """
     Channel taps for every beam of a matched codebook at once.
 
-    weights is the (M, N) codebook matrix used as both f_m and w_m, so the
-    per-path coupling is |a_g^H f_m|^2. Paths are processed in chunks with
-    one BLAS product per chunk; memory stays at O(chunk * (M + N)).
+    weights is either the (M, N) codebook matrix, used as both f_m and w_m,
+    or its per-axis factors (b_v, b_h) of shapes (M, n_v) and (M, n_h) with
+    f_m = kron(b_v[m], b_h[m]). The per-path coupling is |a_g^H f_m|^2; with
+    factors it is |b_v,g^H b_v,m|^2 * |b_h,g^H b_h,m|^2, two small products
+    in place of one N-wide product.
+
+    Paths are sorted by their pulse-centre tap and taken in blocks of
+    _BLOCK. Within a block every run of paths sharing a centre tap c adds
+    coupling @ (amp * pulse) to taps[:, c-8 : c+9] in one real product.
 
     Returns
     -------
     np.ndarray, shape (M, l_d), complex taps per beam.
     """
-    from scipy.sparse import csr_matrix
-
-    m_beams = weights.shape[0]
-    taps = np.zeros((m_beams, l_d), dtype=complex)
-    idx_all, val_all = pulse_taps(paths.delay_s, l_d, radio.sample_period_s, radio.rolloff)
+    ts = radio.sample_period_s
+    center = _pulse_centers(paths.delay_s, l_d, ts)
+    order = np.argsort(center, kind="stable")
+    amplitude = paths.amplitude.astype(complex, copy=False)
     k_d = 2.0 * np.pi * upa.spacing_wavelengths
-    p_total = paths.delay_s.shape[0]
-    n_taps = idx_all.shape[1]
-    w_conj = weights.conj()
-    for start in range(0, p_total, chunk):
-        sl = slice(start, min(start + chunk, p_total))
-        p_c = sl.stop - sl.start
-        b_v = np.exp(-1j * k_d * np.outer(np.cos(paths.theta_z[sl]), np.arange(upa.n_v)))
-        b_h = np.exp(-1j * k_d * np.outer(np.cos(paths.theta_x[sl]), np.arange(upa.n_h)))
-        # Steering matrix for the chunk, (P_c, N), then all beams in one GEMM.
-        a = (b_v[:, :, None] * b_h[:, None, :]).reshape(-1, upa.n)
-        g = w_conj @ a.T                      # (M, P_c) = (a^H f)* per beam/path
-        coupling = np.abs(g) ** 2             # (w^H a)(a^H f) with w = f
-        amp = coupling * paths.amplitude[sl][None, :]
-        # Sparse pulse matrix (P_c, l_d): one 17-tap row per path, so the
-        # scatter onto the delay axis is a single sparse product per chunk.
-        rows = np.repeat(np.arange(p_c), n_taps)
-        spread = csr_matrix(
-            (val_all[sl].reshape(-1), (rows, idx_all[sl].reshape(-1))),
-            shape=(p_c, l_d),
+    if isinstance(weights, tuple):
+        # A mirror-symmetric grid repeats factor rows (beams at +-x share
+        # b_v), so each distinct row is correlated once and gathered per beam.
+        (f_v, i_v), (f_h, i_h) = (
+            np.unique(f.conj(), axis=0, return_inverse=True) for f in weights
         )
-        taps += spread.T.dot(amp.T).T
+        m_beams = len(i_v)
+
+        def coupling(b_v, b_h):
+            cpl = (np.abs(f_v @ b_v.T) ** 2)[i_v]
+            cpl *= (np.abs(f_h @ b_h.T) ** 2)[i_h]
+            return cpl
+
+    else:
+        w_conj = weights.conj()
+        m_beams = len(w_conj)
+
+        def coupling(b_v, b_h):
+            a = (b_v[:, :, None] * b_h[:, None, :]).reshape(len(b_v), -1)
+            return np.abs(w_conj @ a.T) ** 2
+
+    taps = np.zeros((m_beams, l_d), dtype=complex)
+    # Real view, (M, 2*l_d): tap d occupies columns 2d (re) and 2d+1 (im).
+    acc = taps.view(float)
+    width = 2 * (2 * PULSE_HALF_WIDTH + 1)
+    for start in range(0, len(order), _BLOCK):
+        sel = order[start : start + _BLOCK]
+        c_blk = center[sel]
+        _, val = _pulse_values(c_blk, paths.delay_s[sel], ts, radio.rolloff)
+        # amp * pulse viewed as (P_b, 34) floats, so each group is a real GEMM.
+        shaped = (amplitude[sel][:, None] * val).view(float)
+        b_v = np.exp(-1j * k_d * np.outer(np.cos(paths.theta_z[sel]), np.arange(upa.n_v)))
+        b_h = np.exp(-1j * k_d * np.outer(np.cos(paths.theta_x[sel]), np.arange(upa.n_h)))
+        cpl = coupling(b_v, b_h)                     # (M, P_b) real
+        bounds = np.flatnonzero(np.diff(c_blk)) + 1
+        for lo, hi in zip(np.r_[0, bounds], np.r_[bounds, len(sel)]):
+            col = 2 * (c_blk[lo] - PULSE_HALF_WIDTH)
+            acc[:, col : col + width] += cpl[:, lo:hi] @ shaped[lo:hi]
     return taps

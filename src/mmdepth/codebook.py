@@ -223,6 +223,10 @@ class Codebook:
     weights[m] is both the transmit beam f_m and the combining vector w_m
     (identical arrays, monostatic matched beams). Beams are ordered row-major
     over the sensor grid: m = v * n_bar_h + h with v = 0 the top image row.
+
+    axis_factors holds the per-axis vectors (b_v, b_h), shapes (M, n_v) and
+    (M, n_h), whose row-wise Kronecker product is weights; it is None when
+    phase quantization has broken that structure.
     """
 
     upa: UpaConfig
@@ -237,6 +241,7 @@ class Codebook:
     slr_delta_h: float = 0.0
     slr_delta_v: float = 0.0
     phase_bits: int | None = None
+    axis_factors: tuple[np.ndarray, np.ndarray] | None = None
     combine_norm_sq: np.ndarray = field(init=False)  # ||w_m||^2 per beam
 
     def __post_init__(self):
@@ -301,6 +306,7 @@ def design_codebook(
         slr_delta_h=slr_delta_h,
         slr_delta_v=slr_delta_v,
         phase_bits=phase_bits,
+        axis_factors=(b_v, b_h) if phase_bits is None else None,
     )
 
 

@@ -59,6 +59,7 @@ from .scene import (
     ground_truth_maps,
     load_scene,
     scene_from_dict,
+    scene_to_dict,
     trace_backscatter_paths,
 )
 from .waveform import PREAMBLE_LENGTH, SensingRecord, make_preamble, synthesize_rx
@@ -240,10 +241,14 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 
 def config_hash(cfg: ScenarioConfig) -> str:
     """
-    sha256 over the canonical JSON serialization. For file-based scenes the
-    hash covers the path, not the file contents.
+    sha256 over the canonical JSON serialization. A file-based scene also
+    enters with its loaded contents (scene_to_dict), so rewriting the file at
+    the same path changes the hash.
     """
-    blob = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
+    data = config_to_dict(cfg)
+    if "file" in cfg.scene:
+        data["scene"] = {**cfg.scene, "contents": scene_to_dict(load_scene(cfg.scene["file"]))}
+    blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -534,7 +539,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunArtifacts:
     l_d = delay_window_length(
         paths.max_delay_s, cfg.radio.sample_period_s, guard=cfg.sim.guard_taps
     )
-    taps = beamformed_taps_batch(paths, cb.weights, cfg.upa, cfg.radio, l_d)
+    beams = cb.weights if cb.axis_factors is None else cb.axis_factors
+    taps = beamformed_taps_batch(paths, beams, cfg.upa, cfg.radio, l_d)
     t0 = _clock("channel_taps", t0)
 
     preamble = make_preamble(cfg.waveform.kind, cfg.waveform.length, cfg.waveform.seed)

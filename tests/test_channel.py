@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmdepth.channel import (
+    _BLOCK,
     RadioConfig,
     noise_variance,
     path_gain,
@@ -13,7 +14,7 @@ from mmdepth.channel import (
     delay_window_length,
     PULSE_HALF_WIDTH,
 )
-from mmdepth.codebook import UpaConfig
+from mmdepth.codebook import SceneView, UpaConfig, design_codebook, steering_vector
 from mmdepth.scene import PathSet
 
 
@@ -93,6 +94,16 @@ class TestPulseTaps:
         with pytest.raises(ValueError, match="\\[1\\]"):
             pulse_taps(np.array([50 * ts, 1e-6]), 160, ts, radio.rolloff)
 
+    def test_batch_names_offender_past_first_block(self, radio):
+        # The window is checked over all paths before blocking, so the
+        # message carries the path's index in the PathSet.
+        paths = random_paths(np.random.default_rng(2), _BLOCK + 50, radio.sample_period_s)
+        bad = _BLOCK + 17
+        paths.delay_s[bad] = 1e-6
+        weights = np.ones((1, 4), dtype=complex)
+        with pytest.raises(ValueError, match=f"\\[{bad}\\]"):
+            beamformed_taps_batch(paths, weights, UpaConfig(n_h=2, n_v=2), radio, 160)
+
 
 class TestBeamformedTaps:
     def test_same_beam_coupling_is_nonnegative_power(self, radio):
@@ -106,6 +117,49 @@ class TestBeamformedTaps:
         taps = beamformed_taps_batch(paths, f[None, :], upa, radio, 160)[0]
         peak = taps[np.argmax(np.abs(taps))]
         assert peak.real == pytest.approx(np.abs(peak), rel=1e-9)
+
+    # Enough paths for two blocks, with delays spread over ~90 centre taps.
+    N_PATHS = _BLOCK + 1500
+
+    @pytest.mark.parametrize("slr", [0.0, 3.0])
+    def test_factored_matches_contraction_and_dense(self, radio, slr):
+        upa = UpaConfig(n_h=4, n_v=3)
+        cb = design_codebook(upa, SceneView(), slr_delta_h=slr, slr_delta_v=slr)
+        paths = random_paths(np.random.default_rng(3), self.N_PATHS, radio.sample_period_s)
+        got = beamformed_taps_batch(paths, cb.axis_factors, upa, radio, 160)
+        dense = beamformed_taps_batch(paths, cb.weights, upa, radio, 160)
+        # Reference: the explicit w^H (a a^H) f contraction of criterion 9,
+        # with w = f = each codebook row.
+        idx, val = pulse_taps(paths.delay_s, 160, radio.sample_period_s, radio.rolloff)
+        w = cb.weights
+        ref = np.zeros((cb.m, 160), dtype=complex)
+        for q in range(len(paths)):
+            a = steering_vector(paths.theta_z[q], paths.theta_x[q], upa)
+            coupling = np.einsum("mi,ij,mj->m", w.conj(), np.outer(a, a.conj()), w)
+            ref[:, idx[q]] += paths.amplitude[q] * coupling[:, None] * val[q]
+        scale = np.abs(ref).max()
+        assert np.abs(got - ref).max() <= 1e-12 * scale
+        assert np.abs(got - dense).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("factored", [True, False])
+    def test_path_order_does_not_matter(self, radio, factored):
+        upa = UpaConfig(n_h=4, n_v=3)
+        cb = design_codebook(upa, SceneView(), slr_delta_h=3.0, slr_delta_v=3.0)
+        weights = cb.axis_factors if factored else cb.weights
+        rng = np.random.default_rng(4)
+        paths = random_paths(rng, self.N_PATHS, radio.sample_period_s)
+        perm = rng.permutation(len(paths))
+        shuffled = PathSet(
+            delay_s=paths.delay_s[perm],
+            amplitude=paths.amplitude[perm],
+            theta_z=paths.theta_z[perm],
+            theta_x=paths.theta_x[perm],
+            range_m=paths.range_m[perm],
+            specular=paths.specular[perm],
+        )
+        taps = beamformed_taps_batch(paths, weights, upa, radio, 160)
+        again = beamformed_taps_batch(shuffled, weights, upa, radio, 160)
+        assert np.abs(again - taps).max() <= 1e-13 * np.abs(taps).max()
 
 
 class TestDelayWindow:

@@ -169,6 +169,16 @@ class TestDesignCodebook:
         snapped = np.round(phases / (np.pi / 2)) * (np.pi / 2)
         residual = np.angle(np.exp(1j * (phases - snapped)))
         assert np.allclose(residual, 0.0, atol=1e-9)
+        assert cb.axis_factors is None
+
+    @pytest.mark.parametrize("slr_h, slr_v", [(0.0, 0.0), (2.5, 1.5)])
+    def test_axis_factors_kron_to_weights(self, slr_h, slr_v):
+        upa = UpaConfig(n_h=5, n_v=3)
+        cb = design_codebook(upa, SceneView(), slr_delta_h=slr_h, slr_delta_v=slr_v)
+        b_v, b_h = cb.axis_factors
+        assert b_v.shape == (cb.m, upa.n_v) and b_h.shape == (cb.m, upa.n_h)
+        kron = (b_v[:, :, None] * b_h[:, None, :]).reshape(cb.m, upa.n)
+        assert np.array_equal(kron, cb.weights)
 
     def test_beam_index_roundtrip(self):
         cb = design_codebook(UpaConfig(), SceneView())

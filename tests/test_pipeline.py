@@ -145,6 +145,16 @@ class TestConfigHash:
     def test_distinct_configs_distinct_hashes(self):
         assert config_hash(small_config()) != config_hash(small_config(sim__seed=9))
 
+    def test_file_scene_contents_enter_hash(self, tmp_path):
+        view = SceneView()
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(scene_to_dict(BUILTIN_SCENES["one_wall"](view, distance_m=2.0))))
+        cfg = config_from_dict({"scene": {"file": str(path)}})
+        before = config_hash(cfg)
+        assert config_hash(cfg) == before
+        path.write_text(json.dumps(scene_to_dict(BUILTIN_SCENES["one_wall"](view, distance_m=3.0))))
+        assert config_hash(cfg) != before
+
 
 class TestApplyOverride:
     def test_dotted_path(self):
