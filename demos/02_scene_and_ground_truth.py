@@ -16,8 +16,7 @@ import numpy as np
 
 from mmdepth.codebook import SceneView
 from mmdepth.io import write_pgm16
-from mmdepth.pipeline import BUILTIN_SCENES
-from mmdepth.scene import MATERIALS, ground_truth_maps, trace_backscatter_paths
+from mmdepth.scene import BUILTIN_SCENES, MATERIALS, ground_truth_maps, trace_backscatter_paths
 
 view = SceneView()
 out = Path("demo_ground_truth")

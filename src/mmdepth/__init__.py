@@ -9,12 +9,13 @@ stages plus a pipeline that chains them:
 
     codebook    virtual-sensor beam grid, steering vectors, tapers
     channel     radar link budget, pulse shaping, per-beam channel taps
-    scene       planar-facet scenes, ray casting, backscatter extraction
+    scene       planar-facet scenes, builtin scenes, ray casting, backscatter
+                extraction
     waveform    Golay / PN sensing preambles, record synthesis
     estimator   matched filter, cancellation, joint selection, refinement
     metrics     error reports and the range estimation bound
     io          PGM / CSV / binary record artifacts
-    pipeline    scenario configs, builtin scenes, end-to-end runs, sweeps
+    pipeline    scenario configs, end-to-end runs, sweeps
 """
 
 from .channel import (
@@ -67,7 +68,6 @@ from .io import (
 )
 from .metrics import ErrorReport, crlb_range, map_errors
 from .pipeline import (
-    BUILTIN_SCENES,
     EstimatorConfig,
     OutputConfig,
     RunArtifacts,
@@ -75,7 +75,6 @@ from .pipeline import (
     SimConfig,
     WaveformConfig,
     apply_override,
-    build_scene,
     config_from_dict,
     config_hash,
     config_to_dict,
@@ -84,12 +83,14 @@ from .pipeline import (
     sweep,
 )
 from .scene import (
+    BUILTIN_SCENES,
     MATERIALS,
     DevicePose,
     Material,
     PathSet,
     PlanarFacet,
     Scene,
+    build_scene,
     ground_truth_maps,
     load_scene,
     save_scene,

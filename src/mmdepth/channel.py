@@ -132,7 +132,7 @@ def raised_cosine(t: np.ndarray, sample_period_s: float, rolloff: float) -> np.n
     u = t / sample_period_s
     if rolloff == 0.0:
         return np.sinc(u)
-    sing = np.isclose(np.abs(u), 1.0 / (2.0 * rolloff), rtol=0.0, atol=1e-12)
+    sing = np.abs(np.abs(u) - 1.0 / (2.0 * rolloff)) <= 1e-12
     denom = 1.0 - (2.0 * rolloff * u) ** 2
     denom = np.where(sing, 1.0, denom)  # placeholder, overwritten below
     vals = np.sinc(u) * np.cos(np.pi * rolloff * u) / denom

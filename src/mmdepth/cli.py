@@ -23,15 +23,13 @@ from pathlib import Path
 
 from .io import write_pgm16
 from .pipeline import (
-    BUILTIN_SCENES,
     apply_override,
-    build_scene,
     config_from_dict,
     run_scenario,
     sweep,
 )
 from .codebook import design_codebook, write_codebook_csv
-from .scene import ground_truth_maps
+from .scene import BUILTIN_SCENES, build_scene, ground_truth_maps
 
 __all__ = ["main"]
 

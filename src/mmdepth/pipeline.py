@@ -1,10 +1,11 @@
 """
-End-to-end scenario runs: configuration, builtin scenes, simulation, artifacts.
+End-to-end scenario runs: configuration, simulation, artifacts, sweeps.
 
 A scenario config is a nested JSON-shaped dict; every level rejects unknown
-keys so typos fail loudly instead of silently running defaults. The same
-dict, canonically serialized, is hashed into run.json so any two artifact
-sets can be traced back to the exact settings that produced them.
+keys so typos fail loudly instead of silently running defaults, and bad
+values, scene parameters included, fail at load rather than inside a run.
+The same dict, canonically serialized, is hashed into run.json so any two
+artifact sets can be traced back to the exact settings that produced them.
 
 run_scenario executes the whole chain
 
@@ -24,7 +25,6 @@ own spawned generator, so results do not depend on beam order.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
 import time
 from dataclasses import dataclass, field, fields
@@ -52,13 +52,10 @@ from .estimator import (
 from .io import write_map_csv, write_pgm16, write_records
 from .metrics import ErrorReport, map_errors
 from .scene import (
-    MATERIALS,
-    DevicePose,
-    PlanarFacet,
     Scene,
+    build_scene,
     ground_truth_maps,
     load_scene,
-    scene_from_dict,
     scene_to_dict,
     trace_backscatter_paths,
 )
@@ -77,8 +74,6 @@ __all__ = [
     "load_config",
     "apply_override",
     "SWEEP_ALIASES",
-    "BUILTIN_SCENES",
-    "build_scene",
     "RunArtifacts",
     "run_scenario",
     "sweep",
@@ -219,8 +214,10 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         if key in data:
             kwargs[key] = _build_section(cls, dict(data[key]), key)
     if "scene" in data:
-        kwargs["scene"] = _validate_scene_config(dict(data["scene"]))
-    return ScenarioConfig(**kwargs)
+        kwargs["scene"] = dict(data["scene"])
+    cfg = ScenarioConfig(**kwargs)
+    build_scene(cfg.scene, cfg.view)  # checks the scene section; a file scene is read
+    return cfg
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
@@ -294,167 +291,6 @@ def apply_override(data: dict, dotted: str, value) -> None:
         if not isinstance(node, dict):
             raise ValueError(f"cannot descend into non-dict at {k!r} of {dotted!r}")
     node[keys[-1]] = value
-
-
-# ---------------------------------------------------------------------------
-# Builtin scenes
-# ---------------------------------------------------------------------------
-
-def _wall(y: float, x0: float, x1: float, z0: float, z1: float, material, rcs_sqm=None) -> PlanarFacet:
-    """Axis-aligned vertical rectangle at constant y, facing the device."""
-    verts = np.array(
-        [[x0, y, z0], [x1, y, z0], [x1, y, z1], [x0, y, z1]], dtype=float
-    )
-    return PlanarFacet(vertices=verts, material=material, rcs_sqm=rcs_sqm)
-
-
-def _fov_half_extents(view: SceneView, distance_m: float, margin: float) -> tuple[float, float]:
-    """Half width / half height of the field of view at a given distance."""
-    tan_h = np.tan(np.radians(view.fov_deg) / 2.0)
-    tan_v = tan_h / view.aspect_ratio
-    return distance_m * tan_h * margin, distance_m * tan_v * margin
-
-
-def _scene_one_wall(
-    view: SceneView,
-    distance_m: float = 7.0,
-    material: str = "concrete",
-    margin: float = 1.15,
-    rcs_sqm: float | None = None,
-) -> Scene:
-    """Single flat wall square to the boresight, oversized past the FoV edge."""
-    if distance_m <= 0:
-        raise ValueError("distance_m must be positive")
-    hw, hh = _fov_half_extents(view, distance_m, margin)
-    wall = _wall(distance_m, -hw, hw, -hh, hh, MATERIALS[material], rcs_sqm)
-    return Scene(facets=[wall], device=DevicePose(position=np.zeros(3)), path_loss_exponent=2.0)
-
-
-def _scene_two_walls(
-    view: SceneView,
-    front_distance_m: float = 1.0,
-    back_distance_m: float = 2.0,
-    front_material: str = "concrete",
-    back_material: str = "concrete",
-    margin: float = 1.15,
-) -> Scene:
-    """
-    Half-width wall in front of a full wall: the front wall covers the left
-    half of the view, so every map has a vertical depth discontinuity at
-    boresight and the back wall is partly shadowed.
-    """
-    if not 0 < front_distance_m < back_distance_m:
-        raise ValueError("need 0 < front_distance_m < back_distance_m")
-    f_hw, f_hh = _fov_half_extents(view, front_distance_m, margin)
-    b_hw, b_hh = _fov_half_extents(view, back_distance_m, margin)
-    front = _wall(front_distance_m, -f_hw, 0.0, -f_hh, f_hh, MATERIALS[front_material])
-    back = _wall(back_distance_m, -b_hw, b_hw, -b_hh, b_hh, MATERIALS[back_material])
-    return Scene(facets=[front, back], device=DevicePose(position=np.zeros(3)), path_loss_exponent=2.0)
-
-
-def _pillar(x_c: float, y0: float, y1: float, half_w: float, z0: float, z1: float, material) -> list[PlanarFacet]:
-    """Four vertical side faces of a rectangular pillar."""
-    x0, x1 = x_c - half_w, x_c + half_w
-    quads = [
-        [[x0, y0, z0], [x1, y0, z0], [x1, y0, z1], [x0, y0, z1]],  # front
-        [[x0, y1, z0], [x1, y1, z0], [x1, y1, z1], [x0, y1, z1]],  # back
-        [[x0, y0, z0], [x0, y1, z0], [x0, y1, z1], [x0, y0, z1]],  # left
-        [[x1, y0, z0], [x1, y1, z0], [x1, y1, z1], [x1, y0, z1]],  # right
-    ]
-    return [PlanarFacet(vertices=np.array(q, dtype=float), material=material) for q in quads]
-
-
-def _scene_pillar_room(
-    view: SceneView,
-    size_m: float = 5.0,
-    height_m: float = 3.0,
-    pillar_distance_m: float = 2.0,
-    pillar_half_width_m: float = 0.2,
-    wall_material: str = "concrete",
-    pillar_material: str = "wood",
-) -> Scene:
-    """
-    Closed room with two pillars: concrete back and side walls, floorboard
-    floor, ceiling board above, and two wood pillars partway in. Exercises
-    occlusion, multiple materials and grazing-incidence surfaces at once.
-    """
-    s = size_m / 2.0
-    h = height_m / 2.0
-    wall_mat = MATERIALS[wall_material]
-    facets = [
-        _wall(size_m, -s, s, -h, h, wall_mat),  # back wall
-        PlanarFacet(  # left wall x = -s
-            vertices=np.array([[-s, 0, -h], [-s, size_m, -h], [-s, size_m, h], [-s, 0, h]], dtype=float),
-            material=wall_mat,
-        ),
-        PlanarFacet(  # right wall x = +s
-            vertices=np.array([[s, 0, -h], [s, size_m, -h], [s, size_m, h], [s, 0, h]], dtype=float),
-            material=wall_mat,
-        ),
-        PlanarFacet(  # floor z = -h
-            vertices=np.array([[-s, 0, -h], [s, 0, -h], [s, size_m, -h], [-s, size_m, -h]], dtype=float),
-            material=MATERIALS["floorboard"],
-        ),
-        PlanarFacet(  # ceiling z = +h
-            vertices=np.array([[-s, 0, h], [s, 0, h], [s, size_m, h], [-s, size_m, h]], dtype=float),
-            material=MATERIALS["ceilingboard"],
-        ),
-    ]
-    for x_c in (-size_m / 4.0, size_m / 4.0):
-        facets.extend(
-            _pillar(
-                x_c,
-                pillar_distance_m,
-                pillar_distance_m + 2 * pillar_half_width_m,
-                pillar_half_width_m,
-                -h,
-                h,
-                MATERIALS[pillar_material],
-            )
-        )
-    return Scene(facets=facets, device=DevicePose(position=np.zeros(3)), path_loss_exponent=2.0)
-
-
-BUILTIN_SCENES = {
-    "one_wall": _scene_one_wall,
-    "two_walls": _scene_two_walls,
-    "pillar_room": _scene_pillar_room,
-}
-
-
-def _validate_scene_config(scfg: dict) -> dict:
-    modes = [k for k in ("builtin", "file", "inline") if k in scfg]
-    if len(modes) != 1:
-        raise ValueError("scene config needs exactly one of: builtin, file, inline")
-    mode = modes[0]
-    if mode == "builtin":
-        name = scfg["builtin"]
-        if name not in BUILTIN_SCENES:
-            raise ValueError(f"unknown builtin scene {name!r}; have {sorted(BUILTIN_SCENES)}")
-        sig = inspect.signature(BUILTIN_SCENES[name])
-        allowed = set(sig.parameters) - {"view"}
-        extra = set(scfg) - allowed - {"builtin"}
-        if extra:
-            raise ValueError(f"unknown {name} scene keys: {sorted(extra)}")
-    elif mode == "inline":
-        scene_from_dict(scfg["inline"])  # full validation, result discarded
-        if set(scfg) - {"inline"}:
-            raise ValueError("inline scene config takes no other keys")
-    else:
-        if set(scfg) - {"file"}:
-            raise ValueError("file scene config takes no other keys")
-    return scfg
-
-
-def build_scene(scene_cfg: dict, view: SceneView) -> Scene:
-    """Materialize the scene section of a config."""
-    scene_cfg = _validate_scene_config(dict(scene_cfg))
-    if "builtin" in scene_cfg:
-        params = {k: v for k, v in scene_cfg.items() if k != "builtin"}
-        return BUILTIN_SCENES[scene_cfg["builtin"]](view, **params)
-    if "inline" in scene_cfg:
-        return scene_from_dict(scene_cfg["inline"])
-    return load_scene(scene_cfg["file"])
 
 
 # ---------------------------------------------------------------------------
@@ -546,9 +382,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunArtifacts:
     preamble = make_preamble(cfg.waveform.kind, cfg.waveform.length, cfg.waveform.seed)
     records: list[SensingRecord] = []
     for m in range(cb.m):
-        rng = None if cfg.sim.noiseless else np.random.default_rng(seeds[1 + m])
+        noise_seed = None if cfg.sim.noiseless else seeds[1 + m]
         records.append(
-            synthesize_rx(taps[m], preamble, cfg.radio, float(cb.combine_norm_sq[m]), rng, beam=m)
+            synthesize_rx(taps[m], preamble, cfg.radio, float(cb.combine_norm_sq[m]), noise_seed, beam=m)
         )
     t0 = _clock("records", t0)
 

@@ -21,10 +21,14 @@ Two consumers look at the same geometry:
 Scattering strength reduces the directive-lobe material model to a single
 scattered-to-incident field ratio per material (see the material table);
 sigma_RCS of a cell defaults to BACKSCATTER_GAIN * scatter_ratio * cell_area.
+
+The builtin scenes (BUILTIN_SCENES) live here as well, with build_scene,
+which checks the scene section of a scenario config and builds it.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, field
 
@@ -47,6 +51,8 @@ __all__ = [
     "scene_to_dict",
     "load_scene",
     "save_scene",
+    "BUILTIN_SCENES",
+    "build_scene",
 ]
 
 _COPLANAR_TOL = 1e-9
@@ -64,18 +70,12 @@ BACKSCATTER_GAIN = 450.0
 @dataclass(frozen=True)
 class Material:
     """
-    Surface material, reduced to scalar scattering descriptors.
-
-    scatter_ratio is the scattered-to-incident electric field ratio; the
-    remaining fields describe the diffuse lobe shape of the source model and
-    are carried for completeness (the tracer folds them into scatter_ratio).
+    Surface material, reduced to one scattering descriptor: scatter_ratio,
+    the scattered-to-incident electric field ratio.
     """
 
     name: str
     scatter_ratio: float               # scattered / incident field ratio, 0..1
-    forward_backward: float = 0.75     # forward-to-backward scattered power split
-    cross_pol: float = 0.40            # cross-polarized fraction
-    lobe_narrowness: float = 0.40      # directive lobe width parameter
 
     def __post_init__(self):
         if not 0.0 <= self.scatter_ratio <= 1.0:
@@ -103,42 +103,46 @@ def _as_unit(v, what: str) -> np.ndarray:
     return v / n
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlanarFacet:
     """
     Convex coplanar quad. Vertices are (4, 3) world coordinates in winding
     order; coplanarity is checked to 1e-9 relative to the facet extent.
     rcs_sqm optionally overrides the total diffuse RCS of the facet,
-    otherwise it derives from area * material.scatter_ratio.
+    otherwise it derives from area * material.scatter_ratio. The unit
+    normal (it follows the winding) and the inward edge normals
+    edge_normals[i] = normal x (v[i+1] - v[i]) are computed once; the
+    vertices are stored read-only, so neither can drift from them.
     """
 
     vertices: np.ndarray
     material: Material
     rcs_sqm: float | None = None
+    normal: np.ndarray = field(init=False, repr=False, compare=False)
+    edge_normals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
+        v = np.array(self.vertices, dtype=float)
         if v.shape != (4, 3):
             raise ValueError("facet needs exactly 4 vertices of 3 coordinates")
-        self.vertices = v
         n = np.cross(v[1] - v[0], v[2] - v[0])
         nn = np.linalg.norm(n)
         if nn == 0:
             raise ValueError("degenerate facet (collinear vertices)")
+        n = n / nn
         scale = max(np.linalg.norm(v - v.mean(axis=0), axis=1).max(), 1e-30)
-        off = abs(np.dot(v[3] - v[0], n / nn))
+        off = abs(np.dot(v[3] - v[0], n))
         if off > _COPLANAR_TOL * scale:
             raise ValueError(f"facet vertices not coplanar (offset {off:.3e} m)")
         # Convexity: all cross products of consecutive edges along the normal.
         edges = np.roll(v, -1, axis=0) - v
-        turns = np.cross(edges, np.roll(edges, -1, axis=0)) @ (n / nn)
+        turns = np.cross(edges, np.roll(edges, -1, axis=0)) @ n
         if not (np.all(turns > -1e-12 * scale**2) or np.all(turns < 1e-12 * scale**2)):
             raise ValueError("facet is not convex")
-
-    @property
-    def normal(self) -> np.ndarray:
-        n = np.cross(self.vertices[1] - self.vertices[0], self.vertices[2] - self.vertices[0])
-        return n / np.linalg.norm(n)
+        v.setflags(write=False)
+        object.__setattr__(self, "vertices", v)
+        object.__setattr__(self, "normal", n)
+        object.__setattr__(self, "edge_normals", np.cross(n, edges))
 
     @property
     def area_sqm(self) -> float:
@@ -201,7 +205,9 @@ class Scene:
 def _ray_quad(origin: np.ndarray, dirs: np.ndarray, facet: PlanarFacet) -> np.ndarray:
     """
     Distances t >= 0 where rays origin + t*dirs hit the facet, inf on miss.
-    dirs is (..., 3) of unit vectors.
+    dirs is (..., 3) of unit vectors. The hit point p is inside when
+    (p - v_i) . e_i >= -1e-12 on every edge, evaluated as
+    (origin - v_i) . e_i + t * (dirs . e_i) without forming p.
     """
     v = facet.vertices
     n = facet.normal
@@ -209,16 +215,10 @@ def _ray_quad(origin: np.ndarray, dirs: np.ndarray, facet: PlanarFacet) -> np.nd
     offset = np.dot(v[0] - origin, n)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(np.abs(denom) > 1e-15, offset / denom, -1.0)
-    pts = origin + t[..., None] * dirs
-    # The normal follows the winding, so interior points satisfy
-    # cross(edge, p - v_i) . n >= 0 for every edge whichever way the quad
-    # was wound.
-    inside = np.ones(t.shape, dtype=bool)
-    for i in range(4):
-        edge = v[(i + 1) % 4] - v[i]
-        side = np.cross(edge, pts - v[i]) @ n
-        inside &= side >= -1e-12
-    return np.where((t > 1e-12) & inside, t, np.inf)
+    hit = t > 1e-12
+    for v_i, e_i in zip(v, facet.edge_normals):
+        hit &= np.dot(origin - v_i, e_i) + t * (dirs @ e_i) >= -1e-12
+    return np.where(hit, t, np.inf)
 
 
 def ground_truth_maps(scene: Scene, view: SceneView, resolution: tuple[int, int]):
@@ -419,25 +419,17 @@ def trace_backscatter_paths(
     )
 
 
-def _point_in_facet(point: np.ndarray, facet: PlanarFacet) -> bool:
-    v = facet.vertices
-    n = facet.normal
-    for i in range(4):
-        if np.dot(np.cross(v[(i + 1) % 4] - v[i], point - v[i]), n) < -1e-12:
-            return False
-    return True
-
-
 def _specular_path(scene: Scene, fi: int, tx_gain_dbi, rx_gain_dbi, wavelength_m, f_c):
     """Mirror return of the device in facet fi, or None if geometry rules it out."""
     facet = scene.facets[fi]
     n = facet.normal
     d = scene.device.position
     dist = np.dot(d - facet.vertices[0], n)  # signed distance to the plane
-    foot = d - dist * n
     rho = abs(float(dist))
-    if rho < 1e-9 or not _point_in_facet(foot, facet):
+    # The ray from the device along -sign(dist)*n meets the plane at the foot.
+    if rho < 1e-9 or np.isinf(_ray_quad(d, -np.sign(dist) * n[None, :], facet)[0]):
         return None
+    foot = d - dist * n
     if not _visible(scene, foot[None, :], fi)[0]:
         return None
     refl = 1.0 - facet.material.scatter_ratio**2  # power not diffused stays specular
@@ -456,18 +448,25 @@ def _specular_path(scene: Scene, fi: int, tx_gain_dbi, rx_gain_dbi, wavelength_m
 # JSON scene configs
 # ---------------------------------------------------------------------------
 
+# Lobe-shape keys of older scene files; the tracer never read them.
+_IGNORED_MATERIAL_KEYS = {"forward_backward", "cross_pol", "lobe_narrowness"}
+
+
+def _catalog_material(name: str) -> Material:
+    try:
+        return MATERIALS[name]
+    except KeyError:
+        raise ValueError(f"unknown material {name!r}; catalog: {sorted(MATERIALS)}") from None
+
+
 def _material_from_spec(spec) -> Material:
     if isinstance(spec, str):
-        try:
-            return MATERIALS[spec]
-        except KeyError:
-            raise ValueError(f"unknown material {spec!r}; catalog: {sorted(MATERIALS)}") from None
+        return _catalog_material(spec)
     if isinstance(spec, dict):
-        allowed = {"name", "scatter_ratio", "forward_backward", "cross_pol", "lobe_narrowness"}
-        extra = set(spec) - allowed
+        extra = set(spec) - {"name", "scatter_ratio"} - _IGNORED_MATERIAL_KEYS
         if extra:
             raise ValueError(f"unknown material keys {sorted(extra)}")
-        return Material(**spec)
+        return Material(**{k: v for k, v in spec.items() if k not in _IGNORED_MATERIAL_KEYS})
     raise ValueError("material must be a catalog name or an inline object")
 
 
@@ -508,13 +507,7 @@ def scene_to_dict(scene: Scene) -> dict:
         "facets": [
             {
                 "vertices": f.vertices.tolist(),
-                "material": {
-                    "name": f.material.name,
-                    "scatter_ratio": f.material.scatter_ratio,
-                    "forward_backward": f.material.forward_backward,
-                    "cross_pol": f.material.cross_pol,
-                    "lobe_narrowness": f.material.lobe_narrowness,
-                },
+                "material": {"name": f.material.name, "scatter_ratio": f.material.scatter_ratio},
                 **({"rcs_sqm": f.rcs_sqm} if f.rcs_sqm is not None else {}),
             }
             for f in scene.facets
@@ -536,3 +529,156 @@ def load_scene(path) -> Scene:
 def save_scene(scene: Scene, path) -> None:
     with open(path, "w") as fh:
         json.dump(scene_to_dict(scene), fh, indent=2)
+
+
+# ---------------------------------------------------------------------------
+# Builtin scenes and the scene section of a scenario config
+# ---------------------------------------------------------------------------
+
+def _wall(y: float, x0: float, x1: float, z0: float, z1: float, material, rcs_sqm=None) -> PlanarFacet:
+    """Axis-aligned vertical rectangle at constant y, facing the device."""
+    return PlanarFacet([[x0, y, z0], [x1, y, z0], [x1, y, z1], [x0, y, z1]], material, rcs_sqm)
+
+
+def _fov_half_extents(view: SceneView, distance_m: float, margin: float) -> tuple[float, float]:
+    """Half width / half height of the field of view at a given distance."""
+    tan_h = np.tan(np.radians(view.fov_deg) / 2.0)
+    tan_v = tan_h / view.aspect_ratio
+    return distance_m * tan_h * margin, distance_m * tan_v * margin
+
+
+def _scene_one_wall(
+    view: SceneView,
+    distance_m: float = 7.0,
+    material: str = "concrete",
+    margin: float = 1.15,
+    rcs_sqm: float | None = None,
+) -> Scene:
+    """Single flat wall square to the boresight, oversized past the FoV edge."""
+    if distance_m <= 0:
+        raise ValueError("distance_m must be positive")
+    hw, hh = _fov_half_extents(view, distance_m, margin)
+    wall = _wall(distance_m, -hw, hw, -hh, hh, _catalog_material(material), rcs_sqm)
+    return Scene(facets=[wall], device=DevicePose(position=np.zeros(3)), path_loss_exponent=2.0)
+
+
+def _scene_two_walls(
+    view: SceneView,
+    front_distance_m: float = 1.0,
+    back_distance_m: float = 2.0,
+    front_material: str = "concrete",
+    back_material: str = "concrete",
+    margin: float = 1.15,
+) -> Scene:
+    """
+    Half-width wall in front of a full wall: the front wall covers the left
+    half of the view, so every map has a vertical depth discontinuity at
+    boresight and the back wall is partly shadowed.
+    """
+    if not 0 < front_distance_m < back_distance_m:
+        raise ValueError("need 0 < front_distance_m < back_distance_m")
+    f_hw, f_hh = _fov_half_extents(view, front_distance_m, margin)
+    b_hw, b_hh = _fov_half_extents(view, back_distance_m, margin)
+    front = _wall(front_distance_m, -f_hw, 0.0, -f_hh, f_hh, _catalog_material(front_material))
+    back = _wall(back_distance_m, -b_hw, b_hw, -b_hh, b_hh, _catalog_material(back_material))
+    return Scene(facets=[front, back], device=DevicePose(position=np.zeros(3)), path_loss_exponent=2.0)
+
+
+def _pillar(x_c: float, y0: float, y1: float, half_w: float, z0: float, z1: float, material) -> list[PlanarFacet]:
+    """Four vertical side faces of a rectangular pillar."""
+    x0, x1 = x_c - half_w, x_c + half_w
+    quads = [
+        [[x0, y0, z0], [x1, y0, z0], [x1, y0, z1], [x0, y0, z1]],  # front
+        [[x0, y1, z0], [x1, y1, z0], [x1, y1, z1], [x0, y1, z1]],  # back
+        [[x0, y0, z0], [x0, y1, z0], [x0, y1, z1], [x0, y0, z1]],  # left
+        [[x1, y0, z0], [x1, y1, z0], [x1, y1, z1], [x1, y0, z1]],  # right
+    ]
+    return [PlanarFacet(vertices=q, material=material) for q in quads]
+
+
+def _scene_pillar_room(
+    view: SceneView,
+    size_m: float = 5.0,
+    height_m: float = 3.0,
+    pillar_distance_m: float = 2.0,
+    pillar_half_width_m: float = 0.2,
+    wall_material: str = "concrete",
+    pillar_material: str = "wood",
+) -> Scene:
+    """
+    Closed room with two pillars: concrete back and side walls, floorboard
+    floor, ceiling board above, and two wood pillars partway in. Exercises
+    occlusion, multiple materials and grazing-incidence surfaces at once.
+    """
+    s = size_m / 2.0
+    h = height_m / 2.0
+    wall_mat = _catalog_material(wall_material)
+    facets = [
+        _wall(size_m, -s, s, -h, h, wall_mat),  # back wall
+        PlanarFacet(  # left wall x = -s
+            vertices=[[-s, 0, -h], [-s, size_m, -h], [-s, size_m, h], [-s, 0, h]],
+            material=wall_mat,
+        ),
+        PlanarFacet(  # right wall x = +s
+            vertices=[[s, 0, -h], [s, size_m, -h], [s, size_m, h], [s, 0, h]],
+            material=wall_mat,
+        ),
+        PlanarFacet(  # floor z = -h
+            vertices=[[-s, 0, -h], [s, 0, -h], [s, size_m, -h], [-s, size_m, -h]],
+            material=MATERIALS["floorboard"],
+        ),
+        PlanarFacet(  # ceiling z = +h
+            vertices=[[-s, 0, h], [s, 0, h], [s, size_m, h], [-s, size_m, h]],
+            material=MATERIALS["ceilingboard"],
+        ),
+    ]
+    for x_c in (-size_m / 4.0, size_m / 4.0):
+        facets.extend(
+            _pillar(
+                x_c,
+                pillar_distance_m,
+                pillar_distance_m + 2 * pillar_half_width_m,
+                pillar_half_width_m,
+                -h,
+                h,
+                _catalog_material(pillar_material),
+            )
+        )
+    return Scene(facets=facets, device=DevicePose(position=np.zeros(3)), path_loss_exponent=2.0)
+
+
+BUILTIN_SCENES = {
+    "one_wall": _scene_one_wall,
+    "two_walls": _scene_two_walls,
+    "pillar_room": _scene_pillar_room,
+}
+
+
+def build_scene(scene_cfg: dict, view: SceneView) -> Scene:
+    """
+    Check the scene section of a config ({"builtin": name, ...params},
+    {"file": path} or {"inline": scene dict}) and build its Scene. Unknown
+    keys, names or materials and bad builtin parameter values raise ValueError.
+    """
+    modes = [k for k in ("builtin", "file", "inline") if k in scene_cfg]
+    if len(modes) != 1:
+        raise ValueError("scene config needs exactly one of: builtin, file, inline")
+    mode = modes[0]
+    params = {k: v for k, v in scene_cfg.items() if k != mode}
+    if mode == "builtin":
+        name = scene_cfg["builtin"]
+        if name not in BUILTIN_SCENES:
+            raise ValueError(f"unknown builtin scene {name!r}; have {sorted(BUILTIN_SCENES)}")
+        builder = BUILTIN_SCENES[name]
+        extra = set(params) - (set(inspect.signature(builder).parameters) - {"view"})
+        if extra:
+            raise ValueError(f"unknown {name} scene keys: {sorted(extra)}")
+        try:
+            return builder(view, **params)
+        except TypeError as exc:
+            raise ValueError(f"bad {name} scene parameter: {exc}") from None
+    if params:
+        raise ValueError(f"{mode} scene config takes no other keys")
+    if mode == "inline":
+        return scene_from_dict(scene_cfg["inline"])
+    return load_scene(scene_cfg["file"])

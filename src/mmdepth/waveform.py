@@ -152,7 +152,7 @@ def synthesize_rx(
     preamble: np.ndarray,
     radio: RadioConfig,
     combine_norm_sq: float,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | np.random.SeedSequence | int | None = None,
     beam: int = 0,
 ) -> SensingRecord:
     """
@@ -162,7 +162,8 @@ def synthesize_rx(
 
     with nu circular complex noise of variance sigma_n^2 * ||w||^2 per
     sample (combine_norm_sq = ||w||^2). The record spans n = 0 .. n_p+l_d-1.
-    Pass rng=None for a noiseless record.
+    rng is a Generator or a seed for np.random.default_rng; pass rng=None
+    for a noiseless record.
     """
     taps = np.asarray(taps)
     preamble = np.asarray(preamble)
@@ -171,6 +172,7 @@ def synthesize_rx(
     y = np.zeros(n_p + l_d, dtype=complex)
     y[: n_p + l_d - 1] = np.sqrt(radio.symbol_energy_j) * np.convolve(preamble, taps)
     if rng is not None:
+        rng = np.random.default_rng(rng)
         var = noise_variance(radio) * combine_norm_sq
         scale = np.sqrt(var / 2.0)
         y += scale * (rng.standard_normal(len(y)) + 1j * rng.standard_normal(len(y)))

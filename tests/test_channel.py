@@ -70,6 +70,9 @@ class TestRaisedCosine:
         p = raised_cosine(np.array([2.0, -2.0]), 1.0, 0.25)
         expected = (np.pi / 4) * np.sinc(2.0)
         assert np.allclose(p, expected)
+        # within 1e-12 of the singularity the limit is taken as is
+        near = raised_cosine(np.array([2.0 + 5e-13, -2.0 - 5e-13]), 1.0, 0.25)
+        assert np.all(near == expected)
 
     @settings(derandomize=True, max_examples=40)
     @given(st.floats(min_value=0.0, max_value=7.5))

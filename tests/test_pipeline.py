@@ -16,7 +16,6 @@ from mmdepth.cli import main as cli_main
 from mmdepth.codebook import SceneView, UpaConfig
 from mmdepth.io import read_records
 from mmdepth.pipeline import (
-    BUILTIN_SCENES,
     SWEEP_ALIASES,
     SWEEP_COLUMNS,
     EstimatorConfig,
@@ -24,14 +23,13 @@ from mmdepth.pipeline import (
     ScenarioConfig,
     WaveformConfig,
     apply_override,
-    build_scene,
     config_from_dict,
     config_hash,
     config_to_dict,
     run_scenario,
     sweep,
 )
-from mmdepth.scene import scene_to_dict
+from mmdepth.scene import BUILTIN_SCENES, build_scene, scene_to_dict
 
 
 SMALL = {
@@ -86,6 +84,19 @@ class TestConfigFromDict:
     def test_builtin_parameters_validated(self):
         with pytest.raises(ValueError, match="one_wall scene keys"):
             config_from_dict({"scene": {"builtin": "one_wall", "width_m": 3.0}})
+        # Values are checked at load by building the scene, not in the run.
+        for scene, match in [
+            ({"builtin": "one_wall", "distance_m": 0}, "distance_m"),
+            ({"builtin": "one_wall", "distance_m": "far"}, "one_wall scene parameter"),
+            ({"builtin": "one_wall", "material": "steel"}, "unknown material 'steel'"),
+            ({"builtin": "two_walls", "front_distance_m": 3}, "front_distance_m"),
+            ({"builtin": "pillar_room", "pillar_material": "steel"}, "unknown material"),
+            ({"inline": {"facets": []}}, "at least one facet"),
+            ({"inline": {"facets": [], "colour": 1}}, "unknown scene keys"),
+            ({"file": "x.json", "distance_m": 1.0}, "no other keys"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                config_from_dict({"scene": scene})
 
     def test_resolution_list_becomes_tuple(self):
         cfg = config_from_dict({"output": {"resolution": [120, 160]}})
@@ -398,6 +409,14 @@ class TestCli:
         code = cli_main(["run", "--config", str(cfg), "--set", "estimator.refine_ratio=3"])
         assert code == 2
         assert "refine_ratio" in capsys.readouterr().err
+
+    def test_invalid_scene_setting_is_usage_error(self, capsys):
+        for args, match in [
+            (["--scenario", "two_walls", "--set", "scene.front_distance_m=3"], "front_distance_m"),
+            (["--scenario", "one_wall", "--set", "scene.material=steel"], "unknown material 'steel'"),
+        ]:
+            assert cli_main(["run", *args]) == 2
+            assert match in capsys.readouterr().err
 
     def test_missing_scene_file_is_runtime_error(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)

@@ -1,6 +1,10 @@
 """Scene geometry: ray-cast truth maps and the diffuse backscatter tracer."""
+import dataclasses
+import json
+
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from mmdepth.channel import path_gain
 from mmdepth.codebook import SceneView
@@ -8,9 +12,12 @@ from mmdepth.scene import (
     BACKSCATTER_GAIN,
     MATERIALS,
     Material,
+    PathSet,
     PlanarFacet,
     DevicePose,
     Scene,
+    _ray_quad,
+    build_scene,
     ground_truth_maps,
     trace_backscatter_paths,
     scene_from_dict,
@@ -42,6 +49,82 @@ def facing_wall(distance, half_w, half_h, material=None, rcs_sqm=None):
 def wall_scene(distance=7.0, span=12.0, **kwargs):
     wall = facing_wall(distance, span, span, **kwargs)
     return Scene(facets=[wall], device=DevicePose(position=np.zeros(3)))
+
+
+def reference_ray_quad(origin, dirs, facet):
+    """Inside test on explicit hit points: cross(edge, p - v_i) . n >= -1e-12."""
+    v = facet.vertices
+    n = facet.normal
+    denom = dirs @ n
+    offset = np.dot(v[0] - origin, n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(np.abs(denom) > 1e-15, offset / denom, -1.0)
+    pts = origin + t[..., None] * dirs
+    inside = np.ones(t.shape, dtype=bool)
+    for i in range(4):
+        edge = v[(i + 1) % 4] - v[i]
+        side = np.cross(edge, pts - v[i]) @ n
+        inside &= side >= -1e-12
+    return np.where((t > 1e-12) & inside, t, np.inf)
+
+
+# A convex, non-rectangular quad in its own plane coordinates, wound
+# counter-clockwise, placed in space by a rotation and an offset.
+QUAD_2D = np.array([[0.0, 0.0], [2.0, 0.3], [1.6, 1.8], [-0.4, 1.2]])
+QUAD_AXES = Rotation.from_euler("zyx", [25.0, -35.0, 15.0], degrees=True).as_matrix()[:, [0, 2]]
+QUAD_OFFSET = np.array([-0.7, 3.0, -0.4])
+DEVICE = np.array([0.2, -0.5, 0.3])
+
+
+def to_world(q):
+    return QUAD_OFFSET + q @ QUAD_AXES.T
+
+
+def quad_targets(rng):
+    """Plane points that must hit (interior, edges, corners, 1e-9 m in) and miss (1e-9 m out)."""
+    hits = [QUAD_2D, rng.dirichlet(np.ones(4), size=200) @ QUAD_2D]
+    misses = []
+    s = np.linspace(0.0, 1.0, 21)[:, None]
+    for i in range(4):
+        a, b = QUAD_2D[i], QUAD_2D[(i + 1) % 4]
+        hits.append(a + s * (b - a))
+        edge = b - a
+        outward = np.array([edge[1], -edge[0]]) / np.linalg.norm(edge)
+        mid = a + s[1:-1] * (b - a)
+        hits.append(mid - 1e-9 * outward)
+        misses.append(mid + 1e-9 * outward)
+    return to_world(np.concatenate(hits)), to_world(np.concatenate(misses))
+
+
+class TestRayQuad:
+    @pytest.mark.parametrize("winding", [1, -1])
+    def test_matches_cross_product_reference(self, winding):
+        facet = PlanarFacet(vertices=to_world(QUAD_2D)[::winding], material=MATERIALS["wood"])
+        hits, misses = quad_targets(np.random.default_rng(4))
+        for targets, expect_hit in ((hits, True), (misses, False)):
+            delta = targets - DEVICE
+            dist = np.linalg.norm(delta, axis=1)
+            dirs = delta / dist[:, None]
+            t = _ray_quad(DEVICE, dirs, facet)
+            assert np.array_equal(t, reference_ray_quad(DEVICE, dirs, facet))
+            assert np.all(np.isfinite(t) == expect_hit)
+            # rays pointing away from the plane miss
+            assert np.all(np.isinf(_ray_quad(DEVICE, -dirs, facet)))
+            if expect_hit:
+                assert np.allclose(t, dist, rtol=1e-12)
+
+    def test_facet_is_frozen_and_edge_normals_point_inward(self):
+        verts = to_world(QUAD_2D)
+        facet = PlanarFacet(vertices=verts, material=MATERIALS["wood"])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            facet.vertices = verts + 1.0
+        with pytest.raises(ValueError):
+            facet.vertices[0, 0] = 5.0
+        verts[0, 0] = 5.0  # the caller's array was copied
+        assert facet.vertices[0, 0] != 5.0
+        inward = (facet.vertices.mean(axis=0) - facet.vertices) * facet.edge_normals
+        assert np.all(inward.sum(axis=1) > 0)
+        assert np.allclose(facet.edge_normals @ facet.normal, 0.0, atol=1e-15)
 
 
 class TestMaterials:
@@ -164,8 +247,25 @@ class TestTracer:
         without = trace_backscatter_paths(
             scene, 0.0, 0.0, 5e-3, include_specular=False
         )
-        assert with_spec.specular.sum() >= without.specular.sum()
+        assert with_spec.specular.sum() == 1
         assert without.specular.sum() == 0
+
+    def test_specular_needs_foot_inside_facet(self):
+        def specular(scene):
+            paths = trace_backscatter_paths(scene, 0.0, 0.0, 5e-3, cell_size_m=0.5)
+            return paths.range_m[paths.specular]
+
+        # The device's foot on the plane y = 6 is (0, 6, 0); the wall spans
+        # x in [x0, x0 + 3].
+        for x0, count in ((-1.5, 1), (-1e-9, 1), (1e-9, 0), (0.5, 0)):
+            verts = facing_wall(6.0, 1.5, 1.5).vertices + [x0 + 1.5, 0.0, 0.0]
+            wall = PlanarFacet(vertices=verts, material=MATERIALS["concrete"])
+            scene = Scene(facets=[wall], device=DevicePose(position=np.zeros(3)))
+            assert len(specular(scene)) == count, x0
+        # two_walls: the front wall ends at x = 0, so its foot lies on an
+        # edge and counts; the back wall's foot is shadowed by that edge.
+        ranges = specular(build_scene({"builtin": "two_walls"}, SceneView()))
+        assert ranges.tolist() == [1.0]
 
 
 class TestSceneSerialization:
@@ -184,6 +284,37 @@ class TestSceneSerialization:
         assert np.allclose(
             again.facets[0].vertices, scene.facets[0].vertices
         )
+
+    def test_legacy_material_keys_load_and_are_ignored(self):
+        # The form earlier versions of save_scene wrote: three lobe-shape
+        # material keys the tracer never read.
+        legacy = {
+            "facets": [
+                {
+                    "vertices": [[-1.0, 4.0, -1.0], [1.0, 4.0, -1.0], [1.0, 4.0, 1.0], [-1.0, 4.0, 1.0]],
+                    "material": {
+                        "name": "concrete",
+                        "scatter_ratio": 0.4,
+                        "forward_backward": 0.75,
+                        "cross_pol": 0.4,
+                        "lobe_narrowness": 0.4,
+                    },
+                }
+            ],
+            "device": {"position": [0.0, 0.0, 0.0], "boresight": [0.0, 1.0, 0.0], "up": [0.0, 0.0, 1.0]},
+            "path_loss_exponent": 1.0,
+        }
+        scene = wall_scene(4.0, span=1.0)
+        loaded = scene_from_dict(json.loads(json.dumps(legacy)))
+        assert loaded.facets[0].material == MATERIALS["concrete"]
+        assert set(scene_to_dict(loaded)["facets"][0]["material"]) == {"name", "scatter_ratio"}
+        a = trace_backscatter_paths(scene, 0.0, 0.0, 5e-3, cell_size_m=0.25, seed=3)
+        b = trace_backscatter_paths(loaded, 0.0, 0.0, 5e-3, cell_size_m=0.25, seed=3)
+        for f in dataclasses.fields(PathSet):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+        legacy["facets"][0]["material"]["gloss"] = 1.0
+        with pytest.raises(ValueError, match="unknown material keys"):
+            scene_from_dict(legacy)
 
     def test_unknown_material_rejected(self):
         data = scene_to_dict(wall_scene(4.0, span=1.0))

@@ -98,3 +98,7 @@ class TestSynthesizeRx:
         a = synthesize_rx(taps, pn_preamble, radio, 1.0, rng=np.random.default_rng(42))
         b = synthesize_rx(taps, pn_preamble, radio, 1.0, rng=np.random.default_rng(42))
         assert np.array_equal(a.samples, b.samples)
+        # a seed is turned into the generator default_rng would give
+        for seed in (42, np.random.SeedSequence(42)):
+            c = synthesize_rx(taps, pn_preamble, radio, 1.0, rng=seed)
+            assert np.array_equal(a.samples, c.samples)
