@@ -32,6 +32,7 @@ from .codebook import (
     Codebook,
     SceneView,
     UpaConfig,
+    axis_response,
     beam_index,
     beam_vh,
     design_codebook,
@@ -59,7 +60,6 @@ from .estimator import (
     tail_noise_variance,
 )
 from .io import (
-    read_map_csv,
     read_pgm16,
     read_records,
     write_map_csv,

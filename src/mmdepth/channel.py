@@ -1,6 +1,7 @@
 """
-Geometric backscatter channel: radar-equation path gains, band-limited pulse
-shaping, and beamformed channel taps.
+Geometric backscatter channel: radar-equation path gains (path_gain, for
+scalars or arrays; mmdepth.scene calls it for every diffuse scatterer cell),
+band-limited pulse shaping, and beamformed channel taps.
 
 The channel between the co-located arrays is a sum of single-bounce
 scatterer contributions. For scatterer g at round-trip delay tau and angles
@@ -26,7 +27,7 @@ import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 from scipy.constants import k as BOLTZMANN
 
-from .codebook import UpaConfig
+from .codebook import UpaConfig, axis_response
 
 __all__ = [
     "RadioConfig",
@@ -91,26 +92,28 @@ def noise_variance(radio: RadioConfig) -> float:
 
 
 def path_gain(
-    sigma_rcs_sqm: float,
-    range_m: float,
+    sigma_rcs_sqm: float | np.ndarray,
+    range_m: float | np.ndarray,
     wavelength_m: float,
     tx_gain_dbi: float = 0.0,
     rx_gain_dbi: float = 0.0,
     pl_exponent: float = 1.0,
-) -> float:
+) -> float | np.ndarray:
     """
     Monostatic backscatter power gain
 
         G = G_T * G_R * lambda^2 * sigma_RCS / ((4 pi)^3 * rho^(2*PL)).
+
+    Takes scalars or arrays; any range <= 0 or RCS < 0 raises ValueError.
 
     PL = 1 keeps the beam-aggregate return of an extended surface roughly
     range-independent (footprint area grows as rho^2 while per-path gain
     falls as rho^-2), which matches the flat error-vs-distance behavior of
     wall scenes.
     """
-    if range_m <= 0:
+    if np.any(range_m <= 0):
         raise ValueError("range must be positive")
-    if sigma_rcs_sqm < 0:
+    if np.any(sigma_rcs_sqm < 0):
         raise ValueError("RCS must be >= 0")
     g_t = 10.0 ** (tx_gain_dbi / 10.0)
     g_r = 10.0 ** (rx_gain_dbi / 10.0)
@@ -224,7 +227,6 @@ def beamformed_taps_batch(
     center = _pulse_centers(paths.delay_s, l_d, ts)
     order = np.argsort(center, kind="stable")
     amplitude = paths.amplitude.astype(complex, copy=False)
-    k_d = 2.0 * np.pi * upa.spacing_wavelengths
     if isinstance(weights, tuple):
         # A mirror-symmetric grid repeats factor rows (beams at +-x share
         # b_v), so each distinct row is correlated once and gathered per beam.
@@ -256,8 +258,8 @@ def beamformed_taps_batch(
         _, val = _pulse_values(c_blk, paths.delay_s[sel], ts, radio.rolloff)
         # amp * pulse viewed as (P_b, 34) floats, so each group is a real GEMM.
         shaped = (amplitude[sel][:, None] * val).view(float)
-        b_v = np.exp(-1j * k_d * np.outer(np.cos(paths.theta_z[sel]), np.arange(upa.n_v)))
-        b_h = np.exp(-1j * k_d * np.outer(np.cos(paths.theta_x[sel]), np.arange(upa.n_h)))
+        b_v = axis_response(np.cos(paths.theta_z[sel]), upa.n_v, upa.spacing_wavelengths)
+        b_h = axis_response(np.cos(paths.theta_x[sel]), upa.n_h, upa.spacing_wavelengths)
         cpl = coupling(b_v, b_h)                     # (M, P_b) real
         bounds = np.flatnonzero(np.diff(c_blk)) + 1
         for lo, hi in zip(np.r_[0, bounds], np.r_[bounds, len(sel)]):

@@ -13,14 +13,15 @@ Geometry chain:
     grid_angles       per-cell steering angles (theta_z, theta_x) measured
                       from the array axes, plus the azimuth phi used when
                       projecting range onto depth
+    axis_response     one array axis' response, the base of every UPA response
     steering_vector   UPA response for one (theta_z, theta_x) pair
     design_codebook   the full beam set, optionally Gaussian-tapered for
                       sidelobe reduction and phase-quantized for 2-bit
                       phase shifters
 
 The transmit and receive codebooks are identical (monostatic sensing with
-matched beams), so the design stores one weight matrix and hands out
-(f_m, w_m) views of the same rows.
+matched beams), so the design stores one weight matrix whose row m is both
+f_m and w_m.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "Codebook",
     "sensor_grid",
     "grid_angles",
+    "axis_response",
     "steering_vector",
     "slr_weights",
     "quantize_phases",
@@ -152,20 +154,29 @@ def grid_angles(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return theta_z, theta_x, phi
 
 
+def axis_response(cos_angle, n: int, spacing_wavelengths: float) -> np.ndarray:
+    """
+    Response exp(-j * 2*pi*d_s/lambda * cos_angle * r), r = 0..n-1, of an
+    n-element array axis. The element index is a new last axis: a scalar
+    cos_angle gives shape (n,), an array of shape S gives S + (n,).
+    """
+    k_d = 2.0 * np.pi * spacing_wavelengths
+    return np.exp(-1j * k_d * np.multiply.outer(cos_angle, np.arange(n)))
+
+
 def steering_vector(theta_z: float, theta_x: float, upa: UpaConfig) -> np.ndarray:
     """
     UPA array response a(theta_z, theta_x), the Kronecker product of the
     vertical and horizontal constituent vectors:
 
-        b_v[r] = exp(-j * 2*pi*d_s/lambda * r * cos(theta_z)),  r = 0..n_v-1
-        b_h[r] = exp(-j * 2*pi*d_s/lambda * r * cos(theta_x)),  r = 0..n_h-1
+        b_v = axis_response(cos(theta_z), n_v)
+        b_h = axis_response(cos(theta_x), n_h)
         a = kron(b_v, b_h)
 
     Entries have unit modulus; ||a||^2 = n.
     """
-    k_d = 2.0 * np.pi * upa.spacing_wavelengths
-    b_v = np.exp(-1j * k_d * np.arange(upa.n_v) * np.cos(theta_z))
-    b_h = np.exp(-1j * k_d * np.arange(upa.n_h) * np.cos(theta_x))
+    b_v = axis_response(np.cos(theta_z), upa.n_v, upa.spacing_wavelengths)
+    b_h = axis_response(np.cos(theta_x), upa.n_h, upa.spacing_wavelengths)
     return np.kron(b_v, b_h)
 
 
@@ -252,11 +263,6 @@ class Codebook:
         """Number of beams M = n_bar_v * n_bar_h."""
         return self.n_bar_h * self.n_bar_v
 
-    def pair(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """(f_m, w_m) for one beam; both views of the same weight row."""
-        row = self.weights[m]
-        return row, row
-
 
 def design_codebook(
     upa: UpaConfig,
@@ -278,12 +284,9 @@ def design_codebook(
     pts = sensor_grid(view, n_bar_h, n_bar_v)
     theta_z, theta_x, phi = grid_angles(pts)
 
-    k_d = 2.0 * np.pi * upa.spacing_wavelengths
     # Constituent vectors for every beam at once: (M, n_v) and (M, n_h).
-    cos_tz = np.cos(theta_z).reshape(-1)
-    cos_tx = np.cos(theta_x).reshape(-1)
-    b_v = np.exp(-1j * k_d * np.outer(cos_tz, np.arange(upa.n_v)))
-    b_h = np.exp(-1j * k_d * np.outer(cos_tx, np.arange(upa.n_h)))
+    b_v = axis_response(np.cos(theta_z).reshape(-1), upa.n_v, upa.spacing_wavelengths)
+    b_h = axis_response(np.cos(theta_x).reshape(-1), upa.n_h, upa.spacing_wavelengths)
     if slr_delta_v > 0:
         b_v = b_v * slr_weights(upa.n_v, slr_delta_v)[None, :]
     if slr_delta_h > 0:
@@ -322,9 +325,8 @@ def radiation_pattern(
     broadcastable against each other.
     """
     theta_z, theta_x = np.broadcast_arrays(theta_z, theta_x)
-    k_d = 2.0 * np.pi * upa.spacing_wavelengths
-    b_v = np.exp(-1j * k_d * np.cos(theta_z)[..., None] * np.arange(upa.n_v))
-    b_h = np.exp(-1j * k_d * np.cos(theta_x)[..., None] * np.arange(upa.n_h))
+    b_v = axis_response(np.cos(theta_z), upa.n_v, upa.spacing_wavelengths)
+    b_h = axis_response(np.cos(theta_x), upa.n_h, upa.spacing_wavelengths)
     f = beam.reshape(upa.n_v, upa.n_h)
     # a^H f = b_v^H F b_h* term by term: contract vertical then horizontal.
     inner = np.einsum("...v,vh,...h->...", b_v.conj(), f, b_h.conj())

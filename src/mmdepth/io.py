@@ -23,7 +23,6 @@ __all__ = [
     "write_pgm16",
     "read_pgm16",
     "write_map_csv",
-    "read_map_csv",
     "write_records",
     "read_records",
 ]
@@ -92,11 +91,6 @@ def write_map_csv(path, map_m: np.ndarray) -> None:
         for row in arr:
             fh.write(",".join(repr(float(v)) for v in row))
             fh.write("\n")
-
-
-def read_map_csv(path) -> np.ndarray:
-    out = np.loadtxt(path, delimiter=",", ndmin=2)
-    return out
 
 
 def write_records(path, records: list[SensingRecord]) -> None:

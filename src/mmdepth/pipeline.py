@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import (
+    PULSE_HALF_WIDTH,
     RadioConfig,
     beamformed_taps_batch,
     delay_window_length,
@@ -121,6 +122,8 @@ class EstimatorConfig:
             raise ValueError(f"unknown noise_policy {self.noise_policy!r}")
         if self.noise_policy == "fixed" and self.fixed_noise_var is None:
             raise ValueError("noise_policy 'fixed' needs fixed_noise_var")
+        if self.fixed_noise_var is not None and self.fixed_noise_var <= 0:
+            raise ValueError("fixed_noise_var must be positive")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
         if self.tail_samples < 1:
@@ -138,6 +141,13 @@ class SimConfig:
     include_specular: bool = True
     guard_taps: int = 64               # delay-window tail past the last path
     noiseless: bool = False            # skip the noise draw (diagnostics)
+
+    def __post_init__(self):
+        if self.cell_size_m <= 0:
+            raise ValueError("cell_size_m must be positive")
+        # The latest path's pulse centre can round up to the last delay bin.
+        if self.guard_taps <= PULSE_HALF_WIDTH:
+            raise ValueError(f"guard_taps must exceed the pulse half width {PULSE_HALF_WIDTH}")
 
 
 @dataclass(frozen=True)
@@ -210,11 +220,14 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     kwargs = {}
     if "name" in data:
         kwargs["name"] = data["name"]
-    for key, cls in _SECTIONS.items():
-        if key in data:
-            kwargs[key] = _build_section(cls, dict(data[key]), key)
-    if "scene" in data:
-        kwargs["scene"] = dict(data["scene"])
+    for key in ("scene", *_SECTIONS):
+        if key not in data:
+            continue
+        try:  # a wrong type (radio=5, upa.n_h="abc") raises TypeError
+            section = dict(data[key])
+            kwargs[key] = section if key == "scene" else _build_section(_SECTIONS[key], section, key)
+        except TypeError as exc:
+            raise ValueError(f"bad {key} section: {exc}") from None
     cfg = ScenarioConfig(**kwargs)
     build_scene(cfg.scene, cfg.view)  # checks the scene section; a file scene is read
     return cfg

@@ -5,7 +5,7 @@ A scene is a set of coplanar convex quads with material tags plus a device
 pose. The device frame is right-handed with boresight along +y and up along
 +z; the virtual sensor of mmdepth.codebook lives in this frame.
 
-Two consumers look at the same geometry:
+Two consumers look at the same geometry through one ray cast, _first_hit:
 
   ground_truth_maps     per-pixel ray casting through the sensor grid; the
                         reference the estimated maps are scored against.
@@ -13,10 +13,11 @@ Two consumers look at the same geometry:
                         the radio view: each facet is subdivided into small
                         cells and every visible cell contributes one
                         monostatic path (delay 2*rho/c, matched departure and
-                        arrival angles, radar-equation amplitude with a seeded
-                        scattering phase). Facets whose orthogonal foot point
-                        contains the device's mirror image add a deterministic
-                        specular path, which is all that survives on glass.
+                        arrival angles, channel.path_gain amplitude with a
+                        seeded scattering phase). Facets whose orthogonal foot
+                        point contains the device's mirror image add a
+                        deterministic specular path, which is all that
+                        survives on glass.
 
 Scattering strength reduces the directive-lobe material model to a single
 scattered-to-incident field ratio per material (see the material table);
@@ -35,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 
+from .channel import path_gain
 from .codebook import SceneView, sensor_grid
 
 __all__ = [
@@ -221,6 +223,18 @@ def _ray_quad(origin: np.ndarray, dirs: np.ndarray, facet: PlanarFacet) -> np.nd
     return np.where(hit, t, np.inf)
 
 
+def _first_hit(scene: Scene, dirs: np.ndarray, skip_facet: int | None = None) -> np.ndarray:
+    """
+    Distance along unit rays dirs (N, 3) from the device to the nearest
+    facet other than skip_facet; inf on a miss.
+    """
+    t_best = np.full(dirs.shape[0], np.inf)
+    for j, facet in enumerate(scene.facets):
+        if j != skip_facet:
+            t_best = np.minimum(t_best, _ray_quad(scene.device.position, dirs, facet))
+    return t_best
+
+
 def ground_truth_maps(scene: Scene, view: SceneView, resolution: tuple[int, int]):
     """
     Ray-cast reference maps at the requested resolution.
@@ -239,11 +253,7 @@ def ground_truth_maps(scene: Scene, view: SceneView, resolution: tuple[int, int]
     rows, cols = resolution
     pts = sensor_grid(view, cols, rows).reshape(-1, 3)
     dirs_dev = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-    dirs = scene.device.to_world(dirs_dev)
-    t_best = np.full(dirs.shape[0], np.inf)
-    for facet in scene.facets:
-        t = _ray_quad(scene.device.position, dirs, facet)
-        t_best = np.minimum(t_best, t)
+    t_best = _first_hit(scene, scene.device.to_world(dirs_dev))
     range_map = t_best.reshape(rows, cols)
     depth = t_best * dirs_dev[:, 1]
     depth_map = np.where(np.isfinite(t_best), depth, MISS).reshape(rows, cols)
@@ -310,17 +320,9 @@ def _subdivide(facet: PlanarFacet, cell_size_m: float):
 
 def _visible(scene: Scene, targets: np.ndarray, skip_facet: int) -> np.ndarray:
     """True where the segment device->target is not blocked by another facet."""
-    origin = scene.device.position
-    delta = targets - origin
+    delta = targets - scene.device.position
     dist = np.linalg.norm(delta, axis=1)
-    dirs = delta / dist[:, None]
-    vis = np.ones(len(targets), dtype=bool)
-    for j, facet in enumerate(scene.facets):
-        if j == skip_facet:
-            continue
-        t = _ray_quad(origin, dirs, facet)
-        vis &= ~(t < dist - 1e-9)
-    return vis
+    return ~(_first_hit(scene, delta / dist[:, None], skip_facet) < dist - 1e-9)
 
 
 def _device_angles(scene: Scene, targets: np.ndarray):
@@ -365,7 +367,7 @@ def trace_backscatter_paths(
     f_c = SPEED_OF_LIGHT / wavelength_m
     pl = scene.path_loss_exponent
 
-    delays, amps, tzs, txs, rhos, specs = [], [], [], [], [], []
+    parts = []  # one tuple of PathSet columns per facet or specular return
 
     for fi, facet in enumerate(scene.facets):
         centers, areas = _subdivide(facet, cell_size_m)
@@ -383,44 +385,23 @@ def trace_backscatter_paths(
         centers, areas, sigma, xi = centers[keep], areas[keep], sigma[keep], xi[keep]
         theta_z, theta_x, rho = _device_angles(scene, centers)
         tau = 2.0 * rho / SPEED_OF_LIGHT
-        # Vectorized form of channel.path_gain over the surviving cells.
-        g_t = 10.0 ** (tx_gain_dbi / 10.0)
-        g_r = 10.0 ** (rx_gain_dbi / 10.0)
-        gain = g_t * g_r * wavelength_m**2 * sigma / ((4.0 * np.pi) ** 3 * rho ** (2.0 * pl))
+        gain = path_gain(sigma, rho, wavelength_m, tx_gain_dbi, rx_gain_dbi, pl)
         amp = np.sqrt(gain) * np.exp(1j * (xi - 2.0 * np.pi * f_c * tau))
-        delays.append(tau)
-        amps.append(amp)
-        tzs.append(theta_z)
-        txs.append(theta_x)
-        rhos.append(rho)
-        specs.append(np.zeros(len(rho), dtype=bool))
+        parts.append((tau, amp, theta_z, theta_x, rho, np.zeros(len(rho), dtype=bool)))
 
     if include_specular:
-        for fi, facet in enumerate(scene.facets):
+        for fi in range(len(scene.facets)):
             spec = _specular_path(scene, fi, tx_gain_dbi, rx_gain_dbi, wavelength_m, f_c)
             if spec is not None:
-                tau, amp, theta_z, theta_x, rho = spec
-                delays.append(np.array([tau]))
-                amps.append(np.array([amp]))
-                tzs.append(np.array([theta_z]))
-                txs.append(np.array([theta_x]))
-                rhos.append(np.array([rho]))
-                specs.append(np.array([True]))
+                parts.append(spec)
 
-    if not delays:
+    if not parts:
         raise ValueError("scene produced no backscatter paths")
-    return PathSet(
-        delay_s=np.concatenate(delays),
-        amplitude=np.concatenate(amps),
-        theta_z=np.concatenate(tzs),
-        theta_x=np.concatenate(txs),
-        range_m=np.concatenate(rhos),
-        specular=np.concatenate(specs),
-    )
+    return PathSet(*(np.concatenate(column) for column in zip(*parts)))
 
 
 def _specular_path(scene: Scene, fi: int, tx_gain_dbi, rx_gain_dbi, wavelength_m, f_c):
-    """Mirror return of the device in facet fi, or None if geometry rules it out."""
+    """Mirror return in facet fi as one-element PathSet columns, or None."""
     facet = scene.facets[fi]
     n = facet.normal
     d = scene.device.position
@@ -441,7 +422,7 @@ def _specular_path(scene: Scene, fi: int, tx_gain_dbi, rx_gain_dbi, wavelength_m
     tau = 2.0 * rho / SPEED_OF_LIGHT
     theta_z, theta_x, _ = _device_angles(scene, foot[None, :])
     amp = np.sqrt(gain) * np.exp(-1j * 2.0 * np.pi * f_c * tau)
-    return tau, amp, float(theta_z[0]), float(theta_x[0]), rho
+    return np.array([tau]), np.array([amp]), theta_z, theta_x, np.array([rho]), np.array([True])
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,31 @@ class TestLinkBudget:
             1.0, 7.0, 5e-3, pl_exponent=2.0
         ) == pytest.approx(1.0 / 16.0)
 
+    @pytest.mark.parametrize("pl", [1.0, 2.0, 1.7])
+    def test_path_gain_on_arrays_equals_scalar_loop(self, pl):
+        rng = np.random.default_rng(5)
+        sigma = np.r_[0.0, rng.uniform(0.0, 3.0, 2000)]
+        rho = rng.uniform(0.2, 20.0, 2001)
+        args = (4.99e-3, 2.0, -1.0, pl)
+        gains = path_gain(sigma, rho, *args)
+        loop = np.array([path_gain(s, r, *args) for s, r in zip(sigma, rho)])
+        assert gains.shape == (2001,) and gains[0] == 0.0
+        # Same expression; only rho ** (2 * pl) may round differently, since
+        # numpy powers an array with its own loop (squaring for exponent 2)
+        # and a scalar with C pow: about 0.1% of entries differ by 1-2 ulp.
+        assert np.allclose(gains, loop, rtol=4 * np.finfo(float).eps, atol=0)
+
+    @pytest.mark.parametrize("sigma, rho, match", [
+        (np.ones(3), np.array([1.0, 0.0, 2.0]), "range"),
+        (np.ones(3), np.array([1.0, 2.0, -1e-9]), "range"),
+        (np.array([1.0, -1e-12, 0.0]), np.ones(3), "RCS"),
+        (1.0, 0.0, "range"),
+        (-1.0, 1.0, "RCS"),
+    ])
+    def test_path_gain_rejects_any_bad_entry(self, sigma, rho, match):
+        with pytest.raises(ValueError, match=match):
+            path_gain(sigma, rho, 5e-3)
+
     def test_antenna_gains_multiply(self):
         base = path_gain(1.0, 5.0, 5e-3)
         assert path_gain(1.0, 5.0, 5e-3, tx_gain_dbi=3.0, rx_gain_dbi=3.0) == (

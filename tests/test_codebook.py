@@ -8,6 +8,7 @@ from mmdepth.codebook import (
     SceneView,
     sensor_grid,
     grid_angles,
+    axis_response,
     steering_vector,
     slr_weights,
     quantize_phases,
@@ -84,6 +85,19 @@ class TestSteeringVector:
         b_v = np.exp(-1j * k_d * np.cos(tz) * np.arange(2))
         b_h = np.exp(-1j * k_d * np.cos(tx) * np.arange(3))
         assert np.allclose(a, np.kron(b_v, b_h))
+
+    def test_axis_response_keeps_input_shape(self):
+        cos = np.cos(np.linspace(0.3, 2.8, 12)).reshape(3, 4)
+        grid = axis_response(cos, 5, 0.5)
+        assert grid.shape == (3, 4, 5)
+        assert axis_response(cos[0], 5, 0.5).shape == (4, 5)
+        assert axis_response(cos[1, 2], 5, 0.5).shape == (5,)
+        # Every entry is the same function of its own cosine, whatever the shape.
+        assert np.array_equal(axis_response(cos[0], 5, 0.5), grid[0])
+        assert np.array_equal(axis_response(cos[1, 2], 5, 0.5), grid[1, 2])
+        assert np.array_equal(axis_response(cos.ravel(), 5, 0.5).reshape(3, 4, 5), grid)
+        expect = np.exp(-1j * np.pi * cos[1, 2] * np.arange(5))
+        assert np.allclose(grid[1, 2], expect, rtol=0, atol=1e-14)
 
 
 class TestSlrWeights:

@@ -1,15 +1,20 @@
 """
-The demos import only names the package still has.
+The demos and the package's own exports name only what the package still has.
 
 Each demo is parsed, not run (together they take tens of seconds), and
 every `import mmdepth...` / `from mmdepth... import name` must resolve.
+Every `__all__` entry of every mmdepth module must resolve as well.
 """
 import ast
 import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import mmdepth
+
+MODULES = sorted(f"mmdepth.{m.name}" for m in pkgutil.iter_modules(mmdepth.__path__))
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
@@ -40,3 +45,14 @@ def test_demo_imports_resolve(demo):
         if name is not None and not hasattr(mod, name):
             missing.append(f"{module}.{name}")
     assert not missing, f"{demo.name}: unresolved imports {missing}"
+
+
+def test_modules_found():
+    assert {"mmdepth.codebook", "mmdepth.scene", "mmdepth.pipeline"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_exports_resolve(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing, f"{module}.__all__ names missing attributes {missing}"

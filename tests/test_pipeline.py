@@ -119,9 +119,23 @@ class TestConfigFromDict:
             ({"refine_ratio": 3}, "refine_ratio"),
             ({"refine_ratio": 0}, "refine_ratio"),
             ({"tail_samples": 0}, "tail_samples"),
+            ({"noise_policy": "fixed", "fixed_noise_var": 0.0}, "fixed_noise_var"),
+            ({"noise_policy": "fixed", "fixed_noise_var": -1e-9}, "fixed_noise_var"),
         ]:
             with pytest.raises(ValueError, match=match):
                 config_from_dict({"estimator": bad})
+        analytic = {"noise_policy": "analytic"}
+        for bad, match in [
+            ({"cell_size_m": 0.0}, "cell_size_m"),
+            ({"cell_size_m": -0.05}, "cell_size_m"),
+            ({"guard_taps": 8}, "guard_taps"),
+            ({"guard_taps": 0}, "guard_taps"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                config_from_dict({"estimator": analytic, "sim": bad})
+        # The smallest guard that holds the latest path's pulse window runs.
+        edge = small_config(sim__guard_taps=9, estimator__noise_policy="analytic")
+        assert run_scenario(edge).l_d >= 9
         # The tail window has to fit in the record's signal-free guard.
         with pytest.raises(ValueError, match="guard_taps"):
             config_from_dict({"estimator": {"tail_samples": 200}})
@@ -406,9 +420,15 @@ class TestCli:
 
     def test_invalid_estimator_setting_is_usage_error(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
-        code = cli_main(["run", "--config", str(cfg), "--set", "estimator.refine_ratio=3"])
-        assert code == 2
-        assert "refine_ratio" in capsys.readouterr().err
+        for setting, match in [
+            ("estimator.refine_ratio=3", "refine_ratio"),
+            ("radio=5", "bad radio section"),
+            ("upa.n_h=abc", "bad upa section"),
+            ("scene=5", "bad scene section"),
+        ]:
+            code = cli_main(["run", "--config", str(cfg), "--set", setting])
+            assert code == 2
+            assert match in capsys.readouterr().err
 
     def test_invalid_scene_setting_is_usage_error(self, capsys):
         for args, match in [

@@ -17,6 +17,8 @@ from mmdepth.scene import (
     DevicePose,
     Scene,
     _ray_quad,
+    _subdivide,
+    _visible,
     build_scene,
     ground_truth_maps,
     trace_backscatter_paths,
@@ -74,6 +76,21 @@ QUAD_2D = np.array([[0.0, 0.0], [2.0, 0.3], [1.6, 1.8], [-0.4, 1.2]])
 QUAD_AXES = Rotation.from_euler("zyx", [25.0, -35.0, 15.0], degrees=True).as_matrix()[:, [0, 2]]
 QUAD_OFFSET = np.array([-0.7, 3.0, -0.4])
 DEVICE = np.array([0.2, -0.5, 0.3])
+
+
+def reference_visible(scene, targets, skip_facet):
+    """Occlusion as one test per facet: no other facet is hit before the target."""
+    origin = scene.device.position
+    delta = targets - origin
+    dist = np.linalg.norm(delta, axis=1)
+    dirs = delta / dist[:, None]
+    vis = np.ones(len(targets), dtype=bool)
+    for j, facet in enumerate(scene.facets):
+        if j == skip_facet:
+            continue
+        t = _ray_quad(origin, dirs, facet)
+        vis &= ~(t < dist - 1e-9)
+    return vis
 
 
 def to_world(q):
@@ -266,6 +283,19 @@ class TestTracer:
         # edge and counts; the back wall's foot is shadowed by that edge.
         ranges = specular(build_scene({"builtin": "two_walls"}, SceneView()))
         assert ranges.tolist() == [1.0]
+
+
+class TestVisibility:
+    def test_matches_per_facet_reference_on_pillar_room(self):
+        scene = build_scene({"builtin": "pillar_room"}, SceneView())
+        cells = np.concatenate([_subdivide(f, 0.05)[0] for f in scene.facets])
+        shadowed = 0
+        for skip in range(len(scene.facets)):
+            vis = _visible(scene, cells, skip)
+            assert np.array_equal(vis, reference_visible(scene, cells, skip)), skip
+            shadowed += np.count_nonzero(~vis)
+        # The pillars shadow parts of the room, so both outcomes are tested.
+        assert 0 < shadowed < len(cells) * len(scene.facets)
 
 
 class TestSceneSerialization:
