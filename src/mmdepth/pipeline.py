@@ -187,6 +187,10 @@ class ScenarioConfig:
             raise ValueError(
                 f"estimator.tail_samples ({est.tail_samples}) exceeds sim.guard_taps ({sim.guard_taps})"
             )
+        # A noiseless record has a zero tail, hence a zero threshold, and
+        # every beam would cancel up to max_iterations.
+        if est.noise_policy == "tail" and sim.noiseless:
+            raise ValueError("sim.noiseless needs estimator.noise_policy 'analytic' or 'fixed', not 'tail'")
 
 
 def _build_section(cls, data: dict, where: str):
@@ -194,6 +198,16 @@ def _build_section(cls, data: dict, where: str):
     extra = set(data) - allowed
     if extra:
         raise ValueError(f"unknown {where} keys: {sorted(extra)}")
+    # Integer and boolean fields take exactly that JSON kind (None where the
+    # field allows it); a float or a string would fail or mislead later.
+    for f in fields(cls):
+        kind, _, optional = f.type.partition(" | ")  # annotations are strings
+        value = data.get(f.name)
+        if kind not in ("int", "bool") or f.name not in data or (value is None and optional == "None"):
+            continue
+        if not isinstance(value, int) or isinstance(value, bool) != (kind == "bool"):
+            what = "a boolean" if kind == "bool" else "an integer"
+            raise TypeError(f"{where}.{f.name} must be {what}, got {value!r}")
     if cls is OutputConfig and isinstance(data.get("resolution"), list):
         data = {**data, "resolution": tuple(data["resolution"])}
     return cls(**data)

@@ -1,21 +1,30 @@
 """
 The demos and the package's own exports name only what the package still has.
 
-Each demo is parsed, not run (together they take tens of seconds), and
+Each demo is parsed (together they take tens of seconds to run), and
 every `import mmdepth...` / `from mmdepth... import name` must resolve.
-Every `__all__` entry of every mmdepth module must resolve as well.
+Every `__all__` entry of every mmdepth module must resolve as well. The
+scene demo, which takes about a second, is also run.
 """
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mmdepth
+from mmdepth.codebook import SceneView
+from mmdepth.io import read_pgm16
+from mmdepth.scene import BUILTIN_SCENES, ground_truth_maps
 
+ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(f"mmdepth.{m.name}" for m in pkgutil.iter_modules(mmdepth.__path__))
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def mmdepth_imports(path: Path):
@@ -56,3 +65,18 @@ def test_all_exports_resolve(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names missing attributes {missing}"
+
+
+def test_scene_demo_writes_the_truth_maps(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    demo = ROOT / "demos" / "02_scene_and_ground_truth.py"
+    done = subprocess.run(
+        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    view = SceneView()
+    for name, builder in BUILTIN_SCENES.items():
+        for kind, truth in zip(("range", "depth"), ground_truth_maps(builder(view), view, (144, 256))):
+            # write_pgm16's millimetre quantization, with inf for misses
+            expect = np.where(np.isfinite(truth), np.clip(np.rint(truth * 1000.0), 0, 65534) / 1000.0, np.inf)
+            assert np.array_equal(read_pgm16(tmp_path / "demo_ground_truth" / f"{name}_{kind}.pgm"), expect)

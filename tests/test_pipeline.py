@@ -121,9 +121,30 @@ class TestConfigFromDict:
             ({"tail_samples": 0}, "tail_samples"),
             ({"noise_policy": "fixed", "fixed_noise_var": 0.0}, "fixed_noise_var"),
             ({"noise_policy": "fixed", "fixed_noise_var": -1e-9}, "fixed_noise_var"),
+            ({"tail_samples": 2.5}, "tail_samples"),
+            ({"max_iterations": 2.5}, "max_iterations"),
+            ({"max_iterations": True}, "max_iterations"),
         ]:
             with pytest.raises(ValueError, match=match):
                 config_from_dict({"estimator": bad})
+        # Fields of the wrong kind fail at load in every section.
+        for bad, match in [
+            ({"sim": {"seed": "abc"}}, "seed"),
+            ({"sim": {"noiseless": "no"}}, "noiseless"),
+            ({"sim": {"include_specular": "x"}}, "include_specular"),
+            ({"sim": {"include_specular": 1}}, "include_specular"),
+            ({"output": {"write_records": "no"}}, "write_records"),
+            ({"upa": {"n_h": 16.0}}, "n_h"),
+            ({"codebook": {"phase_bits": 2.0}}, "phase_bits"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                config_from_dict({"estimator": {"noise_policy": "analytic"}, **bad})
+        assert config_from_dict({"codebook": {"phase_bits": None}}).codebook.phase_bits is None
+        # A noiseless record has no tail noise to estimate.
+        with pytest.raises(ValueError, match="noiseless"):
+            config_from_dict({"sim": {"noiseless": True}})
+        quiet = {"sim": {"noiseless": True}, "estimator": {"noise_policy": "analytic"}}
+        assert config_from_dict(quiet).sim.noiseless
         analytic = {"noise_policy": "analytic"}
         for bad, match in [
             ({"cell_size_m": 0.0}, "cell_size_m"),
@@ -425,6 +446,13 @@ class TestCli:
             ("radio=5", "bad radio section"),
             ("upa.n_h=abc", "bad upa section"),
             ("scene=5", "bad scene section"),
+            ('sim.seed="abc"', "sim.seed must be an integer"),
+            ("estimator.tail_samples=2.5", "estimator.tail_samples must be an integer"),
+            ("estimator.max_iterations=2.5", "estimator.max_iterations must be an integer"),
+            ('sim.noiseless="no"', "sim.noiseless must be a boolean"),
+            ('sim.include_specular="x"', "sim.include_specular must be a boolean"),
+            ('output.write_records="no"', "output.write_records must be a boolean"),
+            ("sim.noiseless=true", "sim.noiseless needs"),
         ]:
             code = cli_main(["run", "--config", str(cfg), "--set", setting])
             assert code == 2

@@ -4,10 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
 from mmdepth.channel import path_gain
-from mmdepth.codebook import SceneView
+from mmdepth.codebook import SceneView, sensor_grid
 from mmdepth.scene import (
     BACKSCATTER_GAIN,
     MATERIALS,
@@ -16,6 +17,7 @@ from mmdepth.scene import (
     PlanarFacet,
     DevicePose,
     Scene,
+    _facet_window,
     _ray_quad,
     _subdivide,
     _visible,
@@ -91,6 +93,33 @@ def reference_visible(scene, targets, skip_facet):
         t = _ray_quad(origin, dirs, facet)
         vis &= ~(t < dist - 1e-9)
     return vis
+
+
+def reference_first_hit(scene, dirs, skip_facet=None):
+    """The all-facet cast: every ray (N, 3) against every facet."""
+    t_best = np.full(dirs.shape[0], np.inf)
+    for j, facet in enumerate(scene.facets):
+        if j != skip_facet:
+            t_best = np.minimum(t_best, _ray_quad(scene.device.position, dirs, facet))
+    return t_best
+
+
+def reference_truth_maps(scene, view, resolution):
+    """ground_truth_maps with every sensor ray tested against every facet."""
+    rows, cols = resolution
+    pts = sensor_grid(view, cols, rows).reshape(-1, 3)
+    dirs_dev = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    t = reference_first_hit(scene, scene.device.to_world(dirs_dev))
+    depth = np.where(np.isfinite(t), t * dirs_dev[:, 1], np.inf)
+    return t.reshape(rows, cols), depth.reshape(rows, cols)
+
+
+def assert_truth_matches_reference(scene, view, resolution):
+    got = ground_truth_maps(scene, view, resolution)
+    ref = reference_truth_maps(scene, view, resolution)
+    assert np.array_equal(got[0], ref[0]), "range"
+    assert np.array_equal(got[1], ref[1]), "depth"
+    return ref
 
 
 def to_world(q):
@@ -189,6 +218,115 @@ class TestGroundTruth:
         assert np.isinf(rng_map[0, 0])
         assert np.isinf(dep_map[0, 0])
         assert np.isfinite(rng_map[8, 8])
+
+
+class TestCulledTruth:
+    """The per-facet image windows give the all-facet cast's maps exactly."""
+
+    @pytest.mark.parametrize("name", ["one_wall", "two_walls", "pillar_room"])
+    @pytest.mark.parametrize("resolution", [(9, 16), (17, 17), (144, 256)])
+    def test_builtins(self, name, resolution):
+        view = SceneView()
+        scene = build_scene({"builtin": name}, view)
+        assert_truth_matches_reference(scene, view, resolution)
+        # Every builtin facet is far enough from the device to be windowed.
+        assert all(
+            _facet_window(scene, f, view, *resolution) != (slice(None), slice(None))
+            for f in scene.facets
+        )
+
+    def test_pillar_room_display(self):
+        view = SceneView()
+        scene = build_scene({"builtin": "pillar_room"}, view)
+        windows = [_facet_window(scene, f, view, 720, 1280) for f in scene.facets]
+        rays = sum(np.empty((720, 1280))[w].size for w in windows)
+        assert rays < 0.3 * 720 * 1280 * len(scene.facets)  # 1.67M of 12.0M
+        assert_truth_matches_reference(scene, view, (720, 1280))
+
+    @staticmethod
+    def room(*facets):
+        back = facing_wall(4.0, 6.0, 4.0)  # behind everything, so every map has hits
+        return Scene(facets=[back, *facets], device=DevicePose(position=np.zeros(3)))
+
+    def test_facet_straddling_the_device_plane(self):
+        view = SceneView()
+        floor = PlanarFacet([[-1, -2, -1], [1, -2, -1], [1, 3, -1], [-1, 3, -1]], MATERIALS["wood"])
+        # A vertex in the device plane straight below the device: its image
+        # is only defined once the near plane cuts it off.
+        kite = PlanarFacet([[0, 0, -0.5], [1, 1, -0.5], [0, 2, -0.5], [-1, 1, -0.5]], MATERIALS["wood"])
+        for facet in (floor, kite):
+            scene = self.room(facet)
+            window = _facet_window(scene, facet, view, 9, 16)
+            assert window is not None and window != (slice(None), slice(None))
+            rng_map, _ = assert_truth_matches_reference(scene, view, (9, 16))
+            assert np.any(rng_map < 4.0)  # the facet is in the maps
+
+    def test_facet_behind_the_device(self):
+        view = SceneView()
+        behind = facing_wall(-1.0, 3.0, 3.0)
+        scene = self.room(behind)
+        assert _facet_window(scene, behind, view, 9, 16) is None
+        assert_truth_matches_reference(scene, view, (9, 16))
+
+    def test_facet_within_a_millimetre_takes_all_rays(self):
+        view = SceneView()
+        # Side wall in the plane x = 0.5 mm: the rightmost rays hit it
+        # before the near plane, so it cannot be windowed.
+        side = PlanarFacet(
+            [[5e-4, -1, -1], [5e-4, 4, -1], [5e-4, 4, 1], [5e-4, -1, 1]], MATERIALS["wood"]
+        )
+        scene = self.room(side)
+        assert _facet_window(scene, side, view, 9, 16) == (slice(None), slice(None))
+        rng_map, _ = assert_truth_matches_reference(scene, view, (9, 16))
+        assert np.any(rng_map < 1e-3)
+
+    def test_edge_inside_ray_quad_slack(self):
+        # The wall's left edge lies 1e-13 m right of column k's rays, which
+        # _ray_quad's edge slack still counts as hits; the one-pixel margin
+        # keeps them in the window.
+        view = SceneView()
+        rows, cols, k, depth = 9, 16, 5, 3.0
+        x_k = sensor_grid(view, cols, rows)[0, k, 0]
+        x0 = x_k * depth / view.focal_length_m + 1e-13
+        wall = PlanarFacet(
+            [[x0, depth, -1], [x0 + 1, depth, -1], [x0 + 1, depth, 1], [x0, depth, 1]],
+            MATERIALS["concrete"],
+        )
+        scene = Scene(facets=[wall], device=DevicePose(position=np.zeros(3)))
+        rng_map, _ = assert_truth_matches_reference(scene, view, (rows, cols))
+        assert np.all(np.isinf(rng_map[:, k - 1])) and np.any(np.isfinite(rng_map[:, k]))
+
+    def test_rotated_quad_under_rotated_translated_pose(self):
+        view = SceneView()
+        quad = PlanarFacet(vertices=to_world(QUAD_2D), material=MATERIALS["wood"])
+        back = PlanarFacet(to_world(3.0 * QUAD_2D - 1.5) + [0.0, 2.0, 0.0], MATERIALS["concrete"])
+        pose = DevicePose(position=DEVICE, boresight=[-0.3, 1.0, -0.2], up=[0.3, 0.1, 1.0])
+        scene = Scene(facets=[quad, back], device=pose)
+        for resolution in ((9, 16), (40, 31)):
+            rng_map, _ = assert_truth_matches_reference(scene, view, resolution)
+            assert np.any(np.isfinite(rng_map)) and np.any(np.isinf(rng_map))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gaps=st.lists(st.floats(0.3, 1.0), min_size=4, max_size=4),
+        start=st.floats(0.0, 2.0 * np.pi),
+        axes=st.tuples(st.floats(0.05, 3.0), st.floats(0.05, 3.0)),
+        quad_angles=st.tuples(*[st.floats(-180.0, 180.0)] * 3),
+        offset=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+        pose_angles=st.tuples(*[st.floats(-180.0, 180.0)] * 3),
+        resolution=st.sampled_from([(9, 16), (17, 17), (12, 5)]),
+    )
+    def test_random_convex_quads_and_poses(
+        self, gaps, start, axes, quad_angles, offset, pose_angles, resolution
+    ):
+        # Points at increasing angles on an ellipse are a convex quad.
+        theta = start + 2.0 * np.pi * np.cumsum([0.0, *gaps[:3]]) / sum(gaps)
+        q2d = np.column_stack([axes[0] * np.cos(theta), axes[1] * np.sin(theta)])
+        plane = Rotation.from_euler("zyx", quad_angles, degrees=True).as_matrix()
+        quad = PlanarFacet(vertices=np.asarray(offset) + q2d @ plane[:, [0, 2]].T, material=MATERIALS["wood"])
+        rot = Rotation.from_euler("zyx", pose_angles, degrees=True).as_matrix()
+        pose = DevicePose(position=np.full(3, 0.1), boresight=rot[:, 1], up=rot[:, 2])
+        assert_truth_matches_reference(Scene(facets=[quad], device=pose), SceneView(), resolution)
 
 
 class TestTracer:
