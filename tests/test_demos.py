@@ -4,7 +4,8 @@ The demos and the package's own exports name only what the package still has.
 Each demo is parsed (together they take tens of seconds to run), and
 every `import mmdepth...` / `from mmdepth... import name` must resolve.
 Every `__all__` entry of every mmdepth module must resolve as well. The
-scene demo, which takes about a second, is also run.
+scene demo and the single-beam estimation demo, about a second each, are
+also run, so a changed signature of the calls they make fails here.
 """
 import ast
 import importlib
@@ -67,12 +68,16 @@ def test_all_exports_resolve(module):
     assert not missing, f"{module}.__all__ names missing attributes {missing}"
 
 
-def test_scene_demo_writes_the_truth_maps(tmp_path):
+def run_demo(name: str, cwd: Path) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    demo = ROOT / "demos" / "02_scene_and_ground_truth.py"
-    done = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    demo = ROOT / "demos" / name
+    return subprocess.run(
+        [sys.executable, str(demo)], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def test_scene_demo_writes_the_truth_maps(tmp_path):
+    done = run_demo("02_scene_and_ground_truth.py", tmp_path)
     assert done.returncode == 0, done.stderr
     view = SceneView()
     for name, builder in BUILTIN_SCENES.items():
@@ -80,3 +85,9 @@ def test_scene_demo_writes_the_truth_maps(tmp_path):
             # write_pgm16's millimetre quantization, with inf for misses
             expect = np.where(np.isfinite(truth), np.clip(np.rint(truth * 1000.0), 0, 65534) / 1000.0, np.inf)
             assert np.array_equal(read_pgm16(tmp_path / "demo_ground_truth" / f"{name}_{kind}.pgm"), expect)
+
+
+def test_single_beam_estimation_demo_runs(tmp_path):
+    done = run_demo("03_single_beam_estimation.py", tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert "detected delays [60, 71, 112]" in done.stdout

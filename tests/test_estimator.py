@@ -4,24 +4,29 @@ fractional-delay refinement, and map construction.
 
 Oracles are synthetic records built from the same pulse model the channel
 uses, so every expected value is known by construction. The correlation-domain
-cancellation and the stacked refinement are also checked against their
-record-domain and one-beam-at-a-time references on noisy multipath records.
+cancellation, the stacked matched filter, the one-product replica bank and
+the stacked refinement are also checked against their record-domain, direct
+and one-beam-at-a-time references on noisy multipath records.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.constants import c as SPEED_OF_LIGHT
 
-from mmdepth.channel import noise_variance
+from mmdepth import estimator
+from mmdepth.channel import PULSE_HALF_WIDTH, noise_variance, raised_cosine
 from mmdepth.estimator import (
+    CorrelatorBank,
     basic_correlator,
     build_bank,
+    cancel_candidates,
     construct_maps,
     correlation_threshold,
     cross_correlation,
     interpolate_map,
     joint_processing,
     massive_correlator,
+    preamble_autocorrelation,
     preamble_energy,
     sic_candidates,
     tail_noise_variance,
@@ -63,6 +68,19 @@ def reference_sic(samples, preamble, threshold, max_iterations=32):
         working[q : q + n_p] -= coeff * preamble
         iterations += 1
     return np.array(order, dtype=int), np.array([coeffs[q] for q in order]), iterations, truncated
+
+
+def reference_bank(preamble, ratio, rolloff=0.25):
+    """Replica bank built row by row, one np.convolve per fractional shift."""
+    delta = ratio // 2
+    n_p = len(preamble)
+    taps = np.arange(-PULSE_HALF_WIDTH, PULSE_HALF_WIDTH + 1, dtype=float)
+    rows = np.empty((2 * delta + 1, n_p), dtype=complex)
+    for k in range(2 * delta + 1):
+        kernel = raised_cosine(taps - (k - delta) / ratio, 1.0, rolloff)
+        rows[k] = np.convolve(preamble, kernel)[PULSE_HALF_WIDTH : PULSE_HALF_WIDTH + n_p]
+    norms = np.linalg.norm(rows, axis=1)
+    return rows * (norms[delta] / norms)[:, None]
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +134,38 @@ class TestCrossCorrelation:
             assert np.abs(c - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+    @pytest.mark.parametrize("kind", ["golay", "pn"])
+    def test_stack_equals_per_row_calls(self, noisy_multipath, golay_preamble, pn_preamble, kind):
+        preamble = golay_preamble if kind == "golay" else pn_preamble
+        stack = np.array([noisy_multipath(preamble, 40 + k)[0] for k in range(7)])
+        c = cross_correlation(stack, preamble)
+        assert c.shape == (7, 161)
+        assert np.array_equal(c, np.array([cross_correlation(y, preamble) for y in stack]))
+        assert np.array_equal(cross_correlation(stack[:, None], preamble)[:, 0], c)  # any leading shape
+
+    @pytest.mark.parametrize("block", [1, 5, 64])
+    def test_block_size_does_not_matter(self, noisy_multipath, golay_preamble, monkeypatch, block):
+        stack = np.array([noisy_multipath(golay_preamble, 60 + k)[0] for k in range(7)])
+        want = cross_correlation(stack, golay_preamble)
+        monkeypatch.setattr(estimator, "_BLOCK", block)
+        assert np.array_equal(cross_correlation(stack, golay_preamble), want)
+
+
+class TestPreambleAutocorrelation:
+    @pytest.mark.parametrize("kind", ["golay", "pn"])
+    def test_matches_direct_sum(self, golay_preamble, pn_preamble, kind):
+        preamble = golay_preamble if kind == "golay" else pn_preamble
+        l_d = 160
+        r = preamble_autocorrelation(preamble, l_d)
+        # R[k] = sum_n s*[n] s[n + k]; np.correlate(s, s, "full")[n_p - 1 + k] is that sum
+        full = np.correlate(preamble, preamble, "full")
+        n_p = len(preamble)
+        ref = full[n_p - 1 - l_d : n_p + l_d]
+        assert r.shape == (2 * l_d + 1,)
+        assert np.abs(r - ref).max() <= 1e-12 * preamble_energy(preamble)
+        assert r[l_d].real == pytest.approx(preamble_energy(preamble), rel=1e-12)
+
+
 class TestEnergyAndThreshold:
     def test_unit_modulus_energy_is_length(self, golay_preamble, pn_preamble):
         assert preamble_energy(golay_preamble) == pytest.approx(3328.0, rel=1e-12)
@@ -142,6 +192,25 @@ class TestEnergyAndThreshold:
             tail_noise_variance(y, n_tail=0)
         with pytest.raises(ValueError):
             tail_noise_variance(y, n_tail=17)
+        with pytest.raises(ValueError):
+            tail_noise_variance(np.zeros((3, 16), dtype=complex), n_tail=17)
+
+    @pytest.mark.parametrize("n_tail", [1, 8, 64, 200])
+    def test_tail_noise_variance_stack_equals_per_row(self, n_tail):
+        rng = np.random.default_rng(n_tail)
+        stack = rng.standard_normal((9, 300)) + 1j * rng.standard_normal((9, 300))
+        stack *= rng.uniform(0.1, 10.0, (9, 1))
+        got = tail_noise_variance(stack, n_tail)
+        loop = [tail_noise_variance(row, n_tail) for row in stack]
+        assert isinstance(loop[0], float)
+        assert got.shape == (9,)
+        assert np.array_equal(got, loop)
+
+    def test_threshold_on_array_equals_scalar_calls(self, golay_preamble):
+        noise = np.random.default_rng(2).uniform(1e-14, 1e-10, 12)
+        got = correlation_threshold(golay_preamble, noise, gamma=3.5)
+        loop = [correlation_threshold(golay_preamble, float(v), gamma=3.5) for v in noise]
+        assert np.array_equal(got, loop)
 
 
 class TestBasicCorrelator:
@@ -214,6 +283,47 @@ class TestSicCandidates:
             truncated_seen += truncated
         # The 3-pass cap has to bite, or the truncation branch goes unchecked.
         assert (truncated_seen > 0) == (max_iterations == 3)
+
+
+class TestCancelCandidates:
+    @pytest.mark.parametrize("kind", ["golay", "pn"])
+    @pytest.mark.parametrize("max_iterations", [32, 3])
+    def test_rows_of_a_stack_match_sic_candidates_and_reference(
+        self, noisy_multipath, golay_preamble, pn_preamble, kind, max_iterations
+    ):
+        preamble = golay_preamble if kind == "golay" else pn_preamble
+        pairs = [noisy_multipath(preamble, seed) for seed in range(8)]
+        stack = np.array([y for y, _ in pairs])
+        correlation = cross_correlation(stack, preamble)
+        auto = preamble_autocorrelation(preamble, 160)
+        for row, (y, thr) in zip(correlation, pairs):
+            res = cancel_candidates(row, auto, thr, max_iterations)
+            one = sic_candidates(y, preamble, thr, max_iterations)
+            assert res.delays.tolist() == one.delays.tolist()
+            assert np.array_equal(res.coefficients, one.coefficients)
+            assert (res.iterations, res.truncated) == (one.iterations, one.truncated)
+            delays, coeffs, iterations, truncated = reference_sic(y, preamble, thr, max_iterations)
+            assert res.delays.tolist() == delays.tolist()
+            assert (res.iterations, res.truncated) == (iterations, truncated)
+            np.testing.assert_allclose(res.coefficients, coeffs, rtol=1e-12)
+
+    def test_input_row_is_left_alone(self, noisy_multipath, golay_preamble):
+        y, thr = noisy_multipath(golay_preamble, 3)
+        row = cross_correlation(y, golay_preamble)
+        kept = row.copy()
+        res = cancel_candidates(row, preamble_autocorrelation(golay_preamble, 160), thr)
+        assert res.iterations > 0
+        assert np.array_equal(row, kept)
+
+    def test_arguments_validated(self, golay_preamble):
+        row = np.zeros(161, dtype=complex)
+        auto = preamble_autocorrelation(golay_preamble, 160)
+        with pytest.raises(ValueError, match="max_iterations"):
+            cancel_candidates(row, auto, 1.0, max_iterations=0)
+        with pytest.raises(ValueError, match="autocorrelation"):
+            cancel_candidates(row, preamble_autocorrelation(golay_preamble, 159), 1.0)
+        with pytest.raises(ValueError, match="one correlation row"):
+            cancel_candidates(np.zeros((2, 161), dtype=complex), auto, 1.0)
 
 
 def sets_to_list(rows):
@@ -293,6 +403,21 @@ class TestCorrelatorBank:
         assert bank.rows.shape == (11, 256)
         assert bank.delta == 5
 
+    @pytest.mark.parametrize("kind", ["golay", "pn"])
+    @pytest.mark.parametrize("ratio", [2, 8, 100])
+    def test_matches_per_row_convolution(self, golay_preamble, pn_preamble, radio, kind, ratio):
+        preamble = golay_preamble if kind == "golay" else pn_preamble
+        rows = build_bank(preamble, ratio, radio.rolloff).rows
+        ref = reference_bank(preamble, ratio, radio.rolloff)
+        assert rows.shape == ref.shape
+        assert np.all(np.abs(rows - ref).max(axis=1) <= 1e-14 * np.linalg.norm(ref, axis=1))
+
+    def test_real_preamble_gives_complex_rows(self, radio):
+        preamble = np.tile([1.0, -1.0, -1.0, 1.0], 16)
+        rows = build_bank(preamble, 4, radio.rolloff).rows
+        assert rows.dtype == complex and rows.shape == (5, 64)
+        assert np.abs(rows - reference_bank(preamble, 4, radio.rolloff)).max() <= 1e-14 * 8.0
+
     def test_ratio_must_be_even_and_at_least_two(self, pn_preamble):
         with pytest.raises(ValueError, match="even"):
             build_bank(pn_preamble, 5)
@@ -343,6 +468,16 @@ class TestMassiveCorrelator:
         loop = np.array([massive_correlator(y, bank, int(d)) for y, d in zip(records, coarse)])
         assert np.array_equal(massive_correlator(records, bank, coarse), loop)
         assert np.array_equal(massive_correlator(np.stack(records), bank, coarse), loop)
+
+
+    def test_one_product_bank_keeps_the_picks(self, noisy_multipath, golay_preamble, radio):
+        bank = build_bank(golay_preamble, 100, radio.rolloff)
+        ref = CorrelatorBank(100, 50, reference_bank(golay_preamble, 100, radio.rolloff))
+        stack = np.array([noisy_multipath(golay_preamble, 200 + k)[0] for k in range(12)])
+        strongest = np.array([basic_correlator(y, golay_preamble) for y in stack])
+        for coarse in (strongest, np.full(12, 40), np.arange(12) * 13):
+            want = massive_correlator(stack, ref, coarse)
+            assert np.array_equal(massive_correlator(stack, bank, coarse), want)
 
 
 class TestConstructMaps:

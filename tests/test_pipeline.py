@@ -12,8 +12,17 @@ import json
 import numpy as np
 import pytest
 
+from mmdepth import estimator, pipeline, waveform
+from mmdepth.channel import noise_variance
 from mmdepth.cli import main as cli_main
 from mmdepth.codebook import SceneView, UpaConfig
+from mmdepth.estimator import (
+    cancel_candidates,
+    correlation_threshold,
+    joint_processing,
+    sic_candidates,
+    tail_noise_variance,
+)
 from mmdepth.io import read_records
 from mmdepth.pipeline import (
     SWEEP_ALIASES,
@@ -30,6 +39,7 @@ from mmdepth.pipeline import (
     sweep,
 )
 from mmdepth.scene import BUILTIN_SCENES, build_scene, scene_to_dict
+from mmdepth.waveform import make_preamble
 
 
 SMALL = {
@@ -180,6 +190,12 @@ class TestConfigFromDict:
             OutputConfig(interpolation="bilinear")
         with pytest.raises(ValueError, match="positive"):
             OutputConfig(resolution=(0, 10))
+        # Entries are taken as given, never truncated: 720.7 and True are rejected.
+        for bad in ([720.7, 1280], [720, 1280.0], [True, 5], [5, False], ["720", 1280]):
+            with pytest.raises(ValueError, match="output.resolution entries must be integers"):
+                config_from_dict({"output": {"resolution": bad}})
+            with pytest.raises(TypeError, match="output.resolution"):
+                OutputConfig(resolution=tuple(bad))
 
 
 class TestConfigHash:
@@ -328,6 +344,67 @@ class TestRunScenario:
         # the guard tail past the last pulse carries no signal and no noise
         assert abs(art.records[0].samples[-1]) == 0.0
 
+    def test_records_are_row_views_of_one_array(self, small_run):
+        base = small_run.records[0].samples.base
+        assert base is not None and base.shape == (16, 256 + small_run.l_d)
+        for m, rec in enumerate(small_run.records):
+            assert rec.beam == m and rec.samples.base is base
+            assert np.shares_memory(rec.samples, base[m])
+
+    def test_beam_noise_comes_from_its_spawned_seed(self):
+        cfg = small_config(estimator__noise_policy="analytic")
+        noisy = run_scenario(cfg)
+        clean = run_scenario(small_config(estimator__noise_policy="analytic", sim__noiseless=True))
+        seeds = np.random.SeedSequence(cfg.sim.seed).spawn(1 + 16)  # scene first, then one per beam
+        n = len(noisy.records[0].samples)
+        for m, (a, b) in enumerate(zip(noisy.records, clean.records)):
+            rng = np.random.default_rng(seeds[1 + m])
+            scale = np.sqrt(noise_variance(cfg.radio) * float(noisy.codebook.combine_norm_sq[m]) / 2.0)
+            noise = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            assert np.array_equal(a.samples, b.samples + noise)
+
+    @pytest.mark.parametrize("block", [1, 5, 40])
+    def test_block_size_does_not_change_the_run(self, small_run, monkeypatch, block):
+        monkeypatch.setattr(waveform, "_BLOCK", block)
+        monkeypatch.setattr(estimator, "_BLOCK", block)
+        art = run_scenario(small_config())
+        for a, b in zip(art.records, small_run.records):
+            assert np.array_equal(a.samples, b.samples)
+        for key in ("selected", "fine_offsets", "filled", "range_map", "depth_map"):
+            assert np.array_equal(getattr(art, key), getattr(small_run, key)), key
+
+    @pytest.mark.parametrize("policy", ["tail", "analytic", "fixed"])
+    def test_detection_equals_one_beam_at_a_time(self, policy, monkeypatch):
+        seen = []
+
+        def keep(*args):
+            seen.append(cancel_candidates(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(pipeline, "cancel_candidates", keep)
+        fixed = noise_variance(small_config().radio) * 16.0
+        art = run_scenario(small_config(estimator__noise_policy=policy, estimator__fixed_noise_var=fixed))
+        cfg, cb = art.config, art.codebook
+        preamble = make_preamble(cfg.waveform.kind, cfg.waveform.length, cfg.waveform.seed)
+        results = []
+        for m, rec in enumerate(art.records):
+            noise = {
+                "tail": lambda: tail_noise_variance(rec.samples, cfg.estimator.tail_samples),
+                "analytic": lambda: noise_variance(cfg.radio) * float(cb.combine_norm_sq[m]),
+                "fixed": lambda: fixed,
+            }[policy]()
+            threshold = correlation_threshold(preamble, noise, cfg.estimator.gamma)
+            results.append(sic_candidates(rec.samples, preamble, threshold, cfg.estimator.max_iterations))
+        assert len(seen) == len(results) == 16
+        for got, want in zip(seen, results):
+            assert np.array_equal(got.delays, want.delays)
+            assert np.array_equal(got.coefficients, want.coefficients)
+            assert (got.iterations, got.truncated) == (want.iterations, want.truncated)
+        selected, filled = joint_processing([r.delays for r in results], cb.n_bar_h, cb.n_bar_v)
+        assert np.array_equal(art.selected, selected)
+        assert np.array_equal(art.filled, filled)
+        assert art.truncated_beams == sum(r.truncated for r in results)
+
     def test_display_resolution_adds_reports(self):
         cfg = small_config(output__resolution=[8, 12], output__interpolation="nearest")
         art = run_scenario(cfg)
@@ -453,6 +530,7 @@ class TestCli:
             ('sim.include_specular="x"', "sim.include_specular must be a boolean"),
             ('output.write_records="no"', "output.write_records must be a boolean"),
             ("sim.noiseless=true", "sim.noiseless needs"),
+            ("output.resolution=[720.7,1280]", "output.resolution entries must be integers"),
         ]:
             code = cli_main(["run", "--config", str(cfg), "--set", setting])
             assert code == 2

@@ -1,15 +1,48 @@
-"""Preamble construction and sensing-record synthesis."""
+"""
+Preamble construction and sensing-record synthesis.
+
+The FFT-batched record synthesis is checked against the direct per-beam
+convolution and noise draws it replaced (reference_records).
+"""
 import numpy as np
 import pytest
 
+from mmdepth import waveform
 from mmdepth.waveform import (
     golay_pair_128,
     golay_pair,
     make_preamble,
     pi_half_rotate,
+    synthesize_records,
     synthesize_rx,
 )
 from mmdepth.channel import noise_variance
+
+
+def reference_records(taps, preamble, radio, combine_norm_sq, seeds=None):
+    """One np.convolve and one generator per beam, the direct form of each record."""
+    m, l_d = taps.shape
+    n = len(preamble) + l_d
+    out = np.zeros((m, n), dtype=complex)
+    for k in range(m):
+        out[k, : n - 1] = np.sqrt(radio.symbol_energy_j) * np.convolve(preamble, taps[k])
+        if seeds is not None:
+            rng = np.random.default_rng(seeds[k])
+            scale = np.sqrt(noise_variance(radio) * float(combine_norm_sq[k]) / 2.0)
+            out[k] += scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return out
+
+
+@pytest.fixture(scope="module")
+def beam_taps(tapline):
+    """Tap lines of eleven beams with one to four off-grid paths each."""
+    rng = np.random.default_rng(7)
+    rows = []
+    for _ in range(11):
+        count = int(rng.integers(1, 5))
+        amps = 1e-5 * rng.uniform(0.1, 1.0, count) * np.exp(1j * rng.uniform(0, 2 * np.pi, count))
+        rows.append(tapline(rng.uniform(10, 40, count), amps, l_d=60))
+    return np.array(rows), rng.uniform(0.5, 300.0, len(rows))
 
 
 class TestGolay:
@@ -102,3 +135,48 @@ class TestSynthesizeRx:
         for seed in (42, np.random.SeedSequence(42)):
             c = synthesize_rx(taps, pn_preamble, radio, 1.0, rng=seed)
             assert np.array_equal(a.samples, c.samples)
+
+
+class TestSynthesizeRecords:
+    @pytest.mark.parametrize("kind", ["golay", "pn"])
+    def test_matches_direct_convolution(self, radio, golay_preamble, pn_preamble, beam_taps, kind):
+        preamble = golay_preamble if kind == "golay" else pn_preamble
+        taps, norms = beam_taps
+        got = synthesize_records(taps, preamble, radio, norms)
+        ref = reference_records(taps, preamble, radio, norms)
+        assert got.shape == (len(taps), len(preamble) + taps.shape[1])
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.all(got[:, -1] == 0.0)
+
+    def test_noise_is_each_beams_own_draw(self, radio, pn_preamble, beam_taps):
+        taps, norms = beam_taps
+        seeds = np.random.SeedSequence(5).spawn(len(taps))
+        silent = np.zeros_like(taps)
+        # Zero taps leave only the noise, which must be the per-beam draw bit for bit.
+        noise = synthesize_records(silent, pn_preamble, radio, norms, seeds)
+        assert np.array_equal(noise, reference_records(silent, pn_preamble, radio, norms, seeds))
+        clean = synthesize_records(taps, pn_preamble, radio, norms)
+        noisy = synthesize_records(taps, pn_preamble, radio, norms, seeds)
+        assert np.array_equal(noisy, clean + noise)
+
+    def test_synthesize_rx_is_the_one_row_case(self, radio, golay_preamble, beam_taps):
+        taps, norms = beam_taps
+        seeds = np.random.SeedSequence(9).spawn(len(taps))
+        stack = synthesize_records(taps, golay_preamble, radio, norms, seeds)
+        for k in range(len(taps)):
+            rec = synthesize_rx(taps[k], golay_preamble, radio, float(norms[k]), rng=seeds[k], beam=k)
+            assert np.array_equal(rec.samples, stack[k])
+            assert (rec.beam, rec.n_p, rec.l_d) == (k, len(golay_preamble), taps.shape[1])
+
+    @pytest.mark.parametrize("block", [1, 5, 64])
+    def test_block_size_does_not_matter(self, radio, golay_preamble, beam_taps, monkeypatch, block):
+        taps, norms = beam_taps
+        seeds = np.random.SeedSequence(3).spawn(len(taps))
+        want = synthesize_records(taps, golay_preamble, radio, norms, seeds)
+        monkeypatch.setattr(waveform, "_BLOCK", block)
+        assert np.array_equal(synthesize_records(taps, golay_preamble, radio, norms, seeds), want)
+
+    def test_noise_generator_count_validated(self, radio, pn_preamble, beam_taps):
+        taps, norms = beam_taps
+        with pytest.raises(ValueError, match="one noise generator per beam"):
+            synthesize_records(taps, pn_preamble, radio, norms, [1, 2])
