@@ -78,7 +78,6 @@ from .pipeline import (
     config_from_dict,
     config_hash,
     config_to_dict,
-    load_config,
     run_scenario,
     sweep,
 )
@@ -101,7 +100,6 @@ from .scene import (
 from .waveform import (
     PREAMBLE_LENGTH,
     SensingRecord,
-    golay_pair,
     golay_pair_128,
     make_preamble,
     pi_half_rotate,

@@ -7,9 +7,10 @@ Command-line front end.
     mmdepth codebook-dump write the beam codebook as CSV
 
 Every subcommand starts from the built-in defaults, optionally overlaid
-with --config FILE (JSON), then --scenario, then convenience flags, then
-repeatable --set dotted.key=value overrides (values parse as JSON when
-possible, else literal strings).
+with --config FILE (JSON), then --scenario, then repeatable --set
+dotted.key=value overrides (values parse as JSON when possible, else
+literal strings). run --resolution WxH is applied last, over any
+output.resolution set before it.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 runtime failure.
 """
@@ -70,7 +71,6 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
         choices=sorted(BUILTIN_SCENES),
         help="builtin scene shortcut (resets the scene section)",
     )
-    p.add_argument("--seed", type=int, help="master simulation seed")
     p.add_argument(
         "--set",
         dest="overrides",
@@ -90,8 +90,6 @@ def _assemble_config_dict(args) -> dict:
         if args.scenario:
             data["scene"] = {"builtin": args.scenario}
             data["name"] = args.scenario
-        if args.seed is not None:
-            apply_override(data, "sim.seed", args.seed)
         for item in args.overrides:
             key, sep, raw = item.partition("=")
             if not sep or not key:
@@ -113,12 +111,6 @@ def _cmd_run(args) -> int:
     data = _assemble_config_dict(args)
     if args.resolution is not None:
         apply_override(data, "output.resolution", list(args.resolution))
-    if args.interpolation:
-        apply_override(data, "output.interpolation", args.interpolation)
-    if args.records:
-        apply_override(data, "output.write_records", True)
-    if args.codebook:
-        apply_override(data, "output.write_codebook", True)
     cfg = _validated_config(data)
     art = run_scenario(cfg, out_dir=args.out)
     for key in ("range", "depth", "range_out", "depth_out"):
@@ -199,9 +191,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="WxH",
         help="display resolution for upscaled maps, e.g. 1920x1080",
     )
-    p_run.add_argument("--interpolation", choices=["nearest", "bicubic"])
-    p_run.add_argument("--records", action="store_true", help="also dump records.bin")
-    p_run.add_argument("--codebook", action="store_true", help="also dump codebook.csv")
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="rerun over a parameter list")

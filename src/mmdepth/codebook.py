@@ -249,9 +249,6 @@ class Codebook:
     theta_x: np.ndarray
     phi: np.ndarray                    # (n_bar_v, n_bar_h) projection azimuths
     weights: np.ndarray                # (M, n) complex beam weights
-    slr_delta_h: float = 0.0
-    slr_delta_v: float = 0.0
-    phase_bits: int | None = None
     axis_factors: tuple[np.ndarray, np.ndarray] | None = None
     combine_norm_sq: np.ndarray = field(init=False)  # ||w_m||^2 per beam
 
@@ -306,9 +303,6 @@ def design_codebook(
         theta_x=theta_x,
         phi=phi,
         weights=weights,
-        slr_delta_h=slr_delta_h,
-        slr_delta_v=slr_delta_v,
-        phase_bits=phase_bits,
         axis_factors=(b_v, b_h) if phase_bits is None else None,
     )
 

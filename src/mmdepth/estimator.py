@@ -140,10 +140,11 @@ def tail_noise_variance(samples: np.ndarray, n_tail: int = 8) -> float | np.ndar
 
     The last samples of a record are signal-free when the delay window guard
     exceeds the pulse half-width, so their mean power estimates the noise
-    variance. With the default 8 samples the estimate itself has ~35%
-    relative scatter; prefer the analytic variance when the link budget is
-    known. samples is one record (a float comes back) or a stack of records
-    (one value per row).
+    variance. The mean of n_tail samples of complex Gaussian noise scatters
+    by 1/sqrt(n_tail) relative: ~35% at this function's default of 8, 12.5%
+    at the pipeline's default estimator.tail_samples of 64. Prefer the
+    analytic variance when the link budget is known. samples is one record
+    (a float comes back) or a stack of records (one value per row).
     """
     samples = np.asarray(samples)
     if not 0 < n_tail <= samples.shape[-1]:
@@ -360,14 +361,14 @@ def massive_correlator(
     delay: a float for one record, an array for a stack.
     """
     single = np.ndim(coarse_delay) == 0
-    records = [samples] if single else samples
+    records = np.atleast_2d(samples)
     delays = np.atleast_1d(coarse_delay)
     if len(records) != len(delays):
         raise ValueError("need one coarse delay per record")
     n_p = bank.n_p
-    if any(d < 0 or d + n_p > len(y) for y, d in zip(records, delays)):
+    if np.any((delays < 0) | (delays + n_p > records.shape[1])):
         raise ValueError("coarse delay window leaves the record")
-    windows = np.array([y[d : d + n_p] for y, d in zip(records, delays)])
+    windows = np.lib.stride_tricks.sliding_window_view(records, n_p, axis=1)[np.arange(len(delays)), delays]
     g = windows @ bank.rows.conj().T
     fine = (np.argmax(np.abs(g), axis=1) - bank.delta) / bank.ratio
     return float(fine[0]) if single else fine

@@ -14,7 +14,7 @@ run_scenario executes the whole chain
     sub-sample refinement -> range / depth maps -> error reports
 
 and optionally writes the artifact files (PGM and CSV maps, error table,
-run.json, record and codebook dumps). Every artifact except run.json is
+run.json and an optional record dump). Every artifact except run.json is
 byte-deterministic for a given config; run.json carries wall-clock timings.
 
 All records are synthesized into one (M, n_p + l_d) array and matched-
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -41,9 +42,8 @@ from .channel import (
     delay_window_length,
     noise_variance,
 )
-from .codebook import Codebook, SceneView, UpaConfig, design_codebook, write_codebook_csv
+from .codebook import Codebook, SceneView, UpaConfig, design_codebook
 from .estimator import (
-    SicResult,
     build_bank,
     cancel_candidates,
     construct_maps,
@@ -78,7 +78,6 @@ __all__ = [
     "config_from_dict",
     "config_to_dict",
     "config_hash",
-    "load_config",
     "apply_override",
     "SWEEP_ALIASES",
     "RunArtifacts",
@@ -117,19 +116,14 @@ class WaveformConfig:
 @dataclass(frozen=True)
 class EstimatorConfig:
     gamma: float = 4.0                 # detection margin, amplitude ratio
-    noise_policy: str = "tail"         # tail | analytic | fixed
-    fixed_noise_var: float | None = None
+    noise_policy: str = "tail"         # tail | analytic
     tail_samples: int = 64             # tail window, <= guard_taps
     max_iterations: int = 32           # cancellation passes per beam
     refine_ratio: int = 100            # sub-sample grid, even, f_est = ratio * f_s
 
     def __post_init__(self):
-        if self.noise_policy not in ("analytic", "tail", "fixed"):
+        if self.noise_policy not in ("analytic", "tail"):
             raise ValueError(f"unknown noise_policy {self.noise_policy!r}")
-        if self.noise_policy == "fixed" and self.fixed_noise_var is None:
-            raise ValueError("noise_policy 'fixed' needs fixed_noise_var")
-        if self.fixed_noise_var is not None and self.fixed_noise_var <= 0:
-            raise ValueError("fixed_noise_var must be positive")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
         if self.tail_samples < 1:
@@ -161,7 +155,6 @@ class OutputConfig:
     resolution: tuple[int, int] | None = None  # (rows, cols) display size
     interpolation: str = "bicubic"             # nearest | bicubic
     write_records: bool = False                # dump records.bin (large)
-    write_codebook: bool = False               # dump codebook.csv
 
     def __post_init__(self):
         if self.interpolation not in ("nearest", "bicubic"):
@@ -199,7 +192,7 @@ class ScenarioConfig:
         # A noiseless record has a zero tail, hence a zero threshold, and
         # every beam would cancel up to max_iterations.
         if est.noise_policy == "tail" and sim.noiseless:
-            raise ValueError("sim.noiseless needs estimator.noise_policy 'analytic' or 'fixed', not 'tail'")
+            raise ValueError("sim.noiseless needs estimator.noise_policy 'analytic', not 'tail'")
 
 
 def _build_section(cls, data: dict, where: str):
@@ -207,15 +200,22 @@ def _build_section(cls, data: dict, where: str):
     extra = set(data) - allowed
     if extra:
         raise ValueError(f"unknown {where} keys: {sorted(extra)}")
-    # Integer and boolean fields take exactly that JSON kind (None where the
-    # field allows it); a float or a string would fail or mislead later.
+    # Integer, float and boolean fields take exactly that JSON kind (None where
+    # the field allows it; a float field also takes an integer). A string, a
+    # float where an integer belongs, or a NaN would fail or mislead later.
     for f in fields(cls):
         kind, _, optional = f.type.partition(" | ")  # annotations are strings
         value = data.get(f.name)
-        if kind not in ("int", "bool") or f.name not in data or (value is None and optional == "None"):
+        if kind not in ("int", "float", "bool") or f.name not in data or (value is None and optional == "None"):
             continue
-        if not isinstance(value, int) or isinstance(value, bool) != (kind == "bool"):
-            what = "a boolean" if kind == "bool" else "an integer"
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        ok = {
+            "bool": isinstance(value, bool),
+            "int": number and isinstance(value, int),
+            "float": number and (isinstance(value, int) or math.isfinite(value)),
+        }[kind]
+        if not ok:
+            what = {"bool": "a boolean", "int": "an integer", "float": "a finite number"}[kind]
             raise TypeError(f"{where}.{f.name} must be {what}, got {value!r}")
     if cls is OutputConfig and isinstance(data.get("resolution"), list):
         data = {**data, "resolution": tuple(data["resolution"])}
@@ -283,11 +283,6 @@ def config_hash(cfg: ScenarioConfig) -> str:
         data["scene"] = {**cfg.scene, "contents": scene_to_dict(load_scene(cfg.scene["file"]))}
     blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def load_config(path) -> ScenarioConfig:
-    with open(path) as fh:
-        return config_from_dict(json.load(fh))
 
 
 # Short names for the parameters studied in the reference sweeps, mapped
@@ -422,11 +417,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunArtifacts:
     records = [SensingRecord(m, len(preamble), l_d, row) for m, row in enumerate(samples)]  # row views
     t0 = _clock("records", t0)
 
-    results = _detect(samples, preamble, cfg, cb.combine_norm_sq)
-    truncated_beams = sum(r.truncated for r in results)
+    delay_sets, truncated_beams = _detect(samples, preamble, cfg, cb.combine_norm_sq)
     t0 = _clock("sic", t0)
 
-    selected, filled = joint_processing([r.delays for r in results], cb.n_bar_h, cb.n_bar_v)
+    selected, filled = joint_processing(delay_sets, cb.n_bar_h, cb.n_bar_v)
     t0 = _clock("joint", t0)
 
     bank = build_bank(preamble, cfg.estimator.refine_ratio, cfg.radio.rolloff)
@@ -481,23 +475,24 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunArtifacts:
 
 def _detect(
     samples: np.ndarray, preamble: np.ndarray, cfg: ScenarioConfig, combine_norm_sq: np.ndarray
-) -> list[SicResult]:
+) -> tuple[list[np.ndarray], int]:
     """
-    Candidate sets of all beams: one matched-filter pass over the record
-    array, then cancellation beam by beam on its correlation row. The
-    (M, l_d + 1) correlation matrix is released on return, before refinement.
+    Candidate delay sets of all beams and the number of beams cut at the
+    iteration cap: one matched-filter pass over the record array, then
+    cancellation beam by beam on its correlation row. The (M, l_d + 1)
+    correlation matrix and the per-beam coefficients are released on return,
+    before refinement.
     """
     est = cfg.estimator
     if est.noise_policy == "analytic":
         noise_var = noise_variance(cfg.radio) * combine_norm_sq
-    elif est.noise_policy == "tail":
-        noise_var = tail_noise_variance(samples, est.tail_samples)
     else:
-        noise_var = np.full(len(samples), est.fixed_noise_var)
+        noise_var = tail_noise_variance(samples, est.tail_samples)
     thresholds = correlation_threshold(preamble, noise_var, est.gamma)
     correlation = cross_correlation(samples, preamble)
     auto = preamble_autocorrelation(preamble, correlation.shape[1] - 1)
-    return [cancel_candidates(c, auto, thr, est.max_iterations) for c, thr in zip(correlation, thresholds)]
+    results = [cancel_candidates(c, auto, thr, est.max_iterations) for c, thr in zip(correlation, thresholds)]
+    return [r.delays for r in results], sum(r.truncated for r in results)
 
 
 def _write_artifacts(art: RunArtifacts, out_dir: Path) -> None:
@@ -522,8 +517,6 @@ def _write_artifacts(art: RunArtifacts, out_dir: Path) -> None:
         _put("gt_depth_out.pgm", write_pgm16, art.gt_depth_out)
     if cfg.output.write_records:
         _put("records.bin", write_records, art.records)
-    if cfg.output.write_codebook:
-        _put("codebook.csv", lambda p: write_codebook_csv(art.codebook, p))
 
     err_path = out_dir / "errors.csv"
     with open(err_path, "w", newline="") as fh:

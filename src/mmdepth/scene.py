@@ -111,8 +111,9 @@ class PlanarFacet:
     """
     Convex coplanar quad. Vertices are (4, 3) world coordinates in winding
     order; coplanarity is checked to 1e-9 relative to the facet extent.
-    rcs_sqm optionally overrides the total diffuse RCS of the facet,
-    otherwise it derives from area * material.scatter_ratio. The unit
+    rcs_sqm optionally sets the total diffuse RCS of the facet (a number
+    >= 0), which the tracer apportions to its cells by area; without it each
+    cell's RCS is BACKSCATTER_GAIN * scatter_ratio * cell area. The unit
     normal (it follows the winding) and the inward edge normals
     edge_normals[i] = normal x (v[i+1] - v[i]) are computed once; the
     vertices are stored read-only, so neither can drift from them.
@@ -125,6 +126,12 @@ class PlanarFacet:
     edge_normals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        rcs = self.rcs_sqm
+        if rcs is not None:
+            if not isinstance(rcs, (int, float)) or isinstance(rcs, bool):
+                raise TypeError(f"rcs_sqm must be a number, got {rcs!r}")
+            if not rcs >= 0:
+                raise ValueError(f"rcs_sqm must be >= 0, got {rcs!r}")
         v = np.array(self.vertices, dtype=float)
         if v.shape != (4, 3):
             raise ValueError("facet needs exactly 4 vertices of 3 coordinates")
@@ -146,14 +153,6 @@ class PlanarFacet:
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "normal", n)
         object.__setattr__(self, "edge_normals", np.cross(n, edges))
-
-    @property
-    def area_sqm(self) -> float:
-        v = self.vertices
-        return 0.5 * (
-            np.linalg.norm(np.cross(v[1] - v[0], v[2] - v[0]))
-            + np.linalg.norm(np.cross(v[2] - v[0], v[3] - v[0]))
-        )
 
 
 @dataclass
@@ -177,11 +176,6 @@ class DevicePose:
         self.boresight = y
         self.up = z
         self._rotation = np.column_stack([x, y, z])  # device -> world
-
-    @property
-    def rotation(self) -> np.ndarray:
-        """3x3 device-to-world rotation; columns are the device axes."""
-        return self._rotation
 
     def to_world(self, dirs_device: np.ndarray) -> np.ndarray:
         return dirs_device @ self._rotation.T
@@ -706,7 +700,8 @@ def build_scene(scene_cfg: dict, view: SceneView) -> Scene:
     """
     Check the scene section of a config ({"builtin": name, ...params},
     {"file": path} or {"inline": scene dict}) and build its Scene. Unknown
-    keys, names or materials and bad builtin parameter values raise ValueError.
+    keys, names or materials, missing keys and bad parameter values raise
+    ValueError; a file that cannot be read raises OSError.
     """
     modes = [k for k in ("builtin", "file", "inline") if k in scene_cfg]
     if len(modes) != 1:
@@ -727,6 +722,9 @@ def build_scene(scene_cfg: dict, view: SceneView) -> Scene:
             raise ValueError(f"bad {name} scene parameter: {exc}") from None
     if params:
         raise ValueError(f"{mode} scene config takes no other keys")
-    if mode == "inline":
-        return scene_from_dict(scene_cfg["inline"])
-    return load_scene(scene_cfg["file"])
+    try:
+        return scene_from_dict(scene_cfg["inline"]) if mode == "inline" else load_scene(scene_cfg["file"])
+    except KeyError as exc:
+        raise ValueError(f"bad {mode} scene: missing key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"bad {mode} scene: {exc}") from None

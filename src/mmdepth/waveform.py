@@ -27,7 +27,6 @@ from .channel import RadioConfig, noise_variance
 
 __all__ = [
     "golay_pair_128",
-    "golay_pair",
     "make_preamble",
     "pi_half_rotate",
     "SensingRecord",
@@ -70,25 +69,6 @@ def golay_pair_128() -> tuple[np.ndarray, np.ndarray]:
         b_new[d:] -= b[:-d]
         a, b = a_new, b_new
     return a[::-1].copy(), b[::-1].copy()
-
-
-def golay_pair(length: int) -> tuple[np.ndarray, np.ndarray]:
-    """
-    Binary complementary pair of any power-of-two length.
-
-    Length 128 comes from the standard generator above; other powers of two
-    use the doubling construction a' = [a, b], b' = [a, -b] which preserves
-    complementarity at every step.
-    """
-    if length < 1 or length & (length - 1):
-        raise ValueError("Golay pair length must be a power of two")
-    if length == 128:
-        return golay_pair_128()
-    a = np.ones(1)
-    b = np.ones(1)
-    while len(a) < length:
-        a, b = np.concatenate([a, b]), np.concatenate([a, -b])
-    return a, b
 
 
 _QUARTER_TURNS = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])

@@ -86,9 +86,13 @@ class TestLinkBudget:
 class TestRaisedCosine:
     def test_nyquist_zero_crossings(self):
         t = np.arange(-6, 7, dtype=float)
-        p = raised_cosine(t, 1.0, 0.25)
-        assert p[6] == pytest.approx(1.0)
-        assert np.allclose(np.delete(p, 6), 0.0, atol=1e-12)
+        for rolloff in (0.25, 0.0):
+            p = raised_cosine(2.0 * t, 2.0, rolloff)
+            assert p[6] == pytest.approx(1.0)
+            assert np.allclose(np.delete(p, 6), 0.0, atol=1e-12)
+        # Without excess bandwidth the pulse is the sinc itself.
+        t = np.linspace(-7.5, 7.5, 301)
+        assert np.array_equal(raised_cosine(t, 2.0, 0.0), np.sinc(t / 2.0))
 
     def test_singularity_point_finite(self):
         # |t| = T / (2 beta) = 2.0 for beta = 0.25

@@ -1,11 +1,11 @@
 """
 The demos and the package's own exports name only what the package still has.
 
-Each demo is parsed (together they take tens of seconds to run), and
-every `import mmdepth...` / `from mmdepth... import name` must resolve.
-Every `__all__` entry of every mmdepth module must resolve as well. The
-scene demo and the single-beam estimation demo, about a second each, are
-also run, so a changed signature of the calls they make fails here.
+Each demo is parsed, and every `import mmdepth...` / `from mmdepth...
+import name` must resolve. Every `__all__` entry of every mmdepth module
+must resolve as well. All demos but the parameter sweeps (about 6 s of the
+~12 s the six take together) are also run in a temporary directory, so a
+changed signature of the calls they make fails here.
 """
 import ast
 import importlib
@@ -85,6 +85,12 @@ def test_scene_demo_writes_the_truth_maps(tmp_path):
             # write_pgm16's millimetre quantization, with inf for misses
             expect = np.where(np.isfinite(truth), np.clip(np.rint(truth * 1000.0), 0, 65534) / 1000.0, np.inf)
             assert np.array_equal(read_pgm16(tmp_path / "demo_ground_truth" / f"{name}_{kind}.pgm"), expect)
+
+
+@pytest.mark.parametrize("name", ["01_codebook_and_grid.py", "04_end_to_end_depth_map.py", "06_crlb_benchmark.py"])
+def test_demo_runs(name, tmp_path):
+    done = run_demo(name, tmp_path)
+    assert done.returncode == 0, done.stderr
 
 
 def test_single_beam_estimation_demo_runs(tmp_path):

@@ -8,6 +8,7 @@ array gain than the 16x16 default, compensated with transmit power so every
 beam detects and nothing depends on hole filling.
 """
 import json
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from mmdepth.estimator import (
     sic_candidates,
     tail_noise_variance,
 )
-from mmdepth.io import read_records
+from mmdepth.io import read_pgm16, read_records
 from mmdepth.pipeline import (
     SWEEP_ALIASES,
     SWEEP_COLUMNS,
@@ -50,6 +51,19 @@ SMALL = {
     "sim": {"seed": 1, "cell_size_m": 0.15},
     "scene": {"builtin": "one_wall", "distance_m": 1.5},
 }
+
+
+GOOD_SCENE = scene_to_dict(BUILTIN_SCENES["one_wall"](SceneView(), distance_m=2.0))
+GOOD_FACET = GOOD_SCENE["facets"][0]
+BAD_INLINE_SCENES = [
+    ({**GOOD_SCENE, "path_loss_exponent": "x"}, "bad inline scene"),
+    ({**GOOD_SCENE, "facets": [{**GOOD_FACET, "material": {"name": "m", "scatter_ratio": "x"}}]},
+     "bad inline scene"),
+    ({k: v for k, v in GOOD_SCENE.items() if k != "facets"}, "bad inline scene: missing key 'facets'"),
+    ({**GOOD_SCENE, "facets": 5}, "bad inline scene"),
+    ({**GOOD_SCENE, "facets": [{**GOOD_FACET, "rcs_sqm": -1.0}]}, "rcs_sqm must be >= 0"),
+    ({**GOOD_SCENE, "facets": [{**GOOD_FACET, "rcs_sqm": "x"}]}, "rcs_sqm must be a number"),
+]
 
 
 def small_config(**updates):
@@ -91,7 +105,7 @@ class TestConfigFromDict:
         with pytest.raises(ValueError, match="unknown builtin"):
             config_from_dict({"scene": {"builtin": "three_walls"}})
 
-    def test_builtin_parameters_validated(self):
+    def test_builtin_parameters_validated(self, tmp_path):
         with pytest.raises(ValueError, match="one_wall scene keys"):
             config_from_dict({"scene": {"builtin": "one_wall", "width_m": 3.0}})
         # Values are checked at load by building the scene, not in the run.
@@ -104,9 +118,19 @@ class TestConfigFromDict:
             ({"inline": {"facets": []}}, "at least one facet"),
             ({"inline": {"facets": [], "colour": 1}}, "unknown scene keys"),
             ({"file": "x.json", "distance_m": 1.0}, "no other keys"),
+            ({"builtin": "one_wall", "rcs_sqm": -1.0}, "rcs_sqm must be >= 0"),
+            ({"builtin": "one_wall", "rcs_sqm": "x"}, "rcs_sqm must be a number"),
         ]:
             with pytest.raises(ValueError, match=match):
                 config_from_dict({"scene": scene})
+        # Inline and file scenes report wrong types and missing keys the same way.
+        for inline, match in BAD_INLINE_SCENES:
+            with pytest.raises(ValueError, match=match):
+                config_from_dict({"scene": {"inline": inline}})
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({"path_loss_exponent": 2.0}))
+        with pytest.raises(ValueError, match="bad file scene: missing key 'facets'"):
+            config_from_dict({"scene": {"file": str(path)}})
 
     def test_resolution_list_becomes_tuple(self):
         cfg = config_from_dict({"output": {"resolution": [120, 160]}})
@@ -118,10 +142,9 @@ class TestConfigFromDict:
         assert config_hash(again) == config_hash(cfg)
 
     def test_estimator_policy_validated(self):
-        with pytest.raises(ValueError, match="noise_policy"):
-            EstimatorConfig(noise_policy="guess")
-        with pytest.raises(ValueError, match="fixed_noise_var"):
-            EstimatorConfig(noise_policy="fixed")
+        for policy in ("guess", "fixed"):
+            with pytest.raises(ValueError, match="noise_policy"):
+                EstimatorConfig(noise_policy=policy)
         for bad, match in [
             ({"gamma": 0.0}, "gamma"),
             ({"gamma": -1.0}, "gamma"),
@@ -129,8 +152,7 @@ class TestConfigFromDict:
             ({"refine_ratio": 3}, "refine_ratio"),
             ({"refine_ratio": 0}, "refine_ratio"),
             ({"tail_samples": 0}, "tail_samples"),
-            ({"noise_policy": "fixed", "fixed_noise_var": 0.0}, "fixed_noise_var"),
-            ({"noise_policy": "fixed", "fixed_noise_var": -1e-9}, "fixed_noise_var"),
+            ({"fixed_noise_var": 1e-9}, "unknown estimator keys"),
             ({"tail_samples": 2.5}, "tail_samples"),
             ({"max_iterations": 2.5}, "max_iterations"),
             ({"max_iterations": True}, "max_iterations"),
@@ -146,10 +168,20 @@ class TestConfigFromDict:
             ({"output": {"write_records": "no"}}, "write_records"),
             ({"upa": {"n_h": 16.0}}, "n_h"),
             ({"codebook": {"phase_bits": 2.0}}, "phase_bits"),
+            ({"output": {"write_codebook": True}}, "unknown output keys"),
+            # Float fields take a finite int or float, never a string, bool or NaN.
+            ({"radio": {"tx_power_dbm": "abc"}}, "radio.tx_power_dbm must be a finite number"),
+            ({"radio": {"tx_power_dbm": float("nan")}}, "radio.tx_power_dbm must be a finite number"),
+            ({"radio": {"tx_power_dbm": float("inf")}}, "radio.tx_power_dbm must be a finite number"),
+            ({"sim": {"cell_size_m": float("nan")}}, "sim.cell_size_m must be a finite number"),
+            ({"upa": {"element_gain_dbi": "x"}}, "upa.element_gain_dbi must be a finite number"),
+            ({"codebook": {"slr_delta_h": "x"}}, "codebook.slr_delta_h must be a finite number"),
+            ({"estimator": {"noise_policy": "analytic", "gamma": True}}, "estimator.gamma"),
         ]:
             with pytest.raises(ValueError, match=match):
                 config_from_dict({"estimator": {"noise_policy": "analytic"}, **bad})
         assert config_from_dict({"codebook": {"phase_bits": None}}).codebook.phase_bits is None
+        assert config_from_dict({"radio": {"tx_power_dbm": 25}}).radio.tx_power_dbm == 25
         # A noiseless record has no tail noise to estimate.
         with pytest.raises(ValueError, match="noiseless"):
             config_from_dict({"sim": {"noiseless": True}})
@@ -373,7 +405,7 @@ class TestRunScenario:
         for key in ("selected", "fine_offsets", "filled", "range_map", "depth_map"):
             assert np.array_equal(getattr(art, key), getattr(small_run, key)), key
 
-    @pytest.mark.parametrize("policy", ["tail", "analytic", "fixed"])
+    @pytest.mark.parametrize("policy", ["tail", "analytic"])
     def test_detection_equals_one_beam_at_a_time(self, policy, monkeypatch):
         seen = []
 
@@ -382,8 +414,7 @@ class TestRunScenario:
             return seen[-1]
 
         monkeypatch.setattr(pipeline, "cancel_candidates", keep)
-        fixed = noise_variance(small_config().radio) * 16.0
-        art = run_scenario(small_config(estimator__noise_policy=policy, estimator__fixed_noise_var=fixed))
+        art = run_scenario(small_config(estimator__noise_policy=policy))
         cfg, cb = art.config, art.codebook
         preamble = make_preamble(cfg.waveform.kind, cfg.waveform.length, cfg.waveform.seed)
         results = []
@@ -391,7 +422,6 @@ class TestRunScenario:
             noise = {
                 "tail": lambda: tail_noise_variance(rec.samples, cfg.estimator.tail_samples),
                 "analytic": lambda: noise_variance(cfg.radio) * float(cb.combine_norm_sq[m]),
-                "fixed": lambda: fixed,
             }[policy]()
             threshold = correlation_threshold(preamble, noise, cfg.estimator.gamma)
             results.append(sic_candidates(rec.samples, preamble, threshold, cfg.estimator.max_iterations))
@@ -449,12 +479,8 @@ class TestArtifactFiles:
             assert np.array_equal(a.samples, b.samples)
 
     def test_optional_outputs(self, tmp_path):
-        run_scenario(
-            small_config(output__write_codebook=True, output__resolution=[8, 8]),
-            out_dir=tmp_path,
-        )
-        for name in ("codebook.csv", "range_out.pgm", "depth_out.pgm",
-                     "gt_range_out.pgm", "gt_depth_out.pgm"):
+        run_scenario(small_config(output__resolution=[8, 8]), out_dir=tmp_path)
+        for name in ("range_out.pgm", "depth_out.pgm", "gt_range_out.pgm", "gt_depth_out.pgm"):
             assert (tmp_path / name).exists()
 
 
@@ -531,6 +557,12 @@ class TestCli:
             ('output.write_records="no"', "output.write_records must be a boolean"),
             ("sim.noiseless=true", "sim.noiseless needs"),
             ("output.resolution=[720.7,1280]", "output.resolution entries must be integers"),
+            ('radio.tx_power_dbm="abc"', "radio.tx_power_dbm must be a finite number"),
+            ("radio.tx_power_dbm=NaN", "radio.tx_power_dbm must be a finite number"),
+            ("sim.cell_size_m=NaN", "sim.cell_size_m must be a finite number"),
+            ("estimator.fixed_noise_var=1e-9", "unknown estimator keys"),
+            ("output.write_codebook=true", "unknown output keys"),
+            ('estimator.noise_policy="fixed"', "unknown noise_policy"),
         ]:
             code = cli_main(["run", "--config", str(cfg), "--set", setting])
             assert code == 2
@@ -540,9 +572,36 @@ class TestCli:
         for args, match in [
             (["--scenario", "two_walls", "--set", "scene.front_distance_m=3"], "front_distance_m"),
             (["--scenario", "one_wall", "--set", "scene.material=steel"], "unknown material 'steel'"),
+            (["--scenario", "one_wall", "--set", "scene.rcs_sqm=-1.0"], "rcs_sqm must be >= 0"),
+            *((["--set", f"scene={json.dumps({'inline': inline})}"], match) for inline, match in BAD_INLINE_SCENES),
         ]:
             assert cli_main(["run", *args]) == 2
-            assert match in capsys.readouterr().err
+            assert re.search(match, capsys.readouterr().err)
+
+    def test_bad_flags_are_usage_errors(self, capsys):
+        for args in (
+            ["run", "--seed", "3"],
+            ["run", "--records"],
+            ["run", "--codebook"],
+            ["run", "--interpolation", "nearest"],
+            ["ground-truth", "--seed", "3", "--out", "gt"],
+            ["run", "--resolution", "12by8"],
+            ["run", "--resolution", "0x8"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                cli_main(args)
+            assert exit_info.value.code == 2, args
+        assert "resolution must be positive" in capsys.readouterr().err
+
+    def test_run_resolution_flag_equals_set(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        by_flag, by_set = tmp_path / "flag", tmp_path / "set"
+        assert cli_main(["run", "--config", str(cfg), "--resolution", "12x8", "--out", str(by_flag)]) == 0
+        assert cli_main(["run", "--config", str(cfg), "--set", "output.resolution=[8,12]",
+                         "--out", str(by_set)]) == 0
+        for name in ("range_out.pgm", "depth_out.pgm", "gt_range_out.pgm", "gt_depth_out.pgm"):
+            assert read_pgm16(by_flag / name).shape == (8, 12)
+            assert (by_flag / name).read_bytes() == (by_set / name).read_bytes()
 
     def test_missing_scene_file_is_runtime_error(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
@@ -563,6 +622,12 @@ class TestCli:
         assert (out / "gt_range.pgm").exists()
         assert (out / "gt_depth.pgm").exists()
         assert "24x32" in capsys.readouterr().out
+        # Without --resolution the maps take the beam grid size (n_v*os_v, n_h*os_h).
+        cfg = self.write_config(tmp_path)
+        code = cli_main(["ground-truth", "--config", str(cfg), "--set", "view.os_h=2", "--out", str(out)])
+        assert code == 0
+        assert read_pgm16(out / "gt_depth.pgm").shape == (4, 8)
+        assert "4x8" in capsys.readouterr().out
 
     def test_codebook_dump_subcommand(self, tmp_path, capsys):
         out = tmp_path / "codebook.csv"

@@ -10,7 +10,6 @@ import pytest
 from mmdepth import waveform
 from mmdepth.waveform import (
     golay_pair_128,
-    golay_pair,
     make_preamble,
     pi_half_rotate,
     synthesize_records,
@@ -58,18 +57,6 @@ class TestGolay:
         a, b = golay_pair_128()
         assert set(np.unique(a)) <= {-1.0, 1.0}
         assert set(np.unique(b)) <= {-1.0, 1.0}
-
-    @pytest.mark.parametrize("length", [1, 2, 64, 256, 1024])
-    def test_doubling_preserves_complementarity(self, length):
-        a, b = golay_pair(length)
-        total = np.correlate(a, a, "full") + np.correlate(b, b, "full")
-        center = length - 1
-        assert total[center] == pytest.approx(2.0 * length)
-        assert np.allclose(np.delete(total, center), 0.0, atol=1e-9)
-
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(ValueError):
-            golay_pair(96)
 
 
 class TestPiHalfRotation:
