@@ -11,9 +11,8 @@ This demo builds records with known path parameters and walks each rung,
 printing estimate against truth.
 """
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
-from mmdepth.channel import RadioConfig, noise_variance, pulse_taps
+from mmdepth.channel import SPEED_OF_LIGHT, RadioConfig, noise_variance, pulse_taps
 from mmdepth.estimator import (
     basic_correlator,
     build_bank,

@@ -12,9 +12,8 @@ This demo Monte-Carlos the full coarse-plus-fine estimate over a ladder of
 per-sample SNRs and prints the variance ratio against the bound.
 """
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
-from mmdepth.channel import RadioConfig, noise_variance, pulse_taps
+from mmdepth.channel import SPEED_OF_LIGHT, RadioConfig, noise_variance, pulse_taps
 from mmdepth.estimator import basic_correlator, build_bank, massive_correlator
 from mmdepth.metrics import crlb_range
 from mmdepth.waveform import make_preamble, synthesize_rx

@@ -1,7 +1,8 @@
 """
 Geometric backscatter channel: radar-equation path gains (path_gain, for
 scalars or arrays; mmdepth.scene calls it for every diffuse scatterer cell),
-band-limited pulse shaping, and beamformed channel taps.
+band-limited pulse shaping, and beamformed channel taps. The package's two
+physical constants, SPEED_OF_LIGHT and BOLTZMANN, are defined here once.
 
 The channel between the co-located arrays is a sum of single-bounce
 scatterer contributions. For scatterer g at round-trip delay tau and angles
@@ -24,12 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
-from scipy.constants import k as BOLTZMANN
 
 from .codebook import UpaConfig, axis_response
 
 __all__ = [
+    "SPEED_OF_LIGHT",
+    "BOLTZMANN",
     "RadioConfig",
     "noise_variance",
     "path_gain",
@@ -39,6 +40,9 @@ __all__ = [
     "delay_window_length",
     "PULSE_HALF_WIDTH",
 ]
+
+SPEED_OF_LIGHT = 299792458.0     # m/s, exact in the SI
+BOLTZMANN = 1.380649e-23         # J/K, exact in the SI since 2019
 
 # Truncation of the composite pulse, in symbol periods on each side of the peak.
 PULSE_HALF_WIDTH = 8

@@ -41,9 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
-from .channel import PULSE_HALF_WIDTH, raised_cosine
+from .channel import PULSE_HALF_WIDTH, SPEED_OF_LIGHT, raised_cosine
 
 __all__ = [
     "cross_correlation",
@@ -298,17 +297,17 @@ class CorrelatorBank:
     """
     Fractional-delay replica bank for sub-sample refinement.
 
-    rows[k] is the preamble delayed by (k - delta) / (ratio * f_s); the
-    center row k = delta is the unshifted reference.
+    conj_rows[k] is the conjugated preamble delayed by (k - delta) / (ratio
+    * f_s), the form the correlation uses; row k = delta is unshifted.
     """
 
     ratio: int                # fine-grid oversampling factor R
     delta: int                # rows span shifts -delta .. +delta
-    rows: np.ndarray          # (2*delta + 1, n_p) complex replicas
+    conj_rows: np.ndarray     # (2*delta + 1, n_p) conjugated complex replicas
 
     @property
     def n_p(self) -> int:
-        return self.rows.shape[1]
+        return self.conj_rows.shape[1]
 
 
 def build_bank(preamble: np.ndarray, ratio: int, rolloff: float = 0.25) -> CorrelatorBank:
@@ -325,7 +324,7 @@ def build_bank(preamble: np.ndarray, ratio: int, rolloff: float = 0.25) -> Corre
     A time shift preserves the energy of the continuous waveform, but
     sampling its fractional shifts does not, so the rows are rescaled to a
     common energy. Without this the argmax statistic drifts toward the
-    higher-energy rows near zero shift.
+    higher-energy rows near zero shift. The bank keeps the rows conjugated.
     """
     if ratio < 2 or ratio % 2:
         raise ValueError("ratio must be an even integer >= 2")
@@ -342,7 +341,7 @@ def build_bank(preamble: np.ndarray, ratio: int, rolloff: float = 0.25) -> Corre
     rows = (kernels @ shifted.view(float)).view(complex)  # one real GEMM
     norms = np.linalg.norm(rows, axis=1)
     rows *= (norms[delta] / norms)[:, None]
-    return CorrelatorBank(ratio=ratio, delta=delta, rows=rows)
+    return CorrelatorBank(ratio=ratio, delta=delta, conj_rows=rows.conj())
 
 
 def massive_correlator(
@@ -369,7 +368,7 @@ def massive_correlator(
     if np.any((delays < 0) | (delays + n_p > records.shape[1])):
         raise ValueError("coarse delay window leaves the record")
     windows = np.lib.stride_tricks.sliding_window_view(records, n_p, axis=1)[np.arange(len(delays)), delays]
-    g = windows @ bank.rows.conj().T
+    g = windows @ bank.conj_rows.T
     fine = (np.argmax(np.abs(g), axis=1) - bank.delta) / bank.ratio
     return float(fine[0]) if single else fine
 

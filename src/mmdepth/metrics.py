@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
+
+from .channel import SPEED_OF_LIGHT
 
 __all__ = ["ErrorReport", "map_errors", "crlb_range"]
 

@@ -295,33 +295,27 @@ SWEEP_ALIASES = {
     "upa_size": "upa.n",
     "os_factor": "view.os",
 }
+# Dotted names that set one value on both axes.
+_BOTH_AXES = {"upa.n": ("upa.n_h", "upa.n_v"), "view.os": ("view.os_h", "view.os_v")}
 
 
 def apply_override(data: dict, dotted: str, value) -> None:
     """
     Set a dotted path like 'radio.tx_power_dbm' in a config dict, in place.
 
-    Accepts the SWEEP_ALIASES short names as well. 'upa.n' sets both n_h
-    and n_v; 'view.os' sets both os_h and os_v. Intermediate dicts are
-    created as needed; final key validity is checked later by
-    config_from_dict.
+    Accepts the SWEEP_ALIASES short names as well; 'upa.n' and 'view.os'
+    set both axes (_BOTH_AXES). Intermediate dicts are created as needed;
+    final key validity is checked later by config_from_dict.
     """
     dotted = SWEEP_ALIASES.get(dotted, dotted)
-    if dotted == "upa.n":
-        data.setdefault("upa", {})["n_h"] = value
-        data["upa"]["n_v"] = value
-        return
-    if dotted == "view.os":
-        data.setdefault("view", {})["os_h"] = value
-        data["view"]["os_v"] = value
-        return
-    keys = dotted.split(".")
-    node = data
-    for k in keys[:-1]:
-        node = node.setdefault(k, {})
-        if not isinstance(node, dict):
-            raise ValueError(f"cannot descend into non-dict at {k!r} of {dotted!r}")
-    node[keys[-1]] = value
+    for path in _BOTH_AXES.get(dotted, (dotted,)):
+        *parents, leaf = path.split(".")
+        node = data
+        for k in parents:
+            node = node.setdefault(k, {})
+            if not isinstance(node, dict):
+                raise ValueError(f"cannot descend into non-dict at {k!r} of {path!r}")
+        node[leaf] = value
 
 
 # ---------------------------------------------------------------------------

@@ -32,12 +32,12 @@ from __future__ import annotations
 
 import inspect
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
-from .channel import path_gain
+from .channel import SPEED_OF_LIGHT, path_gain
 from .codebook import SceneView, sensor_grid
 
 __all__ = [
@@ -700,8 +700,8 @@ def build_scene(scene_cfg: dict, view: SceneView) -> Scene:
     """
     Check the scene section of a config ({"builtin": name, ...params},
     {"file": path} or {"inline": scene dict}) and build its Scene. Unknown
-    keys, names or materials, missing keys and bad parameter values raise
-    ValueError; a file that cannot be read raises OSError.
+    keys, names or materials, missing keys, a file path that is not a string
+    and bad parameter values raise ValueError; an unreadable file, OSError.
     """
     modes = [k for k in ("builtin", "file", "inline") if k in scene_cfg]
     if len(modes) != 1:
@@ -722,6 +722,8 @@ def build_scene(scene_cfg: dict, view: SceneView) -> Scene:
             raise ValueError(f"bad {name} scene parameter: {exc}") from None
     if params:
         raise ValueError(f"{mode} scene config takes no other keys")
+    if mode == "file" and not isinstance(scene_cfg["file"], (str, os.PathLike)):
+        raise ValueError(f"scene file must be a path string, got {scene_cfg['file']!r}")
     try:
         return scene_from_dict(scene_cfg["inline"]) if mode == "inline" else load_scene(scene_cfg["file"])
     except KeyError as exc:

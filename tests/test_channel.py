@@ -2,9 +2,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import constants
 
 from mmdepth.channel import (
     _BLOCK,
+    BOLTZMANN,
+    SPEED_OF_LIGHT,
     RadioConfig,
     noise_variance,
     path_gain,
@@ -27,6 +30,12 @@ def random_paths(rng, count, ts):
         range_m=np.ones(count),
         specular=np.zeros(count, dtype=bool),
     )
+
+
+def test_constants_are_the_exact_si_values():
+    # scipy is the test-side reference; the package itself runs without it.
+    assert SPEED_OF_LIGHT == constants.c
+    assert BOLTZMANN == constants.k
 
 
 class TestLinkBudget:

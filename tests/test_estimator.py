@@ -391,30 +391,30 @@ class TestJointProcessing:
 class TestCorrelatorBank:
     def test_rows_share_common_energy(self, golay_preamble, radio):
         bank = build_bank(golay_preamble, 8, radio.rolloff)
-        norms = np.linalg.norm(bank.rows, axis=1)
+        norms = np.linalg.norm(bank.conj_rows, axis=1)
         assert np.allclose(norms, norms[bank.delta], rtol=1e-12)
 
     def test_center_row_is_unshifted_preamble(self, golay_preamble, radio):
         bank = build_bank(golay_preamble, 4, radio.rolloff)
-        assert np.allclose(bank.rows[bank.delta], golay_preamble, atol=1e-12)
+        assert np.allclose(bank.conj_rows[bank.delta].conj(), golay_preamble, atol=1e-12)
 
     def test_row_count_spans_one_coarse_bin(self, pn_preamble):
         bank = build_bank(pn_preamble, 10)
-        assert bank.rows.shape == (11, 256)
+        assert bank.conj_rows.shape == (11, 256)
         assert bank.delta == 5
 
     @pytest.mark.parametrize("kind", ["golay", "pn"])
     @pytest.mark.parametrize("ratio", [2, 8, 100])
     def test_matches_per_row_convolution(self, golay_preamble, pn_preamble, radio, kind, ratio):
         preamble = golay_preamble if kind == "golay" else pn_preamble
-        rows = build_bank(preamble, ratio, radio.rolloff).rows
+        rows = build_bank(preamble, ratio, radio.rolloff).conj_rows.conj()
         ref = reference_bank(preamble, ratio, radio.rolloff)
         assert rows.shape == ref.shape
         assert np.all(np.abs(rows - ref).max(axis=1) <= 1e-14 * np.linalg.norm(ref, axis=1))
 
     def test_real_preamble_gives_complex_rows(self, radio):
         preamble = np.tile([1.0, -1.0, -1.0, 1.0], 16)
-        rows = build_bank(preamble, 4, radio.rolloff).rows
+        rows = build_bank(preamble, 4, radio.rolloff).conj_rows.conj()
         assert rows.dtype == complex and rows.shape == (5, 64)
         assert np.abs(rows - reference_bank(preamble, 4, radio.rolloff)).max() <= 1e-14 * 8.0
 
@@ -472,7 +472,7 @@ class TestMassiveCorrelator:
 
     def test_one_product_bank_keeps_the_picks(self, noisy_multipath, golay_preamble, radio):
         bank = build_bank(golay_preamble, 100, radio.rolloff)
-        ref = CorrelatorBank(100, 50, reference_bank(golay_preamble, 100, radio.rolloff))
+        ref = CorrelatorBank(100, 50, reference_bank(golay_preamble, 100, radio.rolloff).conj())
         stack = np.array([noisy_multipath(golay_preamble, 200 + k)[0] for k in range(12)])
         strongest = np.array([basic_correlator(y, golay_preamble) for y in stack])
         for coarse in (strongest, np.full(12, 40), np.arange(12) * 13):

@@ -118,6 +118,8 @@ class TestConfigFromDict:
             ({"inline": {"facets": []}}, "at least one facet"),
             ({"inline": {"facets": [], "colour": 1}}, "unknown scene keys"),
             ({"file": "x.json", "distance_m": 1.0}, "no other keys"),
+            ({"file": True}, "scene file must be a path string, got True"),
+            ({"file": 7}, "scene file must be a path string, got 7"),
             ({"builtin": "one_wall", "rcs_sqm": -1.0}, "rcs_sqm must be >= 0"),
             ({"builtin": "one_wall", "rcs_sqm": "x"}, "rcs_sqm must be a number"),
         ]:
@@ -567,12 +569,20 @@ class TestCli:
             code = cli_main(["run", "--config", str(cfg), "--set", setting])
             assert code == 2
             assert match in capsys.readouterr().err
+        # A both-axes alias meets a non-dict section the way a dotted path does.
+        for first, second in [("upa=5", "upa.n=8"), ("upa=5", "upa_size=8"),
+                              ("view=5", "view.os=2"), ("view=5", "os_factor=2")]:
+            code = cli_main(["run", "--config", str(cfg), "--set", first, "--set", second])
+            assert code == 2
+            assert "cannot descend into non-dict" in capsys.readouterr().err
 
     def test_invalid_scene_setting_is_usage_error(self, capsys):
         for args, match in [
             (["--scenario", "two_walls", "--set", "scene.front_distance_m=3"], "front_distance_m"),
             (["--scenario", "one_wall", "--set", "scene.material=steel"], "unknown material 'steel'"),
             (["--scenario", "one_wall", "--set", "scene.rcs_sqm=-1.0"], "rcs_sqm must be >= 0"),
+            (["--scenario", "one_wall", "--set", 'scene={"file": true}'], "scene file must be a path string"),
+            (["--scenario", "one_wall", "--set", 'scene={"file": 7}'], "scene file must be a path string"),
             *((["--set", f"scene={json.dumps({'inline': inline})}"], match) for inline, match in BAD_INLINE_SCENES),
         ]:
             assert cli_main(["run", *args]) == 2
