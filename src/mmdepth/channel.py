@@ -15,9 +15,10 @@ where amp_g already carries sqrt(G_g), the carrier phase e^(-j*2*pi*f_c*tau),
 and any scattering phase; a_g is the UPA response at the scatterer's angles
 (identical for departure and arrival, monostatic); and p is the composite
 raised-cosine pulse of the transmit and receive filters. With a separable
-(Kronecker) beam the coupling costs O(paths * (n_v + n_h)) per beam, and
-O(paths * N) for a general weight vector; the pulse adds O(paths * L_p). The
-N x N outer product a a^H is never formed.
+(Kronecker) beam the coupling is a product of two real per-axis power series
+(_power_series): O(paths * 2(n_v + n_h)) real multiply-adds per beam, with no
+N-wide product and no complex modulus; a general weight vector costs
+O(paths * N). The pulse adds O(paths * L_p); a a^H (N x N) is never formed.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ BOLTZMANN = 1.380649e-23         # J/K, exact in the SI since 2019
 PULSE_HALF_WIDTH = 8
 _PULSE_OFFSETS = np.arange(-PULSE_HALF_WIDTH, PULSE_HALF_WIDTH + 1)
 
-# Paths per block of tap synthesis; working memory is O(_BLOCK * (M + N)).
-_BLOCK = 4096
+# Paths per block of tap synthesis; working memory is O(_BLOCK * M), plus N for dense weights.
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -203,6 +204,19 @@ def pulse_taps(delays_s: np.ndarray, l_d: int, sample_period_s: float, rolloff: 
     return _pulse_values(center, delays_s, sample_period_s, rolloff)
 
 
+def _power_series(f: np.ndarray) -> np.ndarray:
+    """
+    Real W, (M, 2n), with W @ b.view(float) = |f . b|^2 for conjugated factor
+    rows f, (M, n), and b = axis_response. As b[r] conj(b[r']) = b[r - r'],
+    |f . b|^2 = rho_0 + 2 Re sum_{d>0} rho_d b[d], rho_d = sum_r f[r+d] conj(f[r]);
+    W holds w_0 = rho_0, w_d = 2 rho_d as [Re w_d, -Im w_d].
+    """
+    n = f.shape[1]
+    rho = np.stack([np.sum(f[:, d:] * f[:, : n - d].conj(), axis=1) for d in range(n)], axis=1)
+    rho[:, 1:] *= 2.0
+    return rho.conj().view(float)
+
+
 def beamformed_taps_batch(
     paths,
     weights: np.ndarray | tuple[np.ndarray, np.ndarray],
@@ -215,9 +229,9 @@ def beamformed_taps_batch(
 
     weights is either the (M, N) codebook matrix, used as both f_m and w_m,
     or its per-axis factors (b_v, b_h) of shapes (M, n_v) and (M, n_h) with
-    f_m = kron(b_v[m], b_h[m]). The per-path coupling is |a_g^H f_m|^2; with
-    factors it is |b_v,g^H b_v,m|^2 * |b_h,g^H b_h,m|^2, two small products
-    in place of one N-wide product.
+    f_m = kron(b_v[m], b_h[m]); other shapes raise ValueError. The per-path
+    coupling is |a_g^H f_m|^2; with factors it is the product of two axis
+    patterns, each a real (M, 2n) @ (2n, paths) product (_power_series).
 
     Paths are sorted by their pulse-centre tap and taken in blocks of
     _BLOCK. Within a block every run of paths sharing a centre tap c adds
@@ -227,32 +241,31 @@ def beamformed_taps_batch(
     -------
     np.ndarray, shape (M, l_d), complex taps per beam.
     """
+    factored = isinstance(weights, tuple)
+    parts, widths = (weights, (upa.n_v, upa.n_h)) if factored else ((weights,), (upa.n,))
+    shapes = [np.shape(w) for w in parts]
+    if [s[1:] for s in shapes] != [(n,) for n in widths] or len({s[0] for s in shapes}) != 1:
+        raise ValueError(f"weights of shapes {shapes} do not match (M, n) for n in {widths}")
     ts = radio.sample_period_s
     center = _pulse_centers(paths.delay_s, l_d, ts)
     order = np.argsort(center, kind="stable")
     amplitude = paths.amplitude.astype(complex, copy=False)
-    if isinstance(weights, tuple):
-        # A mirror-symmetric grid repeats factor rows (beams at +-x share
-        # b_v), so each distinct row is correlated once and gathered per beam.
-        (f_v, i_v), (f_h, i_h) = (
-            np.unique(f.conj(), axis=0, return_inverse=True) for f in weights
-        )
-        m_beams = len(i_v)
+    if factored:
+        w_v, w_h = (_power_series(f.conj()) for f in weights)
 
         def coupling(b_v, b_h):
-            cpl = (np.abs(f_v @ b_v.T) ** 2)[i_v]
-            cpl *= (np.abs(f_h @ b_h.T) ** 2)[i_h]
+            cpl = w_v @ b_v.view(float).T
+            cpl *= w_h @ b_h.view(float).T
             return cpl
 
     else:
         w_conj = weights.conj()
-        m_beams = len(w_conj)
 
         def coupling(b_v, b_h):
             a = (b_v[:, :, None] * b_h[:, None, :]).reshape(len(b_v), -1)
             return np.abs(w_conj @ a.T) ** 2
 
-    taps = np.zeros((m_beams, l_d), dtype=complex)
+    taps = np.zeros((shapes[0][0], l_d), dtype=complex)
     # Real view, (M, 2*l_d): tap d occupies columns 2d (re) and 2d+1 (im).
     acc = taps.view(float)
     width = 2 * (2 * PULSE_HALF_WIDTH + 1)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import constants
 
+from mmdepth import channel
 from mmdepth.channel import (
     _BLOCK,
     BOLTZMANN,
@@ -201,6 +202,79 @@ class TestBeamformedTaps:
         taps = beamformed_taps_batch(paths, weights, upa, radio, 160)
         again = beamformed_taps_batch(shuffled, weights, upa, radio, 160)
         assert np.abs(again - taps).max() <= 1e-13 * np.abs(taps).max()
+
+    @pytest.mark.parametrize("factored", [True, False])
+    @pytest.mark.parametrize("block", [1, 7, _BLOCK])
+    def test_block_size_does_not_matter(self, radio, monkeypatch, factored, block):
+        upa = UpaConfig(n_h=4, n_v=3)
+        cb = design_codebook(upa, SceneView(), slr_delta_h=3.0, slr_delta_v=3.0)
+        weights = cb.axis_factors if factored else cb.weights
+        paths = random_paths(np.random.default_rng(6), 2 * _BLOCK + 300, radio.sample_period_s)
+        want = beamformed_taps_batch(paths, weights, upa, radio, 160)
+        monkeypatch.setattr(channel, "_BLOCK", block)
+        got = beamformed_taps_batch(paths, weights, upa, radio, 160)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("slr", [0.0, 3.0])
+    def test_series_coupling_at_full_size(self, radio, slr):
+        # One unit-amplitude path per integer delay: p(0) = 1 exactly, so the
+        # centre tap is the coupling, plus neighbours' pulse tails at nonzero
+        # integer offsets, where p is zero up to ~1e-16 rounding.
+        upa = UpaConfig()
+        cb = design_codebook(upa, SceneView(), slr_delta_h=slr, slr_delta_v=slr)
+        rng = np.random.default_rng(7)
+        # Pattern nulls of the untapered beam 37 on both axes: its steering
+        # cosine plus q / (n * spacing) for q = 1..n-1.
+        m = 37
+        k_null = np.arange(1, upa.n_v) / (upa.n_v * upa.spacing_wavelengths)
+        cos_z = np.cos(cb.theta_z.ravel()[m]) + np.r_[k_null, -k_null]
+        cos_x = np.cos(cb.theta_x.ravel()[m]) + np.r_[k_null, -k_null]
+        cos_z, cos_x = cos_z[np.abs(cos_z) <= 1], cos_x[np.abs(cos_x) <= 1]
+        null_z, null_x = (g.ravel() for g in np.meshgrid(np.arccos(cos_z), np.arccos(cos_x)))
+        theta_z = np.r_[rng.uniform(0.0, np.pi, 200), cb.theta_z.ravel(), null_z]
+        theta_x = np.r_[rng.uniform(0.0, np.pi, 200), cb.theta_x.ravel(), null_x]
+        count = len(theta_z)
+        paths = PathSet(
+            delay_s=(PULSE_HALF_WIDTH + 1 + np.arange(count)) * radio.sample_period_s,
+            amplitude=np.ones(count, dtype=complex),
+            theta_z=theta_z,
+            theta_x=theta_x,
+            range_m=np.ones(count),
+            specular=np.zeros(count, dtype=bool),
+        )
+        l_d = count + 2 * PULSE_HALF_WIDTH + 2
+        taps = beamformed_taps_batch(paths, cb.axis_factors, upa, radio, l_d)
+        got = taps[:, PULSE_HALF_WIDTH + 1 : PULSE_HALF_WIDTH + 1 + count]
+        ref = np.abs(np.array([
+            steering_vector(tz, tx, upa).conj() @ cb.weights.T for tz, tx in zip(theta_z, theta_x)
+        ]).T) ** 2
+        peak = ref.max()
+        assert np.abs(got - ref).max() <= 1e-12 * peak
+        # The series is not a modulus, so near the nulls it may dip below
+        # zero, but only by rounding.
+        assert got.real.min() >= -1e-12 * peak
+        if slr == 0.0:
+            assert np.abs(got[m, 200 + cb.m :]).max() <= 1e-12 * peak
+
+    @pytest.mark.parametrize("case, match", [
+        ("rows", r"\(256, 16\), \(1, 16\)"),
+        ("width", r"\(256, 16\), \(256, 15\)"),
+        ("dense", r"\(256, 255\)"),
+    ])
+    def test_mismatched_weights_are_rejected(self, radio, case, match):
+        upa = UpaConfig()
+        cb = design_codebook(upa, SceneView())
+        b_v, b_h = cb.axis_factors
+        weights = {
+            "rows": (b_v, b_h[:1]),
+            "width": (b_v, b_h[:, :-1]),
+            "dense": cb.weights[:, :-1],
+        }[case]
+        # A path outside the tap window would raise too; the shape check comes first.
+        paths = random_paths(np.random.default_rng(8), 3, radio.sample_period_s)
+        paths.delay_s[0] = 1e-6
+        with pytest.raises(ValueError, match=match):
+            beamformed_taps_batch(paths, weights, upa, radio, 160)
 
 
 class TestDelayWindow:
