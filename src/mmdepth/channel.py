@@ -111,10 +111,10 @@ def path_gain(
 
     Takes scalars or arrays; any range <= 0 or RCS < 0 raises ValueError.
 
-    PL = 1 keeps the beam-aggregate return of an extended surface roughly
-    range-independent (footprint area grows as rho^2 while per-path gain
-    falls as rho^-2), which matches the flat error-vs-distance behavior of
-    wall scenes.
+    The builtin scenes use PL = 2, the free-space radar law. PL = 1, the
+    default here and for file and inline scenes without the key, keeps the
+    beam-aggregate return of an extended surface roughly range-independent
+    (footprint area grows as rho^2 while per-path gain falls as rho^-2).
     """
     if np.any(range_m <= 0):
         raise ValueError("range must be positive")

@@ -18,11 +18,12 @@ The processing ladder, lowest to highest:
   sic_candidates       the same on one record: cross_correlation followed by
                        cancel_candidates.
   joint_processing     resolves each beam's candidate set against the sets of
-                       its already-processed neighbors, preferring delays the
+                       its four upper and left neighbors on a boolean (beam
+                       row, beam column, delay) grid, preferring delays the
                        neighborhood has not seen (new scatterers enter the
                        field of view at most a few beams wide), and fills
                        beams with no detections from the previous beam in
-                       raster order.
+                       raster order. No visiting order enters the picks.
   build_bank /         sub-sample refinement: correlate the record window at
   massive_correlator   the selected coarse delay against a bank of fractionally
                        delayed preamble replicas on a ratio-times finer grid
@@ -247,17 +248,19 @@ def joint_processing(
     n_bar_v: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """
-    Pick one delay per beam from the per-beam candidate sets.
+    Pick one delay per beam from the per-beam candidate sets (1-D, bins >= 0).
 
-    Beams are visited in raster order (top row first, left to right). The
-    neighborhood of beam (h, v) is the union of the candidate sets at
-    (h-1, v), (h, v-1), (h-1, v-1) and (h+1, v-1), all already visited.
-    Delays also present in the neighborhood are explained by surfaces already
-    seen nearby, so the selection prefers the smallest delay NOT in the
-    neighborhood (a newly entering scatterer); if every candidate is known,
-    it falls back to the smallest candidate. Beams with empty candidate sets
-    inherit the previous selection in raster order (the leading gap, if any,
-    copies the first valid selection backwards).
+    The neighborhood of beam (h, v) is the union of the candidate sets at
+    (h-1, v), (h, v-1), (h-1, v-1) and (h+1, v-1). Delays also present in
+    the neighborhood are explained by surfaces already seen nearby, so the
+    selection prefers the smallest delay NOT in the neighborhood (a newly
+    entering scatterer); if every candidate is known, it falls back to the
+    smallest candidate. A pick depends only on the neighbors' candidate
+    sets, not on their picks, so no visiting order enters it. Beams with
+    empty candidate sets inherit the previous selection in raster order
+    (the leading gap, if any, copies the first valid selection backwards).
+    On the boolean (n_bar_v, n_bar_h, sorted distinct bins) grid the
+    neighborhood is four shifted ORs and the first True is the smallest.
 
     Returns
     -------
@@ -266,30 +269,27 @@ def joint_processing(
     """
     if len(delay_sets) != n_bar_h * n_bar_v:
         raise ValueError("need one candidate set per beam")
-    sets = [set(int(q) for q in np.asarray(d).ravel()) for d in delay_sets]
-    selected = np.full((n_bar_v, n_bar_h), -1, dtype=int)
-    for v in range(n_bar_v):
-        for h in range(n_bar_h):
-            t = sets[v * n_bar_h + h]
-            if not t:
-                continue
-            neigh: set[int] = set()
-            for dh, dv in ((-1, 0), (0, -1), (-1, -1), (+1, -1)):
-                hh, vv = h + dh, v + dv
-                if 0 <= hh < n_bar_h and 0 <= vv < n_bar_v:
-                    neigh |= sets[vv * n_bar_h + hh]
-            fresh = t - neigh
-            selected[v, h] = min(fresh) if fresh else min(t)
-    flat = selected.ravel()
-    filled = flat < 0
+    bins, column = np.unique(np.concatenate(delay_sets).astype(int), return_inverse=True)
+    if bins.size and bins[0] < 0:
+        raise ValueError(f"delay bins must be >= 0, got {bins[0]}")
+    beam = np.repeat(np.arange(len(delay_sets)), list(map(len, delay_sets)))
+    # The grid sits inside one empty beam of padding above, left and right.
+    pad = np.zeros((n_bar_v + 1, n_bar_h + 2, bins.size), dtype=bool)
+    cand = pad[1:, 1:-1]
+    cand[beam // n_bar_h, beam % n_bar_h, column] = True
+    seen = pad[1:, :-2] | pad[:-1, 1:-1] | pad[:-1, :-2] | pad[:-1, 2:]
+    fresh = cand & ~seen
+    filled = ~cand.any(axis=-1)
     if filled.all():
         raise ValueError("no beam produced any delay candidate")
-    valid = np.flatnonzero(~filled)
+    selected = bins[np.where(fresh.any(axis=-1), fresh.argmax(axis=-1), cand.argmax(axis=-1))]
+    flat, hole = selected.ravel(), filled.ravel()
+    valid = np.flatnonzero(~hole)
     # Forward fill: carry[i] is the most recent valid index at or before i,
     # clamped up to the first valid index so a leading gap copies backwards.
-    carry = np.maximum.accumulate(np.where(~filled, np.arange(flat.size), 0))
+    carry = np.maximum.accumulate(np.where(~hole, np.arange(flat.size), 0))
     flat[:] = flat[np.maximum(carry, valid[0])]
-    return selected, filled.reshape(n_bar_v, n_bar_h)
+    return selected, filled
 
 
 @dataclass

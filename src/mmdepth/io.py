@@ -101,17 +101,15 @@ def write_records(path, records: list[SensingRecord]) -> None:
         then per record:
         uint32 beam | uint32 n_p | uint32 l_d | (n_p+l_d) x (re, im) float64
 
-    All integers and floats little-endian.
+    All integers and floats little-endian; the samples are the bytes of a
+    little-endian complex128 array.
     """
     with open(path, "wb") as fh:
         fh.write(_RECORD_MAGIC)
         fh.write(struct.pack("<II", _RECORD_VERSION, len(records)))
         for rec in records:
             fh.write(struct.pack("<III", rec.beam, rec.n_p, rec.l_d))
-            inter = np.empty(2 * len(rec.samples), dtype="<f8")
-            inter[0::2] = rec.samples.real
-            inter[1::2] = rec.samples.imag
-            fh.write(inter.tobytes())
+            fh.write(rec.samples.astype("<c16").tobytes())
 
 
 def read_records(path) -> list[SensingRecord]:
@@ -128,9 +126,8 @@ def read_records(path) -> list[SensingRecord]:
         beam, n_p, l_d = struct.unpack_from("<III", data, pos)
         pos += 12
         n = n_p + l_d
-        inter = np.frombuffer(data, dtype="<f8", count=2 * n, offset=pos)
+        samples = np.frombuffer(data, dtype="<c16", count=n, offset=pos).astype(complex)
         pos += 16 * n
-        samples = inter[0::2] + 1j * inter[1::2]
         records.append(SensingRecord(beam=beam, n_p=n_p, l_d=l_d, samples=samples))
     if pos != len(data):
         raise ValueError("trailing bytes after last record")

@@ -217,8 +217,6 @@ def _build_section(cls, data: dict, where: str):
         if not ok:
             what = {"bool": "a boolean", "int": "an integer", "float": "a finite number"}[kind]
             raise TypeError(f"{where}.{f.name} must be {what}, got {value!r}")
-    if cls is OutputConfig and isinstance(data.get("resolution"), list):
-        data = {**data, "resolution": tuple(data["resolution"])}
     return cls(**data)
 
 

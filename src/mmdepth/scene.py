@@ -541,7 +541,8 @@ def scene_from_dict(data: dict) -> Scene:
         boresight=np.asarray(dev.get("boresight", [0.0, 1.0, 0.0]), dtype=float),
         up=np.asarray(dev.get("up", [0.0, 0.0, 1.0]), dtype=float),
     )
-    return Scene(facets=facets, device=pose, path_loss_exponent=data.get("path_loss_exponent", 1.0))
+    pl = {"path_loss_exponent": data["path_loss_exponent"]} if "path_loss_exponent" in data else {}
+    return Scene(facets=facets, device=pose, **pl)
 
 
 def scene_to_dict(scene: Scene) -> dict:

@@ -330,6 +330,47 @@ def sets_to_list(rows):
     return [np.array(sorted(s), dtype=int) for s in rows]
 
 
+def reference_joint_processing(delay_sets, n_bar_h, n_bar_v):
+    """Set-based joint selection: visit the beams in raster order and pick
+    from set differences against the four upper and left neighbors."""
+    sets = [set(int(q) for q in np.asarray(d).ravel()) for d in delay_sets]
+    selected = np.full((n_bar_v, n_bar_h), -1, dtype=int)
+    for v in range(n_bar_v):
+        for h in range(n_bar_h):
+            t = sets[v * n_bar_h + h]
+            if not t:
+                continue
+            neigh = set()
+            for dh, dv in ((-1, 0), (0, -1), (-1, -1), (+1, -1)):
+                hh, vv = h + dh, v + dv
+                if 0 <= hh < n_bar_h and 0 <= vv < n_bar_v:
+                    neigh |= sets[vv * n_bar_h + hh]
+            fresh = t - neigh
+            selected[v, h] = min(fresh) if fresh else min(t)
+    flat = selected.ravel()
+    filled = flat < 0
+    last = flat[np.flatnonzero(~filled)[0]]
+    for i in range(flat.size):
+        if filled[i]:
+            flat[i] = last
+        last = flat[i]
+    return selected, filled.reshape(n_bar_v, n_bar_h)
+
+
+@st.composite
+def candidate_grids(draw):
+    """Beam grids of 1-6 beams per axis with empty beams, small bins and
+    bins up to 1e9, and at least one non-empty beam."""
+    n_bar_h = draw(st.integers(1, 6))
+    n_bar_v = draw(st.integers(1, 6))
+    bins = st.one_of(st.integers(0, 30), st.integers(0, 10**9))
+    rows = draw(
+        st.lists(st.sets(bins, max_size=5), min_size=n_bar_h * n_bar_v, max_size=n_bar_h * n_bar_v)
+        .filter(any)
+    )
+    return rows, n_bar_h, n_bar_v
+
+
 class TestJointProcessing:
     def test_prefers_delay_unseen_by_neighbors(self):
         selected, filled = joint_processing(sets_to_list([{5}, {5, 9}, {9}]), 3, 1)
@@ -364,6 +405,28 @@ class TestJointProcessing:
     def test_set_count_validated(self):
         with pytest.raises(ValueError, match="per beam"):
             joint_processing(sets_to_list([{1}, {2}]), 2, 2)
+
+    def test_negative_bin_rejected(self):
+        # -1 would otherwise be indistinguishable from an empty beam.
+        with pytest.raises(ValueError, match="delay bins must be >= 0, got -1"):
+            joint_processing([np.array([-1]), np.array([4])], 2, 1)
+
+    def test_pick_ignores_neighbor_picks(self):
+        # No neighbor of beam (1, 1) picks 5, but beam (0, 0) holds it, so
+        # 5 counts as seen there and 11 is the fresh choice.
+        rows = sets_to_list([{3, 5}, {3, 9}, {3, 7}, {5, 11}])
+        selected, _ = joint_processing(rows, 2, 2)
+        assert selected.tolist() == [[3, 9], [7, 11]]
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(candidate_grids())
+    def test_matches_set_based_reference(self, grid):
+        rows, n_bar_h, n_bar_v = grid
+        selected, filled = joint_processing(sets_to_list(rows), n_bar_h, n_bar_v)
+        ref_selected, ref_filled = reference_joint_processing(sets_to_list(rows), n_bar_h, n_bar_v)
+        assert selected.dtype == ref_selected.dtype
+        assert np.array_equal(selected, ref_selected)
+        assert np.array_equal(filled, ref_filled)
 
     @settings(derandomize=True, max_examples=50)
     @given(

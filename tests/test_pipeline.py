@@ -134,6 +134,28 @@ class TestConfigFromDict:
         with pytest.raises(ValueError, match="bad file scene: missing key 'facets'"):
             config_from_dict({"scene": {"file": str(path)}})
 
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ({"upa": {"n_h": 0}}, "UPA dimensions must be positive"),
+            ({"upa": {"n_v": -1}}, "UPA dimensions must be positive"),
+            ({"upa": {"spacing_wavelengths": 0.0}}, "element spacing must be positive"),
+            ({"view": {"fov_deg": 0.0}}, "fov_deg must lie in \\(0, 180\\)"),
+            ({"view": {"fov_deg": 180}}, "fov_deg must lie in \\(0, 180\\)"),
+            ({"view": {"aspect_ratio": 0.0}}, "aspect_ratio must be positive"),
+            ({"view": {"focal_length_m": -0.01}}, "focal_length_m must be positive"),
+            ({"view": {"os_h": 0}}, "oversampling factors must be >= 1"),
+            ({"view": {"os_v": 0}}, "oversampling factors must be >= 1"),
+            ({"radio": {"carrier_hz": 0.0}}, "carrier and bandwidth must be positive"),
+            ({"radio": {"bandwidth_hz": -2e9}}, "carrier and bandwidth must be positive"),
+            ({"radio": {"rolloff": -0.1}}, "rolloff must lie in \\[0, 1\\]"),
+            ({"radio": {"rolloff": 1.5}}, "rolloff must lie in \\[0, 1\\]"),
+        ],
+    )
+    def test_array_view_and_radio_ranges_validated(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            config_from_dict(bad)
+
     def test_resolution_list_becomes_tuple(self):
         cfg = config_from_dict({"output": {"resolution": [120, 160]}})
         assert cfg.output.resolution == (120, 160)

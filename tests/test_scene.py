@@ -423,6 +423,15 @@ class TestTracer:
         assert ranges.tolist() == [1.0]
 
 
+    def test_full_scatter_leaves_no_specular_path(self):
+        # scatter_ratio 1 diffuses all incident power, so the mirror return
+        # carries none and is dropped; the same wall in concrete keeps it.
+        for material, count in ((Material("matte", 1.0), 0), (MATERIALS["concrete"], 1)):
+            scene = wall_scene(6.0, span=3.0, material=material)
+            paths = trace_backscatter_paths(scene, 0.0, 0.0, 5e-3, cell_size_m=0.5)
+            assert paths.specular.sum() == count
+
+
 class TestVisibility:
     def test_matches_per_facet_reference_on_pillar_room(self):
         scene = build_scene({"builtin": "pillar_room"}, SceneView())
@@ -489,3 +498,60 @@ class TestSceneSerialization:
         data["facets"][0]["material"] = "adamantium"
         with pytest.raises((KeyError, ValueError)):
             scene_from_dict(data)
+
+
+SQUARE = [[-1.0, 4.0, -1.0], [1.0, 4.0, -1.0], [1.0, 4.0, 1.0], [-1.0, 4.0, 1.0]]
+CONCRETE = MATERIALS["concrete"]
+
+
+def square_scene_dict(facet=None, **top):
+    """A one-facet scene description with facet and top-level keys added."""
+    return {"facets": [{"vertices": SQUARE, "material": "concrete", **(facet or {})}], **top}
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: PlanarFacet(np.zeros((3, 3)), CONCRETE), "facet needs exactly 4 vertices of 3 coordinates"),
+        (lambda: PlanarFacet(np.zeros((4, 2)), CONCRETE), "facet needs exactly 4 vertices of 3 coordinates"),
+        (
+            lambda: PlanarFacet([[0.0, 4.0, 0.0], [1.0, 4.0, 0.0], [2.0, 4.0, 0.0], [0.0, 4.0, 1.0]], CONCRETE),
+            "degenerate facet \\(collinear vertices\\)",
+        ),
+        (
+            lambda: PlanarFacet([*SQUARE[:3], [-1.0, 4.1, 1.0]], CONCRETE),
+            "facet vertices not coplanar \\(offset 1.000e-01 m\\)",
+        ),
+        (
+            # A dart: the third vertex turns the winding the other way.
+            lambda: PlanarFacet([[0.0, 4.0, 0.0], [2.0, 4.0, 0.0], [0.5, 4.0, 0.5], [0.0, 4.0, 2.0]], CONCRETE),
+            "facet is not convex",
+        ),
+        (lambda: DevicePose(position=np.zeros(3), boresight=np.zeros(3)), "boresight must be nonzero"),
+        (lambda: DevicePose(position=np.zeros(3), up=[0.0, -2.0, 0.0]), "up vector is parallel to boresight"),
+        (lambda: Material("m", 1.5), "scatter_ratio must lie in \\[0, 1\\]"),
+        (lambda: Material("m", -0.1), "scatter_ratio must lie in \\[0, 1\\]"),
+        (lambda: scene_from_dict(square_scene_dict(path_loss_exponent=0.0)), "path_loss_exponent must be positive"),
+        (lambda: scene_from_dict(square_scene_dict(path_loss_exponent=-2.0)), "path_loss_exponent must be positive"),
+        (lambda: scene_from_dict(square_scene_dict({"colour": "red"})), "unknown facet keys \\['colour'\\]"),
+        (
+            lambda: scene_from_dict(square_scene_dict(device={"roll_deg": 0.0})),
+            "unknown device keys \\['roll_deg'\\]",
+        ),
+        (
+            lambda: scene_from_dict(square_scene_dict({"material": 0.4})),
+            "material must be a catalog name or an inline object",
+        ),
+    ],
+)
+def test_invalid_geometry_and_scene_descriptions_rejected(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_scene_description_without_exponent_takes_scene_default():
+    default = next(f.default for f in dataclasses.fields(Scene) if f.name == "path_loss_exponent")
+    assert scene_from_dict(square_scene_dict()).path_loss_exponent == default == 1.0
+    assert scene_from_dict(square_scene_dict(path_loss_exponent=2.0)).path_loss_exponent == 2.0
+    for name in ("one_wall", "two_walls", "pillar_room"):
+        assert build_scene({"builtin": name}, SceneView()).path_loss_exponent == 2.0
