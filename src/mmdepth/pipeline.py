@@ -160,6 +160,8 @@ class OutputConfig:
         if self.interpolation not in ("nearest", "bicubic"):
             raise ValueError(f"unknown interpolation {self.interpolation!r}")
         if self.resolution is not None:
+            if not isinstance(self.resolution, (list, tuple)) or len(self.resolution) != 2:
+                raise TypeError(f"output.resolution must be a [rows, cols] pair, got {self.resolution!r}")
             r, c = self.resolution
             # Truncating 720.7 or True to an int would run a size nobody asked for.
             if any(not isinstance(v, int) or isinstance(v, bool) for v in (r, c)):

@@ -11,14 +11,16 @@ Two consumers look at the same geometry through one ray cast, _first_hit:
                         facet against the pixels of its image window only;
                         the reference the estimated maps are scored against.
   trace_backscatter_paths
-                        the radio view: each facet is subdivided into small
-                        cells and every visible cell contributes one
-                        monostatic path (delay 2*rho/c, matched departure and
-                        arrival angles, channel.path_gain amplitude with a
-                        seeded scattering phase). Facets whose orthogonal foot
-                        point contains the device's mirror image add a
-                        deterministic specular path, which is all that
-                        survives on glass.
+                        the radio view: a sum of point scatterers, each
+                        visible one a monostatic path (delay 2*rho/c, matched
+                        departure and arrival angles, channel.path_gain
+                        amplitude). Each facet is subdivided into small cells
+                        with a seeded scattering phase; a facet that contains
+                        the device's orthogonal foot adds that foot as one
+                        more scatterer, the specular return, with plane RCS
+                        pi*rho^2*(1 - scatter_ratio^2) under the free-space
+                        law PL = 2 whatever the scene's path_loss_exponent.
+                        It is all that survives on glass.
 
 Scattering strength reduces the directive-lobe material model to a single
 scattered-to-incident field ratio per material (see the material table);
@@ -408,28 +410,30 @@ def trace_backscatter_paths(
     """
     Extract the monostatic backscatter paths of a scene.
 
-    Diffuse mechanism: every facet is subdivided into ~cell_size_m cells;
-    each cell whose line of sight to the device is clear contributes one
-    path with sigma_RCS = BACKSCATTER_GAIN * scatter_ratio * cell_area (or
-    the facet's rcs_sqm override apportioned by area), delay tau = 2*rho/c,
-    and amplitude sqrt(G) * e^(-j*2*pi*f_c*tau) * e^(j*xi) with xi drawn
-    uniformly from a stream seeded by `seed`. Zero-amplitude cells (glass)
-    are dropped.
+    Every path is a point scatterer with positive sigma_RCS and a clear line
+    of sight to the device, with delay tau = 2*rho/c and amplitude
+    sqrt(G) * e^(-j*2*pi*f_c*tau) * e^(j*xi), G = channel.path_gain.
 
-    Specular mechanism (include_specular): a facet whose plane contains the
-    orthogonal foot of the device inside its bounds returns a mirror image
-    of the transmitter; the path uses the image-source gain
-    G = G_T*G_R*lambda^2*(1 - scatter_ratio^2) / ((4*pi)^2 * (2*rho)^2) and
-    a deterministic carrier phase.
+    Diffuse mechanism: every facet is subdivided into ~cell_size_m cells;
+    a cell has sigma_RCS = BACKSCATTER_GAIN * scatter_ratio * cell_area (or
+    the facet's rcs_sqm override apportioned by area), the scene's
+    path_loss_exponent, and xi drawn uniformly from a stream seeded by
+    `seed`. Zero-RCS cells (glass) are dropped.
+
+    Specular mechanism (include_specular): a facet that contains the
+    orthogonal foot of the device returns a mirror image of the transmitter.
+    The foot is a scatterer at range rho (the device's distance to the
+    plane) with the plane RCS pi*rho^2*(1 - scatter_ratio^2), PL = 2 whatever
+    the scene's path_loss_exponent, and xi = 0: the image-source gain
+    G_T*G_R*lambda^2*(1 - scatter_ratio^2) / ((4*pi)^2 * (2*rho)^2).
+    Specular paths follow all diffuse ones.
     """
     if cell_size_m <= 0:
         raise ValueError("cell_size_m must be positive")
     rng = np.random.default_rng(seed)
-    f_c = SPEED_OF_LIGHT / wavelength_m
-    pl = scene.path_loss_exponent
-
-    parts = []  # one tuple of PathSet columns per facet or specular return
-
+    origin = scene.device.position
+    # (facet index, points, sigma_RCS, xi, PL, specular), diffuse groups first
+    groups = []
     for fi, facet in enumerate(scene.facets):
         centers, areas = _subdivide(facet, cell_size_m)
         # Draw the phases before any pruning so the set of random numbers a
@@ -439,51 +443,32 @@ def trace_backscatter_paths(
             sigma = facet.rcs_sqm * areas / areas.sum()
         else:
             sigma = BACKSCATTER_GAIN * facet.material.scatter_ratio * areas
+        groups.append((fi, centers, sigma, xi, scene.path_loss_exponent, False))
+    for fi, facet in enumerate(scene.facets if include_specular else ()):
+        n = facet.normal
+        dist = np.dot(origin - facet.vertices[0], n)  # signed distance to the plane
+        # The ray from the device along -sign(dist)*n meets the plane at the foot.
+        if abs(dist) >= 1e-9 and np.isfinite(_ray_quad(origin, -np.sign(dist) * n[None, :], facet)[0]):
+            sigma = np.pi * dist**2 * (1.0 - facet.material.scatter_ratio**2)  # power not diffused
+            groups.append((fi, (origin - dist * n)[None, :], np.array([sigma]), np.zeros(1), 2.0, True))
+
+    parts = []  # one tuple of PathSet columns per group with a visible scatterer
+    f_c = SPEED_OF_LIGHT / wavelength_m
+    for fi, points, sigma, xi, pl, specular in groups:
         keep = sigma > 0
-        keep &= _visible(scene, centers, fi)
+        keep &= _visible(scene, points, fi)
         if not np.any(keep):
             continue
-        centers, areas, sigma, xi = centers[keep], areas[keep], sigma[keep], xi[keep]
-        theta_z, theta_x, rho = _device_angles(scene, centers)
+        theta_z, theta_x, rho = _device_angles(scene, points[keep])
         tau = 2.0 * rho / SPEED_OF_LIGHT
-        gain = path_gain(sigma, rho, wavelength_m, tx_gain_dbi, rx_gain_dbi, pl)
-        amp = np.sqrt(gain) * np.exp(1j * (xi - 2.0 * np.pi * f_c * tau))
-        parts.append((tau, amp, theta_z, theta_x, rho, np.zeros(len(rho), dtype=bool)))
-
-    if include_specular:
-        for fi in range(len(scene.facets)):
-            spec = _specular_path(scene, fi, tx_gain_dbi, rx_gain_dbi, wavelength_m, f_c)
-            if spec is not None:
-                parts.append(spec)
+        # A scalar pl per group: numpy squares x**2.0 but calls pow for an array exponent.
+        gain = path_gain(sigma[keep], rho, wavelength_m, tx_gain_dbi, rx_gain_dbi, pl)
+        amp = np.sqrt(gain) * np.exp(1j * (xi[keep] - 2.0 * np.pi * f_c * tau))
+        parts.append((tau, amp, theta_z, theta_x, rho, np.full(len(rho), specular)))
 
     if not parts:
         raise ValueError("scene produced no backscatter paths")
     return PathSet(*(np.concatenate(column) for column in zip(*parts)))
-
-
-def _specular_path(scene: Scene, fi: int, tx_gain_dbi, rx_gain_dbi, wavelength_m, f_c):
-    """Mirror return in facet fi as one-element PathSet columns, or None."""
-    facet = scene.facets[fi]
-    n = facet.normal
-    d = scene.device.position
-    dist = np.dot(d - facet.vertices[0], n)  # signed distance to the plane
-    rho = abs(float(dist))
-    # The ray from the device along -sign(dist)*n meets the plane at the foot.
-    if rho < 1e-9 or np.isinf(_ray_quad(d, -np.sign(dist) * n[None, :], facet)[0]):
-        return None
-    foot = d - dist * n
-    if not _visible(scene, foot[None, :], fi)[0]:
-        return None
-    refl = 1.0 - facet.material.scatter_ratio**2  # power not diffused stays specular
-    if refl <= 0:
-        return None
-    g_t = 10.0 ** (tx_gain_dbi / 10.0)
-    g_r = 10.0 ** (rx_gain_dbi / 10.0)
-    gain = g_t * g_r * wavelength_m**2 * refl / ((4.0 * np.pi) ** 2 * (2.0 * rho) ** 2)
-    tau = 2.0 * rho / SPEED_OF_LIGHT
-    theta_z, theta_x, _ = _device_angles(scene, foot[None, :])
-    amp = np.sqrt(gain) * np.exp(-1j * 2.0 * np.pi * f_c * tau)
-    return np.array([tau]), np.array([amp]), theta_z, theta_x, np.array([rho]), np.array([True])
 
 
 # ---------------------------------------------------------------------------
@@ -501,29 +486,27 @@ def _catalog_material(name: str) -> Material:
         raise ValueError(f"unknown material {name!r}; catalog: {sorted(MATERIALS)}") from None
 
 
+def _check_keys(data: dict, allowed: set, what: str) -> None:
+    extra = set(data) - allowed
+    if extra:
+        raise ValueError(f"unknown {what} keys {sorted(extra)}")
+
+
 def _material_from_spec(spec) -> Material:
     if isinstance(spec, str):
         return _catalog_material(spec)
     if isinstance(spec, dict):
-        extra = set(spec) - {"name", "scatter_ratio"} - _IGNORED_MATERIAL_KEYS
-        if extra:
-            raise ValueError(f"unknown material keys {sorted(extra)}")
+        _check_keys(spec, {"name", "scatter_ratio"} | _IGNORED_MATERIAL_KEYS, "material")
         return Material(**{k: v for k, v in spec.items() if k not in _IGNORED_MATERIAL_KEYS})
     raise ValueError("material must be a catalog name or an inline object")
 
 
 def scene_from_dict(data: dict) -> Scene:
     """Build a Scene from a JSON-shaped dict; unknown keys are rejected."""
-    allowed = {"facets", "device", "path_loss_exponent"}
-    extra = set(data) - allowed
-    if extra:
-        raise ValueError(f"unknown scene keys {sorted(extra)}")
+    _check_keys(data, {"facets", "device", "path_loss_exponent"}, "scene")
     facets = []
     for fd in data["facets"]:
-        f_allowed = {"vertices", "material", "rcs_sqm"}
-        f_extra = set(fd) - f_allowed
-        if f_extra:
-            raise ValueError(f"unknown facet keys {sorted(f_extra)}")
+        _check_keys(fd, {"vertices", "material", "rcs_sqm"}, "facet")
         facets.append(
             PlanarFacet(
                 vertices=np.asarray(fd["vertices"], dtype=float),
@@ -532,10 +515,7 @@ def scene_from_dict(data: dict) -> Scene:
             )
         )
     dev = data.get("device", {})
-    d_allowed = {"position", "boresight", "up"}
-    d_extra = set(dev) - d_allowed
-    if d_extra:
-        raise ValueError(f"unknown device keys {sorted(d_extra)}")
+    _check_keys(dev, {"position", "boresight", "up"}, "device")
     pose = DevicePose(
         position=np.asarray(dev.get("position", [0.0, 0.0, 0.0]), dtype=float),
         boresight=np.asarray(dev.get("boresight", [0.0, 1.0, 0.0]), dtype=float),

@@ -284,3 +284,8 @@ class TestDelayWindow:
 
     def test_rounds_up_fractional_bins(self):
         assert delay_window_length(50.2e-9, 0.5e-9, guard=0) == 101
+
+    def test_negative_delay_rejected(self):
+        assert delay_window_length(0.0, 0.5e-9, guard=16) == 16
+        with pytest.raises(ValueError, match="max delay must be >= 0"):
+            delay_window_length(-1e-12, 0.5e-9)

@@ -149,6 +149,22 @@ class TestQuantizePhases:
         assert np.allclose(quantize_phases(once, 2), once)
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: sensor_grid(SceneView(), 0, 16), "grid dimensions must be positive"),
+        (lambda: sensor_grid(SceneView(), 16, -1), "grid dimensions must be positive"),
+        (lambda: slr_weights(0, 3.0), "n must be positive"),
+        (lambda: slr_weights(16, -0.5), "delta must be >= 0"),
+        (lambda: quantize_phases(np.ones(4, dtype=complex), 0), "bits must be >= 1"),
+        (lambda: radiation_pattern(np.zeros(256, dtype=complex), UpaConfig(), 1.0, 1.0), "beam has zero pattern"),
+    ],
+)
+def test_invalid_arguments_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 class TestDesignCodebook:
     def test_beam_count_and_shapes(self):
         cb = design_codebook(UpaConfig(), SceneView())

@@ -1,11 +1,12 @@
-"""Artifact formats: the 16-bit PGM map and record dump round trips, and
-the readers' rejection of files they did not write."""
+"""Artifact formats: the 16-bit PGM map and record dump round trips, the
+readers' rejection of files they did not write, and the writers' rejection
+of maps that are not 2-D."""
 import struct
 
 import numpy as np
 import pytest
 
-from mmdepth.io import read_pgm16, read_records, write_pgm16, write_records
+from mmdepth.io import read_pgm16, read_records, write_map_csv, write_pgm16, write_records
 from mmdepth.waveform import SensingRecord
 
 # One beam, n_p = 1, l_d = 0, sample 1 + 2j.
@@ -73,3 +74,12 @@ def test_readers_reject_foreign_files(tmp_path, reader, data, match):
     path.write_bytes(data)
     with pytest.raises(ValueError, match=match):
         reader(path)
+
+
+@pytest.mark.parametrize("writer", [write_pgm16, write_map_csv])
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+def test_writers_reject_maps_that_are_not_2d(tmp_path, writer, shape):
+    path = tmp_path / "map"
+    with pytest.raises(ValueError, match="map must be 2-D"):
+        writer(path, np.ones(shape))
+    assert not path.exists()

@@ -193,6 +193,10 @@ class TestConfigFromDict:
             ({"upa": {"n_h": 16.0}}, "n_h"),
             ({"codebook": {"phase_bits": 2.0}}, "phase_bits"),
             ({"output": {"write_codebook": True}}, "unknown output keys"),
+            # The display size is a [rows, cols] pair, never a string, a scalar or a triple.
+            ({"output": {"resolution": "abc"}}, "output.resolution must be a \\[rows, cols\\] pair, got 'abc'"),
+            ({"output": {"resolution": [1, 2, 3]}}, "output.resolution must be a \\[rows, cols\\] pair"),
+            ({"output": {"resolution": 5}}, "output.resolution must be a \\[rows, cols\\] pair, got 5"),
             # Float fields take a finite int or float, never a string, bool or NaN.
             ({"radio": {"tx_power_dbm": "abc"}}, "radio.tx_power_dbm must be a finite number"),
             ({"radio": {"tx_power_dbm": float("nan")}}, "radio.tx_power_dbm must be a finite number"),
@@ -581,6 +585,7 @@ class TestCli:
             ('output.write_records="no"', "output.write_records must be a boolean"),
             ("sim.noiseless=true", "sim.noiseless needs"),
             ("output.resolution=[720.7,1280]", "output.resolution entries must be integers"),
+            ('output.resolution="abc"', "output.resolution must be a [rows, cols] pair, got 'abc'"),
             ('radio.tx_power_dbm="abc"', "radio.tx_power_dbm must be a finite number"),
             ("radio.tx_power_dbm=NaN", "radio.tx_power_dbm must be a finite number"),
             ("sim.cell_size_m=NaN", "sim.cell_size_m must be a finite number"),

@@ -432,6 +432,26 @@ class TestTracer:
             assert paths.specular.sum() == count
 
 
+    @pytest.mark.parametrize("path_loss_exponent", [2.0, 1])
+    def test_specular_return_is_the_image_source(self, path_loss_exponent):
+        # A wood plate 3 m ahead whose foot is its centre: the mirror return
+        # has the image-source gain at range 2*rho under the free-space law,
+        # whatever exponent the scene gives its diffuse cells, and only the
+        # carrier phase.
+        rho, lam, g_t_dbi, g_r_dbi = 3.0, 5e-3, 5.0, 3.0
+        facet = {"vertices": [[-1.0, rho, -1.0], [1.0, rho, -1.0], [1.0, rho, 1.0], [-1.0, rho, 1.0]],
+                 "material": "wood"}
+        scene = scene_from_dict({"facets": [facet], "path_loss_exponent": path_loss_exponent})
+        paths = trace_backscatter_paths(scene, g_t_dbi, g_r_dbi, lam, cell_size_m=0.5)
+        assert paths.specular.tolist() == [False] * 16 + [True]
+        amp, tau = paths.amplitude[-1], paths.delay_s[-1]
+        assert paths.range_m[-1] == rho and tau == 2.0 * rho / C
+        g_t, g_r = 10.0 ** (g_t_dbi / 10.0), 10.0 ** (g_r_dbi / 10.0)
+        gain = g_t * g_r * lam**2 * (1.0 - 0.15**2) / ((4.0 * np.pi) ** 2 * (2.0 * rho) ** 2)
+        assert abs(amp) ** 2 == pytest.approx(gain, rel=1e-12)
+        assert amp / abs(amp) == pytest.approx(np.exp(-2j * np.pi * (C / lam) * tau), abs=1e-9)
+
+
 class TestVisibility:
     def test_matches_per_facet_reference_on_pillar_room(self):
         scene = build_scene({"builtin": "pillar_room"}, SceneView())
@@ -542,6 +562,12 @@ def square_scene_dict(facet=None, **top):
             lambda: scene_from_dict(square_scene_dict({"material": 0.4})),
             "material must be a catalog name or an inline object",
         ),
+        (
+            lambda: PathSet(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(1), np.zeros(2), np.zeros(2, bool)),
+            "PathSet field theta_x length mismatch",
+        ),
+        (lambda: trace_backscatter_paths(wall_scene(4.0), 0.0, 0.0, 5e-3, cell_size_m=0.0), "cell_size_m must be"),
+        (lambda: trace_backscatter_paths(wall_scene(4.0), 0.0, 0.0, 5e-3, cell_size_m=-0.05), "cell_size_m must be"),
     ],
 )
 def test_invalid_geometry_and_scene_descriptions_rejected(build, match):

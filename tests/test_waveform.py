@@ -9,6 +9,7 @@ import pytest
 
 from mmdepth import waveform
 from mmdepth.waveform import (
+    SensingRecord,
     golay_pair_128,
     make_preamble,
     pi_half_rotate,
@@ -92,6 +93,19 @@ class TestMakePreamble:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             make_preamble("chirp", 256)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: make_preamble("pn", 0), "preamble length must be positive"),
+        (lambda: make_preamble("golay_80211ad", -1), "preamble length must be positive"),
+        (lambda: SensingRecord(beam=0, n_p=4, l_d=2, samples=np.zeros(5)), "record length 5 != n_p \\+ l_d = 6"),
+    ],
+)
+def test_invalid_arguments_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 class TestSynthesizeRx:
