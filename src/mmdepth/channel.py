@@ -1,6 +1,6 @@
 """
-Geometric backscatter channel: radar-equation path gains (path_gain, for
-scalars or arrays; mmdepth.scene calls it for every diffuse scatterer cell),
+Geometric backscatter channel: the free-space radar equation (path_gain, for
+scalars or arrays; mmdepth.scene sends every scatterer through it),
 band-limited pulse shaping, and beamformed channel taps. The package's two
 physical constants, SPEED_OF_LIGHT and BOLTZMANN, are defined here once.
 
@@ -44,6 +44,7 @@ __all__ = [
 
 SPEED_OF_LIGHT = 299792458.0     # m/s, exact in the SI
 BOLTZMANN = 1.380649e-23         # J/K, exact in the SI since 2019
+_T0_K = 290.0                    # reference temperature of a noise figure
 
 # Truncation of the composite pulse, in symbol periods on each side of the peak.
 PULSE_HALF_WIDTH = 8
@@ -60,8 +61,7 @@ class RadioConfig:
     carrier_hz: float = 60e9          # f_c
     bandwidth_hz: float = 2e9         # B; sample rate f_S = B
     tx_power_dbm: float = 30.0        # transmit power driving E_s
-    noise_figure_db: float = 7.0      # receiver NF
-    temperature_k: float = 290.0      # reference noise temperature
+    noise_figure_db: float = 7.0      # receiver NF, referred to 290 K
     rolloff: float = 0.25             # raised-cosine beta
 
     def __post_init__(self):
@@ -88,12 +88,13 @@ class RadioConfig:
 def noise_variance(radio: RadioConfig) -> float:
     """
     Thermal noise power per complex sample at the element level:
-    sigma_n^2 = k_B * T * B * 10^(NF/10)  [W].
+    sigma_n^2 = k_B * T_0 * B * 10^(NF/10)  [W], with T_0 = 290 K, the
+    temperature a noise figure is defined at.
 
-    At 290 K, 2 GHz, NF 7 dB this is 4.013e-11 W (about -73.97 dBm). The
+    At 2 GHz and NF 7 dB this is 4.013e-11 W (about -73.97 dBm). The
     post-combining noise variance is sigma_n^2 * ||w||^2.
     """
-    return BOLTZMANN * radio.temperature_k * radio.bandwidth_hz * 10.0 ** (radio.noise_figure_db / 10.0)
+    return BOLTZMANN * _T0_K * radio.bandwidth_hz * 10.0 ** (radio.noise_figure_db / 10.0)
 
 
 def path_gain(
@@ -102,19 +103,13 @@ def path_gain(
     wavelength_m: float,
     tx_gain_dbi: float = 0.0,
     rx_gain_dbi: float = 0.0,
-    pl_exponent: float = 1.0,
 ) -> float | np.ndarray:
     """
-    Monostatic backscatter power gain
+    Monostatic backscatter power gain, the free-space radar equation
 
-        G = G_T * G_R * lambda^2 * sigma_RCS / ((4 pi)^3 * rho^(2*PL)).
+        G = G_T * G_R * lambda^2 * sigma_RCS / ((4 pi)^3 * rho^4).
 
     Takes scalars or arrays; any range <= 0 or RCS < 0 raises ValueError.
-
-    The builtin scenes use PL = 2, the free-space radar law. PL = 1, the
-    default here and for file and inline scenes without the key, keeps the
-    beam-aggregate return of an extended surface roughly range-independent
-    (footprint area grows as rho^2 while per-path gain falls as rho^-2).
     """
     if np.any(range_m <= 0):
         raise ValueError("range must be positive")
@@ -122,7 +117,7 @@ def path_gain(
         raise ValueError("RCS must be >= 0")
     g_t = 10.0 ** (tx_gain_dbi / 10.0)
     g_r = 10.0 ** (rx_gain_dbi / 10.0)
-    return g_t * g_r * wavelength_m**2 * sigma_rcs_sqm / ((4.0 * np.pi) ** 3 * range_m ** (2.0 * pl_exponent))
+    return g_t * g_r * wavelength_m**2 * sigma_rcs_sqm / ((4.0 * np.pi) ** 3 * range_m**4.0)
 
 
 def raised_cosine(t: np.ndarray, sample_period_s: float, rolloff: float) -> np.ndarray:

@@ -18,13 +18,14 @@ Two consumers look at the same geometry through one ray cast, _first_hit:
                         with a seeded scattering phase; a facet that contains
                         the device's orthogonal foot adds that foot as one
                         more scatterer, the specular return, with plane RCS
-                        pi*rho^2*(1 - scatter_ratio^2) under the free-space
-                        law PL = 2 whatever the scene's path_loss_exponent.
-                        It is all that survives on glass.
+                        pi*rho^2*(1 - scatter_ratio^2). It is all that
+                        survives on glass.
 
-Scattering strength reduces the directive-lobe material model to a single
-scattered-to-incident field ratio per material (see the material table);
-sigma_RCS of a cell defaults to BACKSCATTER_GAIN * scatter_ratio * cell_area.
+Every path, diffuse or specular, goes through the same free-space radar
+equation, which has no parameters. Scattering strength reduces the
+directive-lobe material model to a single scattered-to-incident field ratio
+per material (see the material table); a cell's sigma_RCS is
+BACKSCATTER_GAIN * scatter_ratio * cell_area.
 
 The builtin scenes (BUILTIN_SCENES) live here as well, with build_scene,
 which checks the scene section of a scenario config and builds it.
@@ -100,8 +101,15 @@ MATERIALS: dict[str, Material] = {
 }
 
 
-def _as_unit(v, what: str) -> np.ndarray:
+def _as_point(v, what: str) -> np.ndarray:
     v = np.asarray(v, dtype=float).reshape(3)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{what} must be finite")
+    return v
+
+
+def _as_unit(v, what: str) -> np.ndarray:
+    v = _as_point(v, what)
     n = np.linalg.norm(v)
     if n == 0:
         raise ValueError(f"{what} must be nonzero")
@@ -111,32 +119,24 @@ def _as_unit(v, what: str) -> np.ndarray:
 @dataclass(frozen=True)
 class PlanarFacet:
     """
-    Convex coplanar quad. Vertices are (4, 3) world coordinates in winding
-    order; coplanarity is checked to 1e-9 relative to the facet extent.
-    rcs_sqm optionally sets the total diffuse RCS of the facet (a number
-    >= 0), which the tracer apportions to its cells by area; without it each
-    cell's RCS is BACKSCATTER_GAIN * scatter_ratio * cell area. The unit
-    normal (it follows the winding) and the inward edge normals
-    edge_normals[i] = normal x (v[i+1] - v[i]) are computed once; the
+    Convex coplanar quad. Vertices are (4, 3) finite world coordinates in
+    winding order; coplanarity is checked to 1e-9 relative to the facet
+    extent. The unit normal (it follows the winding) and the inward edge
+    normals edge_normals[i] = normal x (v[i+1] - v[i]) are computed once; the
     vertices are stored read-only, so neither can drift from them.
     """
 
     vertices: np.ndarray
     material: Material
-    rcs_sqm: float | None = None
     normal: np.ndarray = field(init=False, repr=False, compare=False)
     edge_normals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rcs = self.rcs_sqm
-        if rcs is not None:
-            if not isinstance(rcs, (int, float)) or isinstance(rcs, bool):
-                raise TypeError(f"rcs_sqm must be a number, got {rcs!r}")
-            if not rcs >= 0:
-                raise ValueError(f"rcs_sqm must be >= 0, got {rcs!r}")
         v = np.array(self.vertices, dtype=float)
         if v.shape != (4, 3):
             raise ValueError("facet needs exactly 4 vertices of 3 coordinates")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("facet vertices must be finite")
         n = np.cross(v[1] - v[0], v[2] - v[0])
         nn = np.linalg.norm(n)
         if nn == 0:
@@ -159,14 +159,14 @@ class PlanarFacet:
 
 @dataclass
 class DevicePose:
-    """Device position and orientation: boresight maps to +y, up to +z."""
+    """Device position and orientation (all finite): boresight maps to +y, up to +z."""
 
     position: np.ndarray
     boresight: np.ndarray = field(default_factory=lambda: np.array([0.0, 1.0, 0.0]))
     up: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
 
     def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float).reshape(3)
+        self.position = _as_point(self.position, "device position")
         y = _as_unit(self.boresight, "boresight")
         up = _as_unit(self.up, "up")
         z = up - np.dot(up, y) * y  # Gram-Schmidt: up need not be exactly orthogonal
@@ -188,17 +188,14 @@ class DevicePose:
 
 @dataclass
 class Scene:
-    """Facet list, device pose, and the scene-wide path-loss exponent."""
+    """Facet list and device pose."""
 
     facets: list[PlanarFacet]
     device: DevicePose
-    path_loss_exponent: float = 1.0
 
     def __post_init__(self):
         if not self.facets:
             raise ValueError("scene needs at least one facet")
-        if self.path_loss_exponent <= 0:
-            raise ValueError("path_loss_exponent must be positive")
 
 
 def _ray_quad(origin: np.ndarray, dirs: np.ndarray, facet: PlanarFacet) -> np.ndarray:
@@ -412,57 +409,52 @@ def trace_backscatter_paths(
 
     Every path is a point scatterer with positive sigma_RCS and a clear line
     of sight to the device, with delay tau = 2*rho/c and amplitude
-    sqrt(G) * e^(-j*2*pi*f_c*tau) * e^(j*xi), G = channel.path_gain.
+    sqrt(G) * e^(-j*2*pi*f_c*tau) * e^(j*xi), G = channel.path_gain, the
+    free-space radar equation (power falls as rho^-4 at fixed sigma_RCS).
 
     Diffuse mechanism: every facet is subdivided into ~cell_size_m cells;
-    a cell has sigma_RCS = BACKSCATTER_GAIN * scatter_ratio * cell_area (or
-    the facet's rcs_sqm override apportioned by area), the scene's
-    path_loss_exponent, and xi drawn uniformly from a stream seeded by
-    `seed`. Zero-RCS cells (glass) are dropped.
+    a cell has sigma_RCS = BACKSCATTER_GAIN * scatter_ratio * cell_area and
+    xi drawn uniformly from a stream seeded by `seed`. Zero-RCS cells
+    (glass) are dropped.
 
     Specular mechanism (include_specular): a facet that contains the
     orthogonal foot of the device returns a mirror image of the transmitter.
     The foot is a scatterer at range rho (the device's distance to the
-    plane) with the plane RCS pi*rho^2*(1 - scatter_ratio^2), PL = 2 whatever
-    the scene's path_loss_exponent, and xi = 0: the image-source gain
-    G_T*G_R*lambda^2*(1 - scatter_ratio^2) / ((4*pi)^2 * (2*rho)^2).
+    plane) with the plane RCS pi*rho^2*(1 - scatter_ratio^2) and xi = 0: the
+    image-source gain G_T*G_R*lambda^2*(1 - scatter_ratio^2) / ((4*pi)^2 * (2*rho)^2).
     Specular paths follow all diffuse ones.
     """
     if cell_size_m <= 0:
         raise ValueError("cell_size_m must be positive")
     rng = np.random.default_rng(seed)
     origin = scene.device.position
-    # (facet index, points, sigma_RCS, xi, PL, specular), diffuse groups first
+    # (facet index, points, sigma_RCS, xi, specular), diffuse groups first
     groups = []
     for fi, facet in enumerate(scene.facets):
         centers, areas = _subdivide(facet, cell_size_m)
         # Draw the phases before any pruning so the set of random numbers a
         # facet consumes depends only on its own geometry.
         xi = rng.uniform(0.0, 2.0 * np.pi, size=len(centers))
-        if facet.rcs_sqm is not None:
-            sigma = facet.rcs_sqm * areas / areas.sum()
-        else:
-            sigma = BACKSCATTER_GAIN * facet.material.scatter_ratio * areas
-        groups.append((fi, centers, sigma, xi, scene.path_loss_exponent, False))
+        sigma = BACKSCATTER_GAIN * facet.material.scatter_ratio * areas
+        groups.append((fi, centers, sigma, xi, False))
     for fi, facet in enumerate(scene.facets if include_specular else ()):
         n = facet.normal
         dist = np.dot(origin - facet.vertices[0], n)  # signed distance to the plane
         # The ray from the device along -sign(dist)*n meets the plane at the foot.
         if abs(dist) >= 1e-9 and np.isfinite(_ray_quad(origin, -np.sign(dist) * n[None, :], facet)[0]):
             sigma = np.pi * dist**2 * (1.0 - facet.material.scatter_ratio**2)  # power not diffused
-            groups.append((fi, (origin - dist * n)[None, :], np.array([sigma]), np.zeros(1), 2.0, True))
+            groups.append((fi, (origin - dist * n)[None, :], np.array([sigma]), np.zeros(1), True))
 
     parts = []  # one tuple of PathSet columns per group with a visible scatterer
     f_c = SPEED_OF_LIGHT / wavelength_m
-    for fi, points, sigma, xi, pl, specular in groups:
+    for fi, points, sigma, xi, specular in groups:
         keep = sigma > 0
         keep &= _visible(scene, points, fi)
         if not np.any(keep):
             continue
         theta_z, theta_x, rho = _device_angles(scene, points[keep])
         tau = 2.0 * rho / SPEED_OF_LIGHT
-        # A scalar pl per group: numpy squares x**2.0 but calls pow for an array exponent.
-        gain = path_gain(sigma[keep], rho, wavelength_m, tx_gain_dbi, rx_gain_dbi, pl)
+        gain = path_gain(sigma[keep], rho, wavelength_m, tx_gain_dbi, rx_gain_dbi)
         amp = np.sqrt(gain) * np.exp(1j * (xi[keep] - 2.0 * np.pi * f_c * tau))
         parts.append((tau, amp, theta_z, theta_x, rho, np.full(len(rho), specular)))
 
@@ -503,15 +495,14 @@ def _material_from_spec(spec) -> Material:
 
 def scene_from_dict(data: dict) -> Scene:
     """Build a Scene from a JSON-shaped dict; unknown keys are rejected."""
-    _check_keys(data, {"facets", "device", "path_loss_exponent"}, "scene")
+    _check_keys(data, {"facets", "device"}, "scene")
     facets = []
     for fd in data["facets"]:
-        _check_keys(fd, {"vertices", "material", "rcs_sqm"}, "facet")
+        _check_keys(fd, {"vertices", "material"}, "facet")
         facets.append(
             PlanarFacet(
                 vertices=np.asarray(fd["vertices"], dtype=float),
                 material=_material_from_spec(fd["material"]),
-                rcs_sqm=fd.get("rcs_sqm"),
             )
         )
     dev = data.get("device", {})
@@ -521,8 +512,7 @@ def scene_from_dict(data: dict) -> Scene:
         boresight=np.asarray(dev.get("boresight", [0.0, 1.0, 0.0]), dtype=float),
         up=np.asarray(dev.get("up", [0.0, 0.0, 1.0]), dtype=float),
     )
-    pl = {"path_loss_exponent": data["path_loss_exponent"]} if "path_loss_exponent" in data else {}
-    return Scene(facets=facets, device=pose, **pl)
+    return Scene(facets=facets, device=pose)
 
 
 def scene_to_dict(scene: Scene) -> dict:
@@ -531,7 +521,6 @@ def scene_to_dict(scene: Scene) -> dict:
             {
                 "vertices": f.vertices.tolist(),
                 "material": {"name": f.material.name, "scatter_ratio": f.material.scatter_ratio},
-                **({"rcs_sqm": f.rcs_sqm} if f.rcs_sqm is not None else {}),
             }
             for f in scene.facets
         ],
@@ -540,7 +529,6 @@ def scene_to_dict(scene: Scene) -> dict:
             "boresight": scene.device.boresight.tolist(),
             "up": scene.device.up.tolist(),
         },
-        "path_loss_exponent": scene.path_loss_exponent,
     }
 
 
@@ -558,9 +546,9 @@ def save_scene(scene: Scene, path) -> None:
 # Builtin scenes and the scene section of a scenario config
 # ---------------------------------------------------------------------------
 
-def _wall(y: float, x0: float, x1: float, z0: float, z1: float, material, rcs_sqm=None) -> PlanarFacet:
+def _wall(y: float, x0: float, x1: float, z0: float, z1: float, material) -> PlanarFacet:
     """Axis-aligned vertical rectangle at constant y, facing the device."""
-    return PlanarFacet([[x0, y, z0], [x1, y, z0], [x1, y, z1], [x0, y, z1]], material, rcs_sqm)
+    return PlanarFacet([[x0, y, z0], [x1, y, z0], [x1, y, z1], [x0, y, z1]], material)
 
 
 def _fov_half_extents(view: SceneView, distance_m: float, margin: float) -> tuple[float, float]:
@@ -575,14 +563,13 @@ def _scene_one_wall(
     distance_m: float = 7.0,
     material: str = "concrete",
     margin: float = 1.15,
-    rcs_sqm: float | None = None,
 ) -> Scene:
     """Single flat wall square to the boresight, oversized past the FoV edge."""
-    if distance_m <= 0:
+    if not distance_m > 0:
         raise ValueError("distance_m must be positive")
     hw, hh = _fov_half_extents(view, distance_m, margin)
-    wall = _wall(distance_m, -hw, hw, -hh, hh, _catalog_material(material), rcs_sqm)
-    return Scene(facets=[wall], device=DevicePose(position=np.zeros(3)), path_loss_exponent=2.0)
+    wall = _wall(distance_m, -hw, hw, -hh, hh, _catalog_material(material))
+    return Scene(facets=[wall], device=DevicePose(position=np.zeros(3)))
 
 
 def _scene_two_walls(
@@ -604,7 +591,7 @@ def _scene_two_walls(
     b_hw, b_hh = _fov_half_extents(view, back_distance_m, margin)
     front = _wall(front_distance_m, -f_hw, 0.0, -f_hh, f_hh, _catalog_material(front_material))
     back = _wall(back_distance_m, -b_hw, b_hw, -b_hh, b_hh, _catalog_material(back_material))
-    return Scene(facets=[front, back], device=DevicePose(position=np.zeros(3)), path_loss_exponent=2.0)
+    return Scene(facets=[front, back], device=DevicePose(position=np.zeros(3)))
 
 
 def _pillar(x_c: float, y0: float, y1: float, half_w: float, z0: float, z1: float, material) -> list[PlanarFacet]:
@@ -632,7 +619,15 @@ def _scene_pillar_room(
     Closed room with two pillars: concrete back and side walls, floorboard
     floor, ceiling board above, and two wood pillars partway in. Exercises
     occlusion, multiple materials and grazing-incidence surfaces at once.
+    The pillars stand in front of the back wall, each within its half of
+    the room.
     """
+    if not (size_m > 0 and height_m > 0):
+        raise ValueError("size_m and height_m must be positive")
+    if not 0 < pillar_half_width_m < size_m / 4:
+        raise ValueError("need 0 < pillar_half_width_m < size_m / 4")
+    if not (pillar_distance_m > 0 and pillar_distance_m + 2 * pillar_half_width_m < size_m):
+        raise ValueError("need 0 < pillar_distance_m and pillar_distance_m + 2 * pillar_half_width_m < size_m")
     s = size_m / 2.0
     h = height_m / 2.0
     wall_mat = _catalog_material(wall_material)
@@ -667,7 +662,7 @@ def _scene_pillar_room(
                 _catalog_material(pillar_material),
             )
         )
-    return Scene(facets=facets, device=DevicePose(position=np.zeros(3)), path_loss_exponent=2.0)
+    return Scene(facets=facets, device=DevicePose(position=np.zeros(3)))
 
 
 BUILTIN_SCENES = {

@@ -7,6 +7,7 @@ preamble against a near wall. The small aperture gives about 24 dB less
 array gain than the 16x16 default, compensated with transmit power so every
 beam detects and nothing depends on hole filling.
 """
+import dataclasses
 import json
 import re
 
@@ -39,7 +40,7 @@ from mmdepth.pipeline import (
     run_scenario,
     sweep,
 )
-from mmdepth.scene import BUILTIN_SCENES, build_scene, scene_to_dict
+from mmdepth.scene import BUILTIN_SCENES, PathSet, build_scene, scene_to_dict, trace_backscatter_paths
 from mmdepth.waveform import make_preamble
 
 
@@ -55,14 +56,27 @@ SMALL = {
 
 GOOD_SCENE = scene_to_dict(BUILTIN_SCENES["one_wall"](SceneView(), distance_m=2.0))
 GOOD_FACET = GOOD_SCENE["facets"][0]
+GOOD_DEVICE = GOOD_SCENE["device"]
 BAD_INLINE_SCENES = [
-    ({**GOOD_SCENE, "path_loss_exponent": "x"}, "bad inline scene"),
     ({**GOOD_SCENE, "facets": [{**GOOD_FACET, "material": {"name": "m", "scatter_ratio": "x"}}]},
      "bad inline scene"),
     ({k: v for k, v in GOOD_SCENE.items() if k != "facets"}, "bad inline scene: missing key 'facets'"),
     ({**GOOD_SCENE, "facets": 5}, "bad inline scene"),
-    ({**GOOD_SCENE, "facets": [{**GOOD_FACET, "rcs_sqm": -1.0}]}, "rcs_sqm must be >= 0"),
-    ({**GOOD_SCENE, "facets": [{**GOOD_FACET, "rcs_sqm": "x"}]}, "rcs_sqm must be a number"),
+    ({**GOOD_SCENE, "device": {**GOOD_DEVICE, "position": [float("nan"), 0.0, 0.0]}},
+     "device position must be finite"),
+    ({**GOOD_SCENE, "device": {**GOOD_DEVICE, "boresight": [0.0, float("nan"), 0.0]}}, "boresight must be finite"),
+    ({**GOOD_SCENE, "facets": [{**GOOD_FACET, "vertices": [[float("inf"), 2.0, 0.0], *GOOD_FACET["vertices"][1:]]}]},
+     "facet vertices must be finite"),
+]
+# Run arguments that set keys of earlier versions, which the one free-space
+# radar law replaced.
+REMOVED_KEYS = [
+    (["--set", "radio.temperature_k=290"], "unknown radio keys: \\['temperature_k'\\]"),
+    (["--scenario", "one_wall", "--set", "scene.rcs_sqm=1.0"], "unknown one_wall scene keys: \\['rcs_sqm'\\]"),
+    (["--set", f"scene={json.dumps({'inline': {**GOOD_SCENE, 'path_loss_exponent': 2.0}})}"],
+     "unknown scene keys \\['path_loss_exponent'\\]"),
+    (["--set", f"scene={json.dumps({'inline': {**GOOD_SCENE, 'facets': [{**GOOD_FACET, 'rcs_sqm': 1.0}]}})}"],
+     "unknown facet keys \\['rcs_sqm'\\]"),
 ]
 
 
@@ -120,8 +134,6 @@ class TestConfigFromDict:
             ({"file": "x.json", "distance_m": 1.0}, "no other keys"),
             ({"file": True}, "scene file must be a path string, got True"),
             ({"file": 7}, "scene file must be a path string, got 7"),
-            ({"builtin": "one_wall", "rcs_sqm": -1.0}, "rcs_sqm must be >= 0"),
-            ({"builtin": "one_wall", "rcs_sqm": "x"}, "rcs_sqm must be a number"),
         ]:
             with pytest.raises(ValueError, match=match):
                 config_from_dict({"scene": scene})
@@ -130,9 +142,13 @@ class TestConfigFromDict:
             with pytest.raises(ValueError, match=match):
                 config_from_dict({"scene": {"inline": inline}})
         path = tmp_path / "scene.json"
-        path.write_text(json.dumps({"path_loss_exponent": 2.0}))
-        with pytest.raises(ValueError, match="bad file scene: missing key 'facets'"):
-            config_from_dict({"scene": {"file": str(path)}})
+        for content, match in [
+            ({"device": GOOD_DEVICE}, "bad file scene: missing key 'facets'"),
+            ({**GOOD_SCENE, "path_loss_exponent": 2.0}, "unknown scene keys \\['path_loss_exponent'\\]"),
+        ]:
+            path.write_text(json.dumps(content))
+            with pytest.raises(ValueError, match=match):
+                config_from_dict({"scene": {"file": str(path)}})
 
     @pytest.mark.parametrize(
         "bad, match",
@@ -352,6 +368,25 @@ class TestBuiltinScenes:
         scene = build_scene({"inline": scene_to_dict(reference)}, self.VIEW)
         assert len(scene.facets) == 1
         assert np.allclose(scene.facets[0].vertices, reference.facets[0].vertices)
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENES))
+    def test_builtin_is_its_facets_and_device(self, name):
+        # Facets and device pose are the whole scene: a description holding
+        # only them traces the same paths and gives the same maps. 70 dBm
+        # lets the small array detect the builtins' far walls in every beam.
+        cfg = small_config(scene={"builtin": name}, radio__tx_power_dbm=70.0)
+        scene = build_scene(cfg.scene, cfg.view)
+        data = scene_to_dict(scene)
+        inline = {"facets": data["facets"], "device": data["device"]}
+        rebuilt = small_config(scene={"inline": inline}, radio__tx_power_dbm=70.0)
+        a = trace_backscatter_paths(scene, 5.0, 3.0, 5e-3, seed=2)
+        b = trace_backscatter_paths(build_scene(rebuilt.scene, rebuilt.view), 5.0, 3.0, 5e-3, seed=2)
+        for f in dataclasses.fields(PathSet):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+        runs = run_scenario(cfg), run_scenario(rebuilt)
+        assert not runs[0].filled.any()
+        for key in ("selected", "fine_offsets", "filled", "range_map", "depth_map", "gt_range", "gt_depth"):
+            assert np.array_equal(*(getattr(r, key) for r in runs)), key
 
     def test_build_scene_file(self, tmp_path):
         reference = BUILTIN_SCENES["one_wall"](self.VIEW, distance_m=2.0)
@@ -607,10 +642,19 @@ class TestCli:
         for args, match in [
             (["--scenario", "two_walls", "--set", "scene.front_distance_m=3"], "front_distance_m"),
             (["--scenario", "one_wall", "--set", "scene.material=steel"], "unknown material 'steel'"),
-            (["--scenario", "one_wall", "--set", "scene.rcs_sqm=-1.0"], "rcs_sqm must be >= 0"),
+            (["--scenario", "one_wall", "--set", "scene.distance_m=NaN"], "distance_m must be positive"),
+            (["--scenario", "pillar_room", "--set", "scene.size_m=Infinity"], "facet vertices must be finite"),
+            *((["--scenario", "pillar_room", "--set", f"scene.{key}={value}"], match) for key, value, match in [
+                ("size_m", -5, "size_m and height_m must be positive"),
+                ("height_m", -3, "size_m and height_m must be positive"),
+                ("pillar_half_width_m", -0.2, "pillar_half_width_m"),
+                ("pillar_distance_m", -1, "pillar_distance_m"),
+                ("pillar_distance_m", 9, "pillar_distance_m"),
+            ]),
             (["--scenario", "one_wall", "--set", 'scene={"file": true}'], "scene file must be a path string"),
             (["--scenario", "one_wall", "--set", 'scene={"file": 7}'], "scene file must be a path string"),
             *((["--set", f"scene={json.dumps({'inline': inline})}"], match) for inline, match in BAD_INLINE_SCENES),
+            *REMOVED_KEYS,
         ]:
             assert cli_main(["run", *args]) == 2
             assert re.search(match, capsys.readouterr().err)

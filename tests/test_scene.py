@@ -33,7 +33,7 @@ from mmdepth.scene import (
 C = 299792458.0
 
 
-def facing_wall(distance, half_w, half_h, material=None, rcs_sqm=None):
+def facing_wall(distance, half_w, half_h, material=None):
     """Rectangle at y = distance, centered on boresight, facing the device."""
     verts = np.array(
         [
@@ -46,7 +46,6 @@ def facing_wall(distance, half_w, half_h, material=None, rcs_sqm=None):
     return PlanarFacet(
         vertices=verts,
         material=material or MATERIALS["concrete"],
-        rcs_sqm=rcs_sqm,
     )
 
 
@@ -338,13 +337,15 @@ class TestTracer:
         assert np.allclose(paths.delay_s, 2.0 * paths.range_m / C)
 
     def test_amplitude_folds_radar_equation(self):
-        # one cell exactly covering the plate, explicit cross-section
-        scene = wall_scene(7.0, span=0.25, rcs_sqm=2.0)
+        # one 0.25 m^2 cell exactly covering the plate, with a material whose
+        # scatter ratio gives it a cross-section of 2 m^2
+        matte = Material("matte", 2.0 / (BACKSCATTER_GAIN * 0.25))
+        scene = wall_scene(7.0, span=0.25, material=matte)
         paths = trace_backscatter_paths(
             scene, 0.0, 0.0, 5e-3, cell_size_m=0.5, include_specular=False
         )
         assert len(paths.delay_s) == 1
-        expected = np.sqrt(path_gain(2.0, paths.range_m[0], 5e-3, pl_exponent=1.0))
+        expected = np.sqrt(path_gain(2.0, paths.range_m[0], 5e-3))
         assert np.abs(paths.amplitude[0]) == pytest.approx(expected, rel=1e-9)
 
     def test_cell_cross_section_scales_with_area(self):
@@ -353,30 +354,23 @@ class TestTracer:
             scene, 0.0, 0.0, 5e-3, cell_size_m=0.5, include_specular=False
         )
         sigma = BACKSCATTER_GAIN * 0.40 * 0.25
-        expected = np.sqrt(
-            path_gain(sigma, paths.range_m[0], 5e-3, pl_exponent=1.0)
-        )
+        expected = np.sqrt(path_gain(sigma, paths.range_m[0], 5e-3))
         assert np.abs(paths.amplitude[0]) == pytest.approx(expected, rel=1e-9)
 
-    def test_path_loss_exponent_doubles_distance_decay(self):
-        lam = 5e-3
-        amps = {}
-        for pl in (1.0, 2.0):
-            vals = []
-            for dist in (3.5, 7.0):
-                wall = facing_wall(dist, 0.25, 0.25, rcs_sqm=1.0)
-                scene = Scene(
-                    facets=[wall],
-                    device=DevicePose(position=np.zeros(3)),
-                    path_loss_exponent=pl,
-                )
-                p = trace_backscatter_paths(
-                    scene, 0.0, 0.0, lam, cell_size_m=0.5, include_specular=False
-                )
-                vals.append(np.abs(p.amplitude[0]))
-            amps[pl] = vals[0] / vals[1]
-        assert amps[1.0] == pytest.approx(2.0, rel=1e-9)  # sqrt of 4x power
-        assert amps[2.0] == pytest.approx(4.0, rel=1e-9)  # sqrt of 16x power
+    def test_free_space_law_for_both_mechanisms(self):
+        # One 0.25 m^2 concrete cell, whose foot is its centre, at 3.5 and
+        # 7 m. Doubling the range divides |amp|^2 / sigma_RCS by 16 for the
+        # diffuse cell and for the specular foot; the foot's plane RCS
+        # pi*rho^2*(1 - 0.4^2) grows 4x, so its power falls 4x.
+        diffuse, specular = [], []
+        for dist in (3.5, 7.0):
+            p = trace_backscatter_paths(wall_scene(dist, span=0.25), 0.0, 0.0, 5e-3, cell_size_m=0.5)
+            assert p.specular.tolist() == [False, True]
+            power = np.abs(p.amplitude) ** 2
+            diffuse.append(power[0] / (BACKSCATTER_GAIN * 0.4 * 0.25))
+            specular.append(power[1] / (np.pi * dist**2 * (1.0 - 0.4**2)))
+        assert diffuse[0] / diffuse[1] == pytest.approx(16.0, rel=1e-12)
+        assert specular[0] / specular[1] == pytest.approx(16.0, rel=1e-12)
 
     def test_glass_scatters_nothing(self):
         # all-glass scene has no diffuse return, which the tracer reports
@@ -432,16 +426,13 @@ class TestTracer:
             assert paths.specular.sum() == count
 
 
-    @pytest.mark.parametrize("path_loss_exponent", [2.0, 1])
-    def test_specular_return_is_the_image_source(self, path_loss_exponent):
+    def test_specular_return_is_the_image_source(self):
         # A wood plate 3 m ahead whose foot is its centre: the mirror return
-        # has the image-source gain at range 2*rho under the free-space law,
-        # whatever exponent the scene gives its diffuse cells, and only the
-        # carrier phase.
+        # has the image-source gain at range 2*rho and only the carrier phase.
         rho, lam, g_t_dbi, g_r_dbi = 3.0, 5e-3, 5.0, 3.0
         facet = {"vertices": [[-1.0, rho, -1.0], [1.0, rho, -1.0], [1.0, rho, 1.0], [-1.0, rho, 1.0]],
                  "material": "wood"}
-        scene = scene_from_dict({"facets": [facet], "path_loss_exponent": path_loss_exponent})
+        scene = scene_from_dict({"facets": [facet]})
         paths = trace_backscatter_paths(scene, g_t_dbi, g_r_dbi, lam, cell_size_m=0.5)
         assert paths.specular.tolist() == [False] * 16 + [True]
         amp, tau = paths.amplitude[-1], paths.delay_s[-1]
@@ -473,7 +464,6 @@ class TestSceneSerialization:
         back = load_scene(path)
         assert len(back.facets) == 1
         assert np.allclose(back.facets[0].vertices, scene.facets[0].vertices)
-        assert back.path_loss_exponent == scene.path_loss_exponent
 
     def test_dict_round_trip(self):
         scene = wall_scene(4.0, span=1.0)
@@ -483,8 +473,8 @@ class TestSceneSerialization:
         )
 
     def test_legacy_material_keys_load_and_are_ignored(self):
-        # The form earlier versions of save_scene wrote: three lobe-shape
-        # material keys the tracer never read.
+        # The material form earlier versions of save_scene wrote: three
+        # lobe-shape keys the tracer never read.
         legacy = {
             "facets": [
                 {
@@ -499,7 +489,6 @@ class TestSceneSerialization:
                 }
             ],
             "device": {"position": [0.0, 0.0, 0.0], "boresight": [0.0, 1.0, 0.0], "up": [0.0, 0.0, 1.0]},
-            "path_loss_exponent": 1.0,
         }
         scene = wall_scene(4.0, span=1.0)
         loaded = scene_from_dict(json.loads(json.dumps(legacy)))
@@ -551,8 +540,6 @@ def square_scene_dict(facet=None, **top):
         (lambda: DevicePose(position=np.zeros(3), up=[0.0, -2.0, 0.0]), "up vector is parallel to boresight"),
         (lambda: Material("m", 1.5), "scatter_ratio must lie in \\[0, 1\\]"),
         (lambda: Material("m", -0.1), "scatter_ratio must lie in \\[0, 1\\]"),
-        (lambda: scene_from_dict(square_scene_dict(path_loss_exponent=0.0)), "path_loss_exponent must be positive"),
-        (lambda: scene_from_dict(square_scene_dict(path_loss_exponent=-2.0)), "path_loss_exponent must be positive"),
         (lambda: scene_from_dict(square_scene_dict({"colour": "red"})), "unknown facet keys \\['colour'\\]"),
         (
             lambda: scene_from_dict(square_scene_dict(device={"roll_deg": 0.0})),
@@ -568,16 +555,37 @@ def square_scene_dict(facet=None, **top):
         ),
         (lambda: trace_backscatter_paths(wall_scene(4.0), 0.0, 0.0, 5e-3, cell_size_m=0.0), "cell_size_m must be"),
         (lambda: trace_backscatter_paths(wall_scene(4.0), 0.0, 0.0, 5e-3, cell_size_m=-0.05), "cell_size_m must be"),
+        (lambda: PlanarFacet([*SQUARE[:3], [np.nan, 4.0, 1.0]], CONCRETE), "facet vertices must be finite"),
+        (lambda: PlanarFacet([*SQUARE[:3], [-1.0, np.inf, 1.0]], CONCRETE), "facet vertices must be finite"),
+        (lambda: DevicePose(position=[np.nan, 0.0, 0.0]), "device position must be finite"),
+        (lambda: DevicePose(position=[0.0, -np.inf, 0.0]), "device position must be finite"),
+        (lambda: DevicePose(position=np.zeros(3), boresight=[0.0, np.nan, 0.0]), "boresight must be finite"),
+        (lambda: DevicePose(position=np.zeros(3), up=[0.0, 0.0, np.inf]), "up must be finite"),
+        (lambda: scene_from_dict(square_scene_dict(device={"position": [np.nan, 0.0, 0.0]})),
+         "device position must be finite"),
+        (lambda: build_scene({"builtin": "one_wall", "distance_m": np.nan}, SceneView()), "distance_m must be positive"),
+        (lambda: build_scene({"builtin": "pillar_room", "size_m": -5.0}, SceneView()), "size_m and height_m"),
+        (lambda: build_scene({"builtin": "pillar_room", "height_m": np.nan}, SceneView()), "size_m and height_m"),
+        (lambda: build_scene({"builtin": "pillar_room", "size_m": np.inf}, SceneView()), "facet vertices must be finite"),
+        (
+            lambda: build_scene({"builtin": "pillar_room", "pillar_half_width_m": -0.2}, SceneView()),
+            "need 0 < pillar_half_width_m < size_m / 4",
+        ),
+        (
+            lambda: build_scene({"builtin": "pillar_room", "pillar_half_width_m": 1.25}, SceneView()),
+            "need 0 < pillar_half_width_m < size_m / 4",
+        ),
+        (
+            lambda: build_scene({"builtin": "pillar_room", "pillar_distance_m": -1.0}, SceneView()),
+            "need 0 < pillar_distance_m",
+        ),
+        (
+            lambda: build_scene({"builtin": "pillar_room", "pillar_distance_m": 4.6}, SceneView()),
+            "need 0 < pillar_distance_m",
+        ),
     ],
 )
 def test_invalid_geometry_and_scene_descriptions_rejected(build, match):
     with pytest.raises(ValueError, match=match):
         build()
 
-
-def test_scene_description_without_exponent_takes_scene_default():
-    default = next(f.default for f in dataclasses.fields(Scene) if f.name == "path_loss_exponent")
-    assert scene_from_dict(square_scene_dict()).path_loss_exponent == default == 1.0
-    assert scene_from_dict(square_scene_dict(path_loss_exponent=2.0)).path_loss_exponent == 2.0
-    for name in ("one_wall", "two_walls", "pillar_room"):
-        assert build_scene({"builtin": name}, SceneView()).path_loss_exponent == 2.0
