@@ -32,14 +32,7 @@ for name, builder in BUILTIN_SCENES.items():
     write_pgm16(out / f"{name}_range.pgm", gt_range)
     write_pgm16(out / f"{name}_depth.pgm", gt_depth)
 
-    paths = trace_backscatter_paths(
-        scene,
-        tx_gain_dbi=6.0,
-        rx_gain_dbi=6.0,
-        wavelength_m=5e-3,
-        cell_size_m=0.05,
-        seed=np.random.SeedSequence(0),
-    )
+    paths = trace_backscatter_paths(scene, wavelength_m=5e-3, cell_size_m=0.05, seed=np.random.SeedSequence(0))
     finite = np.isfinite(gt_range)
     print(
         f"{name}: {len(scene.facets)} facet(s), {len(paths)} paths, "

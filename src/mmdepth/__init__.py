@@ -16,94 +16,26 @@ stages plus a pipeline that chains them:
     metrics     error reports and the range estimation bound
     io          PGM / CSV / binary record artifacts
     pipeline    scenario configs, end-to-end runs, sweeps
+
+The package root re-exports each of these modules' __all__. The command
+line, mmdepth.cli, is not imported here: `python -m mmdepth.cli` warns when
+the package has already imported the module it is asked to run.
 """
 
-from .channel import (
-    PULSE_HALF_WIDTH,
-    RadioConfig,
-    beamformed_taps_batch,
-    delay_window_length,
-    noise_variance,
-    path_gain,
-    pulse_taps,
-    raised_cosine,
-)
-from .codebook import (
-    Codebook,
-    SceneView,
-    UpaConfig,
-    axis_response,
-    beam_index,
-    beam_vh,
-    design_codebook,
-    grid_angles,
-    quantize_phases,
-    radiation_pattern,
-    sensor_grid,
-    slr_weights,
-    steering_vector,
-    write_codebook_csv,
-)
-from .estimator import (
-    CorrelatorBank,
-    SicResult,
-    basic_correlator,
-    build_bank,
-    construct_maps,
-    correlation_threshold,
-    cross_correlation,
-    interpolate_map,
-    joint_processing,
-    massive_correlator,
-    preamble_energy,
-    sic_candidates,
-    tail_noise_variance,
-)
-from .io import (
-    read_pgm16,
-    read_records,
-    write_map_csv,
-    write_pgm16,
-    write_records,
-)
-from .metrics import ErrorReport, crlb_range, map_errors
-from .pipeline import (
-    EstimatorConfig,
-    OutputConfig,
-    RunArtifacts,
-    ScenarioConfig,
-    SimConfig,
-    WaveformConfig,
-    apply_override,
-    config_from_dict,
-    config_hash,
-    config_to_dict,
-    run_scenario,
-    sweep,
-)
-from .scene import (
-    BUILTIN_SCENES,
-    MATERIALS,
-    DevicePose,
-    Material,
-    PathSet,
-    PlanarFacet,
-    Scene,
-    build_scene,
-    ground_truth_maps,
-    load_scene,
-    save_scene,
-    scene_from_dict,
-    scene_to_dict,
-    trace_backscatter_paths,
-)
-from .waveform import (
-    PREAMBLE_LENGTH,
-    SensingRecord,
-    golay_pair_128,
-    make_preamble,
-    pi_half_rotate,
-    synthesize_rx,
-)
+from . import channel, codebook, estimator, io, metrics, pipeline, scene, waveform
+from .channel import *  # noqa: F403  each module's __all__ is its public API
+from .codebook import *  # noqa: F403
+from .estimator import *  # noqa: F403
+from .io import *  # noqa: F403
+from .metrics import *  # noqa: F403
+from .pipeline import *  # noqa: F403
+from .scene import *  # noqa: F403
+from .waveform import *  # noqa: F403
+
+__all__ = [
+    name
+    for module in (channel, codebook, estimator, io, metrics, pipeline, scene, waveform)
+    for name in module.__all__
+]
 
 __version__ = "0.1.0"

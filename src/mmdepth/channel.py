@@ -101,13 +101,15 @@ def path_gain(
     sigma_rcs_sqm: float | np.ndarray,
     range_m: float | np.ndarray,
     wavelength_m: float,
-    tx_gain_dbi: float = 0.0,
-    rx_gain_dbi: float = 0.0,
 ) -> float | np.ndarray:
     """
     Monostatic backscatter power gain, the free-space radar equation
 
-        G = G_T * G_R * lambda^2 * sigma_RCS / ((4 pi)^3 * rho^4).
+        G = lambda^2 * sigma_RCS / ((4 pi)^3 * rho^4)
+
+    between isotropic elements: the array model has no element pattern, so
+    an element gain would also be radiated behind the array. The array gain
+    enters through the beam weights (beamformed_taps_batch).
 
     Takes scalars or arrays; any range <= 0 or RCS < 0 raises ValueError.
     """
@@ -115,9 +117,7 @@ def path_gain(
         raise ValueError("range must be positive")
     if np.any(sigma_rcs_sqm < 0):
         raise ValueError("RCS must be >= 0")
-    g_t = 10.0 ** (tx_gain_dbi / 10.0)
-    g_r = 10.0 ** (rx_gain_dbi / 10.0)
-    return g_t * g_r * wavelength_m**2 * sigma_rcs_sqm / ((4.0 * np.pi) ** 3 * range_m**4.0)
+    return wavelength_m**2 * sigma_rcs_sqm / ((4.0 * np.pi) ** 3 * range_m**4.0)
 
 
 def raised_cosine(t: np.ndarray, sample_period_s: float, rolloff: float) -> np.ndarray:
@@ -143,11 +143,12 @@ def raised_cosine(t: np.ndarray, sample_period_s: float, rolloff: float) -> np.n
     return np.where(sing, limit, vals)
 
 
-def delay_window_length(max_delay_s: float, sample_period_s: float, guard: int = 2 * PULSE_HALF_WIDTH) -> int:
+def delay_window_length(max_delay_s: float, sample_period_s: float, guard: int) -> int:
     """
-    Channel tap window length L_d = ceil(max_delay / T_s) + guard. The
-    default guard of 16 taps absorbs the truncated pulse tails of the
-    latest-arriving path.
+    Channel tap window length L_d = ceil(max_delay / T_s) + guard. A guard
+    above PULSE_HALF_WIDTH holds the truncated pulse tail of the
+    latest-arriving path; the 'tail' noise policy reads the noise from the
+    last guard samples of every record.
     """
     if max_delay_s < 0:
         raise ValueError("max delay must be >= 0")

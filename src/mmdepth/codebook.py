@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -51,12 +52,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class UpaConfig:
-    """Uniform planar array in the x-z plane, boresight +y."""
+    """Uniform planar array of isotropic elements in the x-z plane, boresight +y."""
 
     n_h: int = 16                      # elements along x
     n_v: int = 16                      # elements along z
     spacing_wavelengths: float = 0.5   # inter-element spacing d_s / lambda
-    element_gain_dbi: float = 0.0      # per-element gain, used by the link budget
 
     def __post_init__(self):
         if self.n_h < 1 or self.n_v < 1:
@@ -72,11 +72,15 @@ class UpaConfig:
 
 @dataclass(frozen=True)
 class SceneView:
-    """Virtual camera geometry the codebook is matched to."""
+    """
+    Virtual camera geometry the codebook is matched to. The focal length F_L
+    is a constant, not a setting: the sensor scales with it, so no beam
+    angle, decision or map depends on its value.
+    """
 
+    focal_length_m: ClassVar[float] = 0.01343  # F_L
     fov_deg: float = 100.0             # full horizontal field of view
     aspect_ratio: float = 16.0 / 9.0   # sensor width / height
-    focal_length_m: float = 0.01343    # F_L; results are invariant to it
     os_h: int = 1                      # horizontal beam oversampling factor
     os_v: int = 1                      # vertical beam oversampling factor
 
@@ -85,8 +89,6 @@ class SceneView:
             raise ValueError("fov_deg must lie in (0, 180)")
         if self.aspect_ratio <= 0:
             raise ValueError("aspect_ratio must be positive")
-        if self.focal_length_m <= 0:
-            raise ValueError("focal_length_m must be positive")
         if self.os_h < 1 or self.os_v < 1:
             raise ValueError("oversampling factors must be >= 1")
 

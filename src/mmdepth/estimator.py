@@ -134,17 +134,18 @@ def correlation_threshold(
     return gamma**2 * preamble_energy(preamble) * noise_var
 
 
-def tail_noise_variance(samples: np.ndarray, n_tail: int = 8) -> float | np.ndarray:
+def tail_noise_variance(samples: np.ndarray, n_tail: int) -> float | np.ndarray:
     """
-    Per-sample noise variance estimated from the record tail.
+    Per-sample noise variance estimated from the last n_tail record samples.
 
-    The last samples of a record are signal-free when the delay window guard
-    exceeds the pulse half-width, so their mean power estimates the noise
-    variance. The mean of n_tail samples of complex Gaussian noise scatters
-    by 1/sqrt(n_tail) relative: ~35% at this function's default of 8, 12.5%
-    at the pipeline's default estimator.tail_samples of 64. Prefer the
-    analytic variance when the link budget is known. samples is one record
-    (a float comes back) or a stack of records (one value per row).
+    The pipeline reads the whole delay-window guard, n_tail = sim.guard_taps.
+    The guard follows the latest path's delay, so its samples hold noise and
+    at most the truncated pulse tails of the latest paths, and their mean
+    power estimates the noise variance. The mean of n_tail samples of
+    complex Gaussian noise scatters by 1/sqrt(n_tail) relative, 12.5% at the
+    default guard of 64. Prefer the analytic variance when the link budget
+    is known. samples is one record (a float comes back) or a stack of
+    records (one value per row).
     """
     samples = np.asarray(samples)
     if not 0 < n_tail <= samples.shape[-1]:

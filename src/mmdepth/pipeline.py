@@ -116,8 +116,7 @@ class WaveformConfig:
 @dataclass(frozen=True)
 class EstimatorConfig:
     gamma: float = 4.0                 # detection margin, amplitude ratio
-    noise_policy: str = "tail"         # tail | analytic
-    tail_samples: int = 64             # tail window, <= guard_taps
+    noise_policy: str = "tail"         # tail (the sim.guard_taps record tail) | analytic
     max_iterations: int = 32           # cancellation passes per beam
     refine_ratio: int = 100            # sub-sample grid, even, f_est = ratio * f_s
 
@@ -126,8 +125,6 @@ class EstimatorConfig:
             raise ValueError(f"unknown noise_policy {self.noise_policy!r}")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
-        if self.tail_samples < 1:
-            raise ValueError("tail_samples must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.refine_ratio < 2 or self.refine_ratio % 2:
@@ -138,8 +135,7 @@ class EstimatorConfig:
 class SimConfig:
     seed: int = 0                      # master seed: scene phases + per-beam noise
     cell_size_m: float = 0.05          # diffuse scatter cell edge
-    include_specular: bool = True
-    guard_taps: int = 64               # delay-window tail past the last path
+    guard_taps: int = 64               # delay-window tail past the last path, the noise tail
     noiseless: bool = False            # skip the noise draw (diagnostics)
 
     def __post_init__(self):
@@ -185,15 +181,9 @@ class ScenarioConfig:
     scene: dict = field(default_factory=lambda: {"builtin": "one_wall"})
 
     def __post_init__(self):
-        # The noise tail window must stay inside the record's signal-free guard.
-        est, sim = self.estimator, self.sim
-        if est.noise_policy == "tail" and est.tail_samples > sim.guard_taps:
-            raise ValueError(
-                f"estimator.tail_samples ({est.tail_samples}) exceeds sim.guard_taps ({sim.guard_taps})"
-            )
         # A noiseless record has a zero tail, hence a zero threshold, and
         # every beam would cancel up to max_iterations.
-        if est.noise_policy == "tail" and sim.noiseless:
+        if self.estimator.noise_policy == "tail" and self.sim.noiseless:
             raise ValueError("sim.noiseless needs estimator.noise_policy 'analytic', not 'tail'")
 
 
@@ -380,15 +370,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunArtifacts:
     scene = build_scene(cfg.scene, cfg.view)
     master = np.random.SeedSequence(cfg.sim.seed)
     seeds = master.spawn(1 + cb.m)
-    paths = trace_backscatter_paths(
-        scene,
-        tx_gain_dbi=cfg.upa.element_gain_dbi,
-        rx_gain_dbi=cfg.upa.element_gain_dbi,
-        wavelength_m=cfg.radio.wavelength_m,
-        cell_size_m=cfg.sim.cell_size_m,
-        seed=seeds[0],
-        include_specular=cfg.sim.include_specular,
-    )
+    paths = trace_backscatter_paths(scene, cfg.radio.wavelength_m, cfg.sim.cell_size_m, seeds[0])
     t0 = _clock("scene_paths", t0)
 
     gt_range, gt_depth = ground_truth_maps(scene, cfg.view, (cb.n_bar_v, cb.n_bar_h))
@@ -481,7 +463,7 @@ def _detect(
     if est.noise_policy == "analytic":
         noise_var = noise_variance(cfg.radio) * combine_norm_sq
     else:
-        noise_var = tail_noise_variance(samples, est.tail_samples)
+        noise_var = tail_noise_variance(samples, cfg.sim.guard_taps)
     thresholds = correlation_threshold(preamble, noise_var, est.gamma)
     correlation = cross_correlation(samples, preamble)
     auto = preamble_autocorrelation(preamble, correlation.shape[1] - 1)

@@ -397,12 +397,9 @@ def _device_angles(scene: Scene, targets: np.ndarray):
 
 def trace_backscatter_paths(
     scene: Scene,
-    tx_gain_dbi: float,
-    rx_gain_dbi: float,
     wavelength_m: float,
     cell_size_m: float = 0.05,
     seed: int | np.random.SeedSequence = 0,
-    include_specular: bool = True,
 ) -> PathSet:
     """
     Extract the monostatic backscatter paths of a scene.
@@ -417,12 +414,12 @@ def trace_backscatter_paths(
     xi drawn uniformly from a stream seeded by `seed`. Zero-RCS cells
     (glass) are dropped.
 
-    Specular mechanism (include_specular): a facet that contains the
-    orthogonal foot of the device returns a mirror image of the transmitter.
-    The foot is a scatterer at range rho (the device's distance to the
-    plane) with the plane RCS pi*rho^2*(1 - scatter_ratio^2) and xi = 0: the
-    image-source gain G_T*G_R*lambda^2*(1 - scatter_ratio^2) / ((4*pi)^2 * (2*rho)^2).
-    Specular paths follow all diffuse ones.
+    Specular mechanism: a facet that contains the orthogonal foot of the
+    device returns a mirror image of the transmitter. The foot is a
+    scatterer at range rho (the device's distance to the plane) with the
+    plane RCS pi*rho^2*(1 - scatter_ratio^2) and xi = 0: the image-source
+    gain lambda^2*(1 - scatter_ratio^2) / ((4*pi)^2 * (2*rho)^2). Specular
+    paths follow all diffuse ones; PathSet.specular marks them.
     """
     if cell_size_m <= 0:
         raise ValueError("cell_size_m must be positive")
@@ -437,7 +434,7 @@ def trace_backscatter_paths(
         xi = rng.uniform(0.0, 2.0 * np.pi, size=len(centers))
         sigma = BACKSCATTER_GAIN * facet.material.scatter_ratio * areas
         groups.append((fi, centers, sigma, xi, False))
-    for fi, facet in enumerate(scene.facets if include_specular else ()):
+    for fi, facet in enumerate(scene.facets):
         n = facet.normal
         dist = np.dot(origin - facet.vertices[0], n)  # signed distance to the plane
         # The ray from the device along -sign(dist)*n meets the plane at the foot.
@@ -454,7 +451,7 @@ def trace_backscatter_paths(
             continue
         theta_z, theta_x, rho = _device_angles(scene, points[keep])
         tau = 2.0 * rho / SPEED_OF_LIGHT
-        gain = path_gain(sigma[keep], rho, wavelength_m, tx_gain_dbi, rx_gain_dbi)
+        gain = path_gain(sigma[keep], rho, wavelength_m)
         amp = np.sqrt(gain) * np.exp(1j * (xi[keep] - 2.0 * np.pi * f_c * tau))
         parts.append((tau, amp, theta_z, theta_x, rho, np.full(len(rho), specular)))
 
@@ -466,10 +463,6 @@ def trace_backscatter_paths(
 # ---------------------------------------------------------------------------
 # JSON scene configs
 # ---------------------------------------------------------------------------
-
-# Lobe-shape keys of older scene files; the tracer never read them.
-_IGNORED_MATERIAL_KEYS = {"forward_backward", "cross_pol", "lobe_narrowness"}
-
 
 def _catalog_material(name: str) -> Material:
     try:
@@ -488,8 +481,8 @@ def _material_from_spec(spec) -> Material:
     if isinstance(spec, str):
         return _catalog_material(spec)
     if isinstance(spec, dict):
-        _check_keys(spec, {"name", "scatter_ratio"} | _IGNORED_MATERIAL_KEYS, "material")
-        return Material(**{k: v for k, v in spec.items() if k not in _IGNORED_MATERIAL_KEYS})
+        _check_keys(spec, {"name", "scatter_ratio"}, "material")
+        return Material(**spec)
     raise ValueError("material must be a catalog name or an inline object")
 
 
@@ -552,7 +545,9 @@ def _wall(y: float, x0: float, x1: float, z0: float, z1: float, material) -> Pla
 
 
 def _fov_half_extents(view: SceneView, distance_m: float, margin: float) -> tuple[float, float]:
-    """Half width / half height of the field of view at a given distance."""
+    """Half width / half height of the field of view at a given distance, times margin."""
+    if not margin > 0:
+        raise ValueError("margin must be positive")
     tan_h = np.tan(np.radians(view.fov_deg) / 2.0)
     tan_v = tan_h / view.aspect_ratio
     return distance_m * tan_h * margin, distance_m * tan_v * margin

@@ -26,6 +26,7 @@ import numpy as np
 from .channel import RadioConfig, noise_variance
 
 __all__ = [
+    "PREAMBLE_LENGTH",
     "golay_pair_128",
     "make_preamble",
     "pi_half_rotate",

@@ -63,9 +63,8 @@ class TestLinkBudget:
         rng = np.random.default_rng(5)
         sigma = np.r_[0.0, rng.uniform(0.0, 3.0, 2000)]
         rho = rng.uniform(0.2, 20.0, 2001)
-        args = (4.99e-3, 2.0, -1.0)
-        gains = path_gain(sigma, rho, *args)
-        loop = np.array([path_gain(s, r, *args) for s, r in zip(sigma, rho)])
+        gains = path_gain(sigma, rho, 4.99e-3)
+        loop = np.array([path_gain(s, r, 4.99e-3) for s, r in zip(sigma, rho)])
         assert gains.shape == (2001,) and gains[0] == 0.0
         # Same expression; only rho ** 4.0 may round differently, since numpy
         # powers an array with its own loop and a scalar with C pow.
@@ -81,12 +80,6 @@ class TestLinkBudget:
     def test_path_gain_rejects_any_bad_entry(self, sigma, rho, match):
         with pytest.raises(ValueError, match=match):
             path_gain(sigma, rho, 5e-3)
-
-    def test_antenna_gains_multiply(self):
-        base = path_gain(1.0, 5.0, 5e-3)
-        assert path_gain(1.0, 5.0, 5e-3, tx_gain_dbi=3.0, rx_gain_dbi=3.0) == (
-            pytest.approx(base * 10 ** 0.6)
-        )
 
 
 class TestRaisedCosine:
@@ -284,4 +277,4 @@ class TestDelayWindow:
     def test_negative_delay_rejected(self):
         assert delay_window_length(0.0, 0.5e-9, guard=16) == 16
         with pytest.raises(ValueError, match="max delay must be >= 0"):
-            delay_window_length(-1e-12, 0.5e-9)
+            delay_window_length(-1e-12, 0.5e-9, guard=16)

@@ -43,6 +43,15 @@ class TestSensorGrid:
         assert pts.shape == (16, 16, 3)
         assert np.allclose(pts[..., 1], view.focal_length_m)
 
+    @pytest.mark.parametrize("focal_length_m", [0.02, 1.0])
+    def test_angles_do_not_depend_on_focal_length(self, focal_length_m, monkeypatch):
+        # The sensor scales with F_L, so a constant F_L loses no setting.
+        want = grid_angles(sensor_grid(SceneView(), 16, 9))
+        monkeypatch.setattr(SceneView, "focal_length_m", focal_length_m)
+        got = grid_angles(sensor_grid(SceneView(), 16, 9))
+        for g, w in zip(got, want):
+            assert np.allclose(g, w, rtol=1e-13, atol=0)
+
     def test_aspect_ratio_sets_vertical_span(self):
         view = SceneView(fov_deg=100.0, aspect_ratio=16 / 9)
         pts = sensor_grid(view, 16, 16)

@@ -3,7 +3,8 @@ The demos and the package's own exports name only what the package still has.
 
 Each demo is parsed, and every `import mmdepth...` / `from mmdepth...
 import name` must resolve. Every `__all__` entry of every mmdepth module
-must resolve as well. All demos but the parameter sweeps (about 6 s of the
+must resolve on its module and, but for the command line's, on the package
+root as well. All demos but the parameter sweeps (about 6 s of the
 ~12 s the six take together) are also run in a temporary directory, so a
 changed signature of the calls they make fails here.
 """
@@ -66,6 +67,9 @@ def test_all_exports_resolve(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names missing attributes {missing}"
+    if module != "mmdepth.cli":  # run as `python -m mmdepth.cli`, so the root does not import it
+        missing = [name for name in mod.__all__ if getattr(mmdepth, name, None) is not getattr(mod, name)]
+        assert not missing, f"{module}.__all__ names missing on mmdepth {missing}"
 
 
 def run_demo(name: str, cwd: Path) -> subprocess.CompletedProcess:

@@ -68,8 +68,11 @@ BAD_INLINE_SCENES = [
     ({**GOOD_SCENE, "facets": [{**GOOD_FACET, "vertices": [[float("inf"), 2.0, 0.0], *GOOD_FACET["vertices"][1:]]}]},
      "facet vertices must be finite"),
 ]
-# Run arguments that set keys of earlier versions, which the one free-space
-# radar law replaced.
+# A facet whose material carries a lobe-shape key of older scene files.
+LEGACY_FACET = {**GOOD_FACET, "material": {"name": "m", "scatter_ratio": 0.5, "cross_pol": 0.4}}
+# Run arguments that set keys of earlier versions: settings that no decision
+# depended on, or that one free-space radar law, isotropic elements and a
+# noise tail equal to the guard replaced.
 REMOVED_KEYS = [
     (["--set", "radio.temperature_k=290"], "unknown radio keys: \\['temperature_k'\\]"),
     (["--scenario", "one_wall", "--set", "scene.rcs_sqm=1.0"], "unknown one_wall scene keys: \\['rcs_sqm'\\]"),
@@ -77,7 +80,16 @@ REMOVED_KEYS = [
      "unknown scene keys \\['path_loss_exponent'\\]"),
     (["--set", f"scene={json.dumps({'inline': {**GOOD_SCENE, 'facets': [{**GOOD_FACET, 'rcs_sqm': 1.0}]}})}"],
      "unknown facet keys \\['rcs_sqm'\\]"),
+    (["--set", "view.focal_length_m=0.02"], "unknown view keys: \\['focal_length_m'\\]"),
+    (["--set", "upa.element_gain_dbi=3"], "unknown upa keys: \\['element_gain_dbi'\\]"),
+    (["--set", "sim.include_specular=false"], "unknown sim keys: \\['include_specular'\\]"),
+    (["--set", "estimator.tail_samples=32"], "unknown estimator keys: \\['tail_samples'\\]"),
+    (["--set", f"scene={json.dumps({'inline': {**GOOD_SCENE, 'facets': [LEGACY_FACET]}})}"],
+     "unknown material keys \\['cross_pol'\\]"),
 ]
+# Out-of-range margins of the wall builtins: a negative one used to mirror
+# the wall, zero and NaN failed inside the facet checks without naming it.
+BAD_MARGINS = [("one_wall", -1), ("two_walls", -1), ("one_wall", 0), ("one_wall", float("nan"))]
 
 
 def small_config(**updates):
@@ -128,6 +140,7 @@ class TestConfigFromDict:
             ({"builtin": "one_wall", "distance_m": "far"}, "one_wall scene parameter"),
             ({"builtin": "one_wall", "material": "steel"}, "unknown material 'steel'"),
             ({"builtin": "two_walls", "front_distance_m": 3}, "front_distance_m"),
+            *(({"builtin": name, "margin": margin}, "margin must be positive") for name, margin in BAD_MARGINS),
             ({"builtin": "pillar_room", "pillar_material": "steel"}, "unknown material"),
             ({"inline": {"facets": []}}, "at least one facet"),
             ({"inline": {"facets": [], "colour": 1}}, "unknown scene keys"),
@@ -159,7 +172,7 @@ class TestConfigFromDict:
             ({"view": {"fov_deg": 0.0}}, "fov_deg must lie in \\(0, 180\\)"),
             ({"view": {"fov_deg": 180}}, "fov_deg must lie in \\(0, 180\\)"),
             ({"view": {"aspect_ratio": 0.0}}, "aspect_ratio must be positive"),
-            ({"view": {"focal_length_m": -0.01}}, "focal_length_m must be positive"),
+            ({"view": {"aspect_ratio": -1.0}}, "aspect_ratio must be positive"),
             ({"view": {"os_h": 0}}, "oversampling factors must be >= 1"),
             ({"view": {"os_v": 0}}, "oversampling factors must be >= 1"),
             ({"radio": {"carrier_hz": 0.0}}, "carrier and bandwidth must be positive"),
@@ -191,9 +204,7 @@ class TestConfigFromDict:
             ({"max_iterations": 0}, "max_iterations"),
             ({"refine_ratio": 3}, "refine_ratio"),
             ({"refine_ratio": 0}, "refine_ratio"),
-            ({"tail_samples": 0}, "tail_samples"),
             ({"fixed_noise_var": 1e-9}, "unknown estimator keys"),
-            ({"tail_samples": 2.5}, "tail_samples"),
             ({"max_iterations": 2.5}, "max_iterations"),
             ({"max_iterations": True}, "max_iterations"),
         ]:
@@ -203,8 +214,7 @@ class TestConfigFromDict:
         for bad, match in [
             ({"sim": {"seed": "abc"}}, "seed"),
             ({"sim": {"noiseless": "no"}}, "noiseless"),
-            ({"sim": {"include_specular": "x"}}, "include_specular"),
-            ({"sim": {"include_specular": 1}}, "include_specular"),
+            ({"sim": {"noiseless": 1}}, "noiseless"),
             ({"output": {"write_records": "no"}}, "write_records"),
             ({"upa": {"n_h": 16.0}}, "n_h"),
             ({"codebook": {"phase_bits": 2.0}}, "phase_bits"),
@@ -218,7 +228,7 @@ class TestConfigFromDict:
             ({"radio": {"tx_power_dbm": float("nan")}}, "radio.tx_power_dbm must be a finite number"),
             ({"radio": {"tx_power_dbm": float("inf")}}, "radio.tx_power_dbm must be a finite number"),
             ({"sim": {"cell_size_m": float("nan")}}, "sim.cell_size_m must be a finite number"),
-            ({"upa": {"element_gain_dbi": "x"}}, "upa.element_gain_dbi must be a finite number"),
+            ({"upa": {"spacing_wavelengths": "x"}}, "upa.spacing_wavelengths must be a finite number"),
             ({"codebook": {"slr_delta_h": "x"}}, "codebook.slr_delta_h must be a finite number"),
             ({"estimator": {"noise_policy": "analytic", "gamma": True}}, "estimator.gamma"),
         ]:
@@ -243,14 +253,8 @@ class TestConfigFromDict:
         # The smallest guard that holds the latest path's pulse window runs.
         edge = small_config(sim__guard_taps=9, estimator__noise_policy="analytic")
         assert run_scenario(edge).l_d >= 9
-        # The tail window has to fit in the record's signal-free guard.
-        with pytest.raises(ValueError, match="guard_taps"):
-            config_from_dict({"estimator": {"tail_samples": 200}})
-        with pytest.raises(ValueError, match="guard_taps"):
-            config_from_dict({"estimator": {"tail_samples": 40}, "sim": {"guard_taps": 32}})
-        assert config_from_dict({"estimator": {"tail_samples": 64}}).estimator.tail_samples == 64
-        analytic = {"noise_policy": "analytic", "tail_samples": 200}
-        assert config_from_dict({"estimator": analytic}).estimator.tail_samples == 200
+        # The tail policy reads the whole guard, so any valid guard loads with it.
+        assert config_from_dict({"sim": {"guard_taps": 32}}).sim.guard_taps == 32
 
     def test_waveform_length_validated(self):
         with pytest.raises(ValueError, match="positive"):
@@ -379,8 +383,8 @@ class TestBuiltinScenes:
         data = scene_to_dict(scene)
         inline = {"facets": data["facets"], "device": data["device"]}
         rebuilt = small_config(scene={"inline": inline}, radio__tx_power_dbm=70.0)
-        a = trace_backscatter_paths(scene, 5.0, 3.0, 5e-3, seed=2)
-        b = trace_backscatter_paths(build_scene(rebuilt.scene, rebuilt.view), 5.0, 3.0, 5e-3, seed=2)
+        a = trace_backscatter_paths(scene, 5e-3, seed=2)
+        b = trace_backscatter_paths(build_scene(rebuilt.scene, rebuilt.view), 5e-3, seed=2)
         for f in dataclasses.fields(PathSet):
             assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
         runs = run_scenario(cfg), run_scenario(rebuilt)
@@ -470,23 +474,26 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("policy", ["tail", "analytic"])
     def test_detection_equals_one_beam_at_a_time(self, policy, monkeypatch):
-        seen = []
+        seen, thresholds = [], []
 
-        def keep(*args):
-            seen.append(cancel_candidates(*args))
+        def keep(correlation, auto, threshold, max_iterations):
+            thresholds.append(threshold)
+            seen.append(cancel_candidates(correlation, auto, threshold, max_iterations))
             return seen[-1]
 
         monkeypatch.setattr(pipeline, "cancel_candidates", keep)
-        art = run_scenario(small_config(estimator__noise_policy=policy))
+        # A guard off the default 64: the tail policy reads exactly the guard.
+        art = run_scenario(small_config(estimator__noise_policy=policy, sim__guard_taps=40))
         cfg, cb = art.config, art.codebook
         preamble = make_preamble(cfg.waveform.kind, cfg.waveform.length, cfg.waveform.seed)
         results = []
         for m, rec in enumerate(art.records):
             noise = {
-                "tail": lambda: tail_noise_variance(rec.samples, cfg.estimator.tail_samples),
+                "tail": lambda: tail_noise_variance(rec.samples, cfg.sim.guard_taps),
                 "analytic": lambda: noise_variance(cfg.radio) * float(cb.combine_norm_sq[m]),
             }[policy]()
             threshold = correlation_threshold(preamble, noise, cfg.estimator.gamma)
+            assert thresholds[m] == threshold
             results.append(sic_candidates(rec.samples, preamble, threshold, cfg.estimator.max_iterations))
         assert len(seen) == len(results) == 16
         for got, want in zip(seen, results):
@@ -613,10 +620,8 @@ class TestCli:
             ("upa.n_h=abc", "bad upa section"),
             ("scene=5", "bad scene section"),
             ('sim.seed="abc"', "sim.seed must be an integer"),
-            ("estimator.tail_samples=2.5", "estimator.tail_samples must be an integer"),
             ("estimator.max_iterations=2.5", "estimator.max_iterations must be an integer"),
             ('sim.noiseless="no"', "sim.noiseless must be a boolean"),
-            ('sim.include_specular="x"', "sim.include_specular must be a boolean"),
             ('output.write_records="no"', "output.write_records must be a boolean"),
             ("sim.noiseless=true", "sim.noiseless needs"),
             ("output.resolution=[720.7,1280]", "output.resolution entries must be integers"),
@@ -643,6 +648,8 @@ class TestCli:
             (["--scenario", "two_walls", "--set", "scene.front_distance_m=3"], "front_distance_m"),
             (["--scenario", "one_wall", "--set", "scene.material=steel"], "unknown material 'steel'"),
             (["--scenario", "one_wall", "--set", "scene.distance_m=NaN"], "distance_m must be positive"),
+            *((["--scenario", name, "--set", f"scene.margin={json.dumps(margin)}"], "margin must be positive")
+              for name, margin in BAD_MARGINS),
             (["--scenario", "pillar_room", "--set", "scene.size_m=Infinity"], "facet vertices must be finite"),
             *((["--scenario", "pillar_room", "--set", f"scene.{key}={value}"], match) for key, value, match in [
                 ("size_m", -5, "size_m and height_m must be positive"),

@@ -1,6 +1,5 @@
 """Scene geometry: ray-cast truth maps and the diffuse backscatter tracer."""
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -331,7 +330,7 @@ class TestCulledTruth:
 class TestTracer:
     def test_path_geometry_and_delay(self):
         scene = wall_scene(7.0, span=2.0)
-        paths = trace_backscatter_paths(scene, 0.0, 0.0, 5e-3, cell_size_m=0.5)
+        paths = trace_backscatter_paths(scene, 5e-3, cell_size_m=0.5)
         assert len(paths.delay_s) > 0
         assert np.all(paths.range_m >= 7.0 - 1e-9)
         assert np.allclose(paths.delay_s, 2.0 * paths.range_m / C)
@@ -341,21 +340,19 @@ class TestTracer:
         # scatter ratio gives it a cross-section of 2 m^2
         matte = Material("matte", 2.0 / (BACKSCATTER_GAIN * 0.25))
         scene = wall_scene(7.0, span=0.25, material=matte)
-        paths = trace_backscatter_paths(
-            scene, 0.0, 0.0, 5e-3, cell_size_m=0.5, include_specular=False
-        )
-        assert len(paths.delay_s) == 1
-        expected = np.sqrt(path_gain(2.0, paths.range_m[0], 5e-3))
-        assert np.abs(paths.amplitude[0]) == pytest.approx(expected, rel=1e-9)
+        paths = trace_backscatter_paths(scene, 5e-3, cell_size_m=0.5)
+        diffuse = ~paths.specular
+        assert np.count_nonzero(diffuse) == 1
+        expected = np.sqrt(path_gain(2.0, paths.range_m[diffuse][0], 5e-3))
+        assert np.abs(paths.amplitude[diffuse][0]) == pytest.approx(expected, rel=1e-9)
 
     def test_cell_cross_section_scales_with_area(self):
         scene = wall_scene(7.0, span=0.25)  # concrete, one 0.5 m cell
-        paths = trace_backscatter_paths(
-            scene, 0.0, 0.0, 5e-3, cell_size_m=0.5, include_specular=False
-        )
+        paths = trace_backscatter_paths(scene, 5e-3, cell_size_m=0.5)
+        diffuse = ~paths.specular
         sigma = BACKSCATTER_GAIN * 0.40 * 0.25
-        expected = np.sqrt(path_gain(sigma, paths.range_m[0], 5e-3))
-        assert np.abs(paths.amplitude[0]) == pytest.approx(expected, rel=1e-9)
+        expected = np.sqrt(path_gain(sigma, paths.range_m[diffuse][0], 5e-3))
+        assert np.abs(paths.amplitude[diffuse][0]) == pytest.approx(expected, rel=1e-9)
 
     def test_free_space_law_for_both_mechanisms(self):
         # One 0.25 m^2 concrete cell, whose foot is its centre, at 3.5 and
@@ -364,7 +361,7 @@ class TestTracer:
         # pi*rho^2*(1 - 0.4^2) grows 4x, so its power falls 4x.
         diffuse, specular = [], []
         for dist in (3.5, 7.0):
-            p = trace_backscatter_paths(wall_scene(dist, span=0.25), 0.0, 0.0, 5e-3, cell_size_m=0.5)
+            p = trace_backscatter_paths(wall_scene(dist, span=0.25), 5e-3, cell_size_m=0.5)
             assert p.specular.tolist() == [False, True]
             power = np.abs(p.amplitude) ** 2
             diffuse.append(power[0] / (BACKSCATTER_GAIN * 0.4 * 0.25))
@@ -373,35 +370,28 @@ class TestTracer:
         assert specular[0] / specular[1] == pytest.approx(16.0, rel=1e-12)
 
     def test_glass_scatters_nothing(self):
-        # all-glass scene has no diffuse return, which the tracer reports
-        scene = wall_scene(5.0, span=1.0, material=MATERIALS["glass"])
+        # An all-glass wall has no diffuse return, only the mirror one at its
+        # foot; with the foot off the glass, the tracer reports no paths.
+        glass = MATERIALS["glass"]
+        paths = trace_backscatter_paths(wall_scene(5.0, span=1.0, material=glass), 5e-3, cell_size_m=0.5)
+        assert paths.specular.tolist() == [True]
+        aside = PlanarFacet(facing_wall(5.0, 1.0, 1.0).vertices + [2.0, 0.0, 0.0], glass)
         with pytest.raises(ValueError, match="no backscatter"):
-            trace_backscatter_paths(
-                scene, 0.0, 0.0, 5e-3, cell_size_m=0.5, include_specular=False
-            )
+            trace_backscatter_paths(Scene([aside], DevicePose(position=np.zeros(3))), 5e-3, cell_size_m=0.5)
 
     def test_seed_determinism(self):
         scene = wall_scene(6.0, span=3.0)
-        a = trace_backscatter_paths(scene, 0.0, 0.0, 5e-3, seed=5)
-        b = trace_backscatter_paths(scene, 0.0, 0.0, 5e-3, seed=5)
-        c = trace_backscatter_paths(scene, 0.0, 0.0, 5e-3, seed=6)
+        a = trace_backscatter_paths(scene, 5e-3, seed=5)
+        b = trace_backscatter_paths(scene, 5e-3, seed=5)
+        c = trace_backscatter_paths(scene, 5e-3, seed=6)
         assert np.array_equal(a.amplitude, b.amplitude)
         assert not np.array_equal(a.amplitude, c.amplitude)
         # geometry does not depend on the phase seed
         assert np.array_equal(a.range_m, c.range_m)
 
-    def test_specular_toggle(self):
-        scene = wall_scene(6.0, span=3.0)
-        with_spec = trace_backscatter_paths(scene, 0.0, 0.0, 5e-3)
-        without = trace_backscatter_paths(
-            scene, 0.0, 0.0, 5e-3, include_specular=False
-        )
-        assert with_spec.specular.sum() == 1
-        assert without.specular.sum() == 0
-
     def test_specular_needs_foot_inside_facet(self):
         def specular(scene):
-            paths = trace_backscatter_paths(scene, 0.0, 0.0, 5e-3, cell_size_m=0.5)
+            paths = trace_backscatter_paths(scene, 5e-3, cell_size_m=0.5)
             return paths.range_m[paths.specular]
 
         # The device's foot on the plane y = 6 is (0, 6, 0); the wall spans
@@ -422,23 +412,22 @@ class TestTracer:
         # carries none and is dropped; the same wall in concrete keeps it.
         for material, count in ((Material("matte", 1.0), 0), (MATERIALS["concrete"], 1)):
             scene = wall_scene(6.0, span=3.0, material=material)
-            paths = trace_backscatter_paths(scene, 0.0, 0.0, 5e-3, cell_size_m=0.5)
+            paths = trace_backscatter_paths(scene, 5e-3, cell_size_m=0.5)
             assert paths.specular.sum() == count
 
 
     def test_specular_return_is_the_image_source(self):
         # A wood plate 3 m ahead whose foot is its centre: the mirror return
         # has the image-source gain at range 2*rho and only the carrier phase.
-        rho, lam, g_t_dbi, g_r_dbi = 3.0, 5e-3, 5.0, 3.0
+        rho, lam = 3.0, 5e-3
         facet = {"vertices": [[-1.0, rho, -1.0], [1.0, rho, -1.0], [1.0, rho, 1.0], [-1.0, rho, 1.0]],
                  "material": "wood"}
         scene = scene_from_dict({"facets": [facet]})
-        paths = trace_backscatter_paths(scene, g_t_dbi, g_r_dbi, lam, cell_size_m=0.5)
+        paths = trace_backscatter_paths(scene, lam, cell_size_m=0.5)
         assert paths.specular.tolist() == [False] * 16 + [True]
         amp, tau = paths.amplitude[-1], paths.delay_s[-1]
         assert paths.range_m[-1] == rho and tau == 2.0 * rho / C
-        g_t, g_r = 10.0 ** (g_t_dbi / 10.0), 10.0 ** (g_r_dbi / 10.0)
-        gain = g_t * g_r * lam**2 * (1.0 - 0.15**2) / ((4.0 * np.pi) ** 2 * (2.0 * rho) ** 2)
+        gain = lam**2 * (1.0 - 0.15**2) / ((4.0 * np.pi) ** 2 * (2.0 * rho) ** 2)
         assert abs(amp) ** 2 == pytest.approx(gain, rel=1e-12)
         assert amp / abs(amp) == pytest.approx(np.exp(-2j * np.pi * (C / lam) * tau), abs=1e-9)
 
@@ -471,36 +460,6 @@ class TestSceneSerialization:
         assert np.allclose(
             again.facets[0].vertices, scene.facets[0].vertices
         )
-
-    def test_legacy_material_keys_load_and_are_ignored(self):
-        # The material form earlier versions of save_scene wrote: three
-        # lobe-shape keys the tracer never read.
-        legacy = {
-            "facets": [
-                {
-                    "vertices": [[-1.0, 4.0, -1.0], [1.0, 4.0, -1.0], [1.0, 4.0, 1.0], [-1.0, 4.0, 1.0]],
-                    "material": {
-                        "name": "concrete",
-                        "scatter_ratio": 0.4,
-                        "forward_backward": 0.75,
-                        "cross_pol": 0.4,
-                        "lobe_narrowness": 0.4,
-                    },
-                }
-            ],
-            "device": {"position": [0.0, 0.0, 0.0], "boresight": [0.0, 1.0, 0.0], "up": [0.0, 0.0, 1.0]},
-        }
-        scene = wall_scene(4.0, span=1.0)
-        loaded = scene_from_dict(json.loads(json.dumps(legacy)))
-        assert loaded.facets[0].material == MATERIALS["concrete"]
-        assert set(scene_to_dict(loaded)["facets"][0]["material"]) == {"name", "scatter_ratio"}
-        a = trace_backscatter_paths(scene, 0.0, 0.0, 5e-3, cell_size_m=0.25, seed=3)
-        b = trace_backscatter_paths(loaded, 0.0, 0.0, 5e-3, cell_size_m=0.25, seed=3)
-        for f in dataclasses.fields(PathSet):
-            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
-        legacy["facets"][0]["material"]["gloss"] = 1.0
-        with pytest.raises(ValueError, match="unknown material keys"):
-            scene_from_dict(legacy)
 
     def test_unknown_material_rejected(self):
         data = scene_to_dict(wall_scene(4.0, span=1.0))
@@ -549,12 +508,20 @@ def square_scene_dict(facet=None, **top):
             lambda: scene_from_dict(square_scene_dict({"material": 0.4})),
             "material must be a catalog name or an inline object",
         ),
+        # Lobe-shape keys that older scene files carry; the tracer never read them.
+        *(
+            (
+                lambda key=key: scene_from_dict(square_scene_dict({"material": {"name": "m", "scatter_ratio": 0.4, key: 0.4}})),
+                f"unknown material keys \\['{key}'\\]",
+            )
+            for key in ("forward_backward", "cross_pol", "lobe_narrowness")
+        ),
         (
             lambda: PathSet(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(1), np.zeros(2), np.zeros(2, bool)),
             "PathSet field theta_x length mismatch",
         ),
-        (lambda: trace_backscatter_paths(wall_scene(4.0), 0.0, 0.0, 5e-3, cell_size_m=0.0), "cell_size_m must be"),
-        (lambda: trace_backscatter_paths(wall_scene(4.0), 0.0, 0.0, 5e-3, cell_size_m=-0.05), "cell_size_m must be"),
+        (lambda: trace_backscatter_paths(wall_scene(4.0), 5e-3, cell_size_m=0.0), "cell_size_m must be"),
+        (lambda: trace_backscatter_paths(wall_scene(4.0), 5e-3, cell_size_m=-0.05), "cell_size_m must be"),
         (lambda: PlanarFacet([*SQUARE[:3], [np.nan, 4.0, 1.0]], CONCRETE), "facet vertices must be finite"),
         (lambda: PlanarFacet([*SQUARE[:3], [-1.0, np.inf, 1.0]], CONCRETE), "facet vertices must be finite"),
         (lambda: DevicePose(position=[np.nan, 0.0, 0.0]), "device position must be finite"),
