@@ -147,8 +147,8 @@ def delay_window_length(max_delay_s: float, sample_period_s: float, guard: int) 
     """
     Channel tap window length L_d = ceil(max_delay / T_s) + guard. A guard
     above PULSE_HALF_WIDTH holds the truncated pulse tail of the
-    latest-arriving path; the 'tail' noise policy reads the noise from the
-    last guard samples of every record.
+    latest-arriving path; the pipeline reads each beam's noise level, and so
+    its detection threshold, from the last guard samples of its record.
     """
     if max_delay_s < 0:
         raise ValueError("max delay must be >= 0")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .io import write_pgm16
@@ -163,13 +164,7 @@ def _cmd_ground_truth(args) -> int:
 def _cmd_codebook_dump(args) -> int:
     data = _assemble_config_dict(args)
     cfg = _validated_config(data)
-    cb = design_codebook(
-        cfg.upa,
-        cfg.view,
-        slr_delta_h=cfg.codebook.slr_delta_h,
-        slr_delta_v=cfg.codebook.slr_delta_v,
-        phase_bits=cfg.codebook.phase_bits,
-    )
+    cb = design_codebook(cfg.upa, cfg.view, **asdict(cfg.codebook))
     write_codebook_csv(cb, args.out)
     print(f"{cb.m} beams ({cb.n_bar_v}x{cb.n_bar_h}) in {args.out}")
     return EXIT_OK

@@ -192,8 +192,8 @@ def slr_weights(n: int, delta: float) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    if not delta >= 0:
+        raise ValueError(f"delta must be >= 0, got {delta}")
     if delta == 0:
         return np.ones(n)
     r = np.arange(1, n + 1, dtype=float)
@@ -275,8 +275,9 @@ def design_codebook(
 
     One beam per sensor cell: n_bar_h = n_h * os_h columns and
     n_bar_v = n_v * os_v rows, M = n_bar_h * n_bar_v beams in total.
-    Optional Gaussian tapers (slr_delta_* > 0) are applied per axis before
-    the optional phase quantization; quantization always runs last.
+    Optional Gaussian tapers (slr_delta_* > 0; 0 disables, a negative delta
+    raises, as in slr_weights) are applied per axis before the optional
+    phase quantization; quantization always runs last.
     """
     n_bar_h = upa.n_h * view.os_h
     n_bar_v = upa.n_v * view.os_v
@@ -286,9 +287,9 @@ def design_codebook(
     # Constituent vectors for every beam at once: (M, n_v) and (M, n_h).
     b_v = axis_response(np.cos(theta_z).reshape(-1), upa.n_v, upa.spacing_wavelengths)
     b_h = axis_response(np.cos(theta_x).reshape(-1), upa.n_h, upa.spacing_wavelengths)
-    if slr_delta_v > 0:
+    if slr_delta_v != 0:
         b_v = b_v * slr_weights(upa.n_v, slr_delta_v)[None, :]
-    if slr_delta_h > 0:
+    if slr_delta_h != 0:
         b_h = b_h * slr_weights(upa.n_h, slr_delta_h)[None, :]
     # Row-wise Kronecker product; index layout matches steering_vector.
     weights = (b_v[:, :, None] * b_h[:, None, :]).reshape(-1, upa.n)

@@ -138,14 +138,15 @@ def tail_noise_variance(samples: np.ndarray, n_tail: int) -> float | np.ndarray:
     """
     Per-sample noise variance estimated from the last n_tail record samples.
 
-    The pipeline reads the whole delay-window guard, n_tail = sim.guard_taps.
-    The guard follows the latest path's delay, so its samples hold noise and
-    at most the truncated pulse tails of the latest paths, and their mean
-    power estimates the noise variance. The mean of n_tail samples of
-    complex Gaussian noise scatters by 1/sqrt(n_tail) relative, 12.5% at the
-    default guard of 64. Prefer the analytic variance when the link budget
-    is known. samples is one record (a float comes back) or a stack of
-    records (one value per row).
+    This is the pipeline's only noise level: it reads the whole delay-window
+    guard, n_tail = sim.guard_taps, of every record. The guard follows the
+    latest path's delay, so its samples hold noise and at most the truncated
+    pulse tails of the latest paths, and their mean power estimates the
+    noise variance. The mean of n_tail samples of complex Gaussian noise
+    scatters by 1/sqrt(n_tail) relative, 12.5% at the default guard of 64;
+    a record without noise has a zero tail, hence a zero threshold. samples
+    is one record (a float comes back) or a stack of records (one value per
+    row).
     """
     samples = np.asarray(samples)
     if not 0 < n_tail <= samples.shape[-1]:

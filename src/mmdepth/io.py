@@ -113,19 +113,28 @@ def write_records(path, records: list[SensingRecord]) -> None:
 
 
 def read_records(path) -> list[SensingRecord]:
+    """Read a write_records dump; a file cut short anywhere raises a ValueError saying so."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != _RECORD_MAGIC:
+
+    def need(end: int) -> None:
+        if end > len(data):
+            raise ValueError(f"truncated record dump: {len(data)} bytes, the next field ends at byte {end}")
+
+    if data[:4] != _RECORD_MAGIC[: len(data)]:
         raise ValueError("not a record dump (bad magic)")
+    need(12)
     version, count = struct.unpack_from("<II", data, 4)
     if version != _RECORD_VERSION:
         raise ValueError(f"unsupported record dump version {version}")
     pos = 12
     records = []
     for _ in range(count):
+        need(pos + 12)
         beam, n_p, l_d = struct.unpack_from("<III", data, pos)
         pos += 12
         n = n_p + l_d
+        need(pos + 16 * n)
         samples = np.frombuffer(data, dtype="<c16", count=n, offset=pos).astype(complex)
         pos += 16 * n
         records.append(SensingRecord(beam=beam, n_p=n_p, l_d=l_d, samples=samples))

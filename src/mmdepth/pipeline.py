@@ -21,7 +21,9 @@ All records are synthesized into one (M, n_p + l_d) array and matched-
 filtered in one pass over blocks of beams; the cancellation then runs beam
 after beam on that beam's correlation row, and refinement takes all beams in
 one matrix product. Every beam draws its noise from its own spawned
-generator, so results do not depend on beam order or block size.
+generator, so results do not depend on beam order or block size. A beam's
+cancellation stops at gamma^2 E_p times its noise level, the mean power of
+its record's tail: the last sim.guard_taps samples, past the latest path.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +42,6 @@ from .channel import (
     RadioConfig,
     beamformed_taps_batch,
     delay_window_length,
-    noise_variance,
 )
 from .codebook import Codebook, SceneView, UpaConfig, design_codebook
 from .estimator import (
@@ -97,6 +98,13 @@ class CodebookConfig:
     slr_delta_v: float = 0.0
     phase_bits: int | None = None      # e.g. 2 for 2-bit shifters, None = ideal
 
+    def __post_init__(self):
+        for name in ("slr_delta_h", "slr_delta_v"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"codebook.{name} must be >= 0 (0 disables the taper)")
+        if self.phase_bits is not None and self.phase_bits < 1:
+            raise ValueError("codebook.phase_bits must be >= 1, or null for ideal shifters")
+
 
 @dataclass(frozen=True)
 class WaveformConfig:
@@ -116,13 +124,10 @@ class WaveformConfig:
 @dataclass(frozen=True)
 class EstimatorConfig:
     gamma: float = 4.0                 # detection margin, amplitude ratio
-    noise_policy: str = "tail"         # tail (the sim.guard_taps record tail) | analytic
     max_iterations: int = 32           # cancellation passes per beam
     refine_ratio: int = 100            # sub-sample grid, even, f_est = ratio * f_s
 
     def __post_init__(self):
-        if self.noise_policy not in ("analytic", "tail"):
-            raise ValueError(f"unknown noise_policy {self.noise_policy!r}")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
         if self.max_iterations < 1:
@@ -136,7 +141,6 @@ class SimConfig:
     seed: int = 0                      # master seed: scene phases + per-beam noise
     cell_size_m: float = 0.05          # diffuse scatter cell edge
     guard_taps: int = 64               # delay-window tail past the last path, the noise tail
-    noiseless: bool = False            # skip the noise draw (diagnostics)
 
     def __post_init__(self):
         if self.cell_size_m <= 0:
@@ -181,10 +185,14 @@ class ScenarioConfig:
     scene: dict = field(default_factory=lambda: {"builtin": "one_wall"})
 
     def __post_init__(self):
-        # A noiseless record has a zero tail, hence a zero threshold, and
-        # every beam would cancel up to max_iterations.
-        if self.estimator.noise_policy == "tail" and self.sim.noiseless:
-            raise ValueError("sim.noiseless needs estimator.noise_policy 'analytic', not 'tail'")
+        # Display maps are upscaled from the beam grid, never downscaled.
+        grid = (self.upa.n_v * self.view.os_v, self.upa.n_h * self.view.os_h)
+        res = self.output.resolution
+        if res is not None and (res[0] < grid[0] or res[1] < grid[1]):
+            raise ValueError(
+                f"output.resolution {list(res)} is below the {grid[0]}x{grid[1]} beam grid "
+                "(rows n_v*os_v, cols n_h*os_h); display maps only upscale"
+            )
 
 
 def _build_section(cls, data: dict, where: str):
@@ -232,6 +240,8 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         raise ValueError(f"unknown config keys: {sorted(extra)}")
     kwargs = {}
     if "name" in data:
+        if not isinstance(data["name"], str):
+            raise ValueError(f"name must be a string, got {data['name']!r}")
         kwargs["name"] = data["name"]
     for key in ("scene", *_SECTIONS):
         if key not in data:
@@ -248,14 +258,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
     """Canonical JSON-shaped dict of a config (tuples become lists)."""
-    out: dict = {"name": cfg.name, "scene": cfg.scene}
-    for key, cls in _SECTIONS.items():
-        section = getattr(cfg, key)
-        out[key] = {
-            f.name: getattr(section, f.name)
-            for f in fields(cls)
-            if f.init
-        }
+    out: dict = {"name": cfg.name, "scene": cfg.scene, **{key: asdict(getattr(cfg, key)) for key in _SECTIONS}}
     res = out["output"]["resolution"]
     if isinstance(res, tuple):
         out["output"]["resolution"] = list(res)
@@ -358,13 +361,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunArtifacts:
         return t1
 
     t0 = t_start
-    cb = design_codebook(
-        cfg.upa,
-        cfg.view,
-        slr_delta_h=cfg.codebook.slr_delta_h,
-        slr_delta_v=cfg.codebook.slr_delta_v,
-        phase_bits=cfg.codebook.phase_bits,
-    )
+    cb = design_codebook(cfg.upa, cfg.view, **asdict(cfg.codebook))
     t0 = _clock("codebook", t0)
 
     scene = build_scene(cfg.scene, cfg.view)
@@ -387,13 +384,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunArtifacts:
     t0 = _clock("channel_taps", t0)
 
     preamble = make_preamble(cfg.waveform.kind, cfg.waveform.length, cfg.waveform.seed)
-    samples = synthesize_records(
-        taps, preamble, cfg.radio, cb.combine_norm_sq, None if cfg.sim.noiseless else seeds[1:]
-    )
+    samples = synthesize_records(taps, preamble, cfg.radio, cb.combine_norm_sq, seeds[1:])
     records = [SensingRecord(m, len(preamble), l_d, row) for m, row in enumerate(samples)]  # row views
     t0 = _clock("records", t0)
 
-    delay_sets, truncated_beams = _detect(samples, preamble, cfg, cb.combine_norm_sq)
+    delay_sets, truncated_beams = _detect(samples, preamble, cfg)
     t0 = _clock("sic", t0)
 
     selected, filled = joint_processing(delay_sets, cb.n_bar_h, cb.n_bar_v)
@@ -449,21 +444,17 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunArtifacts:
     return art
 
 
-def _detect(
-    samples: np.ndarray, preamble: np.ndarray, cfg: ScenarioConfig, combine_norm_sq: np.ndarray
-) -> tuple[list[np.ndarray], int]:
+def _detect(samples: np.ndarray, preamble: np.ndarray, cfg: ScenarioConfig) -> tuple[list[np.ndarray], int]:
     """
     Candidate delay sets of all beams and the number of beams cut at the
     iteration cap: one matched-filter pass over the record array, then
-    cancellation beam by beam on its correlation row. The (M, l_d + 1)
-    correlation matrix and the per-beam coefficients are released on return,
-    before refinement.
+    cancellation beam by beam on its correlation row, down to a threshold
+    set by the mean power of that record's last sim.guard_taps samples. The
+    (M, l_d + 1) correlation matrix and the per-beam coefficients are
+    released on return, before refinement.
     """
     est = cfg.estimator
-    if est.noise_policy == "analytic":
-        noise_var = noise_variance(cfg.radio) * combine_norm_sq
-    else:
-        noise_var = tail_noise_variance(samples, cfg.sim.guard_taps)
+    noise_var = tail_noise_variance(samples, cfg.sim.guard_taps)
     thresholds = correlation_threshold(preamble, noise_var, est.gamma)
     correlation = cross_correlation(samples, preamble)
     auto = preamble_autocorrelation(preamble, correlation.shape[1] - 1)

@@ -152,9 +152,9 @@ def synthesize_records(
     (combine_norm_sq[m] = ||w_m||^2). The convolutions are FFT products
     with one preamble spectrum, at the power-of-two size at or above
     n_p + l_d so nothing wraps, over blocks of _BLOCK beams; the last
-    sample of a noiseless record is exactly 0.
+    sample of a record drawn without noise is exactly 0.
 
-    noise is None for noiseless records, or one Generator or seed (for
+    noise is None for clean records (no noise draw), or one Generator or seed (for
     np.random.default_rng) per beam. Row m draws its real then its imaginary
     parts from its own generator, so a beam's noise does not depend on the
     other beams or on the block size.
@@ -192,7 +192,7 @@ def synthesize_rx(
     The record of one beam: synthesize_records on a single tap line.
 
     rng is a Generator or a seed for np.random.default_rng; pass rng=None
-    for a noiseless record.
+    for a clean record (no noise draw).
     """
     taps = np.asarray(taps)
     samples = synthesize_records(

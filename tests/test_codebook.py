@@ -165,6 +165,10 @@ class TestQuantizePhases:
         (lambda: sensor_grid(SceneView(), 16, -1), "grid dimensions must be positive"),
         (lambda: slr_weights(0, 3.0), "n must be positive"),
         (lambda: slr_weights(16, -0.5), "delta must be >= 0"),
+        (lambda: slr_weights(16, float("nan")), "delta must be >= 0"),
+        # A negative taper used to be skipped silently, as if it were 0.
+        (lambda: design_codebook(UpaConfig(n_h=4, n_v=4), SceneView(), slr_delta_h=-3.0), "delta must be >= 0"),
+        (lambda: design_codebook(UpaConfig(n_h=4, n_v=4), SceneView(), slr_delta_v=-0.5), "delta must be >= 0"),
         (lambda: quantize_phases(np.ones(4, dtype=complex), 0), "bits must be >= 1"),
         (lambda: radiation_pattern(np.zeros(256, dtype=complex), UpaConfig(), 1.0, 1.0), "beam has zero pattern"),
     ],

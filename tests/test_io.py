@@ -76,6 +76,21 @@ def test_readers_reject_foreign_files(tmp_path, reader, data, match):
         reader(path)
 
 
+def test_truncated_record_dump_rejected(tmp_path):
+    # Cut a two-record dump at every byte, so at every field boundary (magic,
+    # version, count, each record's beam, n_p and l_d, each sample) and inside
+    # each field: every cut raises the same ValueError.
+    samples = np.arange(3) * (1.0 - 1.0j)
+    path = tmp_path / "records.bin"
+    write_records(path, [SensingRecord(0, 2, 1, samples), SensingRecord(1, 1, 1, samples[:2])])
+    dump = path.read_bytes()
+    assert len(dump) == 12 + (12 + 3 * 16) + (12 + 2 * 16)
+    for cut in range(len(dump)):
+        path.write_bytes(dump[:cut])
+        with pytest.raises(ValueError, match=f"truncated record dump: {cut} bytes"):
+            read_records(path)
+
+
 @pytest.mark.parametrize("writer", [write_pgm16, write_map_csv])
 @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
 def test_writers_reject_maps_that_are_not_2d(tmp_path, writer, shape):

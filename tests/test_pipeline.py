@@ -10,6 +10,7 @@ beam detects and nothing depends on hole filling.
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from mmdepth.io import read_pgm16, read_records
 from mmdepth.pipeline import (
     SWEEP_ALIASES,
     SWEEP_COLUMNS,
-    EstimatorConfig,
     OutputConfig,
     ScenarioConfig,
     WaveformConfig,
@@ -41,7 +41,7 @@ from mmdepth.pipeline import (
     sweep,
 )
 from mmdepth.scene import BUILTIN_SCENES, PathSet, build_scene, scene_to_dict, trace_backscatter_paths
-from mmdepth.waveform import make_preamble
+from mmdepth.waveform import make_preamble, synthesize_records
 
 
 SMALL = {
@@ -71,8 +71,8 @@ BAD_INLINE_SCENES = [
 # A facet whose material carries a lobe-shape key of older scene files.
 LEGACY_FACET = {**GOOD_FACET, "material": {"name": "m", "scatter_ratio": 0.5, "cross_pol": 0.4}}
 # Run arguments that set keys of earlier versions: settings that no decision
-# depended on, or that one free-space radar law, isotropic elements and a
-# noise tail equal to the guard replaced.
+# depended on, or that one free-space radar law, isotropic elements, a noise
+# tail equal to the guard and that tail as the only noise level replaced.
 REMOVED_KEYS = [
     (["--set", "radio.temperature_k=290"], "unknown radio keys: \\['temperature_k'\\]"),
     (["--scenario", "one_wall", "--set", "scene.rcs_sqm=1.0"], "unknown one_wall scene keys: \\['rcs_sqm'\\]"),
@@ -84,6 +84,8 @@ REMOVED_KEYS = [
     (["--set", "upa.element_gain_dbi=3"], "unknown upa keys: \\['element_gain_dbi'\\]"),
     (["--set", "sim.include_specular=false"], "unknown sim keys: \\['include_specular'\\]"),
     (["--set", "estimator.tail_samples=32"], "unknown estimator keys: \\['tail_samples'\\]"),
+    (["--set", "estimator.noise_policy=analytic"], "unknown estimator keys: \\['noise_policy'\\]"),
+    (["--set", "sim.noiseless=true"], "unknown sim keys: \\['noiseless'\\]"),
     (["--set", f"scene={json.dumps({'inline': {**GOOD_SCENE, 'facets': [LEGACY_FACET]}})}"],
      "unknown material keys \\['cross_pol'\\]"),
 ]
@@ -179,6 +181,10 @@ class TestConfigFromDict:
             ({"radio": {"bandwidth_hz": -2e9}}, "carrier and bandwidth must be positive"),
             ({"radio": {"rolloff": -0.1}}, "rolloff must lie in \\[0, 1\\]"),
             ({"radio": {"rolloff": 1.5}}, "rolloff must lie in \\[0, 1\\]"),
+            ({"codebook": {"phase_bits": 0}}, "codebook.phase_bits must be >= 1"),
+            ({"codebook": {"phase_bits": -2}}, "codebook.phase_bits must be >= 1"),
+            ({"codebook": {"slr_delta_h": -3}}, "codebook.slr_delta_h must be >= 0"),
+            ({"codebook": {"slr_delta_v": -0.5}}, "codebook.slr_delta_v must be >= 0"),
         ],
     )
     def test_array_view_and_radio_ranges_validated(self, bad, match):
@@ -189,15 +195,42 @@ class TestConfigFromDict:
         cfg = config_from_dict({"output": {"resolution": [120, 160]}})
         assert cfg.output.resolution == (120, 160)
 
+    def test_display_resolution_below_beam_grid_rejected(self):
+        # An 8x8 array at os 1 x 2 has an 8-row, 16-column beam grid; display
+        # maps only upscale it, so each axis is checked at load.
+        grid = {"upa": {"n_h": 8, "n_v": 8}, "view": {"os_h": 2}}
+        for res in ([7, 16], [8, 15], [4, 40]):
+            with pytest.raises(ValueError, match=re.escape(f"output.resolution {res} is below the 8x16 beam grid")):
+                config_from_dict({**grid, "output": {"resolution": res}})
+        assert config_from_dict({**grid, "output": {"resolution": [8, 16]}}).output.resolution == (8, 16)
+        with pytest.raises(ValueError, match="below the 4x4 beam grid"):
+            ScenarioConfig(upa=UpaConfig(n_h=4, n_v=4), output=OutputConfig(resolution=(3, 4)))
+
+    def test_name_must_be_a_string(self):
+        for name in (5, {"a": [1]}, None, ["wall"]):
+            with pytest.raises(ValueError, match=re.escape(f"name must be a string, got {name!r}")):
+                config_from_dict({"name": name})
+        assert config_from_dict({"name": "wall"}).name == "wall"
+
+    def test_readme_table_lists_every_setting(self):
+        # One README row per settable value, with the library default as JSON,
+        # so adding or deleting a setting has to update the docs.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `([a-z_.]+)` \| `([^`]*)` \|", readme, flags=re.MULTILINE)
+        documented = {key: json.loads(default) for key, default in rows}
+        defaults = config_to_dict(ScenarioConfig())
+        del defaults["scene"]
+        settings = {"name": defaults.pop("name")}
+        settings.update((f"{section}.{key}", value) for section, values in defaults.items() for key, value in values.items())
+        assert len(rows) == len(documented)
+        assert documented == settings
+
     def test_roundtrip_through_dict(self):
         cfg = small_config()
         again = config_from_dict(config_to_dict(cfg))
         assert config_hash(again) == config_hash(cfg)
 
     def test_estimator_policy_validated(self):
-        for policy in ("guess", "fixed"):
-            with pytest.raises(ValueError, match="noise_policy"):
-                EstimatorConfig(noise_policy=policy)
         for bad, match in [
             ({"gamma": 0.0}, "gamma"),
             ({"gamma": -1.0}, "gamma"),
@@ -213,9 +246,8 @@ class TestConfigFromDict:
         # Fields of the wrong kind fail at load in every section.
         for bad, match in [
             ({"sim": {"seed": "abc"}}, "seed"),
-            ({"sim": {"noiseless": "no"}}, "noiseless"),
-            ({"sim": {"noiseless": 1}}, "noiseless"),
             ({"output": {"write_records": "no"}}, "write_records"),
+            ({"output": {"write_records": 1}}, "write_records"),
             ({"upa": {"n_h": 16.0}}, "n_h"),
             ({"codebook": {"phase_bits": 2.0}}, "phase_bits"),
             ({"output": {"write_codebook": True}}, "unknown output keys"),
@@ -230,18 +262,12 @@ class TestConfigFromDict:
             ({"sim": {"cell_size_m": float("nan")}}, "sim.cell_size_m must be a finite number"),
             ({"upa": {"spacing_wavelengths": "x"}}, "upa.spacing_wavelengths must be a finite number"),
             ({"codebook": {"slr_delta_h": "x"}}, "codebook.slr_delta_h must be a finite number"),
-            ({"estimator": {"noise_policy": "analytic", "gamma": True}}, "estimator.gamma"),
+            ({"estimator": {"gamma": True}}, "estimator.gamma"),
         ]:
             with pytest.raises(ValueError, match=match):
-                config_from_dict({"estimator": {"noise_policy": "analytic"}, **bad})
+                config_from_dict(bad)
         assert config_from_dict({"codebook": {"phase_bits": None}}).codebook.phase_bits is None
         assert config_from_dict({"radio": {"tx_power_dbm": 25}}).radio.tx_power_dbm == 25
-        # A noiseless record has no tail noise to estimate.
-        with pytest.raises(ValueError, match="noiseless"):
-            config_from_dict({"sim": {"noiseless": True}})
-        quiet = {"sim": {"noiseless": True}, "estimator": {"noise_policy": "analytic"}}
-        assert config_from_dict(quiet).sim.noiseless
-        analytic = {"noise_policy": "analytic"}
         for bad, match in [
             ({"cell_size_m": 0.0}, "cell_size_m"),
             ({"cell_size_m": -0.05}, "cell_size_m"),
@@ -249,11 +275,14 @@ class TestConfigFromDict:
             ({"guard_taps": 0}, "guard_taps"),
         ]:
             with pytest.raises(ValueError, match=match):
-                config_from_dict({"estimator": analytic, "sim": bad})
+                config_from_dict({"sim": bad})
         # The smallest guard that holds the latest path's pulse window runs.
-        edge = small_config(sim__guard_taps=9, estimator__noise_policy="analytic")
-        assert run_scenario(edge).l_d >= 9
-        # The tail policy reads the whole guard, so any valid guard loads with it.
+        # Its 9-sample tail scatters by a third, yet no beam cancels to the
+        # iteration cap and most beams detect their own path.
+        edge = run_scenario(small_config(sim__guard_taps=9))
+        assert edge.l_d >= 9 and edge.truncated_beams == 0
+        assert edge.filled.sum() < edge.codebook.m // 2
+        # The noise tail is the whole guard, so any valid guard loads.
         assert config_from_dict({"sim": {"guard_taps": 32}}).sim.guard_taps == 32
 
     def test_waveform_length_validated(self):
@@ -437,12 +466,6 @@ class TestRunScenario:
         other = run_scenario(small_config(sim__seed=2))
         assert not np.array_equal(other.records[0].samples, small_run.records[0].samples)
 
-    def test_noiseless_mode_drops_noise(self):
-        cfg = small_config(sim__noiseless=True, estimator__noise_policy="analytic")
-        art = run_scenario(cfg)
-        # the guard tail past the last pulse carries no signal and no noise
-        assert abs(art.records[0].samples[-1]) == 0.0
-
     def test_records_are_row_views_of_one_array(self, small_run):
         base = small_run.records[0].samples.base
         assert base is not None and base.shape == (16, 256 + small_run.l_d)
@@ -450,17 +473,26 @@ class TestRunScenario:
             assert rec.beam == m and rec.samples.base is base
             assert np.shares_memory(rec.samples, base[m])
 
-    def test_beam_noise_comes_from_its_spawned_seed(self):
-        cfg = small_config(estimator__noise_policy="analytic")
+    def test_beam_noise_comes_from_its_spawned_seed(self, monkeypatch):
+        seen, taps_of = [], pipeline.beamformed_taps_batch
+
+        def keep(*args):
+            seen.append(taps_of(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(pipeline, "beamformed_taps_batch", keep)
+        cfg = small_config()
         noisy = run_scenario(cfg)
-        clean = run_scenario(small_config(estimator__noise_policy="analytic", sim__noiseless=True))
+        (taps,) = seen
+        preamble = make_preamble(cfg.waveform.kind, cfg.waveform.length, cfg.waveform.seed)
+        clean = synthesize_records(taps, preamble, cfg.radio, noisy.codebook.combine_norm_sq, noise=None)
         seeds = np.random.SeedSequence(cfg.sim.seed).spawn(1 + 16)  # scene first, then one per beam
         n = len(noisy.records[0].samples)
-        for m, (a, b) in enumerate(zip(noisy.records, clean.records)):
+        for m, (a, b) in enumerate(zip(noisy.records, clean)):
             rng = np.random.default_rng(seeds[1 + m])
             scale = np.sqrt(noise_variance(cfg.radio) * float(noisy.codebook.combine_norm_sq[m]) / 2.0)
             noise = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            assert np.array_equal(a.samples, b.samples + noise)
+            assert np.array_equal(a.samples, b + noise)
 
     @pytest.mark.parametrize("block", [1, 5, 40])
     def test_block_size_does_not_change_the_run(self, small_run, monkeypatch, block):
@@ -472,8 +504,7 @@ class TestRunScenario:
         for key in ("selected", "fine_offsets", "filled", "range_map", "depth_map"):
             assert np.array_equal(getattr(art, key), getattr(small_run, key)), key
 
-    @pytest.mark.parametrize("policy", ["tail", "analytic"])
-    def test_detection_equals_one_beam_at_a_time(self, policy, monkeypatch):
+    def test_detection_equals_one_beam_at_a_time(self, monkeypatch):
         seen, thresholds = [], []
 
         def keep(correlation, auto, threshold, max_iterations):
@@ -482,16 +513,13 @@ class TestRunScenario:
             return seen[-1]
 
         monkeypatch.setattr(pipeline, "cancel_candidates", keep)
-        # A guard off the default 64: the tail policy reads exactly the guard.
-        art = run_scenario(small_config(estimator__noise_policy=policy, sim__guard_taps=40))
+        # A guard off the default 64: each beam's noise is exactly its guard's mean power.
+        art = run_scenario(small_config(sim__guard_taps=40))
         cfg, cb = art.config, art.codebook
         preamble = make_preamble(cfg.waveform.kind, cfg.waveform.length, cfg.waveform.seed)
         results = []
         for m, rec in enumerate(art.records):
-            noise = {
-                "tail": lambda: tail_noise_variance(rec.samples, cfg.sim.guard_taps),
-                "analytic": lambda: noise_variance(cfg.radio) * float(cb.combine_norm_sq[m]),
-            }[policy]()
+            noise = tail_noise_variance(rec.samples, cfg.sim.guard_taps)
             threshold = correlation_threshold(preamble, noise, cfg.estimator.gamma)
             assert thresholds[m] == threshold
             results.append(sic_candidates(rec.samples, preamble, threshold, cfg.estimator.max_iterations))
@@ -594,8 +622,8 @@ class TestCli:
 
     def test_run_set_override_parses_json(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
-        code = cli_main(["run", "--config", str(cfg), "--set", "sim.noiseless=true",
-                         "--set", "estimator.noise_policy=analytic"])
+        code = cli_main(["run", "--config", str(cfg), "--set", "output.write_records=true",
+                         "--set", "estimator.gamma=4.5", "--set", "output.resolution=[8,12]"])
         assert code == 0
 
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
@@ -621,9 +649,8 @@ class TestCli:
             ("scene=5", "bad scene section"),
             ('sim.seed="abc"', "sim.seed must be an integer"),
             ("estimator.max_iterations=2.5", "estimator.max_iterations must be an integer"),
-            ('sim.noiseless="no"', "sim.noiseless must be a boolean"),
+            ("output.write_records=1", "output.write_records must be a boolean"),
             ('output.write_records="no"', "output.write_records must be a boolean"),
-            ("sim.noiseless=true", "sim.noiseless needs"),
             ("output.resolution=[720.7,1280]", "output.resolution entries must be integers"),
             ('output.resolution="abc"', "output.resolution must be a [rows, cols] pair, got 'abc'"),
             ('radio.tx_power_dbm="abc"', "radio.tx_power_dbm must be a finite number"),
@@ -631,11 +658,20 @@ class TestCli:
             ("sim.cell_size_m=NaN", "sim.cell_size_m must be a finite number"),
             ("estimator.fixed_noise_var=1e-9", "unknown estimator keys"),
             ("output.write_codebook=true", "unknown output keys"),
-            ('estimator.noise_policy="fixed"', "unknown noise_policy"),
+            # Codebook, display-size and name faults fail at load, not inside the run.
+            ("codebook.phase_bits=0", "codebook.phase_bits must be >= 1"),
+            ("codebook.slr_delta_h=-3", "codebook.slr_delta_h must be >= 0"),
+            ("codebook.slr_delta_v=-3", "codebook.slr_delta_v must be >= 0"),
+            ("output.resolution=[2,40]", "output.resolution [2, 40] is below the 4x4 beam grid"),
+            ("output.resolution=[40,3]", "output.resolution [40, 3] is below the 4x4 beam grid"),
+            ("name=5", "name must be a string, got 5"),
         ]:
             code = cli_main(["run", "--config", str(cfg), "--set", setting])
             assert code == 2
             assert match in capsys.readouterr().err
+        # --resolution WxH goes through the same check: 40x2 is 2 rows.
+        assert cli_main(["run", "--config", str(cfg), "--resolution", "40x2"]) == 2
+        assert "output.resolution [2, 40] is below the 4x4 beam grid" in capsys.readouterr().err
         # A both-axes alias meets a non-dict section the way a dotted path does.
         for first, second in [("upa=5", "upa.n=8"), ("upa=5", "upa_size=8"),
                               ("view=5", "view.os=2"), ("view=5", "os_factor=2")]:
