@@ -19,6 +19,9 @@ raised-cosine pulse of the transmit and receive filters. With a separable
 (_power_series): O(paths * 2(n_v + n_h)) real multiply-adds per beam, with no
 N-wide product and no complex modulus; a general weight vector costs
 O(paths * N). The pulse adds O(paths * L_p); a a^H (N x N) is never formed.
+Each path costs one complex exponential per array axis (axis_response
+forms the other elements as its powers) and three sines/cosines for its
+17-tap pulse window (pulse_window); raised_cosine stays the definition.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ __all__ = [
     "noise_variance",
     "path_gain",
     "raised_cosine",
+    "pulse_window",
     "pulse_taps",
     "beamformed_taps_batch",
     "delay_window_length",
@@ -49,6 +53,11 @@ _T0_K = 290.0                    # reference temperature of a noise figure
 # Truncation of the composite pulse, in symbol periods on each side of the peak.
 PULSE_HALF_WIDTH = 8
 _PULSE_OFFSETS = np.arange(-PULSE_HALF_WIDTH, PULSE_HALF_WIDTH + 1)
+# Half-width, in taps, of the bands around u = 0 and |u| = 1/(2 beta) where
+# pulse_window takes raised_cosine's values. Near |u| = 1/(2 beta) both forms
+# lose digits to cancellation, ~1e-16 / distance relative; outside 1e-3 they
+# agree within 1e-13.
+_LIMIT_BAND = 1e-3
 
 # Paths per block of tap synthesis; working memory is O(_BLOCK * M), plus N for dense weights.
 _BLOCK = 1024
@@ -170,11 +179,43 @@ def _pulse_centers(delays_s: np.ndarray, l_d: int, sample_period_s: float) -> np
     return center
 
 
-def _pulse_values(center: np.ndarray, delays_s: np.ndarray, sample_period_s: float, rolloff: float):
-    """(idx, val) of the 17-tap pulse window around each centre tap."""
-    idx = center[:, None] + _PULSE_OFFSETS[None, :]
-    t = idx * sample_period_s - delays_s[:, None]
-    return idx, raised_cosine(t, sample_period_s, rolloff)
+def pulse_window(offset: np.ndarray, rolloff: float) -> np.ndarray:
+    """
+    The composite pulse at the 17 taps around each offset: (P, 17) values
+    val[i, k + 8] = raised_cosine(k + e_i, 1, rolloff), k = -8..8, for
+    offsets e = c - tau/T_s with |e| <= 1/2 (c the centre tap of delay tau).
+
+    Three sines/cosines per offset replace 17 sincs and cosines. With
+    u = k + e, sin(pi u) = (-1)^k sin(pi e); cos(pi beta u) follows by angle
+    addition, [cos(pi beta e), sin(pi beta e)] times a (2, 17) table over k;
+    the denominator pi u (1 - (2 beta u)^2) is plain arithmetic. Rows with a
+    tap within _LIMIT_BAND of u = 0 or |u| = 1/(2 beta) take raised_cosine's
+    own values, limits included; the others agree with it within 1e-13.
+    """
+    e = np.asarray(offset, dtype=float)
+    # A tap k + e lies on |u| = 1/(2 beta) only where |e| is the distance
+    # from 1/(2 beta) to the nearest integer, and only inside the window.
+    size = np.abs(e)
+    near = size <= _LIMIT_BAND
+    half = 0.5 / rolloff if rolloff else np.inf
+    if half <= PULSE_HALF_WIDTH + 0.5 + _LIMIT_BAND:
+        near |= np.abs(size - abs(half - round(half))) <= _LIMIT_BAND
+    exact = np.flatnonzero(near)
+    angle = np.pi * rolloff * _PULSE_OFFSETS
+    table = np.stack([np.cos(angle), -np.sin(angle)])
+    table *= (1.0 - 2.0 * (_PULSE_OFFSETS % 2)) / np.pi          # (-1)^k / pi
+    sin_e, beta_e = np.sin(np.pi * e), np.pi * rolloff * e
+    val = np.stack([sin_e * np.cos(beta_e), sin_e * np.sin(beta_e)], axis=1) @ table
+    u = e[:, None] + _PULSE_OFFSETS
+    den = (2.0 * rolloff) * u
+    den *= den
+    np.subtract(1.0, den, out=den)
+    den *= u
+    den[exact] = 1.0
+    val /= den
+    if exact.size:
+        val[exact] = raised_cosine(u[exact], 1.0, rolloff)
+    return val
 
 
 def pulse_taps(delays_s: np.ndarray, l_d: int, sample_period_s: float, rolloff: float):
@@ -182,7 +223,8 @@ def pulse_taps(delays_s: np.ndarray, l_d: int, sample_period_s: float, rolloff: 
     Pulse sample positions and values for a batch of path delays.
 
     For each delay tau the pulse contributes at integer taps
-    d = round(tau/T_s) - 8 .. round(tau/T_s) + 8 with value p(d*T_s - tau).
+    d = round(tau/T_s) - 8 .. round(tau/T_s) + 8 with value p(d*T_s - tau),
+    evaluated by pulse_window.
 
     Returns
     -------
@@ -197,7 +239,8 @@ def pulse_taps(delays_s: np.ndarray, l_d: int, sample_period_s: float, rolloff: 
     """
     delays_s = np.asarray(delays_s, dtype=float)
     center = _pulse_centers(delays_s, l_d, sample_period_s)
-    return _pulse_values(center, delays_s, sample_period_s, rolloff)
+    idx = center[:, None] + _PULSE_OFFSETS
+    return idx, pulse_window(center - delays_s / sample_period_s, rolloff)
 
 
 def _power_series(f: np.ndarray) -> np.ndarray:
@@ -268,7 +311,7 @@ def beamformed_taps_batch(
     for start in range(0, len(order), _BLOCK):
         sel = order[start : start + _BLOCK]
         c_blk = center[sel]
-        _, val = _pulse_values(c_blk, paths.delay_s[sel], ts, radio.rolloff)
+        val = pulse_window(c_blk - paths.delay_s[sel] / ts, radio.rolloff)
         # amp * pulse viewed as (P_b, 34) floats, so each group is a real GEMM.
         shaped = (amplitude[sel][:, None] * val).view(float)
         b_v = axis_response(np.cos(paths.theta_z[sel]), upa.n_v, upa.spacing_wavelengths)

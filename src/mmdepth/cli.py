@@ -148,10 +148,10 @@ def _cmd_ground_truth(args) -> int:
     data = _assemble_config_dict(args)
     cfg = _validated_config(data)
     scene = build_scene(cfg.scene, cfg.view)
-    if args.resolution is not None:
-        resolution = args.resolution
-    else:
-        resolution = (cfg.upa.n_v * cfg.view.os_v, cfg.upa.n_h * cfg.view.os_h)
+    # --resolution bypasses output.resolution, so it may undercut the beam grid.
+    resolution = args.resolution or cfg.output.resolution or (
+        cfg.upa.n_v * cfg.view.os_v, cfg.upa.n_h * cfg.view.os_h
+    )
     gt_range, gt_depth = ground_truth_maps(scene, cfg.view, resolution)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -205,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--resolution",
         type=_parse_resolution,
         metavar="WxH",
-        help="map resolution (default: beam grid size)",
+        help="map resolution (default: output.resolution, else the beam grid size)",
     )
     p_gt.set_defaults(func=_cmd_ground_truth)
 

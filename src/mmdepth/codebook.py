@@ -161,9 +161,29 @@ def axis_response(cos_angle, n: int, spacing_wavelengths: float) -> np.ndarray:
     Response exp(-j * 2*pi*d_s/lambda * cos_angle * r), r = 0..n-1, of an
     n-element array axis. The element index is a new last axis: a scalar
     cos_angle gives shape (n,), an array of shape S gives S + (n,).
+
+    One complex exponential z per angle; its powers follow by doubling,
+    z^(h..2h-1) = z^(0..h-1) * z^h. Entry r is then off by O(r) roundings,
+    as the direct exponential is through its rounded phase. As
+    conj(z) * conj(w) = conj(z * w) exactly, the response at -cos_angle is
+    exactly the conjugate of that at cos_angle.
     """
     k_d = 2.0 * np.pi * spacing_wavelengths
-    return np.exp(-1j * k_d * np.multiply.outer(cos_angle, np.arange(n)))
+    cos_angle = np.asarray(cos_angle, dtype=float)
+    # Flat arrays throughout: numpy multiplies complex scalars by another
+    # rounding than arrays, and every entry must be the same function of its
+    # angle whatever the input's shape.
+    z = np.exp(-1j * k_d * cos_angle.reshape(-1))
+    # Powers along a leading axis, so that each product runs over contiguous
+    # angles and writes a block that does not overlap its input.
+    powers = np.empty((n, z.size), dtype=complex)
+    powers[:1] = 1.0
+    z_h, h = z, 1
+    while h < n:
+        step = min(h, n - h)
+        np.multiply(powers[:step], z_h, out=powers[h : h + step])
+        z_h, h = z_h * z_h, 2 * h
+    return np.ascontiguousarray(powers.T).reshape(cos_angle.shape + (n,))
 
 
 def steering_vector(theta_z: float, theta_x: float, upa: UpaConfig) -> np.ndarray:

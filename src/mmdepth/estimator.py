@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PULSE_HALF_WIDTH, SPEED_OF_LIGHT, raised_cosine
+from .channel import PULSE_HALF_WIDTH, SPEED_OF_LIGHT, pulse_window
 
 __all__ = [
     "cross_correlation",
@@ -332,9 +332,8 @@ def build_bank(preamble: np.ndarray, ratio: int, rolloff: float = 0.25) -> Corre
         raise ValueError("ratio must be an even integer >= 2")
     delta = ratio // 2
     n_p = len(preamble)
-    taps = np.arange(-PULSE_HALF_WIDTH, PULSE_HALF_WIDTH + 1, dtype=float)
     frac = (np.arange(2 * delta + 1) - delta) / ratio
-    kernels = raised_cosine(taps - frac[:, None], 1.0, rolloff)  # (2*delta + 1, 17)
+    kernels = pulse_window(-frac, rolloff)  # (2*delta + 1, 17): p(k - frac), k = -8..8
     # shifted[j, n] = s[n + PULSE_HALF_WIDTH - j], zero outside the preamble,
     # so kernels @ shifted is the centred slice of each row's convolution.
     padded = np.zeros(n_p + 2 * PULSE_HALF_WIDTH, dtype=complex)

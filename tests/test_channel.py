@@ -1,4 +1,6 @@
 """Radio link pieces: budgets, pulses, and beamformed channel taps."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,8 @@ from scipy import constants
 from mmdepth import channel
 from mmdepth.channel import (
     _BLOCK,
+    _LIMIT_BAND,
+    _PULSE_OFFSETS,
     BOLTZMANN,
     SPEED_OF_LIGHT,
     RadioConfig,
@@ -14,6 +18,7 @@ from mmdepth.channel import (
     path_gain,
     raised_cosine,
     pulse_taps,
+    pulse_window,
     beamformed_taps_batch,
     delay_window_length,
     PULSE_HALF_WIDTH,
@@ -136,6 +141,58 @@ class TestPulseTaps:
             beamformed_taps_batch(paths, weights, UpaConfig(n_h=2, n_v=2), radio, 160)
 
 
+def singular_offsets(rolloff):
+    """Offsets e, |e| <= 1/2, that put a window tap k + e on |u| = 1/(2 beta)."""
+    if rolloff == 0.0:
+        return np.array([])
+    half = 0.5 / rolloff
+    marks = np.r_[half - _PULSE_OFFSETS, -half - _PULSE_OFFSETS]
+    return np.unique(marks[np.abs(marks) <= 0.5])
+
+
+class TestPulseWindow:
+    @pytest.mark.parametrize("ts", [0.5e-9, 1.0])
+    @pytest.mark.parametrize("rolloff", [0.0, 0.25, 0.5, 1.0])
+    def test_pulse_taps_match_the_definition(self, rolloff, ts):
+        offsets = np.r_[0.0, 1e-13, -1e-13, 0.5, -0.5, singular_offsets(rolloff)]
+        offsets = np.r_[offsets, np.random.default_rng(9).uniform(-0.5, 0.5, 200)]
+        delays = (40 + np.arange(len(offsets)) - offsets) * ts
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            idx, val = pulse_taps(delays, 300 + len(offsets), ts, rolloff)
+            ref = raised_cosine(idx * ts - delays[:, None], ts, rolloff)
+        assert np.abs(val - ref).max() <= 1e-13
+        # At u = 0 and at the singular points the values are the reference's own.
+        u = idx - delays[:, None] / ts
+        assert np.array_equal(val[np.abs(u) <= 1e-12], ref[np.abs(u) <= 1e-12])
+        if rolloff:
+            on = np.abs(np.abs(u) - 0.5 / rolloff) <= 1e-12
+            assert on.sum() >= len(singular_offsets(rolloff))
+            limit = (np.pi / 4.0) * np.sinc(0.5 / rolloff)
+            assert np.all(val[on] == limit) and np.all(ref[on] == limit)
+
+    @pytest.mark.parametrize("rolloff", [0.0, 0.25, 0.5, 1.0])
+    def test_rows_near_u_zero_and_singular_points_are_the_reference(self, rolloff):
+        centres = np.r_[0.0, singular_offsets(rolloff)]
+        e = np.clip((centres[:, None] + [0.0, 1e-13, -1e-13, 0.9 * _LIMIT_BAND, -0.9 * _LIMIT_BAND]).ravel(), -0.5, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pulse_window(e, rolloff)
+        assert np.array_equal(got, raised_cosine(e[:, None] + _PULSE_OFFSETS, 1.0, rolloff))
+        assert pulse_window(np.zeros(1), rolloff)[0, PULSE_HALF_WIDTH] == 1.0
+
+    @settings(derandomize=True, max_examples=200)
+    @given(
+        st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0)),
+        st.lists(st.floats(min_value=-0.5, max_value=0.5), min_size=1, max_size=8),
+    )
+    def test_agrees_with_raised_cosine_everywhere(self, rolloff, offsets):
+        e = np.array(offsets)
+        got = pulse_window(e, rolloff)
+        assert got.shape == (len(e), len(_PULSE_OFFSETS)) and got.flags.c_contiguous
+        assert np.abs(got - raised_cosine(e[:, None] + _PULSE_OFFSETS, 1.0, rolloff)).max() <= 1e-13
+
+
 class TestBeamformedTaps:
     def test_same_beam_coupling_is_nonnegative_power(self, radio):
         # with w = f the per-path coupling is |a^H f|^2, so a single path
@@ -160,12 +217,19 @@ class TestBeamformedTaps:
         got = beamformed_taps_batch(paths, cb.axis_factors, upa, radio, 160)
         dense = beamformed_taps_batch(paths, cb.weights, upa, radio, 160)
         # Reference: the explicit w^H (a a^H) f contraction of criterion 9,
-        # with w = f = each codebook row.
-        idx, val = pulse_taps(paths.delay_s, 160, radio.sample_period_s, radio.rolloff)
+        # with w = f = each codebook row, from the definitions: the pulse from
+        # raised_cosine and the steering vector from one exponential per element.
+        ts = radio.sample_period_s
+        idx = np.round(paths.delay_s / ts).astype(int)[:, None] + _PULSE_OFFSETS
+        val = raised_cosine(idx * ts - paths.delay_s[:, None], ts, radio.rolloff)
+        k_d = 2 * np.pi * upa.spacing_wavelengths
         w = cb.weights
         ref = np.zeros((cb.m, 160), dtype=complex)
         for q in range(len(paths)):
-            a = steering_vector(paths.theta_z[q], paths.theta_x[q], upa)
+            a = np.kron(
+                np.exp(-1j * k_d * np.cos(paths.theta_z[q]) * np.arange(upa.n_v)),
+                np.exp(-1j * k_d * np.cos(paths.theta_x[q]) * np.arange(upa.n_h)),
+            )
             coupling = np.einsum("mi,ij,mj->m", w.conj(), np.outer(a, a.conj()), w)
             ref[:, idx[q]] += paths.amplitude[q] * coupling[:, None] * val[q]
         scale = np.abs(ref).max()

@@ -108,6 +108,27 @@ class TestSteeringVector:
         expect = np.exp(-1j * np.pi * cos[1, 2] * np.arange(5))
         assert np.allclose(grid[1, 2], expect, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 17, 33, 64])
+    @pytest.mark.parametrize("spacing", [0.5, 0.37])
+    def test_axis_response_matches_the_exponential(self, n, spacing):
+        # The powers of one exponential per angle against one exponential per element.
+        cos = np.r_[-1.0, 0.0, 1.0, np.random.default_rng(n).uniform(-1.0, 1.0, 500)]
+        got = axis_response(cos, n, spacing)
+        direct = np.exp(-1j * 2 * np.pi * spacing * np.multiply.outer(cos, np.arange(n)))
+        assert got.shape == (len(cos), n) and got.flags.c_contiguous
+        assert np.abs(got - direct).max() <= 1e-13
+        assert np.abs(np.abs(got) - 1.0).max() <= 1e-13
+        assert np.all(got[:, 0] == 1.0)
+
+    @settings(derandomize=True, max_examples=60)
+    @given(st.floats(min_value=-1.0, max_value=1.0), st.integers(min_value=1, max_value=64))
+    def test_axis_response_is_conjugate_symmetric_bit_for_bit(self, cos, n):
+        # Mirror-symmetric beams and paths rely on exact conjugates.
+        mirrored = axis_response(-cos, n, 0.5)
+        assert np.array_equal(mirrored, axis_response(cos, n, 0.5).conj())
+        grid = np.linspace(-1.0, 1.0, 201)
+        assert np.array_equal(axis_response(-grid, n, 0.5), axis_response(grid, n, 0.5).conj())
+
 
 class TestSlrWeights:
     def test_known_endpoint_value(self):

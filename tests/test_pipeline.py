@@ -753,6 +753,19 @@ class TestCli:
         assert read_pgm16(out / "gt_depth.pgm").shape == (4, 8)
         assert "4x8" in capsys.readouterr().out
 
+    def test_ground_truth_takes_output_resolution(self, tmp_path, capsys):
+        # The truth maps of a config written for `run` match its display maps.
+        out = tmp_path / "gt"
+        base = ["ground-truth", "--scenario", "one_wall", "--set", "output.resolution=[144,256]", "--out", str(out)]
+        assert cli_main(base) == 0
+        for name in ("gt_range.pgm", "gt_depth.pgm"):
+            assert read_pgm16(out / name).shape == (144, 256)
+        assert "ground truth at 144x256 px" in capsys.readouterr().out
+        # --resolution still wins, below the 16x16 beam grid too.
+        assert cli_main(base + ["--resolution", "8x4"]) == 0
+        assert read_pgm16(out / "gt_depth.pgm").shape == (4, 8)
+        assert "ground truth at 4x8 px" in capsys.readouterr().out
+
     def test_codebook_dump_subcommand(self, tmp_path, capsys):
         out = tmp_path / "codebook.csv"
         cfg = self.write_config(tmp_path)
