@@ -148,7 +148,8 @@ def raised_cosine(t: np.ndarray, sample_period_s: float, rolloff: float) -> np.n
     denom = 1.0 - (2.0 * rolloff * u) ** 2
     denom = np.where(sing, 1.0, denom)  # placeholder, overwritten below
     vals = np.sinc(u) * np.cos(np.pi * rolloff * u) / denom
-    limit = (np.pi / 4.0) * np.sinc(1.0 / (2.0 * rolloff))
+    # Below rolloff ~2.8e-309, 1/(2 beta) overflows and no sample is singular.
+    limit = (np.pi / 4.0) * np.sinc(1.0 / (2.0 * rolloff)) if sing.any() else 0.0
     return np.where(sing, limit, vals)
 
 

@@ -30,7 +30,7 @@ from .pipeline import (
     run_scenario,
     sweep,
 )
-from .codebook import design_codebook, write_codebook_csv
+from .codebook import beam_grid, design_codebook, write_codebook_csv
 from .scene import BUILTIN_SCENES, build_scene, ground_truth_maps
 
 __all__ = ["main"]
@@ -114,13 +114,12 @@ def _cmd_run(args) -> int:
         apply_override(data, "output.resolution", list(args.resolution))
     cfg = _validated_config(data)
     art = run_scenario(cfg, out_dir=args.out)
-    for key in ("range", "depth", "range_out", "depth_out"):
-        if key in art.reports:
-            rep = art.reports[key]
-            print(f"{key}: rmse {rep.rmse_m:.4f} m, mae {rep.mae_m:.4f} m over {rep.n_valid} px")
+    for key, rep in art.reports.items():
+        print(f"{key}: rmse {rep.rmse_m:.4f} m, mae {rep.mae_m:.4f} m over {rep.n_valid} px")
+    counts = art.counts
     print(
-        f"beams {art.codebook.m}, paths {art.n_paths}, filled {int(art.filled.sum())}, "
-        f"truncated {art.truncated_beams}, air time {art.air_time_s * 1e3:.3f} ms"
+        f"beams {counts['beams']}, paths {counts['n_paths']}, filled {counts['filled_beams']}, "
+        f"truncated {counts['truncated_beams']}, air time {counts['air_time_s'] * 1e3:.3f} ms"
     )
     if args.out:
         print(f"artifacts in {args.out}")
@@ -149,9 +148,7 @@ def _cmd_ground_truth(args) -> int:
     cfg = _validated_config(data)
     scene = build_scene(cfg.scene, cfg.view)
     # --resolution bypasses output.resolution, so it may undercut the beam grid.
-    resolution = args.resolution or cfg.output.resolution or (
-        cfg.upa.n_v * cfg.view.os_v, cfg.upa.n_h * cfg.view.os_h
-    )
+    resolution = args.resolution or cfg.output.resolution or beam_grid(cfg.upa, cfg.view)
     gt_range, gt_depth = ground_truth_maps(scene, cfg.view, resolution)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

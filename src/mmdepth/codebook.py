@@ -42,6 +42,7 @@ __all__ = [
     "steering_vector",
     "slr_weights",
     "quantize_phases",
+    "beam_grid",
     "design_codebook",
     "radiation_pattern",
     "beam_index",
@@ -283,6 +284,11 @@ class Codebook:
         return self.n_bar_h * self.n_bar_v
 
 
+def beam_grid(upa: UpaConfig, view: SceneView) -> tuple[int, int]:
+    """The beam grid (rows n_v * os_v, cols n_h * os_h): one beam per sensor cell."""
+    return upa.n_v * view.os_v, upa.n_h * view.os_h
+
+
 def design_codebook(
     upa: UpaConfig,
     view: SceneView,
@@ -299,8 +305,7 @@ def design_codebook(
     raises, as in slr_weights) are applied per axis before the optional
     phase quantization; quantization always runs last.
     """
-    n_bar_h = upa.n_h * view.os_h
-    n_bar_v = upa.n_v * view.os_v
+    n_bar_v, n_bar_h = beam_grid(upa, view)
     pts = sensor_grid(view, n_bar_h, n_bar_v)
     theta_z, theta_x, phi = grid_angles(pts)
 

@@ -16,6 +16,10 @@ run_scenario executes the whole chain
 and optionally writes the artifact files (PGM and CSV maps, error table,
 run.json and an optional record dump). Every artifact except run.json is
 byte-deterministic for a given config; run.json carries wall-clock timings.
+The maps a run scores and the counts it reports are listed once, as
+RunArtifacts.map_pairs and RunArtifacts.counts: scoring, the artifacts,
+sweep rows and the CLI all read them there, so a map pair added to the list
+is both scored and written.
 
 All records are synthesized into one (M, n_p + l_d) array and matched-
 filtered in one pass over blocks of beams; the cancellation then runs beam
@@ -32,7 +36,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +47,7 @@ from .channel import (
     beamformed_taps_batch,
     delay_window_length,
 )
-from .codebook import Codebook, SceneView, UpaConfig, design_codebook
+from .codebook import Codebook, SceneView, UpaConfig, beam_grid, design_codebook
 from .estimator import (
     build_bank,
     cancel_candidates,
@@ -186,7 +190,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         # Display maps are upscaled from the beam grid, never downscaled.
-        grid = (self.upa.n_v * self.view.os_v, self.upa.n_h * self.view.os_h)
+        grid = beam_grid(self.upa, self.view)
         res = self.output.resolution
         if res is not None and (res[0] < grid[0] or res[1] < grid[1]):
             raise ValueError(
@@ -338,10 +342,36 @@ class RunArtifacts:
     out_depth: np.ndarray | None
     gt_range_out: np.ndarray | None
     gt_depth_out: np.ndarray | None
-    reports: dict[str, ErrorReport]    # keys: range, depth, range_out, depth_out
+    reports: dict[str, ErrorReport]    # one per map_pairs key
     air_time_s: float                  # M * N_p * T_s on-air duration
     timings_s: dict[str, float]
     files: list[str] = field(default_factory=list)
+
+    @property
+    def map_pairs(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """
+        (estimate, truth) of every map the run scores and writes, keyed as
+        reports: the beam-grid maps, then the display maps when
+        output.resolution is set. A pair listed here is scored into reports
+        and written as {key}.pgm and gt_{key}.pgm, with an errors.csv row.
+        """
+        pairs = {"range": (self.range_map, self.gt_range), "depth": (self.depth_map, self.gt_depth)}
+        if self.out_range is not None:
+            pairs["range_out"] = (self.out_range, self.gt_range_out)
+            pairs["depth_out"] = (self.out_depth, self.gt_depth_out)
+        return pairs
+
+    @property
+    def counts(self) -> dict[str, int | float]:
+        """The run's counts, in the order run.json lists them; sweep rows and the CLI read them here."""
+        return {
+            "n_paths": self.n_paths,
+            "l_d": self.l_d,
+            "beams": self.codebook.m,
+            "truncated_beams": self.truncated_beams,
+            "filled_beams": int(self.filled.sum()),
+            "air_time_s": self.air_time_s,
+        }
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunArtifacts:
@@ -402,19 +432,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunArtifacts:
     range_map, depth_map = construct_maps(
         selected, fine, cb.theta_z, cb.phi, cfg.radio.sample_period_s
     )
-    reports = {
-        "range": map_errors(range_map, gt_range),
-        "depth": map_errors(depth_map, gt_depth),
-    }
     out_range = out_depth = None
     if cfg.output.resolution is not None:
         out_range = interpolate_map(range_map, cfg.output.resolution, cfg.output.interpolation)
         out_depth = interpolate_map(depth_map, cfg.output.resolution, cfg.output.interpolation)
-        reports["range_out"] = map_errors(out_range, gt_range_out)
-        reports["depth_out"] = map_errors(out_depth, gt_depth_out)
-    t0 = _clock("maps", t0)
-
-    timings["total"] = time.perf_counter() - t_start
     art = RunArtifacts(
         config=cfg,
         config_hash=config_hash(cfg),
@@ -435,10 +456,14 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunArtifacts:
         out_depth=out_depth,
         gt_range_out=gt_range_out,
         gt_depth_out=gt_depth_out,
-        reports=reports,
+        reports={},
         air_time_s=cb.m * cfg.waveform.length * cfg.radio.sample_period_s,
         timings_s=timings,
     )
+    art.reports.update((key, map_errors(est, truth)) for key, (est, truth) in art.map_pairs.items())
+    _clock("maps", t0)
+
+    timings["total"] = time.perf_counter() - t_start
     if out_dir is not None:
         _write_artifacts(art, Path(out_dir))
     return art
@@ -462,66 +487,42 @@ def _detect(samples: np.ndarray, preamble: np.ndarray, cfg: ScenarioConfig) -> t
     return [r.delays for r in results], sum(r.truncated for r in results)
 
 
+def _cell(value) -> str:
+    """One errors.csv or sweep.csv cell: repr of a float round-trips, anything else is str."""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def _write_artifacts(art: RunArtifacts, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = art.config
+    pairs = art.map_pairs
 
     def _put(name: str, writer, *args) -> None:
         path = out_dir / name
         writer(path, *args)
         art.files.append(str(path))
 
-    _put("range.pgm", write_pgm16, art.range_map)
-    _put("depth.pgm", write_pgm16, art.depth_map)
-    _put("gt_range.pgm", write_pgm16, art.gt_range)
-    _put("gt_depth.pgm", write_pgm16, art.gt_depth)
-    _put("range.csv", write_map_csv, art.range_map)
-    _put("depth.csv", write_map_csv, art.depth_map)
-    if art.out_range is not None:
-        _put("range_out.pgm", write_pgm16, art.out_range)
-        _put("depth_out.pgm", write_pgm16, art.out_depth)
-        _put("gt_range_out.pgm", write_pgm16, art.gt_range_out)
-        _put("gt_depth_out.pgm", write_pgm16, art.gt_depth_out)
+    for key, (est, truth) in pairs.items():
+        _put(f"{key}.pgm", write_pgm16, est)
+        _put(f"gt_{key}.pgm", write_pgm16, truth)
+    for key in ("range", "depth"):
+        _put(f"{key}.csv", write_map_csv, pairs[key][0])
     if cfg.output.write_records:
         _put("records.bin", write_records, art.records)
 
     err_path = out_dir / "errors.csv"
     with open(err_path, "w", newline="") as fh:
-        fh.write("map,rows,cols,rmse_m,mae_m,bias_m,n_valid,n_total\n")
-        shapes = {
-            "range": art.range_map.shape,
-            "depth": art.depth_map.shape,
-            "range_out": None if art.out_range is None else art.out_range.shape,
-            "depth_out": None if art.out_depth is None else art.out_depth.shape,
-        }
+        fh.write(",".join(["map", "rows", "cols", *(f.name for f in fields(ErrorReport))]) + "\n")
         for key, rep in art.reports.items():
-            rows, cols = shapes[key]
-            fh.write(
-                f"{key},{rows},{cols},{repr(rep.rmse_m)},{repr(rep.mae_m)},"
-                f"{repr(rep.bias_m)},{rep.n_valid},{rep.n_total}\n"
-            )
+            fh.write(",".join(map(_cell, (key, *pairs[key][0].shape, *astuple(rep)))) + "\n")
     art.files.append(str(err_path))
 
     run_info = {
         "name": cfg.name,
         "config": config_to_dict(cfg),
         "config_hash": art.config_hash,
-        "n_paths": art.n_paths,
-        "l_d": art.l_d,
-        "beams": art.codebook.m,
-        "truncated_beams": art.truncated_beams,
-        "filled_beams": int(art.filled.sum()),
-        "air_time_s": art.air_time_s,
-        "reports": {
-            k: {
-                "rmse_m": r.rmse_m,
-                "mae_m": r.mae_m,
-                "bias_m": r.bias_m,
-                "n_valid": r.n_valid,
-                "n_total": r.n_total,
-            }
-            for k, r in art.reports.items()
-        },
+        **art.counts,
+        "reports": {key: asdict(rep) for key, rep in art.reports.items()},
         "timings_s": art.timings_s,
     }
     run_path = out_dir / "run.json"
@@ -569,20 +570,10 @@ def sweep(
         data = json.loads(json.dumps(base))  # deep copy, JSON types only
         apply_override(data, parameter, value)
         art = run_scenario(config_from_dict(data))
-        rows.append(
-            {
-                "value": value,
-                "beams": art.codebook.m,
-                "n_paths": art.n_paths,
-                "filled_beams": int(art.filled.sum()),
-                "truncated_beams": art.truncated_beams,
-                "range_rmse_m": art.reports["range"].rmse_m,
-                "range_mae_m": art.reports["range"].mae_m,
-                "depth_rmse_m": art.reports["depth"].rmse_m,
-                "depth_mae_m": art.reports["depth"].mae_m,
-                "air_time_s": art.air_time_s,
-            }
-        )
+        cells = {"value": value, **art.counts}
+        for key, rep in art.reports.items():
+            cells.update((f"{key}_{name}", v) for name, v in asdict(rep).items())
+        rows.append({column: cells[column] for column in SWEEP_COLUMNS})
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -590,9 +581,5 @@ def sweep(
         with open(path, "w", newline="") as fh:
             fh.write(",".join(SWEEP_COLUMNS) + "\n")
             for row in rows:
-                cells = [
-                    repr(row[c]) if isinstance(row[c], float) else str(row[c])
-                    for c in SWEEP_COLUMNS
-                ]
-                fh.write(",".join(cells) + "\n")
+                fh.write(",".join(map(_cell, row.values())) + "\n")
     return rows

@@ -98,6 +98,17 @@ class TestRaisedCosine:
         t = np.linspace(-7.5, 7.5, 301)
         assert np.array_equal(raised_cosine(t, 2.0, 0.0), np.sinc(t / 2.0))
 
+    def test_tiny_rolloff_is_the_sinc_and_warns_nothing(self):
+        # Below rolloff ~2.8e-309, 1/(2 beta) overflows to inf: no sample is
+        # singular, and the limit sinc(inf) = NaN must not be evaluated.
+        t = np.linspace(-7.5, 7.5, 61)
+        e = np.array([0.0, 0.3, -0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(raised_cosine(np.array([0.0]), 1.0, 2.2e-309), [1.0])
+            assert np.array_equal(raised_cosine(t, 1.0, 2.2e-309), np.sinc(t))
+            assert np.array_equal(pulse_window(e, 1e-310), pulse_window(e, 0.0))
+
     def test_singularity_point_finite(self):
         # |t| = T / (2 beta) = 2.0 for beta = 0.25
         p = raised_cosine(np.array([2.0, -2.0]), 1.0, 0.25)

@@ -12,6 +12,7 @@ from mmdepth.codebook import (
     steering_vector,
     slr_weights,
     quantize_phases,
+    beam_grid,
     design_codebook,
     radiation_pattern,
     beam_index,
@@ -211,6 +212,13 @@ class TestDesignCodebook:
         cb = design_codebook(UpaConfig(), SceneView(os_h=2, os_v=2))
         assert cb.m == 1024
         assert cb.n_bar_h == 32 and cb.n_bar_v == 32
+
+    def test_beam_grid_is_the_codebook_grid(self):
+        # Rows follow the vertical axis, columns the horizontal one.
+        upa, view = UpaConfig(n_h=4, n_v=2), SceneView(os_h=3, os_v=2)
+        assert beam_grid(upa, view) == (4, 12)
+        cb = design_codebook(upa, view)
+        assert (cb.n_bar_v, cb.n_bar_h) == beam_grid(upa, view) == cb.theta_z.shape
 
     def test_combine_norm_for_ideal_weights(self):
         cb = design_codebook(UpaConfig(), SceneView())

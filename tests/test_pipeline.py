@@ -10,6 +10,7 @@ beam detects and nothing depends on hole filling.
 import dataclasses
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -441,6 +442,13 @@ class TestRunScenario:
         assert art.n_paths > 0
         assert set(art.reports) == {"range", "depth"}
 
+    def test_tiny_rolloff_runs_without_warnings(self):
+        # A rolloff RadioConfig accepts, small enough that 1/(2 beta) overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            art = run_scenario(small_config(radio__rolloff=1e-310))
+        assert np.isfinite(art.depth_map).all()
+
     def test_every_beam_detects(self, small_run):
         assert small_run.filled.sum() == 0
         assert small_run.truncated_beams == 0
@@ -580,6 +588,85 @@ class TestArtifactFiles:
         run_scenario(small_config(output__resolution=[8, 8]), out_dir=tmp_path)
         for name in ("range_out.pgm", "depth_out.pgm", "gt_range_out.pgm", "gt_depth_out.pgm"):
             assert (tmp_path / name).exists()
+
+
+class TestDisplayOutputs:
+    """A run with display maps and the record dump: every output lists the same maps and counts."""
+
+    DATA = {**SMALL, "output": {"resolution": [8, 12], "write_records": True}}
+
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("display")
+        return run_scenario(config_from_dict(self.DATA), out_dir=out), out
+
+    def test_errors_csv_has_a_row_per_report_with_its_map_shape(self, written):
+        art, out = written
+        lines = (out / "errors.csv").read_text().splitlines()
+        assert lines[0] == "map,rows,cols,rmse_m,mae_m,bias_m,n_valid,n_total"
+        shapes = {
+            "range": art.range_map.shape,
+            "depth": art.depth_map.shape,
+            "range_out": art.out_range.shape,
+            "depth_out": art.out_depth.shape,
+        }
+        assert shapes["range_out"] == (8, 12)
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[0] for row in rows] == list(art.reports) == list(shapes)
+        for key, rows_, cols, rmse, mae, bias, n_valid, n_total in rows:
+            assert (int(rows_), int(cols)) == shapes[key]
+            assert (float(rmse), float(mae), float(bias)) == (art.reports[key].rmse_m, art.reports[key].mae_m, art.reports[key].bias_m)
+            assert (int(n_valid), int(n_total)) == (art.reports[key].n_valid, art.reports[key].n_total)
+
+    def test_run_json_counts_and_reports_are_the_runs(self, written):
+        art, out = written
+        info = json.loads((out / "run.json").read_text())
+        assert info["n_paths"] == art.n_paths and info["l_d"] == art.l_d
+        assert info["beams"] == art.codebook.m == 16
+        assert info["truncated_beams"] == art.truncated_beams
+        assert info["filled_beams"] == int(art.filled.sum())
+        assert info["air_time_s"] == art.air_time_s
+        assert info["reports"] == {key: dataclasses.asdict(rep) for key, rep in art.reports.items()}
+        assert list(info["reports"]) == ["range", "depth", "range_out", "depth_out"]
+
+    def test_sweep_row_matches_run_json(self, written):
+        _, out = written
+        info = json.loads((out / "run.json").read_text())
+        (row,) = sweep(self.DATA, "radio.tx_power_dbm", [self.DATA["radio"]["tx_power_dbm"]])
+        assert list(row) == SWEEP_COLUMNS
+        for column in ("beams", "n_paths", "filled_beams", "truncated_beams", "air_time_s"):
+            assert row[column] == info[column], column
+        for key in ("range", "depth"):
+            for stat in ("rmse_m", "mae_m"):
+                assert row[f"{key}_{stat}"] == info["reports"][key][stat]
+
+    def test_cli_prints_one_line_per_report_and_the_counts(self, written, tmp_path, capsys):
+        art, _ = written
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(self.DATA))
+        assert cli_main(["run", "--config", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:-1] == [
+            f"{key}: rmse {rep.rmse_m:.4f} m, mae {rep.mae_m:.4f} m over {rep.n_valid} px"
+            for key, rep in art.reports.items()
+        ]
+        assert len(lines) == 5
+        assert lines[-1] == (
+            f"beams 16, paths {art.n_paths}, filled {int(art.filled.sum())}, "
+            f"truncated {art.truncated_beams}, air time {art.air_time_s * 1e3:.3f} ms"
+        )
+
+    def test_readme_lists_every_file_a_run_writes(self, written):
+        # README's "Output files" bullets name each file; a run with display
+        # maps and the record dump writes all of them and nothing else.
+        art, out = written
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Output files\n", 1)[1].split("\n## ", 1)[0]
+        bullets = re.findall(r"^- (.*?):", section, flags=re.MULTILINE | re.DOTALL)
+        listed = [name for b in bullets for name in re.findall(r"`([a-z_]+\.(?:pgm|csv|json|bin))`", b)]
+        written_names = sorted(Path(p).name for p in art.files)
+        assert sorted(p.name for p in out.iterdir()) == written_names
+        assert sorted(listed) == written_names
 
 
 class TestSweep:
