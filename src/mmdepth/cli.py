@@ -9,8 +9,8 @@ Command-line front end.
 Every subcommand starts from the built-in defaults, optionally overlaid
 with --config FILE (JSON), then --scenario, then repeatable --set
 dotted.key=value overrides (values parse as JSON when possible, else
-literal strings). run --resolution WxH is applied last, over any
-output.resolution set before it.
+literal strings). Those three are the only ways to set a config value:
+the display size, for one, is --set 'output.resolution=[rows,cols]'.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 runtime failure.
 """
@@ -49,20 +49,6 @@ def _parse_set_value(raw: str):
         return json.loads(raw)
     except json.JSONDecodeError:
         return raw
-
-
-def _parse_resolution(raw: str) -> tuple[int, int]:
-    """'1920x1080' (width x height) to (rows, cols)."""
-    try:
-        w, h = raw.lower().split("x")
-        rows, cols = int(h), int(w)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"resolution must look like 1920x1080, got {raw!r}"
-        ) from None
-    if rows < 1 or cols < 1:
-        raise argparse.ArgumentTypeError("resolution must be positive")
-    return rows, cols
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
@@ -109,10 +95,7 @@ def _validated_config(data: dict):
 
 
 def _cmd_run(args) -> int:
-    data = _assemble_config_dict(args)
-    if args.resolution is not None:
-        apply_override(data, "output.resolution", list(args.resolution))
-    cfg = _validated_config(data)
+    cfg = _validated_config(_assemble_config_dict(args))
     art = run_scenario(cfg, out_dir=args.out)
     for key, rep in art.reports.items():
         print(f"{key}: rmse {rep.rmse_m:.4f} m, mae {rep.mae_m:.4f} m over {rep.n_valid} px")
@@ -132,23 +115,21 @@ def _cmd_sweep(args) -> int:
     values = [_parse_set_value(v) for v in args.values.split(",") if v != ""]
     if not values:
         raise _ConfigError("--values is empty")
-    rows = sweep(data, args.parameter, values, out_dir=args.out, csv_name=args.csv_name)
+    rows = sweep(data, args.parameter, values, out_dir=args.out)
     for row in rows:
         print(
             f"{args.parameter}={row['value']}: range rmse {row['range_rmse_m']:.4f} m, "
             f"depth rmse {row['depth_rmse_m']:.4f} m, filled {row['filled_beams']}"
         )
     if args.out:
-        print(f"sweep table in {Path(args.out) / args.csv_name}")
+        print(f"sweep table in {Path(args.out) / 'sweep.csv'}")
     return EXIT_OK
 
 
 def _cmd_ground_truth(args) -> int:
-    data = _assemble_config_dict(args)
-    cfg = _validated_config(data)
+    cfg = _validated_config(_assemble_config_dict(args))
     scene = build_scene(cfg.scene, cfg.view)
-    # --resolution bypasses output.resolution, so it may undercut the beam grid.
-    resolution = args.resolution or cfg.output.resolution or beam_grid(cfg.upa, cfg.view)
+    resolution = cfg.output.resolution or beam_grid(cfg.upa, cfg.view)
     gt_range, gt_depth = ground_truth_maps(scene, cfg.view, resolution)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -159,8 +140,7 @@ def _cmd_ground_truth(args) -> int:
 
 
 def _cmd_codebook_dump(args) -> int:
-    data = _assemble_config_dict(args)
-    cfg = _validated_config(data)
+    cfg = _validated_config(_assemble_config_dict(args))
     cb = design_codebook(cfg.upa, cfg.view, **asdict(cfg.codebook))
     write_codebook_csv(cb, args.out)
     print(f"{cb.m} beams ({cb.n_bar_v}x{cb.n_bar_h}) in {args.out}")
@@ -177,12 +157,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one scenario end to end")
     _add_config_args(p_run)
     p_run.add_argument("--out", metavar="DIR", help="artifact output directory")
-    p_run.add_argument(
-        "--resolution",
-        type=_parse_resolution,
-        metavar="WxH",
-        help="display resolution for upscaled maps, e.g. 1920x1080",
-    )
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="rerun over a parameter list")
@@ -192,18 +166,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--values", required=True, metavar="V1,V2,...", help="comma-separated values"
     )
     p_sweep.add_argument("--out", metavar="DIR", help="directory for sweep.csv")
-    p_sweep.add_argument("--csv-name", default="sweep.csv")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_gt = sub.add_parser("ground-truth", help="ray-cast reference maps only")
     _add_config_args(p_gt)
     p_gt.add_argument("--out", required=True, metavar="DIR")
-    p_gt.add_argument(
-        "--resolution",
-        type=_parse_resolution,
-        metavar="WxH",
-        help="map resolution (default: output.resolution, else the beam grid size)",
-    )
     p_gt.set_defaults(func=_cmd_ground_truth)
 
     p_cb = sub.add_parser("codebook-dump", help="write the beam codebook as CSV")

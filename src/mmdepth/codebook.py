@@ -45,8 +45,6 @@ __all__ = [
     "beam_grid",
     "design_codebook",
     "radiation_pattern",
-    "beam_index",
-    "beam_vh",
     "write_codebook_csv",
 ]
 
@@ -239,16 +237,6 @@ def quantize_phases(weights: np.ndarray, bits: int) -> np.ndarray:
     return np.abs(weights) * np.exp(1j * step * k)
 
 
-def beam_index(v: int, h: int, n_bar_h: int) -> int:
-    """Linear beam index for 0-based grid cell (v, h); row-major, v outer."""
-    return v * n_bar_h + h
-
-
-def beam_vh(m: int, n_bar_h: int) -> tuple[int, int]:
-    """Inverse of beam_index: 0-based (v, h) for linear beam m."""
-    return divmod(m, n_bar_h)
-
-
 @dataclass
 class Codebook:
     """
@@ -373,7 +361,7 @@ def write_codebook_csv(cb: Codebook, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for m in range(cb.m):
-            v, h = beam_vh(m, cb.n_bar_h)
+            v, h = divmod(m, cb.n_bar_h)
             pt = cb.grid_points[v, h]
             row = [
                 m,

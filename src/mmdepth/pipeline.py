@@ -33,6 +33,7 @@ its record's tail: the last sim.guard_taps samples, past the latest path.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 import time
@@ -64,6 +65,7 @@ from .estimator import (
 from .io import write_map_csv, write_pgm16, write_records
 from .metrics import ErrorReport, map_errors
 from .scene import (
+    BUILTIN_SCENES,
     Scene,
     build_scene,
     ground_truth_maps,
@@ -128,14 +130,11 @@ class WaveformConfig:
 @dataclass(frozen=True)
 class EstimatorConfig:
     gamma: float = 4.0                 # detection margin, amplitude ratio
-    max_iterations: int = 32           # cancellation passes per beam
     refine_ratio: int = 100            # sub-sample grid, even, f_est = ratio * f_s
 
     def __post_init__(self):
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
         if self.refine_ratio < 2 or self.refine_ratio % 2:
             raise ValueError("refine_ratio must be an even integer >= 2")
 
@@ -199,18 +198,16 @@ class ScenarioConfig:
             )
 
 
-def _build_section(cls, data: dict, where: str):
-    allowed = {f.name for f in fields(cls)}
-    extra = set(data) - allowed
-    if extra:
-        raise ValueError(f"unknown {where} keys: {sorted(extra)}")
-    # Integer, float and boolean fields take exactly that JSON kind (None where
-    # the field allows it; a float field also takes an integer). A string, a
-    # float where an integer belongs, or a NaN would fail or mislead later.
-    for f in fields(cls):
-        kind, _, optional = f.type.partition(" | ")  # annotations are strings
-        value = data.get(f.name)
-        if kind not in ("int", "float", "bool") or f.name not in data or (value is None and optional == "None"):
+def _check_kinds(annotations: dict[str, str], data: dict, where: str) -> None:
+    """
+    Integer, float and boolean entries take exactly that JSON kind (None where
+    the annotation allows it; a float also takes an integer). A string, a
+    float where an integer belongs, or a NaN would fail or mislead later.
+    """
+    for name, annotation in annotations.items():
+        kind, _, optional = annotation.partition(" | ")  # annotations are strings
+        value = data.get(name)
+        if kind not in ("int", "float", "bool") or name not in data or (value is None and optional == "None"):
             continue
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
         ok = {
@@ -220,7 +217,14 @@ def _build_section(cls, data: dict, where: str):
         }[kind]
         if not ok:
             what = {"bool": "a boolean", "int": "an integer", "float": "a finite number"}[kind]
-            raise TypeError(f"{where}.{f.name} must be {what}, got {value!r}")
+            raise TypeError(f"{where}.{name} must be {what}, got {value!r}")
+
+
+def _build_section(cls, data: dict, where: str):
+    extra = set(data) - {f.name for f in fields(cls)}
+    if extra:
+        raise ValueError(f"unknown {where} keys: {sorted(extra)}")
+    _check_kinds({f.name: f.type for f in fields(cls)}, data, where)
     return cls(**data)
 
 
@@ -250,9 +254,18 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     for key in ("scene", *_SECTIONS):
         if key not in data:
             continue
-        try:  # a wrong type (radio=5, upa.n_h="abc") raises TypeError
-            section = dict(data[key])
-            kwargs[key] = section if key == "scene" else _build_section(_SECTIONS[key], section, key)
+        section = data[key]
+        if not isinstance(section, dict):  # not dict(section): it takes a list of pairs
+            raise ValueError(f"bad {key} section: must be a JSON object, got {section!r}")
+        try:  # a wrong kind (upa.n_h="abc", scene.distance_m=true) raises TypeError
+            if key == "scene":
+                builder = BUILTIN_SCENES.get(section.get("builtin"))
+                if builder is not None:  # a builtin's parameters take the kinds its builder annotates
+                    params = inspect.signature(builder).parameters
+                    _check_kinds({name: p.annotation for name, p in params.items()}, section, key)
+                kwargs[key] = dict(section)
+            else:
+                kwargs[key] = _build_section(_SECTIONS[key], section, key)
         except TypeError as exc:
             raise ValueError(f"bad {key} section: {exc}") from None
     cfg = ScenarioConfig(**kwargs)
@@ -269,15 +282,17 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
     return out
 
 
-def config_hash(cfg: ScenarioConfig) -> str:
+def config_hash(cfg: ScenarioConfig, scene: Scene | None = None) -> str:
     """
     sha256 over the canonical JSON serialization. A file-based scene also
-    enters with its loaded contents (scene_to_dict), so rewriting the file at
-    the same path changes the hash.
+    enters with its contents (scene_to_dict), so rewriting the file at the
+    same path changes the hash. The contents are those of `scene`, the Scene
+    a run built from cfg, or else of the file as it reads now.
     """
     data = config_to_dict(cfg)
     if "file" in cfg.scene:
-        data["scene"] = {**cfg.scene, "contents": scene_to_dict(load_scene(cfg.scene["file"]))}
+        scene = scene if scene is not None else load_scene(cfg.scene["file"])
+        data["scene"] = {**cfg.scene, "contents": scene_to_dict(scene)}
     blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -438,7 +453,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunArtifacts:
         out_depth = interpolate_map(depth_map, cfg.output.resolution, cfg.output.interpolation)
     art = RunArtifacts(
         config=cfg,
-        config_hash=config_hash(cfg),
+        config_hash=config_hash(cfg, scene),
         codebook=cb,
         scene=scene,
         n_paths=len(paths),
@@ -483,7 +498,7 @@ def _detect(samples: np.ndarray, preamble: np.ndarray, cfg: ScenarioConfig) -> t
     thresholds = correlation_threshold(preamble, noise_var, est.gamma)
     correlation = cross_correlation(samples, preamble)
     auto = preamble_autocorrelation(preamble, correlation.shape[1] - 1)
-    results = [cancel_candidates(c, auto, thr, est.max_iterations) for c, thr in zip(correlation, thresholds)]
+    results = [cancel_candidates(c, auto, thr) for c, thr in zip(correlation, thresholds)]
     return [r.delays for r in results], sum(r.truncated for r in results)
 
 
@@ -549,19 +564,13 @@ SWEEP_COLUMNS = [
 ]
 
 
-def sweep(
-    base: dict,
-    parameter: str,
-    values,
-    out_dir=None,
-    csv_name: str = "sweep.csv",
-) -> list[dict]:
+def sweep(base: dict, parameter: str, values, out_dir=None) -> list[dict]:
     """
     Rerun a base config dict with `parameter` (dotted path, see
     apply_override) set to each value, collecting estimation-resolution
     error metrics per run.
 
-    Returns the result rows; with out_dir also writes them as CSV. Rows run
+    Returns the result rows; with out_dir also writes them to sweep.csv. Rows run
     in the order given; each run keeps the base seed so the comparison
     varies only the swept parameter.
     """
@@ -577,7 +586,7 @@ def sweep(
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / csv_name
+        path = out_dir / "sweep.csv"
         with open(path, "w", newline="") as fh:
             fh.write(",".join(SWEEP_COLUMNS) + "\n")
             for row in rows:

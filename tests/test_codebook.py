@@ -15,8 +15,6 @@ from mmdepth.codebook import (
     beam_grid,
     design_codebook,
     radiation_pattern,
-    beam_index,
-    beam_vh,
 )
 
 
@@ -251,9 +249,3 @@ class TestDesignCodebook:
         assert b_v.shape == (cb.m, upa.n_v) and b_h.shape == (cb.m, upa.n_h)
         kron = (b_v[:, :, None] * b_h[:, None, :]).reshape(cb.m, upa.n)
         assert np.array_equal(kron, cb.weights)
-
-    def test_beam_index_roundtrip(self):
-        cb = design_codebook(UpaConfig(), SceneView())
-        for m in (0, 17, 255):
-            v, h = beam_vh(m, cb.n_bar_h)
-            assert beam_index(v, h, cb.n_bar_h) == m

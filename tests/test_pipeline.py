@@ -7,6 +7,8 @@ preamble against a near wall. The small aperture gives about 24 dB less
 array gain than the 16x16 default, compensated with transmit power so every
 beam detects and nothing depends on hole filling.
 """
+import argparse
+import csv
 import dataclasses
 import json
 import re
@@ -16,10 +18,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mmdepth import estimator, pipeline, waveform
+from mmdepth import cli, estimator, pipeline, waveform
 from mmdepth.channel import noise_variance
 from mmdepth.cli import main as cli_main
-from mmdepth.codebook import SceneView, UpaConfig
+from mmdepth.codebook import SceneView, UpaConfig, design_codebook
 from mmdepth.estimator import (
     cancel_candidates,
     correlation_threshold,
@@ -91,8 +93,23 @@ REMOVED_KEYS = [
      "unknown material keys \\['cross_pol'\\]"),
 ]
 # Out-of-range margins of the wall builtins: a negative one used to mirror
-# the wall, zero and NaN failed inside the facet checks without naming it.
-BAD_MARGINS = [("one_wall", -1), ("two_walls", -1), ("one_wall", 0), ("one_wall", float("nan"))]
+# the wall, zero failed inside the facet checks without naming it.
+BAD_MARGINS = [("one_wall", -1), ("two_walls", -1), ("one_wall", 0)]
+# Builtin parameters of the wrong kind, each annotated float by its builder:
+# like a float field of a section, it takes an integer or a finite float and
+# fails at load, named, on a boolean (true used to run a 1 m wall), a string,
+# NaN or infinity.
+BAD_KIND_PARAMS = [
+    ("one_wall", "distance_m", True),
+    ("two_walls", "front_distance_m", True),
+    ("pillar_room", "size_m", True),
+    ("one_wall", "distance_m", "far"),
+    ("one_wall", "distance_m", float("nan")),
+    ("one_wall", "margin", float("nan")),
+    ("pillar_room", "size_m", float("inf")),
+]
+# Sections that are not JSON objects, a list of pairs among them.
+NON_OBJECT_SECTIONS = [("sim", "xy"), ("radio", [["tx_power_dbm", 20.0]]), ("scene", [["builtin", "two_walls"]])]
 
 
 def small_config(**updates):
@@ -140,7 +157,8 @@ class TestConfigFromDict:
         # Values are checked at load by building the scene, not in the run.
         for scene, match in [
             ({"builtin": "one_wall", "distance_m": 0}, "distance_m"),
-            ({"builtin": "one_wall", "distance_m": "far"}, "one_wall scene parameter"),
+            *(({"builtin": name, key: value}, re.escape(f"scene.{key} must be a finite number, got {value!r}"))
+              for name, key, value in BAD_KIND_PARAMS),
             ({"builtin": "one_wall", "material": "steel"}, "unknown material 'steel'"),
             ({"builtin": "two_walls", "front_distance_m": 3}, "front_distance_m"),
             *(({"builtin": name, "margin": margin}, "margin must be positive") for name, margin in BAD_MARGINS),
@@ -235,12 +253,11 @@ class TestConfigFromDict:
         for bad, match in [
             ({"gamma": 0.0}, "gamma"),
             ({"gamma": -1.0}, "gamma"),
-            ({"max_iterations": 0}, "max_iterations"),
+            # The cancellation cap is the library's own (cancel_candidates), not a setting.
+            ({"max_iterations": 32}, "unknown estimator keys: \\['max_iterations'\\]"),
             ({"refine_ratio": 3}, "refine_ratio"),
             ({"refine_ratio": 0}, "refine_ratio"),
             ({"fixed_noise_var": 1e-9}, "unknown estimator keys"),
-            ({"max_iterations": 2.5}, "max_iterations"),
-            ({"max_iterations": True}, "max_iterations"),
         ]:
             with pytest.raises(ValueError, match=match):
                 config_from_dict({"estimator": bad})
@@ -264,6 +281,8 @@ class TestConfigFromDict:
             ({"upa": {"spacing_wavelengths": "x"}}, "upa.spacing_wavelengths must be a finite number"),
             ({"codebook": {"slr_delta_h": "x"}}, "codebook.slr_delta_h must be a finite number"),
             ({"estimator": {"gamma": True}}, "estimator.gamma"),
+            *(({key: value}, re.escape(f"bad {key} section: must be a JSON object, got {value!r}"))
+              for key, value in NON_OBJECT_SECTIONS),
         ]:
             with pytest.raises(ValueError, match=match):
                 config_from_dict(bad)
@@ -325,6 +344,33 @@ class TestConfigHash:
         before = config_hash(cfg)
         assert config_hash(cfg) == before
         path.write_text(json.dumps(scene_to_dict(BUILTIN_SCENES["one_wall"](view, distance_m=3.0))))
+        assert config_hash(cfg) != before
+
+    def test_run_hashes_the_scene_file_it_read(self, tmp_path, monkeypatch):
+        # A run reads its scene file once and hashes what it read, so
+        # rewriting the file mid-run leaves art.config_hash naming the traced scene.
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(scene_to_dict(BUILTIN_SCENES["one_wall"](SceneView(), distance_m=1.5))))
+        cfg = small_config(scene={"file": str(path)})
+        before = config_hash(cfg)
+        reads, real_open = [], open
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if str(file) == str(path) and mode == "r":
+                reads.append(file)
+            return real_open(file, mode, *args, **kwargs)
+
+        taps_of = pipeline.beamformed_taps_batch
+
+        def rewrite_then_taps(*args):
+            path.write_text(json.dumps(scene_to_dict(BUILTIN_SCENES["one_wall"](SceneView(), distance_m=3.0))))
+            return taps_of(*args)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        monkeypatch.setattr(pipeline, "beamformed_taps_batch", rewrite_then_taps)
+        art = run_scenario(cfg)
+        assert len(reads) == 1
+        assert art.config_hash == before
         assert config_hash(cfg) != before
 
 
@@ -515,9 +561,9 @@ class TestRunScenario:
     def test_detection_equals_one_beam_at_a_time(self, monkeypatch):
         seen, thresholds = [], []
 
-        def keep(correlation, auto, threshold, max_iterations):
+        def keep(correlation, auto, threshold):
             thresholds.append(threshold)
-            seen.append(cancel_candidates(correlation, auto, threshold, max_iterations))
+            seen.append(cancel_candidates(correlation, auto, threshold))
             return seen[-1]
 
         monkeypatch.setattr(pipeline, "cancel_candidates", keep)
@@ -530,7 +576,7 @@ class TestRunScenario:
             noise = tail_noise_variance(rec.samples, cfg.sim.guard_taps)
             threshold = correlation_threshold(preamble, noise, cfg.estimator.gamma)
             assert thresholds[m] == threshold
-            results.append(sic_candidates(rec.samples, preamble, threshold, cfg.estimator.max_iterations))
+            results.append(sic_candidates(rec.samples, preamble, threshold))
         assert len(seen) == len(results) == 16
         for got, want in zip(seen, results):
             assert np.array_equal(got.delays, want.delays)
@@ -735,7 +781,9 @@ class TestCli:
             ("upa.n_h=abc", "bad upa section"),
             ("scene=5", "bad scene section"),
             ('sim.seed="abc"', "sim.seed must be an integer"),
-            ("estimator.max_iterations=2.5", "estimator.max_iterations must be an integer"),
+            ("estimator.max_iterations=32", "unknown estimator keys: ['max_iterations']"),
+            *((f"{key}={json.dumps(value)}", f"bad {key} section: must be a JSON object, got {value!r}")
+              for key, value in NON_OBJECT_SECTIONS),
             ("output.write_records=1", "output.write_records must be a boolean"),
             ('output.write_records="no"', "output.write_records must be a boolean"),
             ("output.resolution=[720.7,1280]", "output.resolution entries must be integers"),
@@ -756,9 +804,6 @@ class TestCli:
             code = cli_main(["run", "--config", str(cfg), "--set", setting])
             assert code == 2
             assert match in capsys.readouterr().err
-        # --resolution WxH goes through the same check: 40x2 is 2 rows.
-        assert cli_main(["run", "--config", str(cfg), "--resolution", "40x2"]) == 2
-        assert "output.resolution [2, 40] is below the 4x4 beam grid" in capsys.readouterr().err
         # A both-axes alias meets a non-dict section the way a dotted path does.
         for first, second in [("upa=5", "upa.n=8"), ("upa=5", "upa_size=8"),
                               ("view=5", "view.os=2"), ("view=5", "os_factor=2")]:
@@ -770,10 +815,11 @@ class TestCli:
         for args, match in [
             (["--scenario", "two_walls", "--set", "scene.front_distance_m=3"], "front_distance_m"),
             (["--scenario", "one_wall", "--set", "scene.material=steel"], "unknown material 'steel'"),
-            (["--scenario", "one_wall", "--set", "scene.distance_m=NaN"], "distance_m must be positive"),
             *((["--scenario", name, "--set", f"scene.margin={json.dumps(margin)}"], "margin must be positive")
               for name, margin in BAD_MARGINS),
-            (["--scenario", "pillar_room", "--set", "scene.size_m=Infinity"], "facet vertices must be finite"),
+            *((["--scenario", name, "--set", f"scene.{key}={json.dumps(value)}"],
+               re.escape(f"scene.{key} must be a finite number, got {value!r}"))
+              for name, key, value in BAD_KIND_PARAMS),
             *((["--scenario", "pillar_room", "--set", f"scene.{key}={value}"], match) for key, value, match in [
                 ("size_m", -5, "size_m and height_m must be positive"),
                 ("height_m", -3, "size_m and height_m must be positive"),
@@ -796,23 +842,32 @@ class TestCli:
             ["run", "--codebook"],
             ["run", "--interpolation", "nearest"],
             ["ground-truth", "--seed", "3", "--out", "gt"],
-            ["run", "--resolution", "12by8"],
-            ["run", "--resolution", "0x8"],
+            # Removed: the display size is --set 'output.resolution=[rows,cols]', the table always sweep.csv.
+            ["run", "--resolution", "12x8"],
+            ["ground-truth", "--resolution", "8x4", "--out", "gt"],
+            ["sweep", "--parameter", "tx_power", "--values", "50", "--csv-name", "t.csv"],
         ):
             with pytest.raises(SystemExit) as exit_info:
                 cli_main(args)
             assert exit_info.value.code == 2, args
-        assert "resolution must be positive" in capsys.readouterr().err
+            assert "unrecognized arguments" in capsys.readouterr().err, args
 
-    def test_run_resolution_flag_equals_set(self, tmp_path, capsys):
-        cfg = self.write_config(tmp_path)
-        by_flag, by_set = tmp_path / "flag", tmp_path / "set"
-        assert cli_main(["run", "--config", str(cfg), "--resolution", "12x8", "--out", str(by_flag)]) == 0
-        assert cli_main(["run", "--config", str(cfg), "--set", "output.resolution=[8,12]",
-                         "--out", str(by_set)]) == 0
-        for name in ("range_out.pgm", "depth_out.pgm", "gt_range_out.pgm", "gt_depth_out.pgm"):
-            assert read_pgm16(by_flag / name).shape == (8, 12)
-            assert (by_flag / name).read_bytes() == (by_set / name).read_bytes()
+    def test_options_are_config_scenario_set_and_out(self):
+        # A config value is set only through --config, --scenario and --set;
+        # sweep adds what it varies. A new flag has to be added here on purpose.
+        parser = cli._build_parser()
+        (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        common = {"--config", "--scenario", "--set", "--out"}
+        options = {
+            name: {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
+            for name, sub in subcommands.choices.items()
+        }
+        assert options == {
+            "run": common,
+            "sweep": common | {"--parameter", "--values"},
+            "ground-truth": common,
+            "codebook-dump": common,
+        }
 
     def test_missing_scene_file_is_runtime_error(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
@@ -827,13 +882,13 @@ class TestCli:
         out = tmp_path / "gt"
         code = cli_main([
             "ground-truth", "--scenario", "one_wall", "--out", str(out),
-            "--resolution", "32x24",
+            "--set", "output.resolution=[24,32]",
         ])
         assert code == 0
         assert (out / "gt_range.pgm").exists()
         assert (out / "gt_depth.pgm").exists()
         assert "24x32" in capsys.readouterr().out
-        # Without --resolution the maps take the beam grid size (n_v*os_v, n_h*os_h).
+        # Without output.resolution the maps take the beam grid size (n_v*os_v, n_h*os_h).
         cfg = self.write_config(tmp_path)
         code = cli_main(["ground-truth", "--config", str(cfg), "--set", "view.os_h=2", "--out", str(out)])
         assert code == 0
@@ -848,17 +903,22 @@ class TestCli:
         for name in ("gt_range.pgm", "gt_depth.pgm"):
             assert read_pgm16(out / name).shape == (144, 256)
         assert "ground truth at 144x256 px" in capsys.readouterr().out
-        # --resolution still wins, below the 16x16 beam grid too.
-        assert cli_main(base + ["--resolution", "8x4"]) == 0
-        assert read_pgm16(out / "gt_depth.pgm").shape == (4, 8)
-        assert "ground truth at 4x8 px" in capsys.readouterr().out
 
     def test_codebook_dump_subcommand(self, tmp_path, capsys):
         out = tmp_path / "codebook.csv"
         cfg = self.write_config(tmp_path)
-        assert cli_main(["codebook-dump", "--config", str(cfg), "--out", str(out)]) == 0
-        lines = out.read_text().strip().split("\n")
-        assert len(lines) == 1 + 16  # header plus one row per beam
+        # os_h 2 makes the 4x4 array's beam grid 4 rows by 8 columns.
+        assert cli_main(["codebook-dump", "--config", str(cfg), "--set", "view.os_h=2", "--out", str(out)]) == 0
+        assert "32 beams (4x8)" in capsys.readouterr().out
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 32  # one row per beam
+        # Beams are row-major over the grid, v outer: beam m sits at divmod(m, n_bar_h).
+        theta_z = design_codebook(UpaConfig(n_h=4, n_v=4), SceneView(os_h=2)).theta_z
+        for m, row in enumerate(rows):
+            v, h = divmod(m, 8)
+            assert (int(row["m"]), int(row["v"]), int(row["h"])) == (m, v, h)
+            assert float(row["theta_z_rad"]) == theta_z[v, h]
 
     def test_sweep_subcommand(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
