@@ -24,12 +24,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .io import write_pgm16
-from .pipeline import (
-    apply_override,
-    config_from_dict,
-    run_scenario,
-    sweep,
-)
+from .pipeline import _sweep_configs, _sweep_rows, apply_override, config_from_dict, run_scenario
 from .codebook import beam_grid, design_codebook, write_codebook_csv
 from .scene import BUILTIN_SCENES, build_scene, ground_truth_maps
 
@@ -74,6 +69,8 @@ def _assemble_config_dict(args) -> dict:
         if args.config:
             with open(args.config) as fh:
                 data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ValueError(f"--config {args.config} must hold a JSON object, got {type(data).__name__}")
         if args.scenario:
             data["scene"] = {"builtin": args.scenario}
             data["name"] = args.scenario
@@ -111,11 +108,14 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     data = _assemble_config_dict(args)
-    _validated_config(json.loads(json.dumps(data)))  # fail fast; sweep revalidates
     values = [_parse_set_value(v) for v in args.values.split(",") if v != ""]
     if not values:
         raise _ConfigError("--values is empty")
-    rows = sweep(data, args.parameter, values, out_dir=args.out)
+    try:  # every value, before the first run
+        configs = _sweep_configs(data, args.parameter, values)
+    except ValueError as exc:
+        raise _ConfigError(str(exc)) from None
+    rows = _sweep_rows(values, configs, out_dir=args.out)
     for row in rows:
         print(
             f"{args.parameter}={row['value']}: range rmse {row['range_rmse_m']:.4f} m, "

@@ -404,15 +404,10 @@ def _keys_kernel(x: np.ndarray, a: float = -0.5) -> np.ndarray:
     )
 
 
-def _axis_matrix(src_n: int, out_n: int, method: str) -> np.ndarray:
-    j = np.arange(out_n)
-    if method == "nearest":
-        src = np.floor((j + 0.5) * src_n / out_n).astype(int)
-        mat = np.zeros((out_n, src_n))
-        mat[j, src] = 1.0
-        return mat
+def _cubic_matrix(src_n: int, out_n: int) -> np.ndarray:
     # Cubic convolution: 4 taps around the continuous source coordinate,
     # border taps clamped onto the edge sample.
+    j = np.arange(out_n)
     src = (j + 0.5) * src_n / out_n - 0.5
     i0 = np.floor(src).astype(int)
     frac = src - i0
@@ -441,8 +436,9 @@ def interpolate_map(map_in: np.ndarray, out_shape: tuple[int, int], method: str 
         raise ValueError("interpolate_map only upscales")
     if method not in ("nearest", "bicubic"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "bicubic" and not np.all(np.isfinite(arr)):
+    if method == "nearest":  # a gather: a one-hot product would turn 0 * inf into NaN
+        rows, cols = (np.floor((np.arange(t) + 0.5) * s / t).astype(int) for s, t in zip(arr.shape, out_shape))
+        return arr[np.ix_(rows, cols)]
+    if not np.all(np.isfinite(arr)):
         raise ValueError("bicubic interpolation needs finite inputs")
-    a_v = _axis_matrix(arr.shape[0], rows_out, method)
-    a_h = _axis_matrix(arr.shape[1], cols_out, method)
-    return a_v @ arr @ a_h.T
+    return _cubic_matrix(arr.shape[0], rows_out) @ arr @ _cubic_matrix(arr.shape[1], cols_out).T

@@ -242,6 +242,8 @@ _SECTIONS = {
 
 def config_from_dict(data: dict) -> ScenarioConfig:
     """Build a validated ScenarioConfig; unknown keys anywhere are errors."""
+    if not isinstance(data, dict):  # a list would pass the key check below
+        raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
     allowed = {"name", "scene"} | set(_SECTIONS)
     extra = set(data) - allowed
     if extra:
@@ -564,21 +566,38 @@ SWEEP_COLUMNS = [
 ]
 
 
+def _sweep_configs(base: dict, parameter: str, values) -> list[ScenarioConfig]:
+    """
+    The validated config of each swept value: a deep copy of the base config
+    dict with `parameter` (dotted path, see apply_override) set to it. A bad
+    value raises ValueError here, before any run.
+    """
+    configs = []
+    for value in values:
+        data = json.loads(json.dumps(base))  # deep copy, JSON types only
+        apply_override(data, parameter, value)
+        configs.append(config_from_dict(data))
+    return configs
+
+
 def sweep(base: dict, parameter: str, values, out_dir=None) -> list[dict]:
     """
     Rerun a base config dict with `parameter` (dotted path, see
     apply_override) set to each value, collecting estimation-resolution
-    error metrics per run.
+    error metrics per run. Every value is validated before the first run.
 
     Returns the result rows; with out_dir also writes them to sweep.csv. Rows run
     in the order given; each run keeps the base seed so the comparison
     varies only the swept parameter.
     """
+    return _sweep_rows(values, _sweep_configs(base, parameter, values), out_dir)
+
+
+def _sweep_rows(values, configs: list[ScenarioConfig], out_dir=None) -> list[dict]:
+    """Run each value's config (see _sweep_configs): the rows of sweep."""
     rows: list[dict] = []
-    for value in values:
-        data = json.loads(json.dumps(base))  # deep copy, JSON types only
-        apply_override(data, parameter, value)
-        art = run_scenario(config_from_dict(data))
+    for value, cfg in zip(values, configs):
+        art = run_scenario(cfg)
         cells = {"value": value, **art.counts}
         for key, rep in art.reports.items():
             cells.update((f"{key}_{name}", v) for name, v in asdict(rep).items())

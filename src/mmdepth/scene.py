@@ -420,12 +420,16 @@ def trace_backscatter_paths(
     plane RCS pi*rho^2*(1 - scatter_ratio^2) and xi = 0: the image-source
     gain lambda^2*(1 - scatter_ratio^2) / ((4*pi)^2 * (2*rho)^2). Specular
     paths follow all diffuse ones; PathSet.specular marks them.
+
+    Each group (a facet's cells, a specular foot) is masked to its visible
+    scatterers of positive sigma_RCS; the survivors then take one pass of
+    angles, delays and amplitudes.
     """
     if cell_size_m <= 0:
         raise ValueError("cell_size_m must be positive")
     rng = np.random.default_rng(seed)
     origin = scene.device.position
-    # (facet index, points, sigma_RCS, xi, specular), diffuse groups first
+    # (facet index, points, sigma_RCS, xi, specular), diffuse cells by facet first
     groups = []
     for fi, facet in enumerate(scene.facets):
         centers, areas = _subdivide(facet, cell_size_m)
@@ -433,31 +437,26 @@ def trace_backscatter_paths(
         # facet consumes depends only on its own geometry.
         xi = rng.uniform(0.0, 2.0 * np.pi, size=len(centers))
         sigma = BACKSCATTER_GAIN * facet.material.scatter_ratio * areas
-        groups.append((fi, centers, sigma, xi, False))
+        groups.append((fi, centers, sigma, xi, np.zeros(len(centers), dtype=bool)))
     for fi, facet in enumerate(scene.facets):
         n = facet.normal
         dist = np.dot(origin - facet.vertices[0], n)  # signed distance to the plane
         # The ray from the device along -sign(dist)*n meets the plane at the foot.
         if abs(dist) >= 1e-9 and np.isfinite(_ray_quad(origin, -np.sign(dist) * n[None, :], facet)[0]):
             sigma = np.pi * dist**2 * (1.0 - facet.material.scatter_ratio**2)  # power not diffused
-            groups.append((fi, (origin - dist * n)[None, :], np.array([sigma]), np.zeros(1), True))
+            groups.append((fi, (origin - dist * n)[None, :], np.array([sigma]), np.zeros(1), np.ones(1, dtype=bool)))
 
-    parts = []  # one tuple of PathSet columns per group with a visible scatterer
-    f_c = SPEED_OF_LIGHT / wavelength_m
-    for fi, points, sigma, xi, specular in groups:
-        keep = sigma > 0
-        keep &= _visible(scene, points, fi)
-        if not np.any(keep):
-            continue
-        theta_z, theta_x, rho = _device_angles(scene, points[keep])
-        tau = 2.0 * rho / SPEED_OF_LIGHT
-        gain = path_gain(sigma[keep], rho, wavelength_m)
-        amp = np.sqrt(gain) * np.exp(1j * (xi[keep] - 2.0 * np.pi * f_c * tau))
-        parts.append((tau, amp, theta_z, theta_x, rho, np.full(len(rho), specular)))
-
-    if not parts:
+    keep = [(sigma > 0) & _visible(scene, points, fi) for fi, points, sigma, _, _ in groups]
+    points, sigma, xi, specular = (
+        np.concatenate([col[k] for col, k in zip(column, keep)]) for column in list(zip(*groups))[1:]
+    )
+    if not len(sigma):
         raise ValueError("scene produced no backscatter paths")
-    return PathSet(*(np.concatenate(column) for column in zip(*parts)))
+    theta_z, theta_x, rho = _device_angles(scene, points)
+    tau = 2.0 * rho / SPEED_OF_LIGHT
+    f_c = SPEED_OF_LIGHT / wavelength_m
+    amp = np.sqrt(path_gain(sigma, rho, wavelength_m)) * np.exp(1j * (xi - 2.0 * np.pi * f_c * tau))
+    return PathSet(tau, amp, theta_z, theta_x, rho, specular)
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +538,15 @@ def save_scene(scene: Scene, path) -> None:
 # Builtin scenes and the scene section of a scenario config
 # ---------------------------------------------------------------------------
 
-def _wall(y: float, x0: float, x1: float, z0: float, z1: float, material) -> PlanarFacet:
-    """Axis-aligned vertical rectangle at constant y, facing the device."""
-    return PlanarFacet([[x0, y, z0], [x1, y, z0], [x1, y, z1], [x0, y, z1]], material)
+def _rect(axis: int, at: float, u, w, material: str) -> PlanarFacet:
+    """
+    Axis-aligned rectangle of catalog material at `at` on axis 0, 1 or 2
+    (x, y, z), with corners (u0, w0), (u1, w0), (u1, w1), (u0, w1) on the
+    other two axes in x, y, z order. That order sets the normal and the
+    order of the _subdivide cells, and so the phase each cell draws.
+    """
+    corners = [(u[0], w[0]), (u[1], w[0]), (u[1], w[1]), (u[0], w[1])]
+    return PlanarFacet([[*c[:axis], at, *c[axis:]] for c in corners], _catalog_material(material))
 
 
 def _fov_half_extents(view: SceneView, distance_m: float, margin: float) -> tuple[float, float]:
@@ -563,7 +568,7 @@ def _scene_one_wall(
     if not distance_m > 0:
         raise ValueError("distance_m must be positive")
     hw, hh = _fov_half_extents(view, distance_m, margin)
-    wall = _wall(distance_m, -hw, hw, -hh, hh, _catalog_material(material))
+    wall = _rect(1, distance_m, (-hw, hw), (-hh, hh), material)
     return Scene(facets=[wall], device=DevicePose(position=np.zeros(3)))
 
 
@@ -584,21 +589,9 @@ def _scene_two_walls(
         raise ValueError("need 0 < front_distance_m < back_distance_m")
     f_hw, f_hh = _fov_half_extents(view, front_distance_m, margin)
     b_hw, b_hh = _fov_half_extents(view, back_distance_m, margin)
-    front = _wall(front_distance_m, -f_hw, 0.0, -f_hh, f_hh, _catalog_material(front_material))
-    back = _wall(back_distance_m, -b_hw, b_hw, -b_hh, b_hh, _catalog_material(back_material))
+    front = _rect(1, front_distance_m, (-f_hw, 0.0), (-f_hh, f_hh), front_material)
+    back = _rect(1, back_distance_m, (-b_hw, b_hw), (-b_hh, b_hh), back_material)
     return Scene(facets=[front, back], device=DevicePose(position=np.zeros(3)))
-
-
-def _pillar(x_c: float, y0: float, y1: float, half_w: float, z0: float, z1: float, material) -> list[PlanarFacet]:
-    """Four vertical side faces of a rectangular pillar."""
-    x0, x1 = x_c - half_w, x_c + half_w
-    quads = [
-        [[x0, y0, z0], [x1, y0, z0], [x1, y0, z1], [x0, y0, z1]],  # front
-        [[x0, y1, z0], [x1, y1, z0], [x1, y1, z1], [x0, y1, z1]],  # back
-        [[x0, y0, z0], [x0, y1, z0], [x0, y1, z1], [x0, y0, z1]],  # left
-        [[x1, y0, z0], [x1, y1, z0], [x1, y1, z1], [x1, y0, z1]],  # right
-    ]
-    return [PlanarFacet(vertices=q, material=material) for q in quads]
 
 
 def _scene_pillar_room(
@@ -615,7 +608,8 @@ def _scene_pillar_room(
     floor, ceiling board above, and two wood pillars partway in. Exercises
     occlusion, multiple materials and grazing-incidence surfaces at once.
     The pillars stand in front of the back wall, each within its half of
-    the room.
+    the room. Every facet is one _rect: 5 room faces, then each pillar's
+    front, back, left and right side.
     """
     if not (size_m > 0 and height_m > 0):
         raise ValueError("size_m and height_m must be positive")
@@ -625,38 +619,18 @@ def _scene_pillar_room(
         raise ValueError("need 0 < pillar_distance_m and pillar_distance_m + 2 * pillar_half_width_m < size_m")
     s = size_m / 2.0
     h = height_m / 2.0
-    wall_mat = _catalog_material(wall_material)
     facets = [
-        _wall(size_m, -s, s, -h, h, wall_mat),  # back wall
-        PlanarFacet(  # left wall x = -s
-            vertices=[[-s, 0, -h], [-s, size_m, -h], [-s, size_m, h], [-s, 0, h]],
-            material=wall_mat,
-        ),
-        PlanarFacet(  # right wall x = +s
-            vertices=[[s, 0, -h], [s, size_m, -h], [s, size_m, h], [s, 0, h]],
-            material=wall_mat,
-        ),
-        PlanarFacet(  # floor z = -h
-            vertices=[[-s, 0, -h], [s, 0, -h], [s, size_m, -h], [-s, size_m, -h]],
-            material=MATERIALS["floorboard"],
-        ),
-        PlanarFacet(  # ceiling z = +h
-            vertices=[[-s, 0, h], [s, 0, h], [s, size_m, h], [-s, size_m, h]],
-            material=MATERIALS["ceilingboard"],
-        ),
+        _rect(1, size_m, (-s, s), (-h, h), wall_material),  # back wall
+        _rect(0, -s, (0.0, size_m), (-h, h), wall_material),  # left wall
+        _rect(0, s, (0.0, size_m), (-h, h), wall_material),  # right wall
+        _rect(2, -h, (-s, s), (0.0, size_m), "floorboard"),  # floor
+        _rect(2, h, (-s, s), (0.0, size_m), "ceilingboard"),  # ceiling
     ]
+    y0, y1 = pillar_distance_m, pillar_distance_m + 2 * pillar_half_width_m
     for x_c in (-size_m / 4.0, size_m / 4.0):
-        facets.extend(
-            _pillar(
-                x_c,
-                pillar_distance_m,
-                pillar_distance_m + 2 * pillar_half_width_m,
-                pillar_half_width_m,
-                -h,
-                h,
-                _catalog_material(pillar_material),
-            )
-        )
+        x0, x1 = x_c - pillar_half_width_m, x_c + pillar_half_width_m
+        facets += [_rect(1, y, (x0, x1), (-h, h), pillar_material) for y in (y0, y1)]  # front, back
+        facets += [_rect(0, x, (y0, y1), (-h, h), pillar_material) for x in (x0, x1)]  # left, right
     return Scene(facets=facets, device=DevicePose(position=np.zeros(3)))
 
 

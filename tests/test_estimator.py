@@ -587,12 +587,15 @@ class TestInterpolateMap:
             assert np.allclose(out, 5.0, rtol=1e-12)
 
     def test_nearest_replicates_blocks(self):
-        src = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = interpolate_map(src, (4, 4), "nearest")
-        expected = np.array(
-            [[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]], dtype=float
-        )
-        assert np.array_equal(out, expected)
+        # A gather: an inf pixel fills its own block and nothing else (a
+        # one-hot product made 0 * inf NaN across its rows and columns).
+        for last in (4.0, np.inf):
+            src = np.array([[1.0, 2.0], [3.0, last]])
+            out = interpolate_map(src, (4, 4), "nearest")
+            expected = np.array(
+                [[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, last, last], [3, 3, last, last]], dtype=float
+            )
+            assert np.array_equal(out, expected)
 
     def test_bicubic_exact_on_linear_ramp_away_from_borders(self):
         src = np.add.outer(np.arange(6.0), 2.0 * np.arange(6.0))

@@ -95,18 +95,22 @@ REMOVED_KEYS = [
 # Out-of-range margins of the wall builtins: a negative one used to mirror
 # the wall, zero failed inside the facet checks without naming it.
 BAD_MARGINS = [("one_wall", -1), ("two_walls", -1), ("one_wall", 0)]
-# Builtin parameters of the wrong kind, each annotated float by its builder:
-# like a float field of a section, it takes an integer or a finite float and
-# fails at load, named, on a boolean (true used to run a 1 m wall), a string,
-# NaN or infinity.
+# Builtin parameters of the wrong kind, with the error they raise at load. A
+# parameter annotated float by its builder takes, like a float field of a
+# section, an integer or a finite float and fails, named, on a boolean (true
+# used to run a 1 m wall), a string, NaN or infinity. A material that is not
+# a name fails in the builder, and the error names the scene.
 BAD_KIND_PARAMS = [
-    ("one_wall", "distance_m", True),
-    ("two_walls", "front_distance_m", True),
-    ("pillar_room", "size_m", True),
-    ("one_wall", "distance_m", "far"),
-    ("one_wall", "distance_m", float("nan")),
-    ("one_wall", "margin", float("nan")),
-    ("pillar_room", "size_m", float("inf")),
+    *((name, key, value, re.escape(f"scene.{key} must be a finite number, got {value!r}")) for name, key, value in [
+        ("one_wall", "distance_m", True),
+        ("two_walls", "front_distance_m", True),
+        ("pillar_room", "size_m", True),
+        ("one_wall", "distance_m", "far"),
+        ("one_wall", "distance_m", float("nan")),
+        ("one_wall", "margin", float("nan")),
+        ("pillar_room", "size_m", float("inf")),
+    ]),
+    ("one_wall", "material", [1], "bad one_wall scene parameter: unhashable type: 'list'"),
 ]
 # Sections that are not JSON objects, a list of pairs among them.
 NON_OBJECT_SECTIONS = [("sim", "xy"), ("radio", [["tx_power_dbm", 20.0]]), ("scene", [["builtin", "two_walls"]])]
@@ -136,6 +140,10 @@ class TestConfigFromDict:
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             config_from_dict({"seed": 1})
+        # A top level that is not an object is named as such, not read as keys.
+        for data, kind in [([1], "list"), (5, "int"), ([["name", "x"]], "list"), ("sim", "str")]:
+            with pytest.raises(ValueError, match=f"config must be a JSON object, got {kind}"):
+                config_from_dict(data)
 
     def test_unknown_section_key_rejected(self):
         with pytest.raises(ValueError, match="unknown radio keys"):
@@ -157,8 +165,7 @@ class TestConfigFromDict:
         # Values are checked at load by building the scene, not in the run.
         for scene, match in [
             ({"builtin": "one_wall", "distance_m": 0}, "distance_m"),
-            *(({"builtin": name, key: value}, re.escape(f"scene.{key} must be a finite number, got {value!r}"))
-              for name, key, value in BAD_KIND_PARAMS),
+            *(({"builtin": name, key: value}, match) for name, key, value, match in BAD_KIND_PARAMS),
             ({"builtin": "one_wall", "material": "steel"}, "unknown material 'steel'"),
             ({"builtin": "two_walls", "front_distance_m": 3}, "front_distance_m"),
             *(({"builtin": name, "margin": margin}, "margin must be positive") for name, margin in BAD_MARGINS),
@@ -437,6 +444,51 @@ class TestBuiltinScenes:
     def test_two_walls_ordering_validated(self):
         with pytest.raises(ValueError, match="front_distance_m"):
             BUILTIN_SCENES["two_walls"](self.VIEW, front_distance_m=2.0, back_distance_m=1.0)
+
+    def test_builtin_facets_pinned(self):
+        # Each facet's corner order sets its normal and the order of its
+        # subdivision cells, and with it the scattering phase each cell
+        # draws, so every vertex is pinned, here at non-default parameters.
+        view = SceneView(fov_deg=90.0, aspect_ratio=2.0)
+        tan_h = np.tan(np.radians(view.fov_deg) / 2.0)
+
+        def half(d, margin):  # half width and height of the view at d, times margin
+            return d * tan_h * margin, d * (tan_h / 2.0) * margin
+
+        def wall(y, x0, x1, z0, z1):
+            return [[x0, y, z0], [x1, y, z0], [x1, y, z1], [x0, y, z1]]
+
+        hw, hh = half(4.0, 1.25)
+        f_hw, f_hh = half(1.5, 1.1)
+        b_hw, b_hh = half(3.0, 1.1)
+        expected = {
+            "one_wall": ({"distance_m": 4.0, "material": "drywall", "margin": 1.25},
+                         [(wall(4.0, -hw, hw, -hh, hh), "drywall")]),
+            "two_walls": ({"front_distance_m": 1.5, "back_distance_m": 3.0, "front_material": "wood",
+                           "back_material": "glass", "margin": 1.1},
+                          [(wall(1.5, -f_hw, 0.0, -f_hh, f_hh), "wood"), (wall(3.0, -b_hw, b_hw, -b_hh, b_hh), "glass")]),
+            "pillar_room": ({"size_m": 6.0, "height_m": 2.5, "pillar_distance_m": 1.5, "pillar_half_width_m": 0.25,
+                             "wall_material": "drywall", "pillar_material": "concrete"}, [
+                (wall(6.0, -3.0, 3.0, -1.25, 1.25), "drywall"),  # back wall
+                ([[-3.0, 0.0, -1.25], [-3.0, 6.0, -1.25], [-3.0, 6.0, 1.25], [-3.0, 0.0, 1.25]], "drywall"),  # left
+                ([[3.0, 0.0, -1.25], [3.0, 6.0, -1.25], [3.0, 6.0, 1.25], [3.0, 0.0, 1.25]], "drywall"),  # right
+                ([[-3.0, 0.0, -1.25], [3.0, 0.0, -1.25], [3.0, 6.0, -1.25], [-3.0, 6.0, -1.25]], "floorboard"),
+                ([[-3.0, 0.0, 1.25], [3.0, 0.0, 1.25], [3.0, 6.0, 1.25], [-3.0, 6.0, 1.25]], "ceilingboard"),
+                *((quad, "concrete") for x0, x1 in [(-1.75, -1.25), (1.25, 1.75)] for quad in [
+                    wall(1.5, x0, x1, -1.25, 1.25),  # pillar front
+                    wall(2.0, x0, x1, -1.25, 1.25),  # pillar back
+                    [[x0, 1.5, -1.25], [x0, 2.0, -1.25], [x0, 2.0, 1.25], [x0, 1.5, 1.25]],  # pillar left side
+                    [[x1, 1.5, -1.25], [x1, 2.0, -1.25], [x1, 2.0, 1.25], [x1, 1.5, 1.25]],  # pillar right side
+                ]),
+            ]),
+        }
+        assert set(expected) == set(BUILTIN_SCENES)
+        for name, (params, facets) in expected.items():
+            scene = BUILTIN_SCENES[name](view, **params)
+            assert len(scene.facets) == len(facets), name
+            for i, (facet, (vertices, material)) in enumerate(zip(scene.facets, facets)):
+                assert np.array_equal(facet.vertices, np.array(vertices)), (name, i)
+                assert facet.material.name == material, (name, i)
 
     def test_pillar_room_facet_count(self):
         scene = BUILTIN_SCENES["pillar_room"](self.VIEW)
@@ -734,6 +786,13 @@ class TestSweep:
         rows = sweep(SMALL, "distance", [1.5, 1.0])
         assert [r["value"] for r in rows] == [1.5, 1.0]
 
+    def test_bad_value_fails_before_any_run(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(pipeline, "run_scenario", runs.append)
+        with pytest.raises(ValueError, match="radio.tx_power_dbm must be a finite number, got 'abc'"):
+            sweep(SMALL, "tx_power", [50.0, "abc"])
+        assert runs == []
+
     def test_base_dict_untouched(self):
         base = json.loads(json.dumps(SMALL))
         sweep(base, "tx_power", [52.0])
@@ -768,6 +827,12 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"radios": {}}))
         assert cli_main(["run", "--config", str(path)]) == 2
+        # A file that does not hold an object is a config error, with or without --scenario.
+        for content, kind in [("[1]", "list"), ("5", "int")]:
+            path.write_text(content)
+            for extra in ([], ["--scenario", "one_wall"]):
+                assert cli_main(["run", "--config", str(path), *extra]) == 2
+                assert f"--config {path} must hold a JSON object, got {kind}" in capsys.readouterr().err
 
     def test_malformed_set_is_usage_error(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
@@ -817,9 +882,8 @@ class TestCli:
             (["--scenario", "one_wall", "--set", "scene.material=steel"], "unknown material 'steel'"),
             *((["--scenario", name, "--set", f"scene.margin={json.dumps(margin)}"], "margin must be positive")
               for name, margin in BAD_MARGINS),
-            *((["--scenario", name, "--set", f"scene.{key}={json.dumps(value)}"],
-               re.escape(f"scene.{key} must be a finite number, got {value!r}"))
-              for name, key, value in BAD_KIND_PARAMS),
+            *((["--scenario", name, "--set", f"scene.{key}={json.dumps(value)}"], match)
+              for name, key, value, match in BAD_KIND_PARAMS),
             *((["--scenario", "pillar_room", "--set", f"scene.{key}={value}"], match) for key, value, match in [
                 ("size_m", -5, "size_m and height_m must be positive"),
                 ("height_m", -3, "size_m and height_m must be positive"),
@@ -929,6 +993,23 @@ class TestCli:
         ])
         assert code == 0
         assert (out / "sweep.csv").exists()
+
+    def test_sweep_bad_value_is_usage_error_before_any_run(self, tmp_path, capsys, monkeypatch):
+        # Every swept value becomes a validated config before the first run.
+        runs = []
+        monkeypatch.setattr(pipeline, "run_scenario", runs.append)
+        out = tmp_path / "sweep"
+        for args, match in [
+            (["--scenario", "one_wall", "--parameter", "tx_power", "--values", "30,abc"],
+             "radio.tx_power_dbm must be a finite number, got 'abc'"),
+            (["--parameter", "radio.bogus", "--values", "1"], "unknown radio keys: ['bogus']"),
+            (["--scenario", "two_walls", "--parameter", "distance", "--values", "1"],
+             "unknown two_walls scene keys: ['distance_m']"),
+        ]:
+            assert cli_main(["sweep", *args, "--out", str(out)]) == 2
+            assert match in capsys.readouterr().err
+        assert runs == []
+        assert not out.exists()
 
     def test_sweep_empty_values_is_usage_error(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
