@@ -26,7 +26,7 @@ from pathlib import Path
 from .io import write_pgm16
 from .pipeline import _sweep_configs, _sweep_rows, apply_override, config_from_dict, run_scenario
 from .codebook import beam_grid, design_codebook, write_codebook_csv
-from .scene import BUILTIN_SCENES, build_scene, ground_truth_maps
+from .scene import BUILTIN_SCENES, ground_truth_maps
 
 __all__ = ["main"]
 
@@ -128,9 +128,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_ground_truth(args) -> int:
     cfg = _validated_config(_assemble_config_dict(args))
-    scene = build_scene(cfg.scene, cfg.view)
     resolution = cfg.output.resolution or beam_grid(cfg.upa, cfg.view)
-    gt_range, gt_depth = ground_truth_maps(scene, cfg.view, resolution)
+    gt_range, gt_depth = ground_truth_maps(cfg.built_scene, cfg.view, resolution)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_pgm16(out / "gt_range.pgm", gt_range)

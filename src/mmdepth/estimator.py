@@ -26,9 +26,13 @@ The processing ladder, lowest to highest:
                        raster order. No visiting order enters the picks.
   build_bank /         sub-sample refinement: correlate the record window at
   massive_correlator   the selected coarse delay against a bank of fractionally
-                       delayed preamble replicas on a ratio-times finer grid
-                       (all replicas from one kernel-by-shifted-preamble
-                       product), all beams in one matrix product.
+                       delayed preamble replicas on a ratio-times finer grid.
+                       Every replica is the 17-tap pulse kernel at its
+                       fractional shift applied to the preamble at 17 integer
+                       shifts, so the bank keeps those two factors: each
+                       window is correlated with the 17 shifted preambles over
+                       blocks of beams, and one small product with the kernels
+                       gives its correlation with every replica.
   construct_maps       delays to range, range to depth through the beam angles.
   interpolate_map      nearest or cubic-convolution upscaling to display size.
 
@@ -297,36 +301,44 @@ def joint_processing(
 @dataclass
 class CorrelatorBank:
     """
-    Fractional-delay replica bank for sub-sample refinement.
+    Fractional-delay replica bank for sub-sample refinement, kept as factors.
 
-    conj_rows[k] is the conjugated preamble delayed by (k - delta) / (ratio
-    * f_s), the form the correlation uses; row k = delta is unshifted.
+    Replica k, the preamble delayed by (k - delta) / (ratio * f_s), is
+    kernels[k] @ conj(conj_shifted): real pulse taps applied to the preamble
+    at integer shifts -PULSE_HALF_WIDTH .. +PULSE_HALF_WIDTH. Row k = delta
+    is unshifted. The (2*delta + 1, n_p) replicas themselves are never
+    formed; (kernels @ conj_shifted).conj() builds them when needed.
     """
 
     ratio: int                # fine-grid oversampling factor R
-    delta: int                # rows span shifts -delta .. +delta
-    conj_rows: np.ndarray     # (2*delta + 1, n_p) conjugated complex replicas
+    delta: int                # kernels span shifts -delta .. +delta
+    kernels: np.ndarray       # (2*delta + 1, 17) real taps, scaled to a common replica energy
+    conj_shifted: np.ndarray  # (17, n_p) conjugated integer shifts of the preamble
 
     @property
     def n_p(self) -> int:
-        return self.conj_rows.shape[1]
+        return self.conj_shifted.shape[1]
 
 
 def build_bank(preamble: np.ndarray, ratio: int, rolloff: float = 0.25) -> CorrelatorBank:
     """
     Build the replica bank of fractionally delayed preamble copies.
 
-    Row k holds the preamble passed through the same raised-cosine pulse
+    Replica k is the preamble passed through the same raised-cosine pulse
     the transmitter applies, delayed by (k - delta) / ratio of a sample, so
-    the rows live on the c / (2 * ratio * f_s) range grid and the row
+    the replicas live on the c / (2 * ratio * f_s) range grid and the one
     matching a path's fractional delay reproduces its record window
-    exactly. delta = ratio / 2 rows on each side of center cover one full
-    coarse bin.
+    exactly. delta = ratio / 2 replicas on each side of center cover one
+    full coarse bin. The pulse spans 17 taps, so replica k is kernels[k]
+    applied to the 17 integer shifts of the preamble; the bank keeps both
+    factors.
 
     A time shift preserves the energy of the continuous waveform, but
-    sampling its fractional shifts does not, so the rows are rescaled to a
-    common energy. Without this the argmax statistic drifts toward the
-    higher-energy rows near zero shift. The bank keeps the rows conjugated.
+    sampling its fractional shifts does not, so the kernels are rescaled to
+    a common replica energy. Without this the argmax statistic drifts toward
+    the higher-energy replicas near zero shift. Replica k's energy is
+    kernels[k] @ G @ kernels[k] with G the 17 x 17 Gram matrix of the
+    shifted preambles, so no replica is formed to measure it.
     """
     if ratio < 2 or ratio % 2:
         raise ValueError("ratio must be an even integer >= 2")
@@ -335,14 +347,14 @@ def build_bank(preamble: np.ndarray, ratio: int, rolloff: float = 0.25) -> Corre
     frac = (np.arange(2 * delta + 1) - delta) / ratio
     kernels = pulse_window(-frac, rolloff)  # (2*delta + 1, 17): p(k - frac), k = -8..8
     # shifted[j, n] = s[n + PULSE_HALF_WIDTH - j], zero outside the preamble,
-    # so kernels @ shifted is the centred slice of each row's convolution.
+    # so kernels @ shifted is the centred slice of each replica's convolution.
     padded = np.zeros(n_p + 2 * PULSE_HALF_WIDTH, dtype=complex)
     padded[PULSE_HALF_WIDTH : PULSE_HALF_WIDTH + n_p] = preamble
-    shifted = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(padded, n_p)[::-1])
-    rows = (kernels @ shifted.view(float)).view(complex)  # one real GEMM
-    norms = np.linalg.norm(rows, axis=1)
-    rows *= (norms[delta] / norms)[:, None]
-    return CorrelatorBank(ratio=ratio, delta=delta, conj_rows=rows.conj())
+    conj_shifted = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(padded, n_p)[::-1].conj())
+    gram = conj_shifted.conj() @ conj_shifted.T  # G[i, j] = <shifted_i, shifted_j>
+    norms = np.sqrt(np.einsum("ki,ij,kj->k", kernels, gram, kernels).real)
+    kernels *= (norms[delta] / norms)[:, None]
+    return CorrelatorBank(ratio=ratio, delta=delta, kernels=kernels, conj_shifted=conj_shifted)
 
 
 def massive_correlator(
@@ -355,8 +367,10 @@ def massive_correlator(
 
     samples is one record with a scalar coarse_delay, or a stack of records
     (a 2-D array or a list) with one coarse delay per row. The raw record
-    windows starting at the selected coarse bins are correlated against
-    every replica in one product, and the winning shift comes back as a
+    window starting at each selected coarse bin is correlated against the
+    bank's 17 shifted preambles, over blocks of _BLOCK records, and one
+    (M, 17) @ (17, 2*delta + 1) product with the kernels gives its
+    correlation with every replica. The winning shift comes back as a
     fraction of a coarse sample (in -1/2 .. +1/2), to be added to the coarse
     delay: a float for one record, an array for a stack.
     """
@@ -368,8 +382,12 @@ def massive_correlator(
     n_p = bank.n_p
     if np.any((delays < 0) | (delays + n_p > records.shape[1])):
         raise ValueError("coarse delay window leaves the record")
-    windows = np.lib.stride_tricks.sliding_window_view(records, n_p, axis=1)[np.arange(len(delays)), delays]
-    g = windows @ bank.conj_rows.T
+    windows = np.lib.stride_tricks.sliding_window_view(records, n_p, axis=1)
+    lags = np.empty((len(delays), len(bank.conj_shifted)), dtype=complex)
+    for start in range(0, len(delays), _BLOCK):
+        block = np.arange(start, min(start + _BLOCK, len(delays)))
+        lags[block] = windows[block, delays[block]] @ bank.conj_shifted.T
+    g = lags @ bank.kernels.T
     fine = (np.argmax(np.abs(g), axis=1) - bank.delta) / bank.ratio
     return float(fine[0]) if single else fine
 

@@ -23,11 +23,15 @@ is both scored and written.
 
 All records are synthesized into one (M, n_p + l_d) array and matched-
 filtered in one pass over blocks of beams; the cancellation then runs beam
-after beam on that beam's correlation row, and refinement takes all beams in
-one matrix product. Every beam draws its noise from its own spawned
-generator, so results do not depend on beam order or block size. A beam's
-cancellation stops at gamma^2 E_p times its noise level, the mean power of
-its record's tail: the last sim.guard_taps samples, past the latest path.
+after beam on that beam's correlation row, and refinement correlates each
+beam's window with the 17 integer shifts of the preamble over blocks of
+beams, then scores every fractional replica for all beams in one
+(M, 17) @ (17, 2*delta + 1) product. Every beam draws its noise from its own
+spawned generator, so results do not depend on beam order or block size. A
+beam's cancellation stops at gamma^2 E_p times its noise level, the mean
+power of its record's tail: the last sim.guard_taps samples, past the latest
+path. The scene is built once, when the config is validated
+(ScenarioConfig.built_scene), and the run simulates that Scene.
 """
 
 from __future__ import annotations
@@ -186,6 +190,10 @@ class ScenarioConfig:
     sim: SimConfig = field(default_factory=SimConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
     scene: dict = field(default_factory=lambda: {"builtin": "one_wall"})
+    # The Scene the scene section names, built here once: runs and ground-truth
+    # take it, so a file scene is read once per config and a run simulates the
+    # contents that were validated.
+    built_scene: Scene = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Display maps are upscaled from the beam grid, never downscaled.
@@ -196,6 +204,7 @@ class ScenarioConfig:
                 f"output.resolution {list(res)} is below the {grid[0]}x{grid[1]} beam grid "
                 "(rows n_v*os_v, cols n_h*os_h); display maps only upscale"
             )
+        object.__setattr__(self, "built_scene", build_scene(self.scene, self.view))
 
 
 def _check_kinds(annotations: dict[str, str], data: dict, where: str) -> None:
@@ -270,9 +279,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
                 kwargs[key] = _build_section(_SECTIONS[key], section, key)
         except TypeError as exc:
             raise ValueError(f"bad {key} section: {exc}") from None
-    cfg = ScenarioConfig(**kwargs)
-    build_scene(cfg.scene, cfg.view)  # checks the scene section; a file scene is read
-    return cfg
+    return ScenarioConfig(**kwargs)  # builds the scene: checks the section, reads a file scene
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
@@ -288,8 +295,9 @@ def config_hash(cfg: ScenarioConfig, scene: Scene | None = None) -> str:
     """
     sha256 over the canonical JSON serialization. A file-based scene also
     enters with its contents (scene_to_dict), so rewriting the file at the
-    same path changes the hash. The contents are those of `scene`, the Scene
-    a run built from cfg, or else of the file as it reads now.
+    same path changes the hash. The contents are those of `scene` (a run
+    passes cfg.built_scene, the Scene it simulates), or else of the file as
+    it reads now.
     """
     data = config_to_dict(cfg)
     if "file" in cfg.scene:
@@ -395,9 +403,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunArtifacts:
     """
     Execute one scenario end to end; optionally write artifacts to out_dir.
 
-    Determinism: a master SeedSequence from sim.seed spawns one child for
-    the scene scattering phases and one per beam for record noise, so
-    results do not depend on beam execution order.
+    The scene is cfg.built_scene, built when cfg was validated; a file
+    scene is not read again. Determinism: a master SeedSequence from
+    sim.seed spawns one child for the scene scattering phases and one per
+    beam for record noise, so results do not depend on beam execution order.
     """
     timings: dict[str, float] = {}
     t_start = time.perf_counter()
@@ -411,7 +420,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunArtifacts:
     cb = design_codebook(cfg.upa, cfg.view, **asdict(cfg.codebook))
     t0 = _clock("codebook", t0)
 
-    scene = build_scene(cfg.scene, cfg.view)
+    scene = cfg.built_scene
     master = np.random.SeedSequence(cfg.sim.seed)
     seeds = master.spawn(1 + cb.m)
     paths = trace_backscatter_paths(scene, cfg.radio.wavelength_m, cfg.sim.cell_size_m, seeds[0])

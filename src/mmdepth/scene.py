@@ -310,12 +310,15 @@ def ground_truth_maps(scene: Scene, view: SceneView, resolution: tuple[int, int]
     (range_map, depth_map) : float arrays of shape (rows, cols), meters.
     """
     rows, cols = resolution
-    pts = sensor_grid(view, cols, rows).reshape(-1, 3)
-    dirs_dev = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-    windows = [_facet_window(scene, facet, view, rows, cols) for facet in scene.facets]
+    dirs_dev = sensor_grid(view, cols, rows).reshape(-1, 3)
+    dirs_dev /= np.linalg.norm(dirs_dev, axis=1, keepdims=True)  # unit rays, in place
+    boresight = dirs_dev[:, 1].reshape(rows, cols).copy()  # all the depth map needs of them
     dirs = scene.device.to_world(dirs_dev).reshape(rows, cols, 3)
+    del dirs_dev  # each (rows * cols, 3) direction array goes once its last use is past
+    windows = [_facet_window(scene, facet, view, rows, cols) for facet in scene.facets]
     range_map = _first_hit(scene, dirs, windows=windows)
-    depth = range_map * dirs_dev[:, 1].reshape(rows, cols)
+    del dirs
+    depth = range_map * boresight
     depth_map = np.where(np.isfinite(range_map), depth, MISS)
     return range_map, depth_map
 

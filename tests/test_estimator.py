@@ -4,10 +4,12 @@ fractional-delay refinement, and map construction.
 
 Oracles are synthetic records built from the same pulse model the channel
 uses, so every expected value is known by construction. The correlation-domain
-cancellation, the stacked matched filter, the one-product replica bank and
-the stacked refinement are also checked against their record-domain, direct
-and one-beam-at-a-time references on noisy multipath records.
+cancellation, the stacked matched filter, the factored replica bank and the
+17-lag refinement are also checked against their record-domain, direct,
+row-by-row and replica-bank references on noisy multipath records.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,6 @@ from scipy.constants import c as SPEED_OF_LIGHT
 from mmdepth import estimator
 from mmdepth.channel import PULSE_HALF_WIDTH, noise_variance, raised_cosine
 from mmdepth.estimator import (
-    CorrelatorBank,
     basic_correlator,
     build_bank,
     cancel_candidates,
@@ -81,6 +82,23 @@ def reference_bank(preamble, ratio, rolloff=0.25):
         rows[k] = np.convolve(preamble, kernel)[PULSE_HALF_WIDTH : PULSE_HALF_WIDTH + n_p]
     norms = np.linalg.norm(rows, axis=1)
     return rows * (norms[delta] / norms)[:, None]
+
+
+def replicas(bank):
+    """The (2*delta + 1, n_p) replicas a bank's factors stand for."""
+    return (bank.kernels @ bank.conj_shifted).conj()
+
+
+def reference_massive_correlator(samples, rows, ratio, coarse_delays):
+    """
+    Refinement against formed replica rows: every beam's window gathered into
+    one (M, n_p) array and correlated against every row in one product.
+    """
+    records = np.atleast_2d(samples)
+    n_p = rows.shape[1]
+    windows = np.lib.stride_tricks.sliding_window_view(records, n_p, axis=1)[np.arange(len(records)), coarse_delays]
+    g = windows @ rows.conj().T
+    return (np.argmax(np.abs(g), axis=1) - ratio // 2) / ratio
 
 
 @pytest.fixture(scope="module")
@@ -454,30 +472,32 @@ class TestJointProcessing:
 class TestCorrelatorBank:
     def test_rows_share_common_energy(self, golay_preamble, radio):
         bank = build_bank(golay_preamble, 8, radio.rolloff)
-        norms = np.linalg.norm(bank.conj_rows, axis=1)
+        norms = np.linalg.norm(replicas(bank), axis=1)
         assert np.allclose(norms, norms[bank.delta], rtol=1e-12)
 
     def test_center_row_is_unshifted_preamble(self, golay_preamble, radio):
         bank = build_bank(golay_preamble, 4, radio.rolloff)
-        assert np.allclose(bank.conj_rows[bank.delta].conj(), golay_preamble, atol=1e-12)
+        assert np.allclose(replicas(bank)[bank.delta], golay_preamble, atol=1e-12)
 
     def test_row_count_spans_one_coarse_bin(self, pn_preamble):
         bank = build_bank(pn_preamble, 10)
-        assert bank.conj_rows.shape == (11, 256)
+        assert replicas(bank).shape == (11, 256)
+        assert bank.kernels.shape == (11, 2 * PULSE_HALF_WIDTH + 1)
+        assert bank.conj_shifted.shape == (2 * PULSE_HALF_WIDTH + 1, 256)
         assert bank.delta == 5
 
     @pytest.mark.parametrize("kind", ["golay", "pn"])
     @pytest.mark.parametrize("ratio", [2, 8, 100])
     def test_matches_per_row_convolution(self, golay_preamble, pn_preamble, radio, kind, ratio):
         preamble = golay_preamble if kind == "golay" else pn_preamble
-        rows = build_bank(preamble, ratio, radio.rolloff).conj_rows.conj()
+        rows = replicas(build_bank(preamble, ratio, radio.rolloff))
         ref = reference_bank(preamble, ratio, radio.rolloff)
         assert rows.shape == ref.shape
         assert np.all(np.abs(rows - ref).max(axis=1) <= 1e-14 * np.linalg.norm(ref, axis=1))
 
     def test_real_preamble_gives_complex_rows(self, radio):
         preamble = np.tile([1.0, -1.0, -1.0, 1.0], 16)
-        rows = build_bank(preamble, 4, radio.rolloff).conj_rows.conj()
+        rows = replicas(build_bank(preamble, 4, radio.rolloff))
         assert rows.dtype == complex and rows.shape == (5, 64)
         assert np.abs(rows - reference_bank(preamble, 4, radio.rolloff)).max() <= 1e-14 * 8.0
 
@@ -532,15 +552,38 @@ class TestMassiveCorrelator:
         assert np.array_equal(massive_correlator(records, bank, coarse), loop)
         assert np.array_equal(massive_correlator(np.stack(records), bank, coarse), loop)
 
-
-    def test_one_product_bank_keeps_the_picks(self, noisy_multipath, golay_preamble, radio):
-        bank = build_bank(golay_preamble, 100, radio.rolloff)
-        ref = CorrelatorBank(100, 50, reference_bank(golay_preamble, 100, radio.rolloff).conj())
-        stack = np.array([noisy_multipath(golay_preamble, 200 + k)[0] for k in range(12)])
-        strongest = np.array([basic_correlator(y, golay_preamble) for y in stack])
-        for coarse in (strongest, np.full(12, 40), np.arange(12) * 13):
-            want = massive_correlator(stack, ref, coarse)
+    @pytest.mark.parametrize("kind", ["golay", "pn"])
+    @pytest.mark.parametrize("ratio", [2, 8, 100])
+    def test_one_product_bank_keeps_the_picks(
+        self, noisy_multipath, golay_preamble, pn_preamble, radio, kind, ratio
+    ):
+        # The 17-lag form picks what the row-by-row replica bank picks, with
+        # windows at both ends of the record among the coarse delays.
+        preamble = golay_preamble if kind == "golay" else pn_preamble
+        bank = build_bank(preamble, ratio, radio.rolloff)
+        rows = reference_bank(preamble, ratio, radio.rolloff)
+        stack = np.array([noisy_multipath(preamble, 200 + k)[0] for k in range(40)])
+        l_d = stack.shape[1] - len(preamble)
+        strongest = np.array([basic_correlator(y, preamble) for y in stack])
+        for coarse in (strongest, np.full(40, 40), np.arange(40) * 4, np.linspace(0, l_d, 40).astype(int)):
+            want = reference_massive_correlator(stack, rows, ratio, coarse)
             assert np.array_equal(massive_correlator(stack, bank, coarse), want)
+
+    def test_allocates_no_window_array(self, golay_preamble, radio):
+        # The lags are taken over blocks of beams: a (256, 3328) gather of
+        # every window would alone take 13 MiB.
+        bank = build_bank(golay_preamble, 100, radio.rolloff)
+        rng = np.random.default_rng(3)
+        stack = rng.standard_normal((256, 3328 + 200)) + 1j * rng.standard_normal((256, 3328 + 200))
+        coarse = rng.integers(0, 201, 256)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            massive_correlator(stack, bank, coarse)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestConstructMaps:

@@ -116,6 +116,19 @@ BAD_KIND_PARAMS = [
 NON_OBJECT_SECTIONS = [("sim", "xy"), ("radio", [["tx_power_dbm", 20.0]]), ("scene", [["builtin", "two_walls"]])]
 
 
+def count_reads(monkeypatch, path) -> list:
+    """Patch open so that every read of `path` appends to the list returned."""
+    reads, real_open = [], open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if str(file) == str(path) and "r" in mode:
+            reads.append(file)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    return reads
+
+
 def small_config(**updates):
     data = json.loads(json.dumps(SMALL))
     for dotted, value in updates.items():
@@ -354,31 +367,24 @@ class TestConfigHash:
         assert config_hash(cfg) != before
 
     def test_run_hashes_the_scene_file_it_read(self, tmp_path, monkeypatch):
-        # A run reads its scene file once and hashes what it read, so
-        # rewriting the file mid-run leaves art.config_hash naming the traced scene.
+        # Validation reads the scene file and the run takes the Scene it
+        # built, so rewriting the file between validation and the run leaves
+        # the run simulating, and art.config_hash naming, the validated scene.
         path = tmp_path / "scene.json"
-        path.write_text(json.dumps(scene_to_dict(BUILTIN_SCENES["one_wall"](SceneView(), distance_m=1.5))))
+        validated = scene_to_dict(BUILTIN_SCENES["one_wall"](SceneView(), distance_m=1.5))
+        path.write_text(json.dumps(validated))
         cfg = small_config(scene={"file": str(path)})
         before = config_hash(cfg)
-        reads, real_open = [], open
-
-        def counting_open(file, mode="r", *args, **kwargs):
-            if str(file) == str(path) and mode == "r":
-                reads.append(file)
-            return real_open(file, mode, *args, **kwargs)
-
-        taps_of = pipeline.beamformed_taps_batch
-
-        def rewrite_then_taps(*args):
-            path.write_text(json.dumps(scene_to_dict(BUILTIN_SCENES["one_wall"](SceneView(), distance_m=3.0))))
-            return taps_of(*args)
-
-        monkeypatch.setattr("builtins.open", counting_open)
-        monkeypatch.setattr(pipeline, "beamformed_taps_batch", rewrite_then_taps)
+        path.write_text(json.dumps(scene_to_dict(BUILTIN_SCENES["one_wall"](SceneView(), distance_m=3.0))))
+        reads = count_reads(monkeypatch, path)
         art = run_scenario(cfg)
-        assert len(reads) == 1
+        assert reads == []
         assert art.config_hash == before
-        assert config_hash(cfg) != before
+        assert config_hash(cfg) != before  # the file as it reads now
+        assert scene_to_dict(art.scene) == validated
+        inline = run_scenario(small_config(scene={"inline": validated}))
+        for name in ("selected", "fine_offsets", "range_map", "gt_range"):
+            assert np.array_equal(getattr(art, name), getattr(inline, name))
 
 
 class TestApplyOverride:
@@ -941,6 +947,25 @@ class TestCli:
         ])
         assert code == 3
         assert "runtime error" in capsys.readouterr().err
+
+    def scene_file_args(self, tmp_path) -> tuple[Path, list[str]]:
+        """A scene file and the config arguments of a small run on it."""
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(GOOD_SCENE))
+        return scene, ["--config", str(self.write_config(tmp_path)), "--set", f"scene={json.dumps({'file': str(scene)})}"]
+
+    @pytest.mark.parametrize("command", ["run", "ground-truth"])
+    def test_a_scene_file_is_read_once(self, tmp_path, monkeypatch, capsys, command):
+        scene, args = self.scene_file_args(tmp_path)
+        reads = count_reads(monkeypatch, scene)
+        assert cli_main([command, *args, "--out", str(tmp_path / "out")]) == 0
+        assert len(reads) == 1
+
+    def test_a_sweep_reads_its_scene_file_once_per_value(self, tmp_path, monkeypatch, capsys):
+        scene, args = self.scene_file_args(tmp_path)
+        reads = count_reads(monkeypatch, scene)
+        assert cli_main(["sweep", *args, "--parameter", "tx_power", "--values", "50,52,54"]) == 0
+        assert len(reads) == 3
 
     def test_ground_truth_subcommand(self, tmp_path, capsys):
         out = tmp_path / "gt"

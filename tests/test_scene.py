@@ -1,5 +1,6 @@
 """Scene geometry: ray-cast truth maps and the diffuse backscatter tracer."""
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,6 +217,21 @@ class TestGroundTruth:
         assert np.isinf(rng_map[0, 0])
         assert np.isinf(dep_map[0, 0])
         assert np.isfinite(rng_map[8, 8])
+
+    def test_display_cast_keeps_one_copy_of_the_rays(self):
+        # At 720 x 1280 each (rows * cols, 3) direction array is 21 MiB;
+        # holding the sensor points and the device- and world-frame rays at
+        # once took the cast to 85 MiB.
+        view = SceneView()
+        scene = build_scene({"builtin": "pillar_room"}, view)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ground_truth_maps(scene, view, (720, 1280))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestCulledTruth:
