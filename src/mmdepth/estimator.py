@@ -97,8 +97,9 @@ def cross_correlation(samples: np.ndarray, preamble: np.ndarray) -> np.ndarray:
     rows = samples.reshape(-1, n)
     c = np.empty((len(rows), n - n_p + 1), dtype=complex)
     for start in range(0, len(rows), _BLOCK):
-        block = np.fft.ifft(np.fft.fft(rows[start : start + _BLOCK], nfft) * spectrum)
-        c[start : start + _BLOCK] = block[:, : n - n_p + 1]
+        block = np.fft.fft(rows[start : start + _BLOCK], nfft)
+        block *= spectrum
+        c[start : start + _BLOCK] = np.fft.ifft(block)[:, : n - n_p + 1]
     return c.reshape(samples.shape[:-1] + c.shape[1:])
 
 

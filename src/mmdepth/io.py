@@ -30,6 +30,8 @@ __all__ = [
 PGM_SENTINEL = 65535        # missing / no return
 _RECORD_MAGIC = b"MMDR"
 _RECORD_VERSION = 1
+# Map rows per block of PGM encoding; working memory is O(_ROWS * cols).
+_ROWS = 32
 
 
 def write_pgm16(path, map_m: np.ndarray) -> None:
@@ -37,27 +39,41 @@ def write_pgm16(path, map_m: np.ndarray) -> None:
     Write a map of meters as a millimeter-quantized 16-bit binary PGM.
 
     Non-finite entries become the sentinel 65535; finite ones round to the
-    nearest millimeter and clamp to [0, 65534].
+    nearest millimeter and clamp to [0, 65534]. The samples are scaled,
+    rounded, clamped and written _ROWS map rows at a time, so the working
+    memory beyond the map is one block.
     """
     arr = np.asarray(map_m, dtype=float)
     if arr.ndim != 2:
         raise ValueError("map must be 2-D")
-    mm = np.full(arr.shape, PGM_SENTINEL, dtype=np.uint16)
-    finite = np.isfinite(arr)
-    mm[finite] = np.clip(np.rint(arr[finite] * 1000.0), 0, PGM_SENTINEL - 1).astype(np.uint16)
     h, w = arr.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
-        fh.write(mm.astype(">u2").tobytes())
+        for start in range(0, h, _ROWS):
+            rows = arr[start : start + _ROWS]
+            mm = np.multiply(rows, 1000.0)
+            np.rint(mm, out=mm)
+            np.clip(mm, 0, PGM_SENTINEL - 1, out=mm)
+            mm[~np.isfinite(rows)] = PGM_SENTINEL
+            fh.write(mm.astype(">u2"))
 
 
 def read_pgm16(path) -> np.ndarray:
-    """Read a PGM written by write_pgm16 back to meters (sentinel -> +inf)."""
+    """
+    Read a PGM written by write_pgm16 back to meters (sentinel -> +inf). A
+    file cut short anywhere, or with bytes after the last pixel, raises a
+    ValueError saying so.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
-    # Header is three whitespace-separated tokens after the magic.
-    if not data.startswith(b"P5"):
+
+    def truncated(what: str) -> ValueError:
+        return ValueError(f"truncated PGM: {len(data)} bytes, {what}")
+
+    if data[:2] != b"P5"[: len(data)]:
         raise ValueError("not a binary PGM file")
+    # Header is three whitespace-separated tokens after the magic, each
+    # followed by a whitespace byte; the pixels start right after maxval's.
     tokens: list[bytes] = []
     pos = 2
     while len(tokens) < 3:
@@ -66,11 +82,20 @@ def read_pgm16(path) -> np.ndarray:
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
+        if pos >= len(data):
+            raise truncated("the header is cut short")
         tokens.append(data[start:pos])
-    pos += 1  # single whitespace byte after maxval
+    pos += 1
     w, h, maxval = (int(t) for t in tokens)
     if maxval != 65535:
         raise ValueError(f"expected 16-bit PGM (maxval 65535), got {maxval}")
+    if w < 0 or h < 0:
+        raise ValueError(f"negative PGM size {w} x {h}")
+    end = pos + 2 * w * h
+    if end > len(data):
+        raise truncated(f"the pixels end at byte {end}")
+    if end < len(data):
+        raise ValueError("trailing bytes after the last pixel")
     mm = np.frombuffer(data, dtype=">u2", count=w * h, offset=pos).reshape(h, w)
     out = mm.astype(float) / 1000.0
     out[mm == PGM_SENTINEL] = np.inf

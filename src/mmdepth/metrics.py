@@ -20,6 +20,9 @@ from .channel import SPEED_OF_LIGHT
 
 __all__ = ["ErrorReport", "map_errors", "crlb_range"]
 
+# Map rows per block of error gathering; working memory is O(_ROWS * cols) beyond the K errors.
+_ROWS = 32
+
 
 @dataclass(frozen=True)
 class ErrorReport:
@@ -39,23 +42,35 @@ def map_errors(estimate: np.ndarray, truth: np.ndarray) -> ErrorReport:
     Pixels with non-finite truth are excluded from all aggregates. A
     non-finite estimate at a valid truth pixel is a real estimator failure
     and propagates into the aggregates rather than being masked.
+
+    The K errors are gathered into one array in row-major order, _ROWS rows
+    (a 0-d or 1-d map is one row) at a time, and each aggregate is a mean
+    over that array: bias over the signed errors, then MAE and RMSE over
+    them made absolute and squared in place.
     """
     est = np.asarray(estimate, dtype=float)
     ref = np.asarray(truth, dtype=float)
     if est.shape != ref.shape:
         raise ValueError(f"shape mismatch: estimate {est.shape} vs truth {ref.shape}")
     valid = np.isfinite(ref)
-    k = int(valid.sum())
+    k = int(np.count_nonzero(valid))
     if k == 0:
         raise ValueError("truth map has no finite pixels to score against")
-    err = est[valid] - ref[valid]
-    return ErrorReport(
-        rmse_m=float(np.sqrt(np.mean(err**2))),
-        mae_m=float(np.mean(np.abs(err))),
-        bias_m=float(np.mean(err)),
-        n_valid=k,
-        n_total=int(ref.size),
-    )
+    cols = ref.shape[-1] if ref.ndim else 1
+    est, ref, valid = (a.reshape(-1, cols) for a in (est, ref, valid))
+    err = np.empty(k)
+    diff = np.empty((min(_ROWS, len(ref)), cols))
+    pos = 0
+    with np.errstate(invalid="ignore"):  # inf - inf lands only on excluded pixels
+        for start in range(0, len(ref), _ROWS):
+            v = valid[start : start + _ROWS]
+            block = np.subtract(est[start : start + _ROWS], ref[start : start + _ROWS], out=diff[: len(v)])[v]
+            err[pos : pos + len(block)] = block
+            pos += len(block)
+    bias = float(np.mean(err))
+    mae = float(np.mean(np.abs(err, out=err)))
+    rmse = float(np.sqrt(np.mean(np.square(err, out=err))))
+    return ErrorReport(rmse_m=rmse, mae_m=mae, bias_m=bias, n_valid=k, n_total=int(ref.size))
 
 
 def crlb_range(snr: float, n_int: int, bandwidth_hz: float) -> float:

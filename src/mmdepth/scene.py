@@ -7,9 +7,10 @@ pose. The device frame is right-handed with boresight along +y and up along
 
 Two consumers look at the same geometry through one ray cast, _first_hit:
 
-  ground_truth_maps     per-pixel ray casting through the sensor grid, each
-                        facet against the pixels of its image window only;
-                        the reference the estimated maps are scored against.
+  ground_truth_maps     per-pixel ray casting through the sensor grid, a
+                        band of rows at a time, each facet against the
+                        pixels of its image window only; the reference the
+                        estimated maps are scored against.
   trace_backscatter_paths
                         the radio view: a sum of point scatterers, each
                         visible one a monostatic path (delay 2*rho/c, matched
@@ -241,6 +242,9 @@ def _first_hit(
 # Near plane of the truth-ray windows, in metres in front of the device.
 _NEAR_M = 1e-3
 
+# Sensor rows per band of the truth cast; working memory is O(_ROWS * cols).
+_ROWS = 32
+
 
 def _clip_near(poly: np.ndarray) -> np.ndarray:
     """Sutherland-Hodgman clip of a device-frame polygon (K, 3) to y >= _NEAR_M."""
@@ -305,21 +309,49 @@ def ground_truth_maps(scene: Scene, view: SceneView, resolution: tuple[int, int]
     image window (_facet_window), which gives the same maps as testing
     every ray against every facet.
 
+    The cast runs over bands of _ROWS sensor rows, so each facet pass works
+    on arrays that stay in cache; no whole-grid ray array is formed. A ray
+    through the cell centre (x, F_L, z) has the unit direction
+    (x, F_L, z) / sqrt((x^2 + F_L^2) + z^2), the same doubles as normalising
+    the sensor_grid points with np.linalg.norm, and a pixel's value does
+    not depend on the band it falls in.
+
     Returns
     -------
     (range_map, depth_map) : float arrays of shape (rows, cols), meters.
     """
     rows, cols = resolution
-    dirs_dev = sensor_grid(view, cols, rows).reshape(-1, 3)
-    dirs_dev /= np.linalg.norm(dirs_dev, axis=1, keepdims=True)  # unit rays, in place
-    boresight = dirs_dev[:, 1].reshape(rows, cols).copy()  # all the depth map needs of them
-    dirs = scene.device.to_world(dirs_dev).reshape(rows, cols, 3)
-    del dirs_dev  # each (rows * cols, 3) direction array goes once its last use is past
-    windows = [_facet_window(scene, facet, view, rows, cols) for facet in scene.facets]
-    range_map = _first_hit(scene, dirs, windows=windows)
-    del dirs
-    depth = range_map * boresight
-    depth_map = np.where(np.isfinite(range_map), depth, MISS)
+    # A sensor_grid column depends only on its x and a row only on its z;
+    # y is F_L throughout.
+    x = sensor_grid(view, cols, 1)[0, :, 0]
+    z = sensor_grid(view, 1, rows)[:, 0, 2]
+    f_l = view.focal_length_m
+    xy_sq = x * x + f_l * f_l
+    # Each facet's window as (first row, end row, col slice), or None.
+    spans = []
+    for facet in scene.facets:
+        w = _facet_window(scene, facet, view, rows, cols)
+        spans.append(None if w is None else (*w[0].indices(rows)[:2], w[1]))
+    range_map = np.empty((rows, cols))
+    depth_map = np.empty((rows, cols))
+    band = np.empty((min(_ROWS, rows), cols, 3))
+    for r0 in range(0, rows, _ROWS):
+        r1 = min(r0 + _ROWS, rows)
+        z_band = z[r0:r1, None]
+        norm = np.sqrt(xy_sq + z_band * z_band)
+        dirs_dev = band[: r1 - r0]
+        np.divide(x, norm, out=dirs_dev[..., 0])
+        np.divide(f_l, norm, out=dirs_dev[..., 1])
+        np.divide(z_band, norm, out=dirs_dev[..., 2])
+        dirs = scene.device.to_world(dirs_dev.reshape(-1, 3)).reshape(dirs_dev.shape)
+        windows = [
+            None if s is None or max(s[0], r0) >= min(s[1], r1)
+            else (slice(max(s[0], r0) - r0, min(s[1], r1) - r0), s[2])
+            for s in spans
+        ]
+        t = _first_hit(scene, dirs, windows=windows)
+        range_map[r0:r1] = t
+        depth_map[r0:r1] = np.where(np.isfinite(t), t * dirs_dev[..., 1], MISS)
     return range_map, depth_map
 
 

@@ -168,8 +168,9 @@ def synthesize_records(
     scale = np.sqrt(radio.symbol_energy_j)
     y = np.zeros((m, n), dtype=complex)
     for start in range(0, m, _BLOCK):
-        block = np.fft.ifft(np.fft.fft(taps[start : start + _BLOCK], nfft) * spectrum)
-        y[start : start + _BLOCK, : n - 1] = scale * block[:, : n - 1]
+        block = np.fft.fft(taps[start : start + _BLOCK], nfft)
+        block *= spectrum
+        np.multiply(np.fft.ifft(block)[:, : n - 1], scale, out=y[start : start + _BLOCK, : n - 1])
     if noise is not None:
         if len(noise) != m:
             raise ValueError("need one noise generator per beam")

@@ -5,11 +5,42 @@ The RMSE/MAE identities here double as the oracles the acceptance gate
 reuses: known two-pixel maps with closed-form aggregates, and the bound's
 exact scaling in integration length and bandwidth.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mmdepth import metrics
 from mmdepth.metrics import ErrorReport, crlb_range, map_errors
+
+
+def reference_errors(estimate, truth) -> ErrorReport:
+    """map_errors from the whole map at once: gather the valid pixels, then each aggregate."""
+    est = np.asarray(estimate, dtype=float)
+    ref = np.asarray(truth, dtype=float)
+    valid = np.isfinite(ref)
+    err = est[valid] - ref[valid]
+    return ErrorReport(
+        rmse_m=float(np.sqrt(np.mean(err**2))),
+        mae_m=float(np.mean(np.abs(err))),
+        bias_m=float(np.mean(err)),
+        n_valid=int(valid.sum()),
+        n_total=int(ref.size),
+    )
+
+
+def scored_pair(rng, shape, bad_estimate=None):
+    """A truth map with non-finite pixels and an estimate near it, optionally non-finite somewhere valid."""
+    ref = rng.uniform(0.5, 10.0, size=shape)
+    est = ref + rng.normal(scale=0.3, size=shape)
+    if ref.size > 1:
+        ref[rng.random(shape) < 0.2] = np.inf
+        ref.flat[rng.choice(ref.size, 2, replace=False)] = [np.nan, -np.inf]
+        est[~np.isfinite(ref) & (rng.random(shape) < 0.5)] = np.inf  # inf - inf where truth is excluded
+    if bad_estimate is not None:
+        est[np.isfinite(ref) & (rng.random(shape) < 0.05)] = bad_estimate
+    return est, ref
 
 
 class TestMapErrors:
@@ -55,6 +86,37 @@ class TestMapErrors:
     def test_all_invalid_truth_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             map_errors(np.zeros((2, 2)), np.full((2, 2), np.inf))
+
+    @pytest.mark.parametrize("bad_estimate", [None, np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("block", [1, 7, metrics._ROWS])
+    @pytest.mark.parametrize("rows", [1, 37, 65, 720])
+    def test_block_size_does_not_change_the_report(self, monkeypatch, bad_estimate, block, rows):
+        monkeypatch.setattr(metrics, "_ROWS", block)
+        est, ref = scored_pair(np.random.default_rng(rows), (rows, 23), bad_estimate)
+        assert repr(map_errors(est, ref)) == repr(reference_errors(est, ref))
+
+    @pytest.mark.parametrize("shape", [(), (1,), (40,), (3, 4, 5), (2, 1, 3, 9)])
+    def test_any_shape_is_scored(self, shape):
+        est, ref = scored_pair(np.random.default_rng(len(shape)), shape)
+        rep = map_errors(est, ref)
+        assert repr(rep) == repr(reference_errors(est, ref))
+        assert rep.n_total == ref.size and rep.n_valid == np.isfinite(ref).sum() > 0
+        # Scalars and lists are maps too.
+        assert repr(map_errors(est.tolist(), ref.tolist())) == repr(rep)
+
+    def test_scores_a_display_pair_with_one_error_array(self):
+        # Gathering est[valid], ref[valid] and their difference at once held
+        # three K-pixel arrays, 12.1 MiB for this 720 x 1280 pair.
+        est, ref = scored_pair(np.random.default_rng(0), (720, 1280))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rep = map_errors(est, ref)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        assert repr(rep) == repr(reference_errors(est, ref))
 
     @settings(derandomize=True, max_examples=50)
     @given(

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mmdepth import cli, estimator, pipeline, waveform
+from mmdepth import cli, estimator, io, metrics, pipeline, scene, waveform
 from mmdepth.channel import noise_variance
 from mmdepth.cli import main as cli_main
 from mmdepth.codebook import SceneView, UpaConfig, design_codebook
@@ -607,14 +607,28 @@ class TestRunScenario:
             assert np.array_equal(a.samples, b + noise)
 
     @pytest.mark.parametrize("block", [1, 5, 40])
-    def test_block_size_does_not_change_the_run(self, small_run, monkeypatch, block):
+    def test_block_size_does_not_change_the_run(self, small_run, monkeypatch, tmp_path, block):
+        # A 37 x 45 display is not a multiple of the 5-row blocks.
+        cfg = small_config(output__resolution=[37, 45], output__write_records=True)
+        want = run_scenario(cfg, out_dir=tmp_path / "default")
         monkeypatch.setattr(waveform, "_BLOCK", block)
         monkeypatch.setattr(estimator, "_BLOCK", block)
-        art = run_scenario(small_config())
+        for module in (scene, io, metrics):
+            monkeypatch.setattr(module, "_ROWS", block)
+        art = run_scenario(cfg, out_dir=tmp_path / "blocked")
         for a, b in zip(art.records, small_run.records):
             assert np.array_equal(a.samples, b.samples)
         for key in ("selected", "fine_offsets", "filled", "range_map", "depth_map"):
             assert np.array_equal(getattr(art, key), getattr(small_run, key)), key
+        for key in ("gt_range", "gt_depth", "out_range", "out_depth", "gt_range_out", "gt_depth_out"):
+            assert np.array_equal(getattr(art, key), getattr(want, key)), key
+        assert art.reports == want.reports
+        assert len(art.files) == len(want.files) == 13
+        for a, b in zip(art.files, want.files):
+            got, expect = Path(a).read_bytes(), Path(b).read_bytes()
+            if a.endswith("run.json"):
+                got, expect = ({**json.loads(x), "timings_s": None} for x in (got, expect))
+            assert got == expect, a
 
     def test_detection_equals_one_beam_at_a_time(self, monkeypatch):
         seen, thresholds = [], []

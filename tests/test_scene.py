@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
+from mmdepth import scene as scene_module
 from mmdepth.channel import path_gain
 from mmdepth.codebook import SceneView, sensor_grid
 from mmdepth.scene import (
@@ -233,6 +234,21 @@ class TestGroundTruth:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
+    def test_display_cast_works_a_band_at_a_time(self):
+        # The two 7 MiB maps plus one band of rays and facet-pass temporaries;
+        # normalising and rotating the whole (rows * cols, 3) grid at once
+        # peaked at 56 MiB.
+        view = SceneView()
+        scene = build_scene({"builtin": "pillar_room"}, view)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ground_truth_maps(scene, view, (720, 1280))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 44 * 2**20
+
 
 class TestCulledTruth:
     """The per-facet image windows give the all-facet cast's maps exactly."""
@@ -319,6 +335,24 @@ class TestCulledTruth:
         for resolution in ((9, 16), (40, 31)):
             rng_map, _ = assert_truth_matches_reference(scene, view, resolution)
             assert np.any(np.isfinite(rng_map)) and np.any(np.isinf(rng_map))
+
+    @pytest.mark.parametrize("block", [1, 7, scene_module._ROWS])
+    @pytest.mark.parametrize("rows", [1, 37, 65, 720])
+    def test_band_size_does_not_change_the_maps(self, monkeypatch, block, rows):
+        # Heights that are not a multiple of the band, on the pillar room and
+        # on a room whose windows are the whole grid (a side wall within a
+        # millimetre), empty (a wall behind the device) and a few rows (a
+        # low plate).
+        monkeypatch.setattr(scene_module, "_ROWS", block)
+        view = SceneView()
+        side = PlanarFacet(
+            [[5e-4, -1, -1], [5e-4, 4, -1], [5e-4, 4, 1], [5e-4, -1, 1]], MATERIALS["wood"]
+        )
+        plate = PlanarFacet([[-1, 2, -1.2], [1, 2, -1.2], [1, 2, -1.0], [-1, 2, -1.0]], MATERIALS["wood"])
+        behind = facing_wall(-1.0, 3.0, 3.0)
+        for scene in (build_scene({"builtin": "pillar_room"}, view), self.room(side, behind, plate)):
+            rng_map, _ = assert_truth_matches_reference(scene, view, (rows, 24))
+            assert np.any(np.isfinite(rng_map))
 
     @settings(max_examples=60, deadline=None)
     @given(
