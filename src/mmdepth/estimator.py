@@ -48,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import PULSE_HALF_WIDTH, SPEED_OF_LIGHT, pulse_window
+from .waveform import _fft_filter, _fft_size
 
 __all__ = [
     "cross_correlation",
@@ -72,11 +73,6 @@ __all__ = [
 _BLOCK = 32
 
 
-def _fft_size(n_record: int) -> int:
-    """Power of two at or above the record length: no full-overlap lag wraps."""
-    return 1 << (n_record - 1).bit_length()
-
-
 def cross_correlation(samples: np.ndarray, preamble: np.ndarray) -> np.ndarray:
     """
     Matched-filter a record: c[q] = sum_n s*[n] y[n + q].
@@ -86,20 +82,18 @@ def cross_correlation(samples: np.ndarray, preamble: np.ndarray) -> np.ndarray:
     (LS coefficient) * (preamble energy). samples is one record or an
     (M, n_p + l_d) stack, giving one row of lags per record. Each row is an
     FFT product with the one preamble spectrum, taken over blocks of _BLOCK
-    records; a row does not depend on the others or on the block size.
+    records transformed in place in one reused block buffer (the helper
+    record synthesis uses); a row does not depend on the others or on the
+    block size.
     """
     samples = np.asarray(samples)
     n, n_p = samples.shape[-1], len(preamble)
     if n < n_p:
         raise ValueError("record shorter than preamble")
-    nfft = _fft_size(n)
-    spectrum = np.fft.fft(preamble, nfft).conj()
+    spectrum = np.fft.fft(preamble, _fft_size(n)).conj()
     rows = samples.reshape(-1, n)
     c = np.empty((len(rows), n - n_p + 1), dtype=complex)
-    for start in range(0, len(rows), _BLOCK):
-        block = np.fft.fft(rows[start : start + _BLOCK], nfft)
-        block *= spectrum
-        c[start : start + _BLOCK] = np.fft.ifft(block)[:, : n - n_p + 1]
+    _fft_filter(rows, spectrum, c, 1.0, _BLOCK)
     return c.reshape(samples.shape[:-1] + c.shape[1:])
 
 
@@ -198,8 +192,9 @@ def cancel_candidates(
     Subtracting a path from the record changes the filter output by the
     path coefficient times the autocorrelation R shifted to its delay, so
     each pass updates c[q'] -= coeff * R[q' - q] instead of filtering again
-    (the matching-pursuit inner-product update). The input row is not
-    modified.
+    (the matching-pursuit inner-product update). Every pass writes |c|^2 and
+    that update into two arrays allocated once per call. The input row is
+    not modified.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
@@ -209,23 +204,27 @@ def cancel_candidates(
     if c.ndim != 1 or r.shape != (2 * l_d + 1,):
         raise ValueError("need one correlation row and its autocorrelation over lags -l_d .. l_d")
     e_q = r[l_d].real
+    power = np.empty(l_d + 1)
+    update = np.empty_like(c)
     order: list[int] = []
     coeffs: dict[int, complex] = {}
     iterations = 0
     truncated = False
     while True:
-        q = int(np.argmax(np.abs(c) ** 2))
-        if np.abs(c[q]) ** 2 <= threshold:
+        np.abs(c, out=power)
+        q = int(np.square(power, out=power).argmax())
+        peak = c[q]
+        if np.abs(peak) ** 2 <= threshold:
             break
         if iterations == max_iterations:
             truncated = True
             break
-        coeff = c[q] / e_q
+        coeff = peak / e_q
         if q not in coeffs:
             order.append(q)
             coeffs[q] = 0.0
         coeffs[q] += coeff
-        c -= coeff * r[l_d - q : 2 * l_d + 1 - q]
+        c -= np.multiply(coeff, r[l_d - q : 2 * l_d + 1 - q], out=update)
         iterations += 1
     return SicResult(
         delays=np.array(order, dtype=int),

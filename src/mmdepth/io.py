@@ -51,7 +51,8 @@ def write_pgm16(path, map_m: np.ndarray) -> None:
         fh.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
         for start in range(0, h, _ROWS):
             rows = arr[start : start + _ROWS]
-            mm = np.multiply(rows, 1000.0)
+            with np.errstate(over="ignore"):  # |value| above ~1.8e305 m: inf, clamped below
+                mm = np.multiply(rows, 1000.0)
             np.rint(mm, out=mm)
             np.clip(mm, 0, PGM_SENTINEL - 1, out=mm)
             mm[~np.isfinite(rows)] = PGM_SENTINEL
@@ -86,7 +87,14 @@ def read_pgm16(path) -> np.ndarray:
             raise truncated("the header is cut short")
         tokens.append(data[start:pos])
     pos += 1
-    w, h, maxval = (int(t) for t in tokens)
+
+    def number(token: bytes) -> int:
+        try:
+            return int(token)
+        except ValueError:
+            raise ValueError(f"malformed PGM header: {token.decode('latin-1')!r} is not an integer") from None
+
+    w, h, maxval = map(number, tokens)
     if maxval != 65535:
         raise ValueError(f"expected 16-bit PGM (maxval 65535), got {maxval}")
     if w < 0 or h < 0:

@@ -22,7 +22,9 @@ sweep rows and the CLI all read them there, so a map pair added to the list
 is both scored and written.
 
 All records are synthesized into one (M, n_p + l_d) array and matched-
-filtered in one pass over blocks of beams; the cancellation then runs beam
+filtered in one pass over blocks of beams; both transforms run in place in
+one reused block buffer. The paths are released once the taps exist, and
+the taps once the records exist. The cancellation then runs beam
 after beam on that beam's correlation row, and refinement correlates each
 beam's window with the 17 integer shifts of the preamble over blocks of
 beams, then scores every fractional replica for all beams in one
@@ -405,8 +407,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunArtifacts:
 
     The scene is cfg.built_scene, built when cfg was validated; a file
     scene is not read again. Determinism: a master SeedSequence from
-    sim.seed spawns one child for the scene scattering phases and one per
-    beam for record noise, so results do not depend on beam execution order.
+    sim.seed spawns one child for the scene scattering phases and then, with
+    the records, one per beam for record noise (spawn keys 0 and 1 .. M), so
+    results do not depend on beam execution order.
     """
     timings: dict[str, float] = {}
     t_start = time.perf_counter()
@@ -422,8 +425,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunArtifacts:
 
     scene = cfg.built_scene
     master = np.random.SeedSequence(cfg.sim.seed)
-    seeds = master.spawn(1 + cb.m)
-    paths = trace_backscatter_paths(scene, cfg.radio.wavelength_m, cfg.sim.cell_size_m, seeds[0])
+    (scene_seed,) = master.spawn(1)
+    paths = trace_backscatter_paths(scene, cfg.radio.wavelength_m, cfg.sim.cell_size_m, scene_seed)
     t0 = _clock("scene_paths", t0)
 
     gt_range, gt_depth = ground_truth_maps(scene, cfg.view, (cb.n_bar_v, cb.n_bar_h))
@@ -437,10 +440,13 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunArtifacts:
     )
     beams = cb.weights if cb.axis_factors is None else cb.axis_factors
     taps = beamformed_taps_batch(paths, beams, cfg.upa, cfg.radio, l_d)
+    n_paths = len(paths)
+    del paths  # the taps hold all the run needs of the paths
     t0 = _clock("channel_taps", t0)
 
     preamble = make_preamble(cfg.waveform.kind, cfg.waveform.length, cfg.waveform.seed)
-    samples = synthesize_records(taps, preamble, cfg.radio, cb.combine_norm_sq, seeds[1:])
+    samples = synthesize_records(taps, preamble, cfg.radio, cb.combine_norm_sq, master.spawn(cb.m))
+    del taps
     records = [SensingRecord(m, len(preamble), l_d, row) for m, row in enumerate(samples)]  # row views
     t0 = _clock("records", t0)
 
@@ -467,7 +473,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunArtifacts:
         config_hash=config_hash(cfg, scene),
         codebook=cb,
         scene=scene,
-        n_paths=len(paths),
+        n_paths=n_paths,
         l_d=l_d,
         records=records,
         selected=selected,

@@ -13,7 +13,9 @@ synthesize_records applies the tapped channels of mmdepth.channel, one
 tap line per beam, to a preamble and adds circular complex noise scaled by
 each beam's combiner norm, producing the (M, n_p + l_d) record array the
 estimators consume. The convolutions share one preamble spectrum and run as
-FFT products over blocks of beams; synthesize_rx is its one-beam case.
+FFT products over blocks of beams, transformed in place in one reused
+zero-padded block buffer (the matched filter of mmdepth.estimator runs
+through the same buffer); synthesize_rx is its one-beam case.
 """
 
 from __future__ import annotations
@@ -135,6 +137,33 @@ class SensingRecord:
             )
 
 
+def _fft_size(n_record: int) -> int:
+    """Power of two at or above the record length: no full-overlap lag wraps."""
+    return 1 << (n_record - 1).bit_length()
+
+
+def _fft_filter(rows: np.ndarray, spectrum: np.ndarray, out: np.ndarray, scale: float, block: int) -> None:
+    """
+    Set out[i] = scale * ifft(fft(rows[i], nfft) * spectrum)[:keep] for every
+    row i, with nfft = len(spectrum) and keep = out.shape[1].
+
+    Blocks of `block` rows are copied into one zero-padded (block, nfft)
+    buffer that is transformed, multiplied and transformed back in place,
+    so the working memory beyond out is that one buffer. A row does not
+    depend on the others or on the block size.
+    """
+    width = rows.shape[1]
+    buf = np.empty((min(block, len(rows)), len(spectrum)), dtype=complex)
+    for start in range(0, len(rows), block):
+        part = buf[: min(block, len(rows) - start)]
+        part[:, :width] = rows[start : start + block]
+        part[:, width:] = 0.0
+        np.fft.fft(part, out=part)
+        part *= spectrum
+        np.fft.ifft(part, out=part)
+        np.multiply(part[:, : out.shape[1]], scale, out=out[start : start + block])
+
+
 def synthesize_records(
     taps: np.ndarray,
     preamble: np.ndarray,
@@ -151,33 +180,32 @@ def synthesize_records(
     complex noise of variance sigma_n^2 * ||w_m||^2 per sample
     (combine_norm_sq[m] = ||w_m||^2). The convolutions are FFT products
     with one preamble spectrum, at the power-of-two size at or above
-    n_p + l_d so nothing wraps, over blocks of _BLOCK beams; the last
-    sample of a record drawn without noise is exactly 0.
+    n_p + l_d so nothing wraps, over blocks of _BLOCK beams transformed in
+    place in one reused block buffer; the last sample of a record drawn
+    without noise is exactly 0.
 
     noise is None for clean records (no noise draw), or one Generator or seed (for
     np.random.default_rng) per beam. Row m draws its real then its imaginary
-    parts from its own generator, so a beam's noise does not depend on the
-    other beams or on the block size.
+    parts from its own generator, into one reused (2, n) array, so a beam's
+    noise does not depend on the other beams or on the block size.
     """
     taps = np.asarray(taps)
     preamble = np.asarray(preamble)
     m, l_d = taps.shape
     n = len(preamble) + l_d
-    nfft = 1 << (n - 1).bit_length()
-    spectrum = np.fft.fft(preamble, nfft)
-    scale = np.sqrt(radio.symbol_energy_j)
+    spectrum = np.fft.fft(preamble, _fft_size(n))
     y = np.zeros((m, n), dtype=complex)
-    for start in range(0, m, _BLOCK):
-        block = np.fft.fft(taps[start : start + _BLOCK], nfft)
-        block *= spectrum
-        np.multiply(np.fft.ifft(block)[:, : n - 1], scale, out=y[start : start + _BLOCK, : n - 1])
+    _fft_filter(taps, spectrum, y[:, : n - 1], np.sqrt(radio.symbol_energy_j), _BLOCK)
     if noise is not None:
         if len(noise) != m:
             raise ValueError("need one noise generator per beam")
         sigma = np.sqrt(noise_variance(radio) * np.asarray(combine_norm_sq) / 2.0)
+        draw = np.empty((2, n))
         for row, gen, s in zip(y, noise, sigma):
-            gen = np.random.default_rng(gen)
-            row += s * (gen.standard_normal(n) + 1j * gen.standard_normal(n))
+            np.random.default_rng(gen).standard_normal(out=draw)
+            draw *= s
+            row.real += draw[0]
+            row.imag += draw[1]
     return y
 
 

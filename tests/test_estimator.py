@@ -6,7 +6,8 @@ Oracles are synthetic records built from the same pulse model the channel
 uses, so every expected value is known by construction. The correlation-domain
 cancellation, the stacked matched filter, the factored replica bank and the
 17-lag refinement are also checked against their record-domain, direct,
-row-by-row and replica-bank references on noisy multipath records.
+row-by-row and replica-bank references on noisy multipath records, and the
+cancellation against the loop that allocated fresh arrays on every pass.
 """
 import tracemalloc
 
@@ -69,6 +70,31 @@ def reference_sic(samples, preamble, threshold, max_iterations=32):
         working[q : q + n_p] -= coeff * preamble
         iterations += 1
     return np.array(order, dtype=int), np.array([coeffs[q] for q in order]), iterations, truncated
+
+
+def reference_cancel_candidates(correlation, autocorrelation, threshold, max_iterations=32):
+    """Correlation-domain SIC allocating |c|^2 and the update product on every pass."""
+    c = np.array(correlation, dtype=complex)
+    l_d = len(c) - 1
+    r = autocorrelation
+    e_q = r[l_d].real
+    order, coeffs = [], {}
+    iterations, truncated = 0, False
+    while True:
+        q = int(np.argmax(np.abs(c) ** 2))
+        if np.abs(c[q]) ** 2 <= threshold:
+            break
+        if iterations == max_iterations:
+            truncated = True
+            break
+        coeff = c[q] / e_q
+        if q not in coeffs:
+            order.append(q)
+            coeffs[q] = 0.0
+        coeffs[q] += coeff
+        c -= coeff * r[l_d - q : 2 * l_d + 1 - q]
+        iterations += 1
+    return np.array(order, dtype=int), np.array([coeffs[q] for q in order], dtype=complex), iterations, truncated
 
 
 def reference_bank(preamble, ratio, rolloff=0.25):
@@ -167,6 +193,21 @@ class TestCrossCorrelation:
         want = cross_correlation(stack, golay_preamble)
         monkeypatch.setattr(estimator, "_BLOCK", block)
         assert np.array_equal(cross_correlation(stack, golay_preamble), want)
+
+
+    def test_allocates_one_block_buffer_beyond_its_output(self, golay_preamble):
+        # The blocks are transformed in place: a fresh array per transform
+        # held about 4 MiB beyond the output here.
+        rng = np.random.default_rng(5)
+        stack = rng.standard_normal((256, 3442)) + 1j * rng.standard_normal((256, 3442))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            c = cross_correlation(stack, golay_preamble)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < c.nbytes + estimator._BLOCK * 4096 * 16 + 2**19
 
 
 class TestPreambleAutocorrelation:
@@ -324,6 +365,28 @@ class TestCancelCandidates:
             assert res.delays.tolist() == delays.tolist()
             assert (res.iterations, res.truncated) == (iterations, truncated)
             np.testing.assert_allclose(res.coefficients, coeffs, rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["golay", "pn"])
+    @pytest.mark.parametrize("max_iterations", [32, 3])
+    def test_preallocated_passes_keep_every_bit(
+        self, noisy_multipath, golay_preamble, pn_preamble, kind, max_iterations
+    ):
+        # |c|^2 and the update written into arrays allocated once give what
+        # fresh arrays on every pass gave, bit for bit.
+        preamble = golay_preamble if kind == "golay" else pn_preamble
+        pairs = [noisy_multipath(preamble, seed) for seed in range(8)]
+        correlation = cross_correlation(np.array([y for y, _ in pairs]), preamble)
+        auto = preamble_autocorrelation(preamble, 160)
+        truncated_seen = 0
+        for row, (_, thr) in zip(correlation, pairs):
+            res = cancel_candidates(row, auto, thr, max_iterations)
+            delays, coeffs, iterations, truncated = reference_cancel_candidates(row, auto, thr, max_iterations)
+            assert np.array_equal(res.delays, delays)
+            assert np.array_equal(res.coefficients, coeffs)
+            assert np.array_equal(res.iterations, iterations)
+            assert np.array_equal(res.truncated, truncated)
+            truncated_seen += truncated
+        assert (truncated_seen > 0) == (max_iterations == 3)
 
     def test_input_row_is_left_alone(self, noisy_multipath, golay_preamble):
         y, thr = noisy_multipath(golay_preamble, 3)

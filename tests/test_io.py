@@ -67,6 +67,17 @@ def test_pgm16_block_size_does_not_change_the_bytes(tmp_path, monkeypatch, block
     assert path.read_bytes() == reference_pgm16(values)
 
 
+def test_pgm16_clamps_huge_values_without_warnings(tmp_path):
+    # Scaled to millimeters, |1e306| overflows to inf before the clamp; the
+    # suite turns numpy's overflow warning into an error.
+    path = tmp_path / "map.pgm"
+    values = np.array([[1e306, -1e306, np.inf, np.nan, 65.5344]])
+    write_pgm16(path, values)
+    data = path.read_bytes()
+    assert data[:-10] == b"P5\n5 1\n65535\n"
+    assert np.frombuffer(data[-10:], dtype=">u2").tolist() == [65534, 0, 65535, 65535, 65534]
+
+
 def test_pgm16_writes_a_block_at_a_time(tmp_path):
     # Quantizing the whole 720 x 1280 map at once held 16.6 MiB beyond it.
     values = np.random.default_rng(0).uniform(0.0, 10.0, size=(720, 1280))
@@ -112,6 +123,8 @@ def test_records_round_trip_every_bit(tmp_path):
         (read_pgm16, b"P5\n1 1\n255\n\x00", "expected 16-bit PGM \\(maxval 65535\\), got 255"),
         (read_pgm16, PGM_1X1 + b"\x00\x00", "trailing bytes after the last pixel"),
         (read_pgm16, b"P5\n-1 2\n65535\n\x00\x00", "negative PGM size -1 x 2"),
+        (read_pgm16, b"P5\n2 x\n65535\n", "malformed PGM header: 'x' is not an integer"),
+        (read_pgm16, b"P5\n2 2\n65535.0\n", "malformed PGM header: '65535.0' is not an integer"),
         (read_records, b"MMDX" + RECORD_DUMP[4:], "not a record dump \\(bad magic\\)"),
         (read_records, b"MMDR" + struct.pack("<II", 2, 1) + RECORD_DUMP[12:], "unsupported record dump version 2"),
         (read_records, RECORD_DUMP + b"\x00", "trailing bytes after last record"),

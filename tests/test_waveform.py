@@ -4,6 +4,8 @@ Preamble construction and sensing-record synthesis.
 The FFT-batched record synthesis is checked against the direct per-beam
 convolution and noise draws it replaced (reference_records).
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,23 @@ class TestSynthesizeRecords:
         want = synthesize_records(taps, golay_preamble, radio, norms, seeds)
         monkeypatch.setattr(waveform, "_BLOCK", block)
         assert np.array_equal(synthesize_records(taps, golay_preamble, radio, norms, seeds), want)
+
+    def test_allocates_one_block_buffer_beyond_its_output(self, radio, golay_preamble):
+        # The blocks are transformed in place and every beam's noise is drawn
+        # into one reused array: fresh transforms and complex noise
+        # temporaries held about 4 MiB beyond the records here.
+        rng = np.random.default_rng(4)
+        taps = rng.standard_normal((256, 114)) + 1j * rng.standard_normal((256, 114))
+        seeds = np.random.SeedSequence(4).spawn(256)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            y = synthesize_records(taps, golay_preamble, radio, np.ones(256), seeds)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert y.shape == (256, 3442)
+        assert peak < y.nbytes + waveform._BLOCK * 4096 * 16 + 2**19
 
     def test_noise_generator_count_validated(self, radio, pn_preamble, beam_taps):
         taps, norms = beam_taps
