@@ -18,7 +18,10 @@ raised-cosine pulse of the transmit and receive filters. With a separable
 (Kronecker) beam the coupling is a product of two real per-axis power series
 (_power_series): O(paths * 2(n_v + n_h)) real multiply-adds per beam, with no
 N-wide product and no complex modulus; a general weight vector costs
-O(paths * N). The pulse adds O(paths * L_p); a a^H (N x N) is never formed.
+O(paths * N). A grid-matched codebook's factors repeat across the mirrors of
+its beam grid, so only half of each axis' patterns is formed: V*ceil(H/2) +
+ceil(V/2)*H pattern rows rather than 2M for a V x H grid of M beams. The
+pulse adds O(paths * L_p); a a^H (N x N) is never formed.
 Each path costs one complex exponential per array axis (axis_response
 forms the other elements as its powers) and three sines/cosines for its
 17-tap pulse window (pulse_window); raised_cosine stays the definition.
@@ -257,6 +260,16 @@ def _power_series(f: np.ndarray) -> np.ndarray:
     return rho.conj().view(float)
 
 
+def _mirror_split(grid: np.ndarray, axis: int) -> int:
+    """
+    How many leading beams of a factor grid's axis to pattern: ceil(len/2)
+    where the grid equals its own mirror along that axis, so the trailing
+    beams repeat the leading ones in reverse, else the whole axis.
+    """
+    n = grid.shape[axis]
+    return -(-n // 2) if np.array_equal(grid, np.flip(grid, axis)) else n
+
+
 def beamformed_taps_batch(
     paths,
     weights: np.ndarray | tuple[np.ndarray, np.ndarray],
@@ -268,10 +281,20 @@ def beamformed_taps_batch(
     Channel taps for every beam of a matched codebook at once.
 
     weights is either the (M, N) codebook matrix, used as both f_m and w_m,
-    or its per-axis factors (b_v, b_h) of shapes (M, n_v) and (M, n_h) with
-    f_m = kron(b_v[m], b_h[m]); other shapes raise ValueError. The per-path
+    or its per-axis factors (b_v, b_h) as beam grids of shapes
+    (n_bar_v, n_bar_h, n_v) and (n_bar_v, n_bar_h, n_h), with
+    f_m = kron(b_v[m], b_h[m]) for the row-major beam m; an (M, n) pair is
+    taken as a one-column grid. Other shapes raise ValueError. The per-path
     coupling is |a_g^H f_m|^2; with factors it is the product of two axis
-    patterns, each a real (M, 2n) @ (2n, paths) product (_power_series).
+    patterns, each a real (beams, 2n) @ (2n, paths) product (_power_series).
+
+    A grid-matched codebook is mirror-symmetric: b_v repeats across the
+    left-right mirror of the grid and b_h across the up-down mirror
+    (codebook.sensor_grid is sign-symmetric). Where a factor grid equals its
+    mirror, only the leading half of that axis is patterned, so a block of
+    paths costs V*ceil(H/2) + ceil(V/2)*H pattern rows rather than 2M, and
+    the four quadrants of the coupling multiply those rows and their
+    reversed views. A grid without the symmetry is patterned whole.
 
     Paths are sorted by their pulse-centre tap and taken in blocks of
     _BLOCK. Within a block every run of paths sharing a centre tap c adds
@@ -284,19 +307,42 @@ def beamformed_taps_batch(
     factored = isinstance(weights, tuple)
     parts, widths = (weights, (upa.n_v, upa.n_h)) if factored else ((weights,), (upa.n,))
     shapes = [np.shape(w) for w in parts]
-    if [s[1:] for s in shapes] != [(n,) for n in widths] or len({s[0] for s in shapes}) != 1:
+    if (
+        [s[-1:] for s in shapes] != [(n,) for n in widths]
+        or len({s[:-1] for s in shapes}) != 1
+        or not 2 <= len(shapes[0]) <= 2 + factored
+    ):
         raise ValueError(f"weights of shapes {shapes} do not match (M, n) for n in {widths}")
+    m = int(np.prod(shapes[0][:-1]))
     ts = radio.sample_period_s
     center = _pulse_centers(paths.delay_s, l_d, ts)
     order = np.argsort(center, kind="stable")
     amplitude = paths.amplitude.astype(complex, copy=False)
     if factored:
-        w_v, w_h = (_power_series(f.conj()) for f in weights)
+        grid_v, grid_h = (f.reshape(-1, 1, n) if f.ndim == 2 else f for f, n in zip(weights, widths))
+        rows, cols = grid_v.shape[:2]
+        # Pattern the left hc beam columns of b_v and the top vc beam rows of b_h.
+        hc, vc = _mirror_split(grid_v, 1), _mirror_split(grid_h, 0)
+        w_v = _power_series(grid_v[:, :hc].reshape(-1, upa.n_v).conj())
+        w_h = _power_series(grid_h[:vc].reshape(-1, upa.n_h).conj())
+        pat_v, pat_h = np.empty((rows * hc, _BLOCK)), np.empty((vc * cols, _BLOCK))
+        cpl_buf = np.empty((m, _BLOCK))
 
         def coupling(b_v, b_h):
-            cpl = w_v @ b_v.view(float).T
-            cpl *= w_h @ b_h.view(float).T
-            return cpl
+            n = len(b_v)
+            p_v = np.matmul(w_v, b_v.view(float).T, out=pat_v[:, :n]).reshape(rows, hc, n)
+            p_h = np.matmul(w_h, b_h.view(float).T, out=pat_h[:, :n]).reshape(vc, cols, n)
+            # Beam (v, h) takes b_v's pattern from column min(h, cols-1-h)
+            # and b_h's from row min(v, rows-1-v).
+            p_vr = p_v[:, : cols - hc][:, ::-1]
+            p_hr = p_h[: rows - vc][::-1]
+            out = cpl_buf[:, :n]
+            cpl = out.reshape(rows, cols, n)
+            np.multiply(p_v[:vc], p_h[:, :hc], out=cpl[:vc, :hc])
+            np.multiply(p_vr[:vc], p_h[:, hc:], out=cpl[:vc, hc:])
+            np.multiply(p_v[vc:], p_hr[:, :hc], out=cpl[vc:, :hc])
+            np.multiply(p_vr[vc:], p_hr[:, hc:], out=cpl[vc:, hc:])
+            return out
 
     else:
         w_conj = weights.conj()
@@ -305,7 +351,7 @@ def beamformed_taps_batch(
             a = (b_v[:, :, None] * b_h[:, None, :]).reshape(len(b_v), -1)
             return np.abs(w_conj @ a.T) ** 2
 
-    taps = np.zeros((shapes[0][0], l_d), dtype=complex)
+    taps = np.zeros((m, l_d), dtype=complex)
     # Real view, (M, 2*l_d): tap d occupies columns 2d (re) and 2d+1 (im).
     acc = taps.view(float)
     width = 2 * (2 * PULSE_HALF_WIDTH + 1)

@@ -185,7 +185,8 @@ def cancel_candidates(
     contribution c[q]/E_Q * s[n - q] before looking again; this keeps weak
     paths detectable next to strong ones whose sidelobes would otherwise
     bury them. The loop ends when no bin clears `threshold` (units of
-    |c|^2) or after max_iterations passes, whichever is first.
+    |c|^2; the stop test reads the |c|^2 the peak was picked on) or after
+    max_iterations passes, whichever is first.
     Re-detections of an already-cancelled delay refine its coefficient
     instead of adding a duplicate.
 
@@ -213,13 +214,12 @@ def cancel_candidates(
     while True:
         np.abs(c, out=power)
         q = int(np.square(power, out=power).argmax())
-        peak = c[q]
-        if np.abs(peak) ** 2 <= threshold:
+        if power[q] <= threshold:
             break
         if iterations == max_iterations:
             truncated = True
             break
-        coeff = peak / e_q
+        coeff = c[q] / e_q
         if q not in coeffs:
             order.append(q)
             coeffs[q] = 0.0

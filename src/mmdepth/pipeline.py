@@ -438,7 +438,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunArtifacts:
     l_d = delay_window_length(
         paths.max_delay_s, cfg.radio.sample_period_s, guard=cfg.sim.guard_taps
     )
-    beams = cb.weights if cb.axis_factors is None else cb.axis_factors
+    if cb.axis_factors is None:
+        beams = cb.weights
+    else:  # beam grids, so that taps can share the patterns of mirrored beams
+        beams = tuple(f.reshape(cb.n_bar_v, cb.n_bar_h, -1) for f in cb.axis_factors)
     taps = beamformed_taps_batch(paths, beams, cfg.upa, cfg.radio, l_d)
     n_paths = len(paths)
     del paths  # the taps hold all the run needs of the paths

@@ -390,26 +390,29 @@ def _subdivide(facet: PlanarFacet, cell_size_m: float):
     """
     Split a quad into roughly square cells by bilinear interpolation of the
     corners. Returns cell centers (K, 3) and areas (K,) that sum to the
-    facet area.
+    facet area, K = n_u * n_w cells in u-major order.
+
+    Each cell (i, j) sits at parameters (u_i, w_j). The centers broadcast
+    over (n_u, n_w); the u tangent varies with w only and the w tangent with
+    u only, so each is formed once per cell row or column (n_w + n_u
+    tangents, not 2K) before their cross product per cell.
     """
     v = facet.vertices
     n_u = max(1, int(np.ceil(np.linalg.norm(v[1] - v[0]) / cell_size_m)))
     n_w = max(1, int(np.ceil(np.linalg.norm(v[3] - v[0]) / cell_size_m)))
-    u = (np.arange(n_u) + 0.5) / n_u
-    w = (np.arange(n_w) + 0.5) / n_w
-    uu, ww = np.meshgrid(u, w, indexing="ij")
-    uu = uu.reshape(-1, 1)
-    ww = ww.reshape(-1, 1)
+    u = ((np.arange(n_u) + 0.5) / n_u)[:, None]           # (n_u, 1)
+    w = ((np.arange(n_w) + 0.5) / n_w)[:, None]           # (n_w, 1)
+    uu = u[:, None]                                       # (n_u, 1, 1)
     centers = (
-        (1 - uu) * (1 - ww) * v[0]
-        + uu * (1 - ww) * v[1]
-        + uu * ww * v[2]
-        + (1 - uu) * ww * v[3]
-    )
+        (1 - uu) * (1 - w) * v[0]
+        + uu * (1 - w) * v[1]
+        + uu * w * v[2]
+        + (1 - uu) * w * v[3]
+    ).reshape(-1, 3)
     # Bilinear-patch area elements via the cross product of the local tangents.
-    du = (1 - ww) * (v[1] - v[0]) + ww * (v[2] - v[3])
-    dw = (1 - uu) * (v[3] - v[0]) + uu * (v[2] - v[1])
-    areas = np.linalg.norm(np.cross(du, dw), axis=1) / (n_u * n_w)
+    du = (1 - w) * (v[1] - v[0]) + w * (v[2] - v[3])      # (n_w, 3)
+    dw = (1 - u) * (v[3] - v[0]) + u * (v[2] - v[1])      # (n_u, 3)
+    areas = np.linalg.norm(np.cross(du, dw[:, None]), axis=-1).reshape(-1) / (n_u * n_w)
     return centers, areas
 
 

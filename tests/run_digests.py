@@ -1,0 +1,126 @@
+"""
+Print SHA-256 digests of what a run computes and writes, one line per item,
+so that two source trees can be compared bit for bit:
+
+    PYTHONPATH=src python tests/run_digests.py > before.txt
+    (in the other tree, the same command) > after.txt
+    diff before.txt after.txt
+
+Each line is "<case> <item> <sha256>". The items, in pipeline order:
+paths.<column> for every PathSet column, taps, records, selected, offsets
+(the fine offsets as integer indices on the refinement grid), filled, every
+estimated map and its truth (map.<key>, truth.<key> for each key of
+RunArtifacts.map_pairs), and file.<name> for each artifact the run writes;
+run.json is digested without its timings_s. The first differing item of a
+case shows where two trees part.
+
+The cases are the benchmark workloads (their configs are read from
+perfbench/run.py, not imported) at sim seeds 0-4, and one_wall at os 2.
+Arguments, if given, are fnmatch patterns on the case names:
+
+    PYTHONPATH=src python tests/run_digests.py 'wall/*' 'one_wall_os2/*'
+"""
+from __future__ import annotations
+
+import ast
+import fnmatch
+import hashlib
+import json
+import sys
+import tempfile
+from contextlib import contextmanager
+from dataclasses import fields
+from pathlib import Path
+
+import numpy as np
+
+from mmdepth import pipeline
+from mmdepth.pipeline import config_from_dict, run_scenario
+from mmdepth.scene import PathSet
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+SIM_SEEDS = range(5)
+
+
+def benchmark_workloads(path: Path = BENCHMARK) -> dict:
+    """The WORKLOADS literal of the benchmark script: name -> spec with a "config"."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "WORKLOADS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"no WORKLOADS assignment in {path}")
+
+
+def cases() -> dict:
+    """Case name -> config dict."""
+    configs = {name: spec["config"] for name, spec in benchmark_workloads().items()}
+    configs["one_wall_os2"] = {"scene": {"builtin": "one_wall"}, "view": {"os_h": 2, "os_v": 2}}
+    out = {}
+    for name, config in configs.items():
+        for seed in SIM_SEEDS:
+            data = json.loads(json.dumps(config))
+            data.setdefault("sim", {})["seed"] = seed
+            out[f"{name}/seed{seed}"] = data
+    return out
+
+
+def _sha(data) -> str:
+    return hashlib.sha256(data if isinstance(data, bytes) else np.ascontiguousarray(data).tobytes()).hexdigest()
+
+
+@contextmanager
+def _kept(name: str, seen: dict):
+    """Keep what the pipeline's call to `name` returns in seen[name]."""
+    original = getattr(pipeline, name)
+
+    def keep(*args, **kwargs):
+        seen[name] = original(*args, **kwargs)
+        return seen[name]
+
+    setattr(pipeline, name, keep)
+    try:
+        yield
+    finally:
+        setattr(pipeline, name, original)
+
+
+def digests(config: dict) -> list[tuple[str, str]]:
+    """(item, sha256) pairs of one run of `config`, in pipeline order."""
+    cfg = config_from_dict(config)
+    seen: dict = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        with _kept("trace_backscatter_paths", seen), _kept("beamformed_taps_batch", seen):
+            art = run_scenario(cfg, out_dir=tmp)
+        paths = seen["trace_backscatter_paths"]
+        items = [(f"paths.{f.name}", _sha(getattr(paths, f.name))) for f in fields(PathSet)]
+        items += [
+            ("taps", _sha(seen["beamformed_taps_batch"])),
+            ("records", _sha(np.stack([r.samples for r in art.records]))),
+            ("selected", _sha(art.selected.astype(np.int64))),
+            ("offsets", _sha(np.rint(art.fine_offsets * cfg.estimator.refine_ratio).astype(np.int64))),
+            ("filled", _sha(art.filled.astype(np.int64))),
+        ]
+        for key, (est, truth) in art.map_pairs.items():
+            items += [(f"map.{key}", _sha(est)), (f"truth.{key}", _sha(truth))]
+        for file in sorted(Path(f) for f in art.files):
+            data = file.read_bytes()
+            if file.name == "run.json":
+                info = json.loads(data)
+                info.pop("timings_s")
+                data = json.dumps(info, sort_keys=True).encode()
+            items.append((f"file.{file.name}", _sha(data)))
+    return items
+
+
+def main(patterns: list[str]) -> int:
+    chosen = {n: c for n, c in cases().items() if not patterns or any(fnmatch.fnmatch(n, p) for p in patterns)}
+    if not chosen:
+        print(f"no case matches {patterns}; cases: {sorted(cases())}", file=sys.stderr)
+        return 2
+    for name, config in chosen.items():
+        for item, digest in digests(config):
+            print(name, item, digest, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

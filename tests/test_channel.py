@@ -11,6 +11,8 @@ from mmdepth.channel import (
     _BLOCK,
     _LIMIT_BAND,
     _PULSE_OFFSETS,
+    _power_series,
+    _pulse_centers,
     BOLTZMANN,
     SPEED_OF_LIGHT,
     RadioConfig,
@@ -23,7 +25,7 @@ from mmdepth.channel import (
     delay_window_length,
     PULSE_HALF_WIDTH,
 )
-from mmdepth.codebook import SceneView, UpaConfig, design_codebook, steering_vector
+from mmdepth.codebook import SceneView, UpaConfig, axis_response, design_codebook, steering_vector
 from mmdepth.scene import PathSet
 
 
@@ -36,6 +38,37 @@ def random_paths(rng, count, ts):
         range_m=np.ones(count),
         specular=np.zeros(count, dtype=bool),
     )
+
+
+def factor_grids(cb):
+    """A codebook's axis factors as (n_bar_v, n_bar_h, n) beam grids, as the pipeline passes them."""
+    return tuple(f.reshape(cb.n_bar_v, cb.n_bar_h, -1) for f in cb.axis_factors)
+
+
+def reference_beamformed_taps(paths, factors, upa, radio, l_d):
+    """Factored taps with both axis patterns formed for all M beams of (M, n) factors."""
+    ts = radio.sample_period_s
+    center = _pulse_centers(paths.delay_s, l_d, ts)
+    order = np.argsort(center, kind="stable")
+    amplitude = paths.amplitude.astype(complex, copy=False)
+    w_v, w_h = (_power_series(f.conj()) for f in factors)
+    taps = np.zeros((len(factors[0]), l_d), dtype=complex)
+    acc = taps.view(float)
+    width = 2 * (2 * PULSE_HALF_WIDTH + 1)
+    for start in range(0, len(order), channel._BLOCK):
+        sel = order[start : start + channel._BLOCK]
+        c_blk = center[sel]
+        val = pulse_window(c_blk - paths.delay_s[sel] / ts, radio.rolloff)
+        shaped = (amplitude[sel][:, None] * val).view(float)
+        b_v = axis_response(np.cos(paths.theta_z[sel]), upa.n_v, upa.spacing_wavelengths)
+        b_h = axis_response(np.cos(paths.theta_x[sel]), upa.n_h, upa.spacing_wavelengths)
+        cpl = w_v @ b_v.view(float).T
+        cpl *= w_h @ b_h.view(float).T
+        bounds = np.flatnonzero(np.diff(c_blk)) + 1
+        for lo, hi in zip(np.r_[0, bounds], np.r_[bounds, len(sel)]):
+            col = 2 * (c_blk[lo] - PULSE_HALF_WIDTH)
+            acc[:, col : col + width] += cpl[:, lo:hi] @ shaped[lo:hi]
+    return taps
 
 
 def test_constants_are_the_exact_si_values():
@@ -225,7 +258,7 @@ class TestBeamformedTaps:
         upa = UpaConfig(n_h=4, n_v=3)
         cb = design_codebook(upa, SceneView(), slr_delta_h=slr, slr_delta_v=slr)
         paths = random_paths(np.random.default_rng(3), self.N_PATHS, radio.sample_period_s)
-        got = beamformed_taps_batch(paths, cb.axis_factors, upa, radio, 160)
+        got = beamformed_taps_batch(paths, factor_grids(cb), upa, radio, 160)
         dense = beamformed_taps_batch(paths, cb.weights, upa, radio, 160)
         # Reference: the explicit w^H (a a^H) f contraction of criterion 9,
         # with w = f = each codebook row, from the definitions: the pulse from
@@ -251,7 +284,7 @@ class TestBeamformedTaps:
     def test_path_order_does_not_matter(self, radio, factored):
         upa = UpaConfig(n_h=4, n_v=3)
         cb = design_codebook(upa, SceneView(), slr_delta_h=3.0, slr_delta_v=3.0)
-        weights = cb.axis_factors if factored else cb.weights
+        weights = factor_grids(cb) if factored else cb.weights
         rng = np.random.default_rng(4)
         paths = random_paths(rng, self.N_PATHS, radio.sample_period_s)
         perm = rng.permutation(len(paths))
@@ -272,7 +305,7 @@ class TestBeamformedTaps:
     def test_block_size_does_not_matter(self, radio, monkeypatch, factored, block):
         upa = UpaConfig(n_h=4, n_v=3)
         cb = design_codebook(upa, SceneView(), slr_delta_h=3.0, slr_delta_v=3.0)
-        weights = cb.axis_factors if factored else cb.weights
+        weights = factor_grids(cb) if factored else cb.weights
         paths = random_paths(np.random.default_rng(6), 2 * _BLOCK + 300, radio.sample_period_s)
         want = beamformed_taps_batch(paths, weights, upa, radio, 160)
         monkeypatch.setattr(channel, "_BLOCK", block)
@@ -307,7 +340,7 @@ class TestBeamformedTaps:
             specular=np.zeros(count, dtype=bool),
         )
         l_d = count + 2 * PULSE_HALF_WIDTH + 2
-        taps = beamformed_taps_batch(paths, cb.axis_factors, upa, radio, l_d)
+        taps = beamformed_taps_batch(paths, factor_grids(cb), upa, radio, l_d)
         got = taps[:, PULSE_HALF_WIDTH + 1 : PULSE_HALF_WIDTH + 1 + count]
         ref = np.abs(np.array([
             steering_vector(tz, tx, upa).conj() @ cb.weights.T for tz, tx in zip(theta_z, theta_x)
@@ -323,22 +356,89 @@ class TestBeamformedTaps:
     @pytest.mark.parametrize("case, match", [
         ("rows", r"\(256, 16\), \(1, 16\)"),
         ("width", r"\(256, 16\), \(256, 15\)"),
+        ("grid rows", r"\(16, 16, 16\), \(8, 16, 16\)"),
+        ("grid width", r"\(16, 16, 16\), \(16, 16, 15\)"),
+        ("grid vs pair", r"\(16, 16, 16\), \(256, 16\)"),
+        ("flat", r"\(4096,\), \(4096,\)"),
         ("dense", r"\(256, 255\)"),
+        ("dense grid", r"\(16, 16, 256\)"),
     ])
     def test_mismatched_weights_are_rejected(self, radio, case, match):
         upa = UpaConfig()
         cb = design_codebook(upa, SceneView())
         b_v, b_h = cb.axis_factors
+        g_v, g_h = factor_grids(cb)
         weights = {
             "rows": (b_v, b_h[:1]),
             "width": (b_v, b_h[:, :-1]),
+            "grid rows": (g_v, g_h[:8]),
+            "grid width": (g_v, g_h[..., :-1]),
+            "grid vs pair": (g_v, b_h),
+            "flat": (b_v.ravel(), b_h.ravel()),
             "dense": cb.weights[:, :-1],
+            "dense grid": cb.weights.reshape(16, 16, -1),
         }[case]
         # A path outside the tap window would raise too; the shape check comes first.
         paths = random_paths(np.random.default_rng(8), 3, radio.sample_period_s)
         paths.delay_s[0] = 1e-6
         with pytest.raises(ValueError, match=match):
             beamformed_taps_batch(paths, weights, upa, radio, 160)
+
+
+class TestSharedAxisPatterns:
+    """Mirrored beams of a factor grid share their axis patterns."""
+
+    @pytest.mark.parametrize("os", [1, 2])
+    def test_bit_equal_to_all_beam_patterns(self, radio, os):
+        # Full blocks: each pattern product then has the shape the all-beams
+        # coupling gives it, up to its row count.
+        upa = UpaConfig()
+        cb = design_codebook(upa, SceneView(os_h=os, os_v=os))
+        paths = random_paths(np.random.default_rng(9), 2 * _BLOCK, radio.sample_period_s)
+        got = beamformed_taps_batch(paths, factor_grids(cb), upa, radio, 160)
+        assert np.array_equal(got, reference_beamformed_taps(paths, cb.axis_factors, upa, radio, 160))
+
+    @pytest.mark.parametrize("n_v, n_h, os_h, slr", [
+        (3, 4, 1, 0.0), (6, 5, 1, 3.0), (16, 16, 2, 0.0), (5, 3, 1, 3.0),
+    ])
+    def test_matches_all_beam_patterns(self, radio, n_v, n_h, os_h, slr):
+        upa = UpaConfig(n_h=n_h, n_v=n_v)
+        cb = design_codebook(upa, SceneView(os_h=os_h), slr_delta_h=slr, slr_delta_v=slr)
+        paths = random_paths(np.random.default_rng(10), _BLOCK + 1500, radio.sample_period_s)
+        want = reference_beamformed_taps(paths, cb.axis_factors, upa, radio, 160)
+        scale = np.abs(want).max()
+        assert np.abs(beamformed_taps_batch(paths, factor_grids(cb), upa, radio, 160) - want).max() <= 1e-13 * scale
+        # An (M, n) pair is a one-column grid: no sharing, same taps.
+        assert np.abs(beamformed_taps_batch(paths, cb.axis_factors, upa, radio, 160) - want).max() <= 1e-13 * scale
+
+    def test_asymmetric_grid_is_patterned_whole(self, radio):
+        upa = UpaConfig(n_h=3, n_v=2)
+        rng = np.random.default_rng(11)
+        g_v, g_h = (np.exp(2j * np.pi * rng.uniform(size=(4, 5, n))) for n in (upa.n_v, upa.n_h))
+        # Symmetric on one axis only: b_v mirrors left-right, b_h does not mirror up-down.
+        g_v = np.concatenate([g_v[:, :3], g_v[:, 1::-1]], axis=1)
+        assert channel._mirror_split(g_v, 1) == 3 and channel._mirror_split(g_h, 0) == 4
+        paths = random_paths(rng, _BLOCK + 300, radio.sample_period_s)
+        want = reference_beamformed_taps(paths, (g_v.reshape(20, -1), g_h.reshape(20, -1)), upa, radio, 160)
+        got = beamformed_taps_batch(paths, (g_v, g_h), upa, radio, 160)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n_v, n_h, os_v, os_h", [(3, 4, 1, 1), (6, 5, 1, 1), (16, 16, 1, 2), (3, 4, 3, 1)])
+    def test_pattern_rows_per_block(self, radio, monkeypatch, n_v, n_h, os_v, os_h):
+        # V * ceil(H/2) rows of b_v patterns and ceil(V/2) * H of b_h, not 2M.
+        upa = UpaConfig(n_h=n_h, n_v=n_v)
+        cb = design_codebook(upa, SceneView(os_h=os_h, os_v=os_v))
+        rows, series = [], channel._power_series
+
+        def count(f):
+            rows.append(len(f))
+            return series(f)
+
+        monkeypatch.setattr(channel, "_power_series", count)
+        paths = random_paths(np.random.default_rng(12), 5, radio.sample_period_s)
+        beamformed_taps_batch(paths, factor_grids(cb), upa, radio, 160)
+        v, h = cb.n_bar_v, cb.n_bar_h
+        assert rows == [v * -(-h // 2), -(-v // 2) * h]
 
 
 class TestDelayWindow:

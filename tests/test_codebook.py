@@ -249,3 +249,19 @@ class TestDesignCodebook:
         assert b_v.shape == (cb.m, upa.n_v) and b_h.shape == (cb.m, upa.n_h)
         kron = (b_v[:, :, None] * b_h[:, None, :]).reshape(cb.m, upa.n)
         assert np.array_equal(kron, cb.weights)
+
+    @pytest.mark.parametrize("os_v, os_h", [(1, 1), (2, 2), (2, 1)])
+    @pytest.mark.parametrize("n_h, n_v", [(3, 4), (5, 3), (16, 16)])
+    @pytest.mark.parametrize("slr", [0.0, 3.0])
+    @pytest.mark.parametrize("fov, aspect", [(100.0, 16.0 / 9.0), (73.0, 1.3)])
+    def test_axis_factors_repeat_across_mirrors(self, os_v, os_h, n_h, n_v, slr, fov, aspect):
+        # The sensor grid is sign-symmetric, so b_v repeats bit for bit
+        # across the left-right mirror of the beam grid and b_h across the
+        # up-down mirror: channel taps pattern only half of each axis.
+        upa = UpaConfig(n_h=n_h, n_v=n_v)
+        view = SceneView(fov_deg=fov, aspect_ratio=aspect, os_h=os_h, os_v=os_v)
+        cb = design_codebook(upa, view, slr_delta_h=slr, slr_delta_v=slr)
+        g_v, g_h = (f.reshape(cb.n_bar_v, cb.n_bar_h, -1) for f in cb.axis_factors)
+        assert g_v.tobytes() == g_v[:, ::-1].tobytes()
+        assert g_h.tobytes() == g_h[::-1].tobytes()
+        assert design_codebook(upa, view, slr_delta_h=slr, slr_delta_v=slr, phase_bits=2).axis_factors is None

@@ -1,0 +1,70 @@
+"""The bit-identity check tests/run_digests.py: its cases and its output format."""
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import run_digests
+from run_digests import benchmark_workloads, cases, digests
+
+SMALL = {
+    "name": "unit",
+    "upa": {"n_h": 4, "n_v": 4},
+    "radio": {"tx_power_dbm": 50.0},
+    "waveform": {"kind": "pn", "length": 256, "seed": 3},
+    "sim": {"seed": 1, "cell_size_m": 0.15},
+    "scene": {"builtin": "one_wall", "distance_m": 1.5},
+    "output": {"resolution": [9, 7], "write_records": True},
+}
+ITEMS = [
+    *(f"paths.{c}" for c in ("delay_s", "amplitude", "theta_z", "theta_x", "range_m", "specular")),
+    "taps", "records", "selected", "offsets", "filled",
+    *(f"{kind}.{key}" for key in ("range", "depth", "range_out", "depth_out") for kind in ("map", "truth")),
+]
+FILES = [
+    "depth.csv", "depth.pgm", "depth_out.pgm", "errors.csv", "gt_depth.pgm", "gt_depth_out.pgm",
+    "gt_range.pgm", "gt_range_out.pgm", "range.csv", "range.pgm", "range_out.pgm", "records.bin", "run.json",
+]
+
+
+def test_cases_are_the_benchmark_workloads_and_one_wall_at_os_2():
+    workloads = benchmark_workloads()
+    assert set(workloads) == {"wall", "two_walls", "room_display"}
+    got = cases()
+    assert len(got) == 5 * (len(workloads) + 1)
+    for seed in range(5):
+        for name, spec in workloads.items():
+            assert got[f"{name}/seed{seed}"] == {**spec["config"], "sim": {"seed": seed}}
+        assert got[f"one_wall_os2/seed{seed}"]["view"] == {"os_h": 2, "os_v": 2}
+
+
+def test_small_run_digests_every_item_and_file():
+    got = digests(SMALL)
+    assert [item for item, _ in got] == ITEMS + [f"file.{name}" for name in FILES]
+    assert all(re.fullmatch(r"[0-9a-f]{64}", digest) for _, digest in got)
+    assert got == digests(SMALL)  # timings_s is left out of run.json
+    other = dict(digests({**SMALL, "sim": {**SMALL["sim"], "seed": 2}}))
+    changed = {item for item, digest in got if other[item] != digest}
+    # The scattering phases and the noise move; the geometry does not.
+    assert {"paths.amplitude", "taps", "records", "file.records.bin"} <= changed
+    assert not {"paths.delay_s", "paths.theta_z", "truth.range", "truth.depth_out"} & changed
+
+
+def test_command_line_prints_one_line_per_item(monkeypatch, capsys):
+    monkeypatch.setattr(run_digests, "cases", lambda: {"small/seed1": SMALL, "other/seed0": {}})
+    assert run_digests.main(["small/*"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(ITEMS) + len(FILES)
+    assert all(re.fullmatch(r"small/seed1 [a-z_.]+ [0-9a-f]{64}", line) for line in lines)
+    assert run_digests.main(["nothing*"]) == 2
+    assert "no case matches" in capsys.readouterr().err
+
+
+def test_script_runs_from_the_repository_root():
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "tests/run_digests.py", "no-such-case"], cwd=root, capture_output=True, text=True,
+        env={"PYTHONPATH": str(root / "src"), "PATH": ""},
+    )
+    assert done.returncode == 2, done.stderr
+    assert "wall/seed0" in done.stderr and "one_wall_os2/seed4" in done.stderr

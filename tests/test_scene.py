@@ -12,6 +12,7 @@ from mmdepth.channel import path_gain
 from mmdepth.codebook import SceneView, sensor_grid
 from mmdepth.scene import (
     BACKSCATTER_GAIN,
+    BUILTIN_SCENES,
     MATERIALS,
     Material,
     PathSet,
@@ -53,6 +54,19 @@ def facing_wall(distance, half_w, half_h, material=None):
 def wall_scene(distance=7.0, span=12.0, **kwargs):
     wall = facing_wall(distance, span, span, **kwargs)
     return Scene(facets=[wall], device=DevicePose(position=np.zeros(3)))
+
+
+def reference_subdivide(facet, cell_size_m):
+    """Cells from an (n_u * n_w, 1) meshgrid of (u, w), with both tangents formed per cell."""
+    v = facet.vertices
+    n_u = max(1, int(np.ceil(np.linalg.norm(v[1] - v[0]) / cell_size_m)))
+    n_w = max(1, int(np.ceil(np.linalg.norm(v[3] - v[0]) / cell_size_m)))
+    uu, ww = np.meshgrid((np.arange(n_u) + 0.5) / n_u, (np.arange(n_w) + 0.5) / n_w, indexing="ij")
+    uu, ww = uu.reshape(-1, 1), ww.reshape(-1, 1)
+    centers = (1 - uu) * (1 - ww) * v[0] + uu * (1 - ww) * v[1] + uu * ww * v[2] + (1 - uu) * ww * v[3]
+    du = (1 - ww) * (v[1] - v[0]) + ww * (v[2] - v[3])
+    dw = (1 - uu) * (v[3] - v[0]) + uu * (v[2] - v[1])
+    return centers, np.linalg.norm(np.cross(du, dw), axis=1) / (n_u * n_w)
 
 
 def reference_ray_quad(origin, dirs, facet):
@@ -375,6 +389,46 @@ class TestCulledTruth:
         rot = Rotation.from_euler("zyx", pose_angles, degrees=True).as_matrix()
         pose = DevicePose(position=np.full(3, 0.1), boresight=rot[:, 1], up=rot[:, 2])
         assert_truth_matches_reference(Scene(facets=[quad], device=pose), SceneView(), resolution)
+
+
+class TestSubdivide:
+    """Cells per row and column give the per-cell formula's cells bit for bit."""
+
+    SKEWED = PlanarFacet(  # convex, in the tilted plane y = 5 + 0.1 x + 0.05 z, no two edges parallel
+        vertices=np.array([[-1.0, 4.85, -1.0], [2.0, 5.175, -0.5], [1.5, 5.25, 2.0], [-0.5, 5.01, 1.2]]),
+        material=MATERIALS["concrete"],
+    )
+
+    @staticmethod
+    def assert_matches_reference(facet, cell_size_m):
+        centers, areas = _subdivide(facet, cell_size_m)
+        want_centers, want_areas = reference_subdivide(facet, cell_size_m)
+        assert centers.shape == want_centers.shape and areas.shape == want_areas.shape
+        assert centers.tobytes() == want_centers.tobytes() and areas.tobytes() == want_areas.tobytes()
+        v = facet.vertices  # a planar quad's area is half its diagonals' cross product
+        assert areas.sum() == pytest.approx(0.5 * np.linalg.norm(np.cross(v[2] - v[0], v[3] - v[1])), rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENES))
+    @pytest.mark.parametrize("cell_size_m", [0.05, 0.3])
+    def test_builtin_facets(self, name, cell_size_m):
+        for facet in build_scene({"builtin": name}, SceneView()).facets:
+            self.assert_matches_reference(facet, cell_size_m)
+
+    @pytest.mark.parametrize("facet", [
+        SKEWED,
+        facing_wall(3.0, 0.01, 1.0),   # one cell wide in u
+        facing_wall(3.0, 1.0, 0.01),   # one cell wide in w
+        facing_wall(3.0, 0.01, 0.01),  # one cell
+    ])
+    def test_other_facets(self, facet):
+        self.assert_matches_reference(facet, 0.05)
+        assert len(_subdivide(facet, 0.05)[0]) == len(reference_subdivide(facet, 0.05)[0])
+
+    def test_cells_are_u_major(self):
+        centers, _ = _subdivide(facing_wall(3.0, 0.1, 0.05), 0.05)  # n_u = 4, n_w = 2
+        assert centers.shape == (8, 3)
+        assert np.allclose(centers[:, 0], np.repeat([-0.075, -0.025, 0.025, 0.075], 2), rtol=0, atol=1e-15)
+        assert np.allclose(centers[:, 2], np.tile([-0.025, 0.025], 4), rtol=0, atol=1e-15)
 
 
 class TestTracer:
