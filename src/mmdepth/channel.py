@@ -81,6 +81,11 @@ class RadioConfig:
             raise ValueError("carrier and bandwidth must be positive")
         if not 0.0 <= self.rolloff <= 1.0:
             raise ValueError("rolloff must lie in [0, 1]")
+        for name in ("tx_power_dbm", "noise_figure_db"):
+            try:  # the link budget takes both as linear powers
+                10.0 ** (getattr(self, name) / 10.0)
+            except OverflowError:
+                raise ValueError(f"radio.{name} {getattr(self, name)!r} overflows as a linear power") from None
 
     @property
     def sample_period_s(self) -> float:

@@ -7,14 +7,27 @@ values, scene parameters included, fail at load rather than inside a run.
 The same dict, canonically serialized, is hashed into run.json so any two
 artifact sets can be traced back to the exact settings that produced them.
 
-run_scenario executes the whole chain
+A run has two halves, split where the device stops measuring and starts
+processing what it measured:
 
-    codebook -> scene paths + ray-cast truth -> per-beam channel taps ->
-    noisy records -> per-beam cancellation -> joint delay selection ->
-    sub-sample refinement -> range / depth maps -> error reports
+    simulate(cfg) -> Observation
+        codebook -> scene paths + ray-cast truth -> per-beam channel taps ->
+        noisy records
+    estimate(obs, cfg) -> RunArtifacts
+        per-beam cancellation -> joint delay selection -> sub-sample
+        refinement -> range / depth maps -> error reports
 
-and optionally writes the artifact files (PGM and CSV maps, error table,
-run.json and an optional record dump). Every artifact except run.json is
+The Observation holds the records (read-only), the codebook and the truth
+maps, and estimate only reads it. ESTIMATION_KEYS (name, estimator.gamma,
+estimator.refine_ratio, output.interpolation, output.write_records) are the
+config keys only estimation and the artifact writing read; estimate refuses
+a config that differs from the observation's anywhere else. A sweep
+simulates only when a value's config differs from the previous one outside
+those keys, so a sweep over estimator.gamma simulates once.
+
+run_scenario is estimate(simulate(cfg), cfg), and optionally writes the
+artifact files (PGM and CSV maps, error table, run.json and an optional
+record dump). Every artifact except run.json is
 byte-deterministic for a given config; run.json carries wall-clock timings.
 The maps a run scores and the counts it reports are listed once, as
 RunArtifacts.map_pairs and RunArtifacts.counts: scoring, the artifacts,
@@ -93,7 +106,11 @@ __all__ = [
     "config_hash",
     "apply_override",
     "SWEEP_ALIASES",
+    "ESTIMATION_KEYS",
+    "Observation",
     "RunArtifacts",
+    "simulate",
+    "estimate",
     "run_scenario",
     "sweep",
     "SWEEP_COLUMNS",
@@ -131,6 +148,8 @@ class WaveformConfig:
             raise ValueError("preamble length must be positive")
         if self.kind == "golay_80211ad" and self.length > PREAMBLE_LENGTH:
             raise ValueError(f"golay_80211ad preamble length must be <= {PREAMBLE_LENGTH}")
+        if self.seed < 0:  # a SeedSequence takes only non-negative entropy
+            raise ValueError("waveform.seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -152,6 +171,8 @@ class SimConfig:
     guard_taps: int = 64               # delay-window tail past the last path, the noise tail
 
     def __post_init__(self):
+        if self.seed < 0:  # a SeedSequence takes only non-negative entropy
+            raise ValueError("sim.seed must be >= 0")
         if self.cell_size_m <= 0:
             raise ValueError("cell_size_m must be positive")
         # The latest path's pulse centre can round up to the last delay bin.
@@ -301,12 +322,17 @@ def config_hash(cfg: ScenarioConfig, scene: Scene | None = None) -> str:
     passes cfg.built_scene, the Scene it simulates), or else of the file as
     it reads now.
     """
+    blob = json.dumps(_canonical(cfg, scene), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _canonical(cfg: ScenarioConfig, scene: Scene | None) -> dict:
+    """config_to_dict, with a file scene's contents (see config_hash)."""
     data = config_to_dict(cfg)
     if "file" in cfg.scene:
         scene = scene if scene is not None else load_scene(cfg.scene["file"])
         data["scene"] = {**cfg.scene, "contents": scene_to_dict(scene)}
-    blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return data
 
 
 # Short names for the parameters studied in the reference sweeps, mapped
@@ -401,9 +427,61 @@ class RunArtifacts:
         }
 
 
-def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunArtifacts:
+# The config keys that only estimate and the artifact writing read: configs
+# that differ only here simulate the same Observation.
+ESTIMATION_KEYS = (
+    "name",
+    "estimator.gamma",
+    "estimator.refine_ratio",
+    "output.interpolation",
+    "output.write_records",
+)
+
+
+@dataclass(frozen=True)
+class Observation:
     """
-    Execute one scenario end to end; optionally write artifacts to out_dir.
+    What one beam sweep measured, and the truth it is scored against: the
+    output of simulate and the input of estimate, which only reads it.
+    """
+
+    config: ScenarioConfig             # the config it was simulated under
+    codebook: Codebook
+    n_paths: int
+    l_d: int
+    preamble: np.ndarray
+    samples: np.ndarray                # (M, n_p + l_d) records, read-only
+    records: list[SensingRecord]       # row views of samples
+    gt_range: np.ndarray               # truth at estimation resolution
+    gt_depth: np.ndarray
+    gt_range_out: np.ndarray | None    # truth at display size
+    gt_depth_out: np.ndarray | None
+    timings_s: dict[str, float]        # the simulation's stages
+
+
+def _simulated_part(cfg: ScenarioConfig) -> dict:
+    """The canonical config dict (see config_hash) without ESTIMATION_KEYS: all that simulate reads."""
+    data = _canonical(cfg, cfg.built_scene)
+    for dotted in ESTIMATION_KEYS:
+        *parents, leaf = dotted.split(".")
+        node = data
+        for key in parents:
+            node = node[key]
+        del node[leaf]
+    return data
+
+
+def _clock(timings: dict[str, float], key: str, t0: float) -> float:
+    """Clock stage `key` as the time since t0; return now, the next stage's start."""
+    t1 = time.perf_counter()
+    timings[key] = t1 - t0
+    return t1
+
+
+def simulate(cfg: ScenarioConfig) -> Observation:
+    """
+    The device's measurement under cfg: codebook, scene paths, ray-cast
+    truth, channel taps and the noisy records.
 
     The scene is cfg.built_scene, built when cfg was validated; a file
     scene is not read again. Determinism: a master SeedSequence from
@@ -412,28 +490,21 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunArtifacts:
     results do not depend on beam execution order.
     """
     timings: dict[str, float] = {}
-    t_start = time.perf_counter()
-
-    def _clock(key: str, t0: float) -> float:
-        t1 = time.perf_counter()
-        timings[key] = timings.get(key, 0.0) + (t1 - t0)
-        return t1
-
-    t0 = t_start
+    t0 = time.perf_counter()
     cb = design_codebook(cfg.upa, cfg.view, **asdict(cfg.codebook))
-    t0 = _clock("codebook", t0)
+    t0 = _clock(timings, "codebook", t0)
 
     scene = cfg.built_scene
     master = np.random.SeedSequence(cfg.sim.seed)
     (scene_seed,) = master.spawn(1)
     paths = trace_backscatter_paths(scene, cfg.radio.wavelength_m, cfg.sim.cell_size_m, scene_seed)
-    t0 = _clock("scene_paths", t0)
+    t0 = _clock(timings, "scene_paths", t0)
 
     gt_range, gt_depth = ground_truth_maps(scene, cfg.view, (cb.n_bar_v, cb.n_bar_h))
     gt_range_out = gt_depth_out = None
     if cfg.output.resolution is not None:
         gt_range_out, gt_depth_out = ground_truth_maps(scene, cfg.view, cfg.output.resolution)
-    t0 = _clock("ground_truth", t0)
+    t0 = _clock(timings, "ground_truth", t0)
 
     l_d = delay_window_length(
         paths.max_delay_s, cfg.radio.sample_period_s, guard=cfg.sim.guard_taps
@@ -445,24 +516,46 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunArtifacts:
     taps = beamformed_taps_batch(paths, beams, cfg.upa, cfg.radio, l_d)
     n_paths = len(paths)
     del paths  # the taps hold all the run needs of the paths
-    t0 = _clock("channel_taps", t0)
+    t0 = _clock(timings, "channel_taps", t0)
 
     preamble = make_preamble(cfg.waveform.kind, cfg.waveform.length, cfg.waveform.seed)
     samples = synthesize_records(taps, preamble, cfg.radio, cb.combine_norm_sq, master.spawn(cb.m))
     del taps
-    records = [SensingRecord(m, len(preamble), l_d, row) for m, row in enumerate(samples)]  # row views
-    t0 = _clock("records", t0)
+    samples.flags.writeable = False  # before the row views, which inherit it
+    records = [SensingRecord(m, len(preamble), l_d, row) for m, row in enumerate(samples)]
+    _clock(timings, "records", t0)
+    return Observation(
+        cfg, cb, n_paths, l_d, preamble, samples, records, gt_range, gt_depth, gt_range_out, gt_depth_out, timings
+    )
 
-    delay_sets, truncated_beams = _detect(samples, preamble, cfg)
-    t0 = _clock("sic", t0)
+
+def estimate(obs: Observation, cfg: ScenarioConfig) -> RunArtifacts:
+    """
+    Process an observation under cfg: cancellation, joint delay selection,
+    sub-sample refinement, then the maps and their error reports.
+
+    cfg may differ from obs.config only in ESTIMATION_KEYS, else this
+    raises ValueError. obs is only read, so one observation can be estimated
+    under many settings. The artifacts' timings_s are the observation's
+    followed by the estimation's stages.
+    """
+    timings = dict(obs.timings_s)
+    t0 = time.perf_counter()  # the check below is clocked into sic, so the stages stay back to back
+    want, have = _simulated_part(cfg), _simulated_part(obs.config)
+    if want != have:
+        differ = sorted(key for key in want if want[key] != have[key])
+        raise ValueError(f"config differs from the observation's outside ESTIMATION_KEYS, in {differ}")
+    cb, samples = obs.codebook, obs.samples
+    delay_sets, truncated_beams = _detect(samples, obs.preamble, cfg)
+    t0 = _clock(timings, "sic", t0)
 
     selected, filled = joint_processing(delay_sets, cb.n_bar_h, cb.n_bar_v)
-    t0 = _clock("joint", t0)
+    t0 = _clock(timings, "joint", t0)
 
-    bank = build_bank(preamble, cfg.estimator.refine_ratio, cfg.radio.rolloff)
+    bank = build_bank(obs.preamble, cfg.estimator.refine_ratio, cfg.radio.rolloff)
     fine = massive_correlator(samples, bank, selected.ravel())
     fine = fine.reshape(selected.shape)
-    t0 = _clock("refine", t0)
+    t0 = _clock(timings, "refine", t0)
 
     range_map, depth_map = construct_maps(
         selected, fine, cb.theta_z, cb.phi, cfg.radio.sample_period_s
@@ -473,32 +566,42 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunArtifacts:
         out_depth = interpolate_map(depth_map, cfg.output.resolution, cfg.output.interpolation)
     art = RunArtifacts(
         config=cfg,
-        config_hash=config_hash(cfg, scene),
+        config_hash=config_hash(cfg, cfg.built_scene),
         codebook=cb,
-        scene=scene,
-        n_paths=n_paths,
-        l_d=l_d,
-        records=records,
+        scene=cfg.built_scene,
+        n_paths=obs.n_paths,
+        l_d=obs.l_d,
+        records=obs.records,
         selected=selected,
         fine_offsets=fine,
         filled=filled,
         truncated_beams=truncated_beams,
         range_map=range_map,
         depth_map=depth_map,
-        gt_range=gt_range,
-        gt_depth=gt_depth,
+        gt_range=obs.gt_range,
+        gt_depth=obs.gt_depth,
         out_range=out_range,
         out_depth=out_depth,
-        gt_range_out=gt_range_out,
-        gt_depth_out=gt_depth_out,
+        gt_range_out=obs.gt_range_out,
+        gt_depth_out=obs.gt_depth_out,
         reports={},
         air_time_s=cb.m * cfg.waveform.length * cfg.radio.sample_period_s,
         timings_s=timings,
     )
     art.reports.update((key, map_errors(est, truth)) for key, (est, truth) in art.map_pairs.items())
-    _clock("maps", t0)
+    _clock(timings, "maps", t0)
+    return art
 
-    timings["total"] = time.perf_counter() - t_start
+
+def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunArtifacts:
+    """
+    Execute one scenario end to end, estimate(simulate(cfg), cfg);
+    optionally write artifacts to out_dir. timings_s gains 'total', the
+    two halves together.
+    """
+    t_start = time.perf_counter()
+    art = estimate(simulate(cfg), cfg)
+    art.timings_s["total"] = time.perf_counter() - t_start
     if out_dir is not None:
         _write_artifacts(art, Path(out_dir))
     return art
@@ -606,16 +709,24 @@ def sweep(base: dict, parameter: str, values, out_dir=None) -> list[dict]:
 
     Returns the result rows; with out_dir also writes them to sweep.csv. Rows run
     in the order given; each run keeps the base seed so the comparison
-    varies only the swept parameter.
+    varies only the swept parameter. Values of an ESTIMATION_KEYS parameter
+    share one simulation: rows equal separate run_scenario calls.
     """
     return _sweep_rows(values, _sweep_configs(base, parameter, values), out_dir)
 
 
 def _sweep_rows(values, configs: list[ScenarioConfig], out_dir=None) -> list[dict]:
-    """Run each value's config (see _sweep_configs): the rows of sweep."""
+    """
+    Estimate each value's config (see _sweep_configs): the rows of sweep. A
+    config is simulated only when it differs from the previous row's outside
+    ESTIMATION_KEYS, so a sweep over an estimation key simulates once.
+    """
     rows: list[dict] = []
+    obs = None
     for value, cfg in zip(values, configs):
-        art = run_scenario(cfg)
+        if obs is None or _simulated_part(cfg) != _simulated_part(obs.config):
+            obs = simulate(cfg)
+        art = estimate(obs, cfg)
         cells = {"value": value, **art.counts}
         for key, rep in art.reports.items():
             cells.update((f"{key}_{name}", v) for name, v in asdict(rep).items())

@@ -8,8 +8,8 @@ Each case stores SHA-256 digests of the selected coarse bins, the fine
 offsets as integer indices on the refinement grid (round(fine *
 refine_ratio)), the hole-filled mask and the depth-map bytes, plus the
 small-int decisions themselves, so that a mismatch names the case and the
-beam. The numpy version and each case's config_hash are provenance only:
-tests/test_decisions.py compares neither.
+beam. The numpy version is provenance only: tests/test_decisions.py compares
+every other field with a fresh run.
 
 A change that keeps the maps must leave this file byte-identical. Only a
 change that alters the maps, and states so with its evidence, regenerates it.
@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mmdepth.pipeline import config_from_dict, config_hash, run_scenario
+from mmdepth.pipeline import config_from_dict, run_scenario
 
 DATA = Path(__file__).resolve().parent / "data" / "decisions.json"
 
@@ -40,7 +40,7 @@ DECISIONS = ("selected", "offsets", "filled")
 
 
 def fingerprint(config: dict) -> dict:
-    """The decisions, digests and provenance of one run of `config`."""
+    """The config, decisions and digests of one run of `config`."""
     cfg = config_from_dict(config)
     art = run_scenario(cfg)
     decisions = {
@@ -52,7 +52,6 @@ def fingerprint(config: dict) -> dict:
     digests["depth_map"] = hashlib.sha256(art.depth_map.astype("<f8").tobytes()).hexdigest()
     return {
         "config": config,
-        "config_hash": config_hash(cfg),
         "sha256": digests,
         **{key: value.tolist() for key, value in decisions.items()},
     }

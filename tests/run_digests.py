@@ -6,7 +6,13 @@ so that two source trees can be compared bit for bit:
     (in the other tree, the same command) > after.txt
     diff before.txt after.txt
 
-Each line is "<case> <item> <sha256>". The items, in pipeline order:
+Run both trees under the same BLAS thread settings: the taps and the records
+depend on the thread count (decisions and maps did not, where measured). The
+first line names them, "OPENBLAS_NUM_THREADS=<n> OMP_NUM_THREADS=<n>
+MKL_NUM_THREADS=<n>" with "unset" for a variable that is not set, so that
+diff shows a mismatch.
+
+Every other line is "<case> <item> <sha256>". The items, in pipeline order:
 paths.<column> for every PathSet column, taps, records, selected, offsets
 (the fine offsets as integer indices on the refinement grid), filled, every
 estimated map and its truth (map.<key>, truth.<key> for each key of
@@ -26,6 +32,7 @@ import ast
 import fnmatch
 import hashlib
 import json
+import os
 import sys
 import tempfile
 from contextlib import contextmanager
@@ -40,6 +47,7 @@ from mmdepth.scene import PathSet
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 SIM_SEEDS = range(5)
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def benchmark_workloads(path: Path = BENCHMARK) -> dict:
@@ -116,6 +124,7 @@ def main(patterns: list[str]) -> int:
     if not chosen:
         print(f"no case matches {patterns}; cases: {sorted(cases())}", file=sys.stderr)
         return 2
+    print(" ".join(f"{var}={os.environ.get(var, 'unset')}" for var in BLAS_THREADS), flush=True)
     for name, config in chosen.items():
         for item, digest in digests(config):
             print(name, item, digest, flush=True)

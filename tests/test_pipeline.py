@@ -225,6 +225,11 @@ class TestConfigFromDict:
             ({"codebook": {"phase_bits": -2}}, "codebook.phase_bits must be >= 1"),
             ({"codebook": {"slr_delta_h": -3}}, "codebook.slr_delta_h must be >= 0"),
             ({"codebook": {"slr_delta_v": -0.5}}, "codebook.slr_delta_v must be >= 0"),
+            # Seeds seed a SeedSequence, and the link budget takes dB values as linear powers.
+            ({"sim": {"seed": -1}}, "sim.seed must be >= 0"),
+            ({"waveform": {"kind": "pn", "seed": -1}}, "waveform.seed must be >= 0"),
+            ({"radio": {"tx_power_dbm": 1e308}}, "radio.tx_power_dbm 1e\\+308 overflows as a linear power"),
+            ({"radio": {"noise_figure_db": 3100.0}}, "radio.noise_figure_db 3100.0 overflows as a linear power"),
         ],
     )
     def test_array_view_and_radio_ranges_validated(self, bad, match):
@@ -309,6 +314,7 @@ class TestConfigFromDict:
                 config_from_dict(bad)
         assert config_from_dict({"codebook": {"phase_bits": None}}).codebook.phase_bits is None
         assert config_from_dict({"radio": {"tx_power_dbm": 25}}).radio.tx_power_dbm == 25
+        assert config_from_dict({"radio": {"noise_figure_db": 3080.0}}).radio.noise_figure_db == 3080.0
         for bad, match in [
             ({"cell_size_m": 0.0}, "cell_size_m"),
             ({"cell_size_m": -0.05}, "cell_size_m"),
@@ -803,6 +809,94 @@ class TestDisplayOutputs:
         assert sorted(listed) == written_names
 
 
+class TestSimulateEstimate:
+    """A run is estimate(simulate(cfg), cfg); the observation is simulated once and only read."""
+
+    # A display size, so that output.interpolation has maps to act on.
+    DATA = {**SMALL, "output": {"resolution": [8, 12]}}
+    OTHER = {
+        "name": "other",
+        "estimator.gamma": 5.0,
+        "estimator.refine_ratio": 50,
+        "output.interpolation": "nearest",
+        "output.write_records": True,
+    }
+
+    def config(self, **updates):
+        data = json.loads(json.dumps(self.DATA))
+        for dotted, value in updates.items():
+            apply_override(data, dotted, value)
+        return config_from_dict(data)
+
+    @pytest.fixture(scope="class")
+    def observed(self):
+        cfg = self.config()
+        return pipeline.simulate(cfg), cfg
+
+    def test_every_estimation_key_is_exercised(self):
+        assert set(self.OTHER) == set(pipeline.ESTIMATION_KEYS)
+
+    @pytest.mark.parametrize("key", sorted(OTHER))
+    def test_estimation_keys_leave_the_observation_unchanged(self, observed, key):
+        obs, _ = observed
+        other = pipeline.simulate(self.config(**{key: self.OTHER[key]}))
+        assert (other.n_paths, other.l_d) == (obs.n_paths, obs.l_d)
+        assert np.array_equal(other.samples, obs.samples)
+        for name in ("gt_range", "gt_depth", "gt_range_out", "gt_depth_out"):
+            assert np.array_equal(getattr(other, name), getattr(obs, name)), name
+        assert list(other.timings_s) == ["codebook", "scene_paths", "ground_truth", "channel_taps", "records"]
+
+    def test_estimate_refuses_another_simulation(self, observed):
+        obs, _ = observed
+        with pytest.raises(ValueError, match=re.escape("outside ESTIMATION_KEYS, in ['sim']")):
+            pipeline.estimate(obs, self.config(**{"sim.seed": 2}))
+
+    def test_estimate_only_reads_the_observation(self, observed):
+        obs, cfg = observed
+        before = obs.samples.copy()
+        first, second = pipeline.estimate(obs, cfg), pipeline.estimate(obs, cfg)
+        for name in ("selected", "fine_offsets", "filled", "range_map", "depth_map", "out_range", "out_depth"):
+            assert np.array_equal(getattr(first, name), getattr(second, name)), name
+        assert first.reports == second.reports and first.counts == second.counts
+        assert first.config_hash == second.config_hash == config_hash(cfg)
+        assert np.array_equal(obs.samples, before)
+        assert not obs.samples.flags.writeable
+        assert all(rec.samples.base is obs.samples and not rec.samples.flags.writeable for rec in obs.records)
+        with pytest.raises(ValueError, match="read-only"):
+            obs.records[0].samples[0] = 0.0
+        assert list(first.timings_s) == [*obs.timings_s, "sic", "joint", "refine", "maps"]
+
+    def test_run_scenario_is_estimate_of_simulate(self, observed):
+        obs, cfg = observed
+        art, want = run_scenario(cfg), pipeline.estimate(obs, cfg)
+        assert np.array_equal(art.depth_map, want.depth_map) and art.reports == want.reports
+        assert list(art.timings_s) == [*want.timings_s, "total"]
+
+    def test_an_estimation_sweep_simulates_once(self, monkeypatch, tmp_path):
+        gammas = [3.0, 4.0, 6.0]
+        runs = [run_scenario(self.config(**{"estimator.gamma": g})) for g in gammas]
+        want = []
+        for gamma, art in zip(gammas, runs):
+            cells = {"value": gamma, **art.counts}
+            cells.update((f"{key}_{name}", v) for key, rep in art.reports.items()
+                         for name, v in dataclasses.asdict(rep).items())
+            want.append({column: cells[column] for column in SWEEP_COLUMNS})
+        simulated, simulate = [], pipeline.simulate
+        monkeypatch.setattr(pipeline, "simulate", lambda cfg: simulated.append(cfg) or simulate(cfg))
+        rows = sweep(self.DATA, "estimator.gamma", gammas, out_dir=tmp_path)
+        assert len(simulated) == 1
+        assert rows == want
+        lines = [",".join(SWEEP_COLUMNS)]
+        lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row.values()) for row in want]
+        assert (tmp_path / "sweep.csv").read_text() == "\n".join(lines) + "\n"
+
+    def test_a_simulation_sweep_simulates_every_value(self, monkeypatch):
+        simulated, simulate = [], pipeline.simulate
+        monkeypatch.setattr(pipeline, "simulate", lambda cfg: simulated.append(cfg) or simulate(cfg))
+        sweep(SMALL, "radio.tx_power_dbm", [50.0, 52.0, 54.0])
+        assert [cfg.radio.tx_power_dbm for cfg in simulated] == [50.0, 52.0, 54.0]
+
+
 class TestSweep:
     def test_rows_carry_all_columns(self, tmp_path):
         rows = sweep(SMALL, "radio.tx_power_dbm", [50.0], out_dir=tmp_path)
@@ -824,9 +918,11 @@ class TestSweep:
 
     def test_bad_value_fails_before_any_run(self, monkeypatch):
         runs = []
-        monkeypatch.setattr(pipeline, "run_scenario", runs.append)
+        monkeypatch.setattr(pipeline, "simulate", runs.append)
         with pytest.raises(ValueError, match="radio.tx_power_dbm must be a finite number, got 'abc'"):
             sweep(SMALL, "tx_power", [50.0, "abc"])
+        with pytest.raises(ValueError, match="sim.seed must be >= 0"):
+            sweep(SMALL, "sim.seed", [0, -1])
         assert runs == []
 
     def test_base_dict_untouched(self):
@@ -901,6 +997,11 @@ class TestCli:
             ("output.resolution=[2,40]", "output.resolution [2, 40] is below the 4x4 beam grid"),
             ("output.resolution=[40,3]", "output.resolution [40, 3] is below the 4x4 beam grid"),
             ("name=5", "name must be a string, got 5"),
+            # Seeds and dB values that would otherwise fail inside the run.
+            ("sim.seed=-1", "sim.seed must be >= 0"),
+            ("waveform.seed=-1", "waveform.seed must be >= 0"),
+            ("radio.tx_power_dbm=1e308", "radio.tx_power_dbm 1e+308 overflows as a linear power"),
+            ("radio.noise_figure_db=1e308", "radio.noise_figure_db 1e+308 overflows as a linear power"),
         ]:
             code = cli_main(["run", "--config", str(cfg), "--set", setting])
             assert code == 2
@@ -1052,11 +1153,12 @@ class TestCli:
     def test_sweep_bad_value_is_usage_error_before_any_run(self, tmp_path, capsys, monkeypatch):
         # Every swept value becomes a validated config before the first run.
         runs = []
-        monkeypatch.setattr(pipeline, "run_scenario", runs.append)
+        monkeypatch.setattr(pipeline, "simulate", runs.append)
         out = tmp_path / "sweep"
         for args, match in [
             (["--scenario", "one_wall", "--parameter", "tx_power", "--values", "30,abc"],
              "radio.tx_power_dbm must be a finite number, got 'abc'"),
+            (["--scenario", "two_walls", "--parameter", "sim.seed", "--values", "0,-1"], "sim.seed must be >= 0"),
             (["--parameter", "radio.bogus", "--values", "1"], "unknown radio keys: ['bogus']"),
             (["--scenario", "two_walls", "--parameter", "distance", "--values", "1"],
              "unknown two_walls scene keys: ['distance_m']"),

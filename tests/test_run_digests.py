@@ -52,8 +52,12 @@ def test_small_run_digests_every_item_and_file():
 
 def test_command_line_prints_one_line_per_item(monkeypatch, capsys):
     monkeypatch.setattr(run_digests, "cases", lambda: {"small/seed1": SMALL, "other/seed0": {}})
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
     assert run_digests.main(["small/*"]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header == "OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset MKL_NUM_THREADS=2"
     assert len(lines) == len(ITEMS) + len(FILES)
     assert all(re.fullmatch(r"small/seed1 [a-z_.]+ [0-9a-f]{64}", line) for line in lines)
     assert run_digests.main(["nothing*"]) == 2
