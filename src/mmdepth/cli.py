@@ -115,7 +115,7 @@ def _cmd_sweep(args) -> int:
         configs = _sweep_configs(data, args.parameter, values)
     except ValueError as exc:
         raise _ConfigError(str(exc)) from None
-    rows = _sweep_rows(values, configs, out_dir=args.out)
+    rows = _sweep_rows(args.parameter, values, configs, out_dir=args.out)
     for row in rows:
         print(
             f"{args.parameter}={row['value']}: range rmse {row['range_rmse_m']:.4f} m, "

@@ -6,7 +6,9 @@ The processing ladder, lowest to highest:
   cross_correlation    matched filter of one record, or of a stack of records,
                        against the preamble: one output per candidate delay
                        bin q = 0 .. l_d. A stack is filtered in blocks of
-                       records by FFT against one preamble spectrum.
+                       records by a partitioned FFT filter: each preamble
+                       section meets its record window, and one inverse
+                       transform of the summed products gives every lag.
   basic_correlator     argmax of the matched filter, the one-path estimator.
   cancel_candidates    successive interference cancellation on one matched-
                        filter row: repeatedly detect the strongest correlation
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import PULSE_HALF_WIDTH, SPEED_OF_LIGHT, pulse_window
-from .waveform import _fft_filter, _fft_size
+from .waveform import _fft_size, _preamble_filter
 
 __all__ = [
     "cross_correlation",
@@ -69,7 +71,7 @@ __all__ = [
 ]
 
 
-# Records per block of matched filtering; working memory is O(_BLOCK * nfft).
+# Records per block of matched filtering; working memory is at most _BLOCK * _fft_size(n_p + l_d) complex.
 _BLOCK = 32
 
 
@@ -80,20 +82,21 @@ def cross_correlation(samples: np.ndarray, preamble: np.ndarray) -> np.ndarray:
     With a record of length n_p + l_d the full-overlap lags are exactly
     q = 0 .. l_d, so a path at integer delay d peaks at c[d] with value
     (LS coefficient) * (preamble energy). samples is one record or an
-    (M, n_p + l_d) stack, giving one row of lags per record. Each row is an
-    FFT product with the one preamble spectrum, taken over blocks of _BLOCK
-    records transformed in place in one reused block buffer (the helper
-    record synthesis uses); a row does not depend on the others or on the
-    block size.
+    (M, n_p + l_d) stack, giving one row of lags per record. Blocks of
+    _BLOCK records go through the partitioned filter of record synthesis
+    (waveform._preamble_filter, overlap-save): the preamble is cut into
+    sections at the transform size of waveform._plan, the record window of
+    each section is transformed and multiplied by the section's conjugate
+    spectrum, and one inverse transform of the sum gives lags 0 .. l_d. A
+    row does not depend on the others or on the block size.
     """
     samples = np.asarray(samples)
     n, n_p = samples.shape[-1], len(preamble)
     if n < n_p:
         raise ValueError("record shorter than preamble")
-    spectrum = np.fft.fft(preamble, _fft_size(n)).conj()
     rows = samples.reshape(-1, n)
     c = np.empty((len(rows), n - n_p + 1), dtype=complex)
-    _fft_filter(rows, spectrum, c, 1.0, _BLOCK)
+    _preamble_filter(rows, preamble, c, 1.0, _BLOCK, correlate=True)
     return c.reshape(samples.shape[:-1] + c.shape[1:])
 
 
@@ -102,9 +105,11 @@ def preamble_autocorrelation(preamble: np.ndarray, l_d: int) -> np.ndarray:
     Preamble autocorrelation R[k] = sum_n s*[n] s[n + k] over lags
     k = -l_d .. l_d, returned as r with r[l_d + k] = R[k], so E_Q = r[l_d].
 
-    It comes from the spectrum cross_correlation uses on records of length
-    n_p + l_d (same FFT size), which is what cancellation in the
-    correlation domain needs.
+    It is the circular autocorrelation at nfft = _fft_size(n_p + l_d), which
+    is exact here: R vanishes beyond lag n_p - 1, so the alias R[k - nfft]
+    of a lag k <= l_d would need k >= nfft - n_p + 1 >= l_d + 1. Exact R is
+    what cancellation in the correlation domain needs, however
+    cross_correlation partitions its transforms.
     """
     nfft = _fft_size(len(preamble) + l_d)
     auto = np.fft.ifft(np.abs(np.fft.fft(preamble, nfft)) ** 2)
@@ -287,7 +292,10 @@ def joint_processing(
     fresh = cand & ~seen
     filled = ~cand.any(axis=-1)
     if filled.all():
-        raise ValueError("no beam produced any delay candidate")
+        raise ValueError(
+            "no beam produced any delay candidate: every beam's matched filter stayed below its "
+            "threshold, gamma^2 E_p times its record's tail noise level"
+        )
     selected = bins[np.where(fresh.any(axis=-1), fresh.argmax(axis=-1), cand.argmax(axis=-1))]
     flat, hole = selected.ravel(), filled.ravel()
     valid = np.flatnonzero(~hole)

@@ -35,9 +35,11 @@ sweep rows and the CLI all read them there, so a map pair added to the list
 is both scored and written.
 
 All records are synthesized into one (M, n_p + l_d) array and matched-
-filtered in one pass over blocks of beams; both transforms run in place in
-one reused block buffer. The paths are released once the taps exist, and
-the taps once the records exist. The cancellation then runs beam
+filtered over blocks of beams, both through one partitioned FFT filter
+(mmdepth.waveform): the preamble is cut into sections of a short transform
+size above the delay window, transformed in place in reused block buffers.
+The paths are released once the taps exist, and the taps once the records
+exist. The cancellation then runs beam
 after beam on that beam's correlation row, and refinement correlates each
 beam's window with the 17 integer shifts of the preamble over blocks of
 beams, then scores every fractional replica for all beams in one
@@ -712,21 +714,26 @@ def sweep(base: dict, parameter: str, values, out_dir=None) -> list[dict]:
     varies only the swept parameter. Values of an ESTIMATION_KEYS parameter
     share one simulation: rows equal separate run_scenario calls.
     """
-    return _sweep_rows(values, _sweep_configs(base, parameter, values), out_dir)
+    return _sweep_rows(parameter, values, _sweep_configs(base, parameter, values), out_dir)
 
 
-def _sweep_rows(values, configs: list[ScenarioConfig], out_dir=None) -> list[dict]:
+def _sweep_rows(parameter: str, values, configs: list[ScenarioConfig], out_dir=None) -> list[dict]:
     """
     Estimate each value's config (see _sweep_configs): the rows of sweep. A
     config is simulated only when it differs from the previous row's outside
-    ESTIMATION_KEYS, so a sweep over an estimation key simulates once.
+    ESTIMATION_KEYS, so a sweep over an estimation key simulates once. A run
+    that fails raises ValueError naming the dotted parameter and the value,
+    as in "radio.tx_power_dbm=-10: <the run's message>".
     """
     rows: list[dict] = []
     obs = None
     for value, cfg in zip(values, configs):
-        if obs is None or _simulated_part(cfg) != _simulated_part(obs.config):
-            obs = simulate(cfg)
-        art = estimate(obs, cfg)
+        try:
+            if obs is None or _simulated_part(cfg) != _simulated_part(obs.config):
+                obs = simulate(cfg)
+            art = estimate(obs, cfg)
+        except ValueError as exc:
+            raise ValueError(f"{SWEEP_ALIASES.get(parameter, parameter)}={value}: {exc}") from exc
         cells = {"value": value, **art.counts}
         for key, rep in art.reports.items():
             cells.update((f"{key}_{name}", v) for name, v in asdict(rep).items())

@@ -12,10 +12,15 @@ single matched filter per beam resolve multipath taps.
 synthesize_records applies the tapped channels of mmdepth.channel, one
 tap line per beam, to a preamble and adds circular complex noise scaled by
 each beam's combiner norm, producing the (M, n_p + l_d) record array the
-estimators consume. The convolutions share one preamble spectrum and run as
-FFT products over blocks of beams, transformed in place in one reused
-zero-padded block buffer (the matched filter of mmdepth.estimator runs
-through the same buffer); synthesize_rx is its one-beam case.
+estimators consume; synthesize_rx is its one-beam case. The convolutions
+and the matched filter of mmdepth.estimator share one partitioned FFT
+filter (_preamble_filter, overlap-save after T. G. Stockham, "High-speed
+convolution and correlation", AFIPS SJCC 1966): the preamble is cut into
+sections of a transform size just above the delay window, 512 points for
+the default preamble and a 114-sample window, instead of one transform of
+the whole 4096-point record. _plan picks the size from n_p and l_d alone;
+where partitioning does not pay, a short preamble or a wide window, it
+keeps one block at the full size.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ __all__ = [
 
 PREAMBLE_LENGTH = 3328  # STF (17*128) + CEF (9*128) samples
 
-# Beams per block of record synthesis; working memory is O(_BLOCK * nfft).
+# Beams per block of record synthesis; working memory is at most _BLOCK * _fft_size(n_p + l_d) complex.
 _BLOCK = 32
 
 # Delay and seed sequences of the length-128 Golay generator.
@@ -142,26 +147,102 @@ def _fft_size(n_record: int) -> int:
     return 1 << (n_record - 1).bit_length()
 
 
-def _fft_filter(rows: np.ndarray, spectrum: np.ndarray, out: np.ndarray, scale: float, block: int) -> None:
+def _plan(n_p: int, l_d: int) -> tuple[int, int]:
     """
-    Set out[i] = scale * ifft(fft(rows[i], nfft) * spectrum)[:keep] for every
-    row i, with nfft = len(spectrum) and keep = out.shape[1].
+    Transform size and section step of the preamble filter (_preamble_filter)
+    for an n_p-sample preamble and an l_d-sample delay window.
 
-    Blocks of `block` rows are copied into one zero-padded (block, nfft)
-    buffer that is transformed, multiplied and transformed back in place,
-    so the working memory beyond out is that one buffer. A row does not
-    depend on the others or on the block size.
+    At a power-of-two size > l_d the preamble is cut into sections of
+    step = size - l_d samples: a record row is correlated in
+    ceil(n_p / step) sections and synthesized in ceil((n_p + l_d - 1) / step)
+    output blocks, each direction taking one transform more than it has
+    sections. The one-block plan, size _fft_size(n_p + l_d) with
+    step = size, takes two transforms each way. The plan is the one with the
+    fewest transformed points over both directions; a tie goes to one
+    block, then to the smaller size. A transform costs about the same per
+    point from 256 to 2048 points, so points stand for time there, but
+    below 256 its fixed cost per call outweighs its arithmetic; and a
+    section shorter than the window (size < 2 * l_d) transforms more
+    overlap than preamble. No partition uses such sizes.
     """
-    width = rows.shape[1]
-    buf = np.empty((min(block, len(rows)), len(spectrum)), dtype=complex)
-    for start in range(0, len(rows), block):
-        part = buf[: min(block, len(rows) - start)]
-        part[:, :width] = rows[start : start + block]
-        part[:, width:] = 0.0
-        np.fft.fft(part, out=part)
-        part *= spectrum
-        np.fft.ifft(part, out=part)
-        np.multiply(part[:, : out.shape[1]], scale, out=out[start : start + block])
+    whole = _fft_size(n_p + l_d)
+    plans = [(4 * whole, 0, whole, whole)]  # (points, tie order, size, step)
+    size = _fft_size(max(256, 2 * l_d))
+    while size < whole:
+        step = size - l_d
+        transforms = -(-n_p // step) + -(-(n_p + l_d - 1) // step) + 2
+        plans.append((transforms * size, size, size, step))
+        size *= 2
+    return min(plans)[2:]
+
+
+def _preamble_filter(
+    rows: np.ndarray, preamble: np.ndarray, out: np.ndarray, scale: float, block: int, correlate: bool
+) -> None:
+    """
+    Convolve tap lines with the preamble, or correlate records with it, at
+    the transform size of _plan(n_p, l_d), writing scale times the result
+    into out, one row per row:
+
+      correlate=False: rows are (R, l_d) tap lines and out[i] is the first
+          out.shape[1] samples of preamble * rows[i]. Output block k,
+          out[i, k*step : (k+1)*step], is ifft(fft(rows[i]) * fft(t_k))[:step],
+          where t_k holds s[k*step + j] at j mod size for j = -(l_d - 1) ..
+          step: the l_d - 1 samples before the block wrap to its end, so the
+          kept samples do not wrap (overlap-save) and the blocks tile out.
+      correlate=True: rows are records and out[i, q] = sum_n s*[n] rows[i, n + q]
+          for q = 0 .. l_d = out.shape[1] - 1. Section k of the preamble,
+          s[k*step : (k+1)*step], meets the record window
+          rows[i, k*step : k*step + size], and one inverse transform of the
+          sum of the K products gives every lag (overlap-save).
+
+    With one section (step = size) both are one transform each way at the
+    one-block size. Blocks of `block` rows go through one reused (block,
+    size) buffer, plus a second one when there are several sections, both
+    transformed in place. A row does not depend on the others or on the
+    block size.
+    """
+    n_p = len(preamble)
+    l_d = out.shape[1] - 1 if correlate else rows.shape[1]
+    size, step = _plan(n_p, l_d)
+    starts = range(0, n_p if correlate else out.shape[1], step)
+    at = np.arange(size)
+    padded = np.concatenate([preamble, np.zeros(size)])  # negative indices read its zero tail
+    if correlate:
+        sections = padded[np.add.outer(starts, at)]
+        sections[:, step:] = 0.0
+        spectra = np.fft.fft(sections).conj()
+    else:
+        spectra = np.fft.fft(padded[np.add.outer(starts, np.where(at <= step, at, at - size))])
+    buf = np.empty((min(block, len(rows)), size), dtype=complex)
+    spare = np.empty_like(buf) if len(starts) > 1 else buf
+    for first in range(0, len(rows), block):
+        part = buf[: min(block, len(rows) - first)]
+        work = spare[: len(part)]
+        rows_in, rows_out = rows[first : first + len(part)], out[first : first + len(part)]
+        if correlate:
+            for k, start in enumerate(starts):
+                dst = work if k else part
+                window = rows_in[:, start : start + size]
+                if window.shape[1] < size:  # runs past the record end: zero-pad
+                    dst[:, : window.shape[1]] = window
+                    dst[:, window.shape[1] :] = 0.0
+                    window = dst
+                np.fft.fft(window, out=dst)
+                dst *= spectra[k]
+                if k:
+                    part += work
+            np.fft.ifft(part, out=part)
+            np.multiply(part[:, : out.shape[1]], scale, out=rows_out)
+        else:
+            part[:, :l_d] = rows_in
+            part[:, l_d:] = 0.0
+            np.fft.fft(part, out=part)
+            for k, start in enumerate(starts):
+                np.multiply(part, spectra[k], out=work)
+                np.fft.ifft(work, out=work)
+                keep = rows_out[:, start : start + step]
+                np.multiply(work[:, : keep.shape[1]], scale, out=keep)
 
 
 def synthesize_records(
@@ -179,10 +260,12 @@ def synthesize_records(
     for n = 0 .. n_p+l_d-1, with taps of shape (M, l_d) and nu_m circular
     complex noise of variance sigma_n^2 * ||w_m||^2 per sample
     (combine_norm_sq[m] = ||w_m||^2). The convolutions are FFT products
-    with one preamble spectrum, at the power-of-two size at or above
-    n_p + l_d so nothing wraps, over blocks of _BLOCK beams transformed in
-    place in one reused block buffer; the last sample of a record drawn
-    without noise is exactly 0.
+    over blocks of _BLOCK beams: each beam's taps are transformed once at
+    the size of _plan and multiplied by the spectrum of each preamble
+    section, and each inverse gives one block of the record
+    (_preamble_filter). The blocks tile the record, none wraps, and the
+    last sample of a record drawn without noise is exactly 0. The number of
+    noise generators is checked before any transform.
 
     noise is None for clean records (no noise draw), or one Generator or seed (for
     np.random.default_rng) per beam. Row m draws its real then its imaginary
@@ -193,12 +276,11 @@ def synthesize_records(
     preamble = np.asarray(preamble)
     m, l_d = taps.shape
     n = len(preamble) + l_d
-    spectrum = np.fft.fft(preamble, _fft_size(n))
+    if noise is not None and len(noise) != m:
+        raise ValueError("need one noise generator per beam")
     y = np.zeros((m, n), dtype=complex)
-    _fft_filter(taps, spectrum, y[:, : n - 1], np.sqrt(radio.symbol_energy_j), _BLOCK)
+    _preamble_filter(taps, preamble, y[:, : n - 1], np.sqrt(radio.symbol_energy_j), _BLOCK, correlate=False)
     if noise is not None:
-        if len(noise) != m:
-            raise ValueError("need one noise generator per beam")
         sigma = np.sqrt(noise_variance(radio) * np.asarray(combine_norm_sq) / 2.0)
         draw = np.empty((2, n))
         for row, gen, s in zip(y, noise, sigma):

@@ -13,7 +13,9 @@ MKL_NUM_THREADS=<n>" with "unset" for a variable that is not set, so that
 diff shows a mismatch.
 
 Every other line is "<case> <item> <sha256>". The items, in pipeline order:
-paths.<column> for every PathSet column, taps, records, selected, offsets
+paths.<column> for every PathSet column, taps, records, candidates (each
+beam's SIC delay set, iteration count and truncation flag, in beam order),
+selected, offsets
 (the fine offsets as integer indices on the refinement grid), filled, every
 estimated map and its truth (map.<key>, truth.<key> for each key of
 RunArtifacts.map_pairs), and file.<name> for each artifact the run writes;
@@ -77,12 +79,13 @@ def _sha(data) -> str:
 
 @contextmanager
 def _kept(name: str, seen: dict):
-    """Keep what the pipeline's call to `name` returns in seen[name]."""
+    """Keep what the pipeline's calls to `name` return, in call order, in the list seen[name]."""
     original = getattr(pipeline, name)
+    kept = seen.setdefault(name, [])
 
     def keep(*args, **kwargs):
-        seen[name] = original(*args, **kwargs)
-        return seen[name]
+        kept.append(original(*args, **kwargs))
+        return kept[-1]
 
     setattr(pipeline, name, keep)
     try:
@@ -91,18 +94,30 @@ def _kept(name: str, seen: dict):
         setattr(pipeline, name, original)
 
 
+def _candidate_table(results) -> np.ndarray:
+    """The SicResults of all beams as one int64 run: per beam, its delay count, iterations, truncation flag, delays."""
+    return np.concatenate(
+        [np.array([len(r.delays), r.iterations, r.truncated, *r.delays], dtype=np.int64) for r in results]
+    )
+
+
 def digests(config: dict) -> list[tuple[str, str]]:
     """(item, sha256) pairs of one run of `config`, in pipeline order."""
     cfg = config_from_dict(config)
     seen: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
-        with _kept("trace_backscatter_paths", seen), _kept("beamformed_taps_batch", seen):
+        with (
+            _kept("trace_backscatter_paths", seen),
+            _kept("beamformed_taps_batch", seen),
+            _kept("cancel_candidates", seen),
+        ):
             art = run_scenario(cfg, out_dir=tmp)
-        paths = seen["trace_backscatter_paths"]
+        (paths,), (taps,) = seen["trace_backscatter_paths"], seen["beamformed_taps_batch"]
         items = [(f"paths.{f.name}", _sha(getattr(paths, f.name))) for f in fields(PathSet)]
         items += [
-            ("taps", _sha(seen["beamformed_taps_batch"])),
+            ("taps", _sha(taps)),
             ("records", _sha(np.stack([r.samples for r in art.records]))),
+            ("candidates", _sha(_candidate_table(seen["cancel_candidates"]))),
             ("selected", _sha(art.selected.astype(np.int64))),
             ("offsets", _sha(np.rint(art.fine_offsets * cfg.estimator.refine_ratio).astype(np.int64))),
             ("filled", _sha(art.filled.astype(np.int64))),

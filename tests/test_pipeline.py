@@ -1079,6 +1079,21 @@ class TestCli:
         assert code == 3
         assert "runtime error" in capsys.readouterr().err
 
+    def test_a_failing_sweep_value_is_named(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "sweep"
+        code = cli_main([
+            "sweep", "--config", str(cfg), "--parameter", "tx_power", "--values", "50,-10", "--out", str(out),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "runtime error: radio.tx_power_dbm=-10: no beam produced any delay candidate" in err
+        assert "gamma^2 E_p times its record's tail noise level" in err
+        assert not (out / "sweep.csv").exists()
+        code = cli_main(["run", "--config", str(cfg), "--set", "radio.tx_power_dbm=-10"])
+        assert code == 3
+        assert "every beam's matched filter stayed below its threshold" in capsys.readouterr().err
+
     def scene_file_args(self, tmp_path) -> tuple[Path, list[str]]:
         """A scene file and the config arguments of a small run on it."""
         scene = tmp_path / "scene.json"

@@ -5,7 +5,9 @@ import sys
 from pathlib import Path
 
 import run_digests
-from run_digests import benchmark_workloads, cases, digests
+from run_digests import _candidate_table, _kept, benchmark_workloads, cases, digests
+
+from mmdepth.pipeline import config_from_dict, run_scenario
 
 SMALL = {
     "name": "unit",
@@ -18,7 +20,7 @@ SMALL = {
 }
 ITEMS = [
     *(f"paths.{c}" for c in ("delay_s", "amplitude", "theta_z", "theta_x", "range_m", "specular")),
-    "taps", "records", "selected", "offsets", "filled",
+    "taps", "records", "candidates", "selected", "offsets", "filled",
     *(f"{kind}.{key}" for key in ("range", "depth", "range_out", "depth_out") for kind in ("map", "truth")),
 ]
 FILES = [
@@ -48,6 +50,21 @@ def test_small_run_digests_every_item_and_file():
     # The scattering phases and the noise move; the geometry does not.
     assert {"paths.amplitude", "taps", "records", "file.records.bin"} <= changed
     assert not {"paths.delay_s", "paths.theta_z", "truth.range", "truth.depth_out"} & changed
+
+
+def test_candidates_are_every_beams_sic_result_in_beam_order():
+    seen: dict = {}
+    with _kept("cancel_candidates", seen):
+        art = run_scenario(config_from_dict(SMALL))
+    results = seen["cancel_candidates"]
+    assert len(results) == art.codebook.m
+    table = _candidate_table(results)
+    assert len(table) == sum(3 + len(r.delays) for r in results)
+    at = 0
+    for r in results:
+        assert list(table[at : at + 3 + len(r.delays)]) == [len(r.delays), r.iterations, r.truncated, *r.delays]
+        at += 3 + len(r.delays)
+    assert any(len(r.delays) for r in results)
 
 
 def test_command_line_prints_one_line_per_item(monkeypatch, capsys):

@@ -2,7 +2,10 @@
 Preamble construction and sensing-record synthesis.
 
 The FFT-batched record synthesis is checked against the direct per-beam
-convolution and noise draws it replaced (reference_records).
+convolution and noise draws it replaced (reference_records), and the
+partitioned preamble filter it shares with the matched filter against the
+direct sums, over a grid of preamble lengths and delay windows that covers
+one-block and partitioned plans.
 """
 import tracemalloc
 
@@ -19,6 +22,7 @@ from mmdepth.waveform import (
     synthesize_rx,
 )
 from mmdepth.channel import noise_variance
+from mmdepth.estimator import cross_correlation
 
 
 def reference_records(taps, preamble, radio, combine_norm_sq, seeds=None):
@@ -200,3 +204,71 @@ class TestSynthesizeRecords:
         taps, norms = beam_taps
         with pytest.raises(ValueError, match="one noise generator per beam"):
             synthesize_records(taps, pn_preamble, radio, norms, [1, 2])
+
+    def test_noise_generator_count_checked_before_any_transform(self, radio, pn_preamble, beam_taps, monkeypatch):
+        taps, norms = beam_taps
+        monkeypatch.setattr(waveform, "_preamble_filter", lambda *a, **k: pytest.fail("filtered before the check"))
+        with pytest.raises(ValueError, match="one noise generator per beam"):
+            synthesize_records(taps, pn_preamble, radio, norms, [1, 2])
+
+
+# Preamble lengths (golay prefixes, and a pn preamble longer than the
+# structured one) and delay windows of the filter grid: they reach the
+# one-block plan, partitions into 256- to 2048-point sections, and windows
+# on either side of a power of two.
+GRID_LENGTHS = [1, 7, 128, 398, 399, 3328, 4096]
+GRID_WINDOWS = [9, 114, 238, 511, 512, 600]
+
+
+def grid_preamble(n_p):
+    if n_p > waveform.PREAMBLE_LENGTH:
+        return make_preamble("pn", n_p, seed=2)
+    return make_preamble("golay_80211ad", n_p)
+
+
+class TestPreambleFilter:
+    @pytest.mark.parametrize("n_p", GRID_LENGTHS)
+    @pytest.mark.parametrize("l_d", GRID_WINDOWS)
+    def test_synthesis_matches_direct_convolution(self, radio, n_p, l_d):
+        rng = np.random.default_rng(n_p * 1000 + l_d)
+        taps = rng.standard_normal((3, l_d)) + 1j * rng.standard_normal((3, l_d))
+        preamble = grid_preamble(n_p)
+        got = synthesize_records(taps, preamble, radio, np.ones(3))
+        ref = reference_records(taps, preamble, radio, np.ones(3))
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.all(got[:, -1] == 0.0)
+        assert np.array_equal(synthesize_records(taps[1:2], preamble, radio, np.ones(1)), got[1:2])
+
+    @pytest.mark.parametrize("n_p", GRID_LENGTHS)
+    @pytest.mark.parametrize("l_d", [0, *GRID_WINDOWS])
+    def test_correlation_matches_direct_sum(self, n_p, l_d):
+        rng = np.random.default_rng(n_p * 1000 + l_d + 1)
+        records = rng.standard_normal((3, n_p + l_d)) + 1j * rng.standard_normal((3, n_p + l_d))
+        preamble = grid_preamble(n_p)
+        got = cross_correlation(records, preamble)
+        ref = np.array([np.correlate(y, preamble, "valid") for y in records])
+        assert got.shape == ref.shape == (3, l_d + 1)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(cross_correlation(records[1], preamble), got[1])
+
+    def test_default_preamble_is_cut_into_nine_512_point_sections(self):
+        size, step = waveform._plan(3328, 114)
+        assert size == 512 and step == 512 - 114
+        # nine preamble sections to correlate, nine record blocks to synthesize
+        assert -(-3328 // step) == -(-(3328 + 114 - 1) // step) == 9
+
+    def test_one_block_where_partitioning_measured_slower(self):
+        # Wide windows on the structured preamble, and short preambles.
+        for n_p, l_d in [(3328, l_d) for l_d in range(500, 769)] + [
+            (n_p, l_d) for n_p in range(1, 129) for l_d in range(0, 1025, 3)
+        ]:
+            whole = waveform._fft_size(n_p + l_d)
+            assert waveform._plan(n_p, l_d) == (whole, whole), (n_p, l_d)
+
+    @pytest.mark.parametrize("n_p", GRID_LENGTHS)
+    @pytest.mark.parametrize("l_d", [0, *GRID_WINDOWS])
+    def test_a_partition_halves_the_transform_at_least(self, n_p, l_d):
+        # Two (block, size) buffers of a partition fit in the one-block buffer.
+        size, step = waveform._plan(n_p, l_d)
+        whole = waveform._fft_size(n_p + l_d)
+        assert (size, step) == (whole, whole) or (256 <= size <= whole // 2 and step == size - l_d > 0)
