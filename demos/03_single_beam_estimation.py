@@ -65,7 +65,7 @@ bank = build_bank(preamble, 100, radio.rolloff)
 true_delay = 80.37
 y = make_record([true_delay], [1e-5])
 q = basic_correlator(y, preamble)
-f = massive_correlator(y, bank, q)
+f = massive_correlator(cross_correlation(y, preamble), bank, q)
 fine_step_m = bin_m / bank.ratio
 print(f"off-grid path at {true_delay} samples: coarse bin {q}, refined {q + f:.2f}")
 print(f"    range error {abs(q + f - true_delay) * bin_m * 100:.4f} cm "
@@ -79,7 +79,7 @@ y = make_record([true_delay], [amp], rng=rng)
 thr = correlation_threshold(preamble, sigma, gamma=4.0)
 res = sic_candidates(y, preamble, thr)
 q = int(res.delays[0])
-f = massive_correlator(y, bank, q)
+f = massive_correlator(cross_correlation(y, preamble), bank, q)
 print("with noise at -15 dB per-sample SNR (the matched filter adds 35 dB):")
 print(f"    detected bin {q}, refined {q + f:.2f}, "
       f"range error {abs(q + f - true_delay) * bin_m * 100:.3f} cm")

@@ -14,7 +14,7 @@ per-sample SNRs and prints the variance ratio against the bound.
 import numpy as np
 
 from mmdepth.channel import SPEED_OF_LIGHT, RadioConfig, noise_variance, pulse_taps
-from mmdepth.estimator import basic_correlator, build_bank, massive_correlator
+from mmdepth.estimator import basic_correlator, build_bank, cross_correlation, massive_correlator
 from mmdepth.metrics import crlb_range
 from mmdepth.waveform import make_preamble, synthesize_rx
 
@@ -46,7 +46,7 @@ for snr_db in (-24.0, -18.0, -12.0, -6.0):
     for t in range(trials):
         y = synthesize_rx(taps, preamble, radio, 1.0, rng=rng).samples
         q = basic_correlator(y, preamble)
-        est[t] = 0.5 * SPEED_OF_LIGHT * ts * (q + massive_correlator(y, bank, q))
+        est[t] = 0.5 * SPEED_OF_LIGHT * ts * (q + massive_correlator(cross_correlation(y, preamble), bank, q))
     var = est.var()
     print(
         f"{snr_db:>9.0f} dB {snr_db + 10 * np.log10(n_p):>6.1f} dB "

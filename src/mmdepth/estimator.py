@@ -26,15 +26,15 @@ The processing ladder, lowest to highest:
                        field of view at most a few beams wide), and fills
                        beams with no detections from the previous beam in
                        raster order. No visiting order enters the picks.
-  build_bank /         sub-sample refinement: correlate the record window at
-  massive_correlator   the selected coarse delay against a bank of fractionally
-                       delayed preamble replicas on a ratio-times finer grid.
-                       Every replica is the 17-tap pulse kernel at its
-                       fractional shift applied to the preamble at 17 integer
-                       shifts, so the bank keeps those two factors: each
-                       window is correlated with the 17 shifted preambles over
-                       blocks of beams, and one small product with the kernels
-                       gives its correlation with every replica.
+  build_bank /         sub-sample refinement: score the matched-filter row
+  massive_correlator   around the selected coarse delay against a bank of
+                       fractionally delayed preamble replicas on a ratio-times
+                       finer grid. Every replica is the 17-tap pulse kernel at
+                       its fractional shift applied to the preamble, so its
+                       correlation with the record is that kernel applied to
+                       the 17 lags of the row around the pick: the bank keeps
+                       only the kernels, and one small product scores every
+                       replica for every beam.
   construct_maps       delays to range, range to depth through the beam angles.
   interpolate_map      nearest or cubic-convolution upscaling to display size.
 
@@ -160,7 +160,9 @@ def tail_noise_variance(samples: np.ndarray, n_tail: int) -> float | np.ndarray:
 
 
 def basic_correlator(samples: np.ndarray, preamble: np.ndarray) -> int:
-    """Strongest-path delay estimate; ties resolve to the smallest lag."""
+    """Strongest-path delay estimate of one record; ties resolve to the smallest lag."""
+    if np.ndim(samples) != 1:
+        raise ValueError("basic_correlator takes one record")
     c = cross_correlation(samples, preamble)
     return int(np.argmax(np.abs(c) ** 2))
 
@@ -309,23 +311,18 @@ def joint_processing(
 @dataclass
 class CorrelatorBank:
     """
-    Fractional-delay replica bank for sub-sample refinement, kept as factors.
+    Fractional-delay replica bank for sub-sample refinement, kept as kernels.
 
     Replica k, the preamble delayed by (k - delta) / (ratio * f_s), is
-    kernels[k] @ conj(conj_shifted): real pulse taps applied to the preamble
-    at integer shifts -PULSE_HALF_WIDTH .. +PULSE_HALF_WIDTH. Row k = delta
-    is unshifted. The (2*delta + 1, n_p) replicas themselves are never
-    formed; (kernels @ conj_shifted).conj() builds them when needed.
+    np.convolve(preamble, kernels[k]): real pulse taps applied to the
+    preamble at integer shifts -PULSE_HALF_WIDTH .. +PULSE_HALF_WIDTH, so
+    n_p + 16 samples long. Row k = delta is the unit impulse. The replicas
+    themselves are never formed.
     """
 
     ratio: int                # fine-grid oversampling factor R
     delta: int                # kernels span shifts -delta .. +delta
     kernels: np.ndarray       # (2*delta + 1, 17) real taps, scaled to a common replica energy
-    conj_shifted: np.ndarray  # (17, n_p) conjugated integer shifts of the preamble
-
-    @property
-    def n_p(self) -> int:
-        return self.conj_shifted.shape[1]
 
 
 def build_bank(preamble: np.ndarray, ratio: int, rolloff: float = 0.25) -> CorrelatorBank:
@@ -335,66 +332,62 @@ def build_bank(preamble: np.ndarray, ratio: int, rolloff: float = 0.25) -> Corre
     Replica k is the preamble passed through the same raised-cosine pulse
     the transmitter applies, delayed by (k - delta) / ratio of a sample, so
     the replicas live on the c / (2 * ratio * f_s) range grid and the one
-    matching a path's fractional delay reproduces its record window
+    matching a path's fractional delay reproduces its part of the record
     exactly. delta = ratio / 2 replicas on each side of center cover one
     full coarse bin. The pulse spans 17 taps, so replica k is kernels[k]
-    applied to the 17 integer shifts of the preamble; the bank keeps both
-    factors.
+    applied to the preamble at 17 integer shifts, and the bank keeps only
+    the kernels.
 
     A time shift preserves the energy of the continuous waveform, but
     sampling its fractional shifts does not, so the kernels are rescaled to
     a common replica energy. Without this the argmax statistic drifts toward
     the higher-energy replicas near zero shift. Replica k's energy is
-    kernels[k] @ G @ kernels[k] with G the 17 x 17 Gram matrix of the
-    shifted preambles, so no replica is formed to measure it.
+    kernels[k] @ G @ kernels[k] with G[i, j] = R[j - i] the 17 x 17 Toeplitz
+    Gram matrix of the shifted preambles, R from preamble_autocorrelation,
+    so no replica is formed to measure it.
     """
     if ratio < 2 or ratio % 2:
         raise ValueError("ratio must be an even integer >= 2")
     delta = ratio // 2
-    n_p = len(preamble)
     frac = (np.arange(2 * delta + 1) - delta) / ratio
     kernels = pulse_window(-frac, rolloff)  # (2*delta + 1, 17): p(k - frac), k = -8..8
-    # shifted[j, n] = s[n + PULSE_HALF_WIDTH - j], zero outside the preamble,
-    # so kernels @ shifted is the centred slice of each replica's convolution.
-    padded = np.zeros(n_p + 2 * PULSE_HALF_WIDTH, dtype=complex)
-    padded[PULSE_HALF_WIDTH : PULSE_HALF_WIDTH + n_p] = preamble
-    conj_shifted = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(padded, n_p)[::-1].conj())
-    gram = conj_shifted.conj() @ conj_shifted.T  # G[i, j] = <shifted_i, shifted_j>
+    taps = np.arange(2 * PULSE_HALF_WIDTH + 1)
+    auto = preamble_autocorrelation(preamble, 2 * PULSE_HALF_WIDTH)
+    gram = auto[2 * PULSE_HALF_WIDTH + taps[None, :] - taps[:, None]]  # G[i, j] = R[j - i]
     norms = np.sqrt(np.einsum("ki,ij,kj->k", kernels, gram, kernels).real)
     kernels *= (norms[delta] / norms)[:, None]
-    return CorrelatorBank(ratio=ratio, delta=delta, kernels=kernels, conj_shifted=conj_shifted)
+    return CorrelatorBank(ratio=ratio, delta=delta, kernels=kernels)
 
 
 def massive_correlator(
-    samples: np.ndarray | list[np.ndarray],
+    correlation: np.ndarray,
     bank: CorrelatorBank,
     coarse_delay: int | np.ndarray,
 ) -> float | np.ndarray:
     """
     Refine beam delays to the bank's fine grid.
 
-    samples is one record with a scalar coarse_delay, or a stack of records
-    (a 2-D array or a list) with one coarse delay per row. The raw record
-    window starting at each selected coarse bin is correlated against the
-    bank's 17 shifted preambles, over blocks of _BLOCK records, and one
-    (M, 17) @ (17, 2*delta + 1) product with the kernels gives its
-    correlation with every replica. The winning shift comes back as a
-    fraction of a coarse sample (in -1/2 .. +1/2), to be added to the coarse
-    delay: a float for one record, an array for a stack.
+    correlation is one record's matched-filter row (cross_correlation, lags
+    0 .. l_d) with a scalar coarse_delay, or an (M, l_d + 1) matrix of rows
+    with one coarse delay per row. Replica k's correlation with the record
+    at coarse delay d is kernels[k] applied to the row's 17 lags
+    c[d - 8 .. d + 8]; lags outside 0 .. l_d read as 0. One
+    (M, 17) @ (17, 2*delta + 1) product scores every replica of every beam.
+    The winning shift comes back as a fraction of a coarse sample (in
+    -1/2 .. +1/2), to be added to the coarse delay: a float for one row, an
+    array for a matrix.
     """
     single = np.ndim(coarse_delay) == 0
-    records = np.atleast_2d(samples)
+    rows = np.atleast_2d(correlation)
     delays = np.atleast_1d(coarse_delay)
-    if len(records) != len(delays):
-        raise ValueError("need one coarse delay per record")
-    n_p = bank.n_p
-    if np.any((delays < 0) | (delays + n_p > records.shape[1])):
-        raise ValueError("coarse delay window leaves the record")
-    windows = np.lib.stride_tricks.sliding_window_view(records, n_p, axis=1)
-    lags = np.empty((len(delays), len(bank.conj_shifted)), dtype=complex)
-    for start in range(0, len(delays), _BLOCK):
-        block = np.arange(start, min(start + _BLOCK, len(delays)))
-        lags[block] = windows[block, delays[block]] @ bank.conj_shifted.T
+    if rows.ndim != 2 or len(rows) != len(delays):
+        raise ValueError("need one coarse delay per correlation row")
+    l_d = rows.shape[1] - 1
+    if np.any((delays < 0) | (delays > l_d)):
+        raise ValueError("coarse delay outside the lags 0 .. l_d")
+    lag = delays[:, None] + np.arange(-PULSE_HALF_WIDTH, PULSE_HALF_WIDTH + 1)
+    lags = np.take_along_axis(rows, np.clip(lag, 0, l_d), axis=1)
+    lags[(lag < 0) | (lag > l_d)] = 0
     g = lags @ bank.kernels.T
     fine = (np.argmax(np.abs(g), axis=1) - bank.delta) / bank.ratio
     return float(fine[0]) if single else fine

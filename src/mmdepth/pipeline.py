@@ -40,9 +40,9 @@ filtered over blocks of beams, both through one partitioned FFT filter
 size above the delay window, transformed in place in reused block buffers.
 The paths are released once the taps exist, and the taps once the records
 exist. The cancellation then runs beam
-after beam on that beam's correlation row, and refinement correlates each
-beam's window with the 17 integer shifts of the preamble over blocks of
-beams, then scores every fractional replica for all beams in one
+after beam on that beam's correlation row, and refinement reads the 17 lags
+of each beam's row around its pick from the same (M, l_d + 1) matrix,
+scoring every fractional replica for all beams in one
 (M, 17) @ (17, 2*delta + 1) product. Every beam draws its noise from its own
 spawned generator, so results do not depend on beam order or block size. A
 beam's cancellation stops at gamma^2 E_p times its noise level, the mean
@@ -536,7 +536,8 @@ def estimate(obs: Observation, cfg: ScenarioConfig) -> RunArtifacts:
     Process an observation under cfg: cancellation, joint delay selection,
     sub-sample refinement, then the maps and their error reports.
 
-    cfg may differ from obs.config only in ESTIMATION_KEYS, else this
+    Cancellation and refinement read one matched-filter matrix, computed
+    from the records by _detect. cfg may differ from obs.config only in ESTIMATION_KEYS, else this
     raises ValueError. obs is only read, so one observation can be estimated
     under many settings. The artifacts' timings_s are the observation's
     followed by the estimation's stages.
@@ -547,16 +548,16 @@ def estimate(obs: Observation, cfg: ScenarioConfig) -> RunArtifacts:
     if want != have:
         differ = sorted(key for key in want if want[key] != have[key])
         raise ValueError(f"config differs from the observation's outside ESTIMATION_KEYS, in {differ}")
-    cb, samples = obs.codebook, obs.samples
-    delay_sets, truncated_beams = _detect(samples, obs.preamble, cfg)
+    cb = obs.codebook
+    delay_sets, truncated_beams, correlation = _detect(obs.samples, obs.preamble, cfg)
     t0 = _clock(timings, "sic", t0)
 
     selected, filled = joint_processing(delay_sets, cb.n_bar_h, cb.n_bar_v)
     t0 = _clock(timings, "joint", t0)
 
     bank = build_bank(obs.preamble, cfg.estimator.refine_ratio, cfg.radio.rolloff)
-    fine = massive_correlator(samples, bank, selected.ravel())
-    fine = fine.reshape(selected.shape)
+    fine = massive_correlator(correlation, bank, selected.ravel()).reshape(selected.shape)
+    del correlation
     t0 = _clock(timings, "refine", t0)
 
     range_map, depth_map = construct_maps(
@@ -609,14 +610,14 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunArtifacts:
     return art
 
 
-def _detect(samples: np.ndarray, preamble: np.ndarray, cfg: ScenarioConfig) -> tuple[list[np.ndarray], int]:
+def _detect(samples: np.ndarray, preamble: np.ndarray, cfg: ScenarioConfig) -> tuple[list, int, np.ndarray]:
     """
-    Candidate delay sets of all beams and the number of beams cut at the
-    iteration cap: one matched-filter pass over the record array, then
-    cancellation beam by beam on its correlation row, down to a threshold
-    set by the mean power of that record's last sim.guard_taps samples. The
-    (M, l_d + 1) correlation matrix and the per-beam coefficients are
-    released on return, before refinement.
+    Candidate delay sets of all beams, the number of beams cut at the
+    iteration cap and the (M, l_d + 1) correlation matrix: one matched-filter
+    pass over the record array, then cancellation beam by beam on a copy of
+    its correlation row, down to a threshold set by the mean power of that
+    record's last sim.guard_taps samples. The matrix lives on, as filtered,
+    until refinement has read it.
     """
     est = cfg.estimator
     noise_var = tail_noise_variance(samples, cfg.sim.guard_taps)
@@ -624,7 +625,7 @@ def _detect(samples: np.ndarray, preamble: np.ndarray, cfg: ScenarioConfig) -> t
     correlation = cross_correlation(samples, preamble)
     auto = preamble_autocorrelation(preamble, correlation.shape[1] - 1)
     results = [cancel_candidates(c, auto, thr) for c, thr in zip(correlation, thresholds)]
-    return [r.delays for r in results], sum(r.truncated for r in results)
+    return [r.delays for r in results], sum(r.truncated for r in results), correlation
 
 
 def _cell(value) -> str:

@@ -13,8 +13,9 @@ MKL_NUM_THREADS=<n>" with "unset" for a variable that is not set, so that
 diff shows a mismatch.
 
 Every other line is "<case> <item> <sha256>". The items, in pipeline order:
-paths.<column> for every PathSet column, taps, records, candidates (each
-beam's SIC delay set, iteration count and truncation flag, in beam order),
+paths.<column> for every PathSet column, taps, records, correlation (the
+(M, l_d + 1) matched-filter matrix), candidates (each beam's SIC delay set,
+iteration count and truncation flag, in beam order),
 selected, offsets
 (the fine offsets as integer indices on the refinement grid), filled, every
 estimated map and its truth (map.<key>, truth.<key> for each key of
@@ -109,14 +110,18 @@ def digests(config: dict) -> list[tuple[str, str]]:
         with (
             _kept("trace_backscatter_paths", seen),
             _kept("beamformed_taps_batch", seen),
+            _kept("cross_correlation", seen),
             _kept("cancel_candidates", seen),
         ):
             art = run_scenario(cfg, out_dir=tmp)
-        (paths,), (taps,) = seen["trace_backscatter_paths"], seen["beamformed_taps_batch"]
+        (paths,), (taps,), (correlation,) = (
+            seen[name] for name in ("trace_backscatter_paths", "beamformed_taps_batch", "cross_correlation")
+        )
         items = [(f"paths.{f.name}", _sha(getattr(paths, f.name))) for f in fields(PathSet)]
         items += [
             ("taps", _sha(taps)),
             ("records", _sha(np.stack([r.samples for r in art.records]))),
+            ("correlation", _sha(correlation)),
             ("candidates", _sha(_candidate_table(seen["cancel_candidates"]))),
             ("selected", _sha(art.selected.astype(np.int64))),
             ("offsets", _sha(np.rint(art.fine_offsets * cfg.estimator.refine_ratio).astype(np.int64))),

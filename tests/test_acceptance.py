@@ -30,6 +30,7 @@ from mmdepth.codebook import SceneView, UpaConfig, design_codebook, steering_vec
 from mmdepth.estimator import (
     basic_correlator,
     build_bank,
+    cross_correlation,
     massive_correlator,
     preamble_energy,
     sic_candidates,
@@ -102,7 +103,7 @@ def test_criterion_02_correlator_delay_accuracy(capsys, record_builder, golay_pr
         true_delay = rng.uniform(20.0, 140.0)
         y = record_builder([true_delay], [1e-5])
         q = basic_correlator(y, golay_preamble)
-        f = massive_correlator(y, bank, q)
+        f = massive_correlator(cross_correlation(y, golay_preamble), bank, q)
         worst_m = max(worst_m, abs((q + f - true_delay) * half_bin_m))
     elapsed = time.perf_counter() - t0
     ok = on_grid_exact and worst_m <= 7.5e-4 and elapsed < 10.0
@@ -240,7 +241,7 @@ def test_criterion_07_estimator_respects_crlb(capsys, golay_preamble, radio):
     for _ in range(500):
         y = synthesize_rx(taps, golay_preamble, radio, 1.0, rng=rng).samples
         q = basic_correlator(y, golay_preamble)
-        f = massive_correlator(y, bank, q)
+        f = massive_correlator(cross_correlation(y, golay_preamble), bank, q)
         estimates.append(0.5 * SPEED_OF_LIGHT * ts * (q + f))
     var = float(np.var(estimates))
     ratio = var / bound

@@ -4,10 +4,11 @@ fractional-delay refinement, and map construction.
 
 Oracles are synthetic records built from the same pulse model the channel
 uses, so every expected value is known by construction. The correlation-domain
-cancellation, the stacked matched filter, the factored replica bank and the
-17-lag refinement are also checked against their record-domain, direct,
-row-by-row and replica-bank references on noisy multipath records, and the
-cancellation against the loop that allocated fresh arrays on every pass.
+cancellation, the stacked matched filter, the kernel-only replica bank and the
+refinement read from correlation rows are also checked against their
+record-domain, direct, row-by-row and explicitly formed replica references on
+noisy multipath records, and the cancellation against the loop that allocated
+fresh arrays on every pass.
 """
 import tracemalloc
 
@@ -98,33 +99,43 @@ def reference_cancel_candidates(correlation, autocorrelation, threshold, max_ite
 
 
 def reference_bank(preamble, ratio, rolloff=0.25):
-    """Replica bank built row by row, one np.convolve per fractional shift."""
-    delta = ratio // 2
-    n_p = len(preamble)
-    taps = np.arange(-PULSE_HALF_WIDTH, PULSE_HALF_WIDTH + 1, dtype=float)
-    rows = np.empty((2 * delta + 1, n_p), dtype=complex)
-    for k in range(2 * delta + 1):
-        kernel = raised_cosine(taps - (k - delta) / ratio, 1.0, rolloff)
-        rows[k] = np.convolve(preamble, kernel)[PULSE_HALF_WIDTH : PULSE_HALF_WIDTH + n_p]
-    norms = np.linalg.norm(rows, axis=1)
-    return rows * (norms[delta] / norms)[:, None]
-
-
-def replicas(bank):
-    """The (2*delta + 1, n_p) replicas a bank's factors stand for."""
-    return (bank.kernels @ bank.conj_shifted).conj()
-
-
-def reference_massive_correlator(samples, rows, ratio, coarse_delays):
     """
-    Refinement against formed replica rows: every beam's window gathered into
-    one (M, n_p) array and correlated against every row in one product.
+    Kernels and replicas built row by row: replica k is one np.convolve of the
+    preamble with its 17-tap kernel, n_p + 16 samples, and its kernel is
+    scaled so that every formed replica has the energy of the center one.
+    """
+    delta = ratio // 2
+    taps = np.arange(-PULSE_HALF_WIDTH, PULSE_HALF_WIDTH + 1, dtype=float)
+    kernels = np.array([raised_cosine(taps - (k - delta) / ratio, 1.0, rolloff) for k in range(2 * delta + 1)])
+    rows = np.array([np.convolve(preamble, kernel) for kernel in kernels])
+    scale = np.linalg.norm(rows[delta]) / np.linalg.norm(rows, axis=1)
+    return kernels * scale[:, None], rows * scale[:, None]
+
+
+def replicas(bank, preamble):
+    """The (2*delta + 1, n_p + 16) replicas a bank's kernels stand for."""
+    return np.array([np.convolve(preamble, kernel) for kernel in bank.kernels])
+
+
+def reference_massive_correlator(samples, preamble, kernels, ratio, coarse_delays):
+    """
+    Refinement against formed replicas: each replica, n_p + 16 samples, is
+    correlated with the record, zero-extended by 8 samples on each side, over
+    the window that starts 8 samples before the pick. massive_correlator reads
+    a matched-filter lag outside 0 .. l_d as 0, so a kernel tap whose lag
+    d - 8 + j leaves that range is zeroed before its replica is formed.
     """
     records = np.atleast_2d(samples)
-    n_p = rows.shape[1]
-    windows = np.lib.stride_tricks.sliding_window_view(records, n_p, axis=1)[np.arange(len(records)), coarse_delays]
-    g = windows @ rows.conj().T
-    return (np.argmax(np.abs(g), axis=1) - ratio // 2) / ratio
+    n_p = len(preamble)
+    l_d = records.shape[1] - n_p
+    fine = []
+    for y, d in zip(records, coarse_delays):
+        window = np.pad(y, PULSE_HALF_WIDTH)[d : d + n_p + 2 * PULSE_HALF_WIDTH]
+        lag = d - PULSE_HALF_WIDTH + np.arange(2 * PULSE_HALF_WIDTH + 1)
+        keep = (lag >= 0) & (lag <= l_d)
+        g = np.array([np.vdot(np.convolve(preamble, kernel * keep), window) for kernel in kernels])
+        fine.append((np.argmax(np.abs(g)) - ratio // 2) / ratio)
+    return np.array(fine)
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +292,15 @@ class TestBasicCorrelator:
         preamble = np.ones(2, dtype=complex)
         samples = np.ones(5, dtype=complex)
         assert basic_correlator(samples, preamble) == 0
+
+    def test_stack_is_rejected(self, golay_preamble):
+        # The argmax of a flattened (M, l_d + 1) matrix is no lag: these rows
+        # would all read as 5.
+        stack = np.zeros((3, len(golay_preamble) + 160), dtype=complex)
+        for row, d in zip(stack, (5, 12, 17)):
+            row[d : d + len(golay_preamble)] = golay_preamble
+        with pytest.raises(ValueError, match="one record"):
+            basic_correlator(stack, golay_preamble)
 
 
 class TestSicCandidates:
@@ -535,34 +555,34 @@ class TestJointProcessing:
 class TestCorrelatorBank:
     def test_rows_share_common_energy(self, golay_preamble, radio):
         bank = build_bank(golay_preamble, 8, radio.rolloff)
-        norms = np.linalg.norm(replicas(bank), axis=1)
+        norms = np.linalg.norm(replicas(bank, golay_preamble), axis=1)
         assert np.allclose(norms, norms[bank.delta], rtol=1e-12)
 
     def test_center_row_is_unshifted_preamble(self, golay_preamble, radio):
         bank = build_bank(golay_preamble, 4, radio.rolloff)
-        assert np.allclose(replicas(bank)[bank.delta], golay_preamble, atol=1e-12)
+        padded = np.pad(golay_preamble, PULSE_HALF_WIDTH)
+        assert np.allclose(replicas(bank, golay_preamble)[bank.delta], padded, atol=1e-12)
 
     def test_row_count_spans_one_coarse_bin(self, pn_preamble):
         bank = build_bank(pn_preamble, 10)
-        assert replicas(bank).shape == (11, 256)
+        assert replicas(bank, pn_preamble).shape == (11, 256 + 2 * PULSE_HALF_WIDTH)
         assert bank.kernels.shape == (11, 2 * PULSE_HALF_WIDTH + 1)
-        assert bank.conj_shifted.shape == (2 * PULSE_HALF_WIDTH + 1, 256)
         assert bank.delta == 5
 
     @pytest.mark.parametrize("kind", ["golay", "pn"])
     @pytest.mark.parametrize("ratio", [2, 8, 100])
     def test_matches_per_row_convolution(self, golay_preamble, pn_preamble, radio, kind, ratio):
         preamble = golay_preamble if kind == "golay" else pn_preamble
-        rows = replicas(build_bank(preamble, ratio, radio.rolloff))
-        ref = reference_bank(preamble, ratio, radio.rolloff)
+        rows = replicas(build_bank(preamble, ratio, radio.rolloff), preamble)
+        _, ref = reference_bank(preamble, ratio, radio.rolloff)
         assert rows.shape == ref.shape
         assert np.all(np.abs(rows - ref).max(axis=1) <= 1e-14 * np.linalg.norm(ref, axis=1))
 
-    def test_real_preamble_gives_complex_rows(self, radio):
+    def test_real_preamble_matches_per_row_convolution(self, radio):
         preamble = np.tile([1.0, -1.0, -1.0, 1.0], 16)
-        rows = replicas(build_bank(preamble, 4, radio.rolloff))
-        assert rows.dtype == complex and rows.shape == (5, 64)
-        assert np.abs(rows - reference_bank(preamble, 4, radio.rolloff)).max() <= 1e-14 * 8.0
+        rows = replicas(build_bank(preamble, 4, radio.rolloff), preamble)
+        assert rows.shape == (5, 64 + 2 * PULSE_HALF_WIDTH)
+        assert np.abs(rows - reference_bank(preamble, 4, radio.rolloff)[1]).max() <= 1e-14 * 8.0
 
     def test_ratio_must_be_even_and_at_least_two(self, pn_preamble):
         with pytest.raises(ValueError, match="even"):
@@ -578,7 +598,7 @@ class TestMassiveCorrelator:
     ):
         y = record_builder([50 + offset], [1e-5])
         bank = build_bank(golay_preamble, 4, radio.rolloff)
-        assert massive_correlator(y, bank, 50) == offset
+        assert massive_correlator(cross_correlation(y, golay_preamble), bank, 50) == offset
 
     def test_random_offsets_within_one_fine_step(self, radio, record_builder, golay_preamble):
         # Nearest-grid quantization errs by half a step, plus a hair when an
@@ -589,60 +609,61 @@ class TestMassiveCorrelator:
         for _ in range(10):
             offset = rng.uniform(-0.5, 0.5)
             y = record_builder([80 + offset], [1e-5])
-            est = massive_correlator(y, bank, 80)
+            est = massive_correlator(cross_correlation(y, golay_preamble), bank, 80)
             assert abs(est - offset) <= 1.0 / 100
 
     def test_window_bounds_validated(self, golay_preamble, radio):
         bank = build_bank(golay_preamble, 4, radio.rolloff)
-        y = np.zeros(3328 + 160, dtype=complex)
-        with pytest.raises(ValueError, match="window"):
-            massive_correlator(y, bank, -1)
-        with pytest.raises(ValueError, match="window"):
-            massive_correlator(y, bank, 161)
-        # A stack is rejected when any one row's window leaves its record.
-        stack = np.zeros((3, 3328 + 160), dtype=complex)
+        c = np.zeros(160 + 1, dtype=complex)
+        with pytest.raises(ValueError, match="outside the lags"):
+            massive_correlator(c, bank, -1)
+        with pytest.raises(ValueError, match="outside the lags"):
+            massive_correlator(c, bank, 161)
+        # A matrix is rejected when any one row's coarse delay leaves its lags.
+        rows = np.zeros((3, 160 + 1), dtype=complex)
         for bad in ([5, -1, 7], [5, 7, 161]):
-            with pytest.raises(ValueError, match="window"):
-                massive_correlator(stack, bank, np.array(bad))
-        with pytest.raises(ValueError, match="one coarse delay per record"):
-            massive_correlator(stack, bank, np.array([1, 2]))
+            with pytest.raises(ValueError, match="outside the lags"):
+                massive_correlator(rows, bank, np.array(bad))
+        with pytest.raises(ValueError, match="one coarse delay per correlation row"):
+            massive_correlator(rows, bank, np.array([1, 2]))
 
     def test_stack_equals_per_row_loop(self, noisy_multipath, golay_preamble, radio):
         bank = build_bank(golay_preamble, 100, radio.rolloff)
-        records = [noisy_multipath(golay_preamble, 100 + k)[0] for k in range(6)]
+        records = np.stack([noisy_multipath(golay_preamble, 100 + k)[0] for k in range(6)])
+        rows = cross_correlation(records, golay_preamble)
         coarse = np.array([0, 17, 58, 99, 140, 160])
-        loop = np.array([massive_correlator(y, bank, int(d)) for y, d in zip(records, coarse)])
-        assert np.array_equal(massive_correlator(records, bank, coarse), loop)
-        assert np.array_equal(massive_correlator(np.stack(records), bank, coarse), loop)
+        loop = np.array([massive_correlator(c, bank, int(d)) for c, d in zip(rows, coarse)])
+        assert np.array_equal(massive_correlator(rows, bank, coarse), loop)
 
     @pytest.mark.parametrize("kind", ["golay", "pn"])
     @pytest.mark.parametrize("ratio", [2, 8, 100])
     def test_one_product_bank_keeps_the_picks(
         self, noisy_multipath, golay_preamble, pn_preamble, radio, kind, ratio
     ):
-        # The 17-lag form picks what the row-by-row replica bank picks, with
-        # windows at both ends of the record among the coarse delays.
+        # The 17-lag form picks what the explicitly formed replicas pick, with
+        # picks at both ends of the lags among the coarse delays.
         preamble = golay_preamble if kind == "golay" else pn_preamble
         bank = build_bank(preamble, ratio, radio.rolloff)
-        rows = reference_bank(preamble, ratio, radio.rolloff)
+        kernels, _ = reference_bank(preamble, ratio, radio.rolloff)
         stack = np.array([noisy_multipath(preamble, 200 + k)[0] for k in range(40)])
+        rows = cross_correlation(stack, preamble)
         l_d = stack.shape[1] - len(preamble)
         strongest = np.array([basic_correlator(y, preamble) for y in stack])
         for coarse in (strongest, np.full(40, 40), np.arange(40) * 4, np.linspace(0, l_d, 40).astype(int)):
-            want = reference_massive_correlator(stack, rows, ratio, coarse)
-            assert np.array_equal(massive_correlator(stack, bank, coarse), want)
+            want = reference_massive_correlator(stack, preamble, kernels, ratio, coarse)
+            assert np.array_equal(massive_correlator(rows, bank, coarse), want)
 
     def test_allocates_no_window_array(self, golay_preamble, radio):
-        # The lags are taken over blocks of beams: a (256, 3328) gather of
-        # every window would alone take 13 MiB.
+        # The 17 lags are read from the correlation rows: a (256, 3328) gather
+        # of every record window would alone take 13 MiB.
         bank = build_bank(golay_preamble, 100, radio.rolloff)
         rng = np.random.default_rng(3)
-        stack = rng.standard_normal((256, 3328 + 200)) + 1j * rng.standard_normal((256, 3328 + 200))
+        rows = rng.standard_normal((256, 200 + 1)) + 1j * rng.standard_normal((256, 200 + 1))
         coarse = rng.integers(0, 201, 256)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            massive_correlator(stack, bank, coarse)
+            massive_correlator(rows, bank, coarse)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
