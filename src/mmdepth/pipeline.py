@@ -12,16 +12,17 @@ processing what it measured:
 
     simulate(cfg) -> Observation
         codebook -> scene paths + ray-cast truth -> per-beam channel taps ->
-        noisy records
+        noisy records, matched-filtered and dropped block by block
     estimate(obs, cfg) -> RunArtifacts
         per-beam cancellation -> joint delay selection -> sub-sample
         refinement -> range / depth maps -> error reports
 
-The Observation holds the records (read-only), the codebook and the truth
-maps, and estimate only reads it. ESTIMATION_KEYS (name, estimator.gamma,
-estimator.refine_ratio, output.interpolation, output.write_records) are the
-config keys only estimation and the artifact writing read; estimate refuses
-a config that differs from the observation's anywhere else. A sweep
+The Observation holds the matched-filter rows and noise levels
+(read-only), the codebook and the truth maps, and estimate only reads it.
+ESTIMATION_KEYS (name, estimator.gamma, estimator.refine_ratio,
+output.interpolation, output.write_records) are the config keys only
+estimation and the artifact writing read; estimate refuses a config that
+differs from the observation's anywhere else. A sweep
 simulates only when a value's config differs from the previous one outside
 those keys, so a sweep over estimator.gamma simulates once.
 
@@ -34,17 +35,22 @@ RunArtifacts.map_pairs and RunArtifacts.counts: scoring, the artifacts,
 sweep rows and the CLI all read them there, so a map pair added to the list
 is both scored and written.
 
-All records are synthesized into one (M, n_p + l_d) array and matched-
-filtered over blocks of beams, both through one partitioned FFT filter
-(mmdepth.waveform): the preamble is cut into sections of a short transform
-size above the delay window, transformed in place in reused block buffers.
-The paths are released once the taps exist, and the taps once the records
-exist. The cancellation then runs beam
+The records are synthesized a block of _BLOCK beams at a time, and each
+block is matched-filtered and its tail noise level taken at once, both
+through one partitioned FFT filter (mmdepth.waveform): the preamble is cut
+into sections of a short transform size above the delay window, transformed
+in place in reused block buffers. The Observation keeps only what
+estimation reads of a record: the (M, l_d + 1) correlation matrix and one
+noise level per beam, so no more than one block of records is alive. It
+also keeps the taps and the per-beam noise seeds, from which it rebuilds
+the (M, n_p + l_d) record array, with the same bytes, only when someone
+reads Observation.samples or .records (the records.bin dump does). The
+paths are released once the taps exist. The cancellation then runs beam
 after beam on that beam's correlation row, and refinement reads the 17 lags
-of each beam's row around its pick from the same (M, l_d + 1) matrix,
+of each beam's row around its pick from the same matrix,
 scoring every fractional replica for all beams in one
 (M, 17) @ (17, 2*delta + 1) product. Every beam draws its noise from its own
-spawned generator, so results do not depend on beam order or block size. A
+spawned seed, so results do not depend on beam order or block size. A
 beam's cancellation stops at gamma^2 E_p times its noise level, the mean
 power of its record's tail: the last sim.guard_taps samples, past the latest
 path. The scene is built once, when the config is validated
@@ -53,6 +59,7 @@ path. The scene is built once, when the config is validated
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import json
@@ -117,6 +124,10 @@ __all__ = [
     "sweep",
     "SWEEP_COLUMNS",
 ]
+
+# Beams per block of the records stage: a block's records are synthesized,
+# matched-filtered and dropped before the next block's.
+_BLOCK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +387,10 @@ def apply_override(data: dict, dotted: str, value) -> None:
 
 @dataclass
 class RunArtifacts:
-    """Everything a scenario run produced, in memory."""
+    """
+    Everything a scenario run produced, in memory. The records are the
+    observation's (Observation.records), formed only when read.
+    """
 
     config: ScenarioConfig
     config_hash: str
@@ -384,7 +398,7 @@ class RunArtifacts:
     scene: Scene
     n_paths: int
     l_d: int
-    records: list[SensingRecord]
+    observation: Observation           # what the run estimated from
     selected: np.ndarray               # (n_bar_v, n_bar_h) coarse delay bins
     fine_offsets: np.ndarray           # sub-sample refinement, coarse-bin units
     filled: np.ndarray                 # beams whose delay came from hole filling
@@ -401,6 +415,11 @@ class RunArtifacts:
     air_time_s: float                  # M * N_p * T_s on-air duration
     timings_s: dict[str, float]
     files: list[str] = field(default_factory=list)
+
+    @property
+    def records(self) -> list[SensingRecord]:
+        """The observation's records, one per beam: rebuilt on first read (Observation.samples)."""
+        return self.observation.records
 
     @property
     def map_pairs(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -445,6 +464,12 @@ class Observation:
     """
     What one beam sweep measured, and the truth it is scored against: the
     output of simulate and the input of estimate, which only reads it.
+
+    Estimation reads a record only through its matched-filter row and its
+    tail noise level, so those are what is kept: correlation and noise_var.
+    The records themselves are derived data. The first read of samples (or
+    of records, its row views) synthesizes them once from the kept taps and
+    noise seeds, with the bytes simulate filtered, and keeps them.
     """
 
     config: ScenarioConfig             # the config it was simulated under
@@ -452,13 +477,29 @@ class Observation:
     n_paths: int
     l_d: int
     preamble: np.ndarray
-    samples: np.ndarray                # (M, n_p + l_d) records, read-only
-    records: list[SensingRecord]       # row views of samples
+    taps: np.ndarray                   # (M, l_d) channel taps, read-only
+    noise: tuple[np.random.SeedSequence, ...]  # one record noise seed per beam
+    correlation: np.ndarray            # (M, l_d + 1) matched-filter rows, read-only
+    noise_var: np.ndarray              # (M,) tail noise levels, read-only
     gt_range: np.ndarray               # truth at estimation resolution
     gt_depth: np.ndarray
     gt_range_out: np.ndarray | None    # truth at display size
     gt_depth_out: np.ndarray | None
     timings_s: dict[str, float]        # the simulation's stages
+
+    @functools.cached_property
+    def samples(self) -> np.ndarray:
+        """The (M, n_p + l_d) records, read-only: synthesized on first read."""
+        samples = synthesize_records(
+            self.taps, self.preamble, self.config.radio, self.codebook.combine_norm_sq, self.noise
+        )
+        samples.flags.writeable = False  # before the row views, which inherit it
+        return samples
+
+    @functools.cached_property
+    def records(self) -> list[SensingRecord]:
+        """One SensingRecord per beam, row views of samples."""
+        return [SensingRecord(m, len(self.preamble), self.l_d, row) for m, row in enumerate(self.samples)]
 
 
 def _simulated_part(cfg: ScenarioConfig) -> dict:
@@ -490,6 +531,13 @@ def simulate(cfg: ScenarioConfig) -> Observation:
     sim.seed spawns one child for the scene scattering phases and then, with
     the records, one per beam for record noise (spawn keys 0 and 1 .. M), so
     results do not depend on beam execution order.
+
+    The records stage synthesizes _BLOCK beams' records at a time and takes
+    each block's tail noise levels and matched-filter rows before the next;
+    only those are kept, with the taps and the noise seeds. A record row
+    does not depend on its block, so the rows are those of one
+    synthesize_records call over all beams, the call that
+    Observation.samples makes when read.
     """
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -521,13 +569,20 @@ def simulate(cfg: ScenarioConfig) -> Observation:
     t0 = _clock(timings, "channel_taps", t0)
 
     preamble = make_preamble(cfg.waveform.kind, cfg.waveform.length, cfg.waveform.seed)
-    samples = synthesize_records(taps, preamble, cfg.radio, cb.combine_norm_sq, master.spawn(cb.m))
-    del taps
-    samples.flags.writeable = False  # before the row views, which inherit it
-    records = [SensingRecord(m, len(preamble), l_d, row) for m, row in enumerate(samples)]
+    noise = tuple(master.spawn(cb.m))
+    correlation = np.empty((cb.m, l_d + 1), dtype=complex)
+    noise_var = np.empty(cb.m)
+    for first in range(0, cb.m, _BLOCK):
+        part = slice(first, first + _BLOCK)
+        block = synthesize_records(taps[part], preamble, cfg.radio, cb.combine_norm_sq[part], noise[part])
+        noise_var[part] = tail_noise_variance(block, cfg.sim.guard_taps)
+        correlation[part] = cross_correlation(block, preamble)
+    for kept in (taps, correlation, noise_var):
+        kept.flags.writeable = False
     _clock(timings, "records", t0)
     return Observation(
-        cfg, cb, n_paths, l_d, preamble, samples, records, gt_range, gt_depth, gt_range_out, gt_depth_out, timings
+        cfg, cb, n_paths, l_d, preamble, taps, noise, correlation, noise_var,
+        gt_range, gt_depth, gt_range_out, gt_depth_out, timings,
     )
 
 
@@ -536,8 +591,9 @@ def estimate(obs: Observation, cfg: ScenarioConfig) -> RunArtifacts:
     Process an observation under cfg: cancellation, joint delay selection,
     sub-sample refinement, then the maps and their error reports.
 
-    Cancellation and refinement read one matched-filter matrix, computed
-    from the records by _detect. cfg may differ from obs.config only in ESTIMATION_KEYS, else this
+    Cancellation and refinement read the observation's matched-filter
+    matrix, and the thresholds its noise levels; the records are not
+    formed. cfg may differ from obs.config only in ESTIMATION_KEYS, else this
     raises ValueError. obs is only read, so one observation can be estimated
     under many settings. The artifacts' timings_s are the observation's
     followed by the estimation's stages.
@@ -549,15 +605,14 @@ def estimate(obs: Observation, cfg: ScenarioConfig) -> RunArtifacts:
         differ = sorted(key for key in want if want[key] != have[key])
         raise ValueError(f"config differs from the observation's outside ESTIMATION_KEYS, in {differ}")
     cb = obs.codebook
-    delay_sets, truncated_beams, correlation = _detect(obs.samples, obs.preamble, cfg)
+    delay_sets, truncated_beams = _detect(obs, cfg)
     t0 = _clock(timings, "sic", t0)
 
     selected, filled = joint_processing(delay_sets, cb.n_bar_h, cb.n_bar_v)
     t0 = _clock(timings, "joint", t0)
 
     bank = build_bank(obs.preamble, cfg.estimator.refine_ratio, cfg.radio.rolloff)
-    fine = massive_correlator(correlation, bank, selected.ravel()).reshape(selected.shape)
-    del correlation
+    fine = massive_correlator(obs.correlation, bank, selected.ravel()).reshape(selected.shape)
     t0 = _clock(timings, "refine", t0)
 
     range_map, depth_map = construct_maps(
@@ -574,7 +629,7 @@ def estimate(obs: Observation, cfg: ScenarioConfig) -> RunArtifacts:
         scene=cfg.built_scene,
         n_paths=obs.n_paths,
         l_d=obs.l_d,
-        records=obs.records,
+        observation=obs,
         selected=selected,
         fine_offsets=fine,
         filled=filled,
@@ -610,22 +665,18 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> RunArtifacts:
     return art
 
 
-def _detect(samples: np.ndarray, preamble: np.ndarray, cfg: ScenarioConfig) -> tuple[list, int, np.ndarray]:
+def _detect(obs: Observation, cfg: ScenarioConfig) -> tuple[list, int]:
     """
-    Candidate delay sets of all beams, the number of beams cut at the
-    iteration cap and the (M, l_d + 1) correlation matrix: one matched-filter
-    pass over the record array, then cancellation beam by beam on a copy of
-    its correlation row, down to a threshold set by the mean power of that
-    record's last sim.guard_taps samples. The matrix lives on, as filtered,
-    until refinement has read it.
+    Candidate delay sets of all beams and the number of beams cut at the
+    iteration cap: cancellation beam by beam on a copy of the beam's row of
+    obs.correlation, down to a threshold set by its noise level in
+    obs.noise_var, the mean power of its record's last sim.guard_taps
+    samples.
     """
-    est = cfg.estimator
-    noise_var = tail_noise_variance(samples, cfg.sim.guard_taps)
-    thresholds = correlation_threshold(preamble, noise_var, est.gamma)
-    correlation = cross_correlation(samples, preamble)
-    auto = preamble_autocorrelation(preamble, correlation.shape[1] - 1)
-    results = [cancel_candidates(c, auto, thr) for c, thr in zip(correlation, thresholds)]
-    return [r.delays for r in results], sum(r.truncated for r in results), correlation
+    thresholds = correlation_threshold(obs.preamble, obs.noise_var, cfg.estimator.gamma)
+    auto = preamble_autocorrelation(obs.preamble, obs.l_d)
+    results = [cancel_candidates(c, auto, thr) for c, thr in zip(obs.correlation, thresholds)]
+    return [r.delays for r in results], sum(r.truncated for r in results)
 
 
 def _cell(value) -> str:

@@ -20,11 +20,15 @@ sections of a transform size just above the delay window, 512 points for
 the default preamble and a 114-sample window, instead of one transform of
 the whole 4096-point record. _plan picks the size from n_p and l_d alone;
 where partitioning does not pay, a short preamble or a wide window, it
-keeps one block at the full size.
+keeps one block at the full size. The spectra of the preamble sections are
+built once per preamble, window and direction and kept (_section_spectra),
+so a caller that filters one record or one block at a time pays for them
+once.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -176,6 +180,35 @@ def _plan(n_p: int, l_d: int) -> tuple[int, int]:
     return min(plans)[2:]
 
 
+@functools.lru_cache(maxsize=16)
+def _section_spectra(dtype: str, data: bytes, l_d: int, correlate: bool) -> tuple[int, int, np.ndarray]:
+    """
+    The plan (_plan) of _preamble_filter and the spectra of the preamble
+    sections it multiplies by, read-only, one row per section: the
+    conjugate spectra of the zero-padded sections when correlating, and the
+    spectra of the sections with their l_d - 1 samples of overlap when
+    convolving, over the whole convolution (n_p + l_d - 1 samples). The
+    preamble enters as its dtype and bytes, so that calls with equal
+    preambles, windows and directions share one build; the dtype is part of
+    the key because a complex preamble and a real one twice as long can
+    have the same bytes.
+    """
+    preamble = np.frombuffer(data, dtype=dtype)
+    n_p = len(preamble)
+    size, step = _plan(n_p, l_d)
+    starts = range(0, n_p if correlate else n_p + l_d - 1, step)
+    at = np.arange(size)
+    padded = np.concatenate([preamble, np.zeros(size)])  # negative indices read its zero tail
+    if correlate:
+        sections = padded[np.add.outer(starts, at)]
+        sections[:, step:] = 0.0
+        spectra = np.fft.fft(sections).conj()
+    else:
+        spectra = np.fft.fft(padded[np.add.outer(starts, np.where(at <= step, at, at - size))])
+    spectra.flags.writeable = False
+    return size, step, spectra
+
+
 def _preamble_filter(
     rows: np.ndarray, preamble: np.ndarray, out: np.ndarray, scale: float, block: int, correlate: bool
 ) -> None:
@@ -185,8 +218,9 @@ def _preamble_filter(
     into out, one row per row:
 
       correlate=False: rows are (R, l_d) tap lines and out[i] is the first
-          out.shape[1] samples of preamble * rows[i]. Output block k,
-          out[i, k*step : (k+1)*step], is ifft(fft(rows[i]) * fft(t_k))[:step],
+          out.shape[1] <= n_p + l_d - 1 samples of preamble * rows[i].
+          Output block k, out[i, k*step : (k+1)*step], is
+          ifft(fft(rows[i]) * fft(t_k))[:step],
           where t_k holds s[k*step + j] at j mod size for j = -(l_d - 1) ..
           step: the l_d - 1 samples before the block wrap to its end, so the
           kept samples do not wrap (overlap-save) and the blocks tile out.
@@ -200,20 +234,14 @@ def _preamble_filter(
     one-block size. Blocks of `block` rows go through one reused (block,
     size) buffer, plus a second one when there are several sections, both
     transformed in place. A row does not depend on the others or on the
-    block size.
+    block size. The section spectra are built once per preamble, window
+    and direction (_section_spectra).
     """
+    preamble = np.asarray(preamble)
     n_p = len(preamble)
     l_d = out.shape[1] - 1 if correlate else rows.shape[1]
-    size, step = _plan(n_p, l_d)
+    size, step, spectra = _section_spectra(preamble.dtype.str, preamble.tobytes(), l_d, correlate)
     starts = range(0, n_p if correlate else out.shape[1], step)
-    at = np.arange(size)
-    padded = np.concatenate([preamble, np.zeros(size)])  # negative indices read its zero tail
-    if correlate:
-        sections = padded[np.add.outer(starts, at)]
-        sections[:, step:] = 0.0
-        spectra = np.fft.fft(sections).conj()
-    else:
-        spectra = np.fft.fft(padded[np.add.outer(starts, np.where(at <= step, at, at - size))])
     buf = np.empty((min(block, len(rows)), size), dtype=complex)
     spare = np.empty_like(buf) if len(starts) > 1 else buf
     for first in range(0, len(rows), block):

@@ -13,15 +13,16 @@ MKL_NUM_THREADS=<n>" with "unset" for a variable that is not set, so that
 diff shows a mismatch.
 
 Every other line is "<case> <item> <sha256>". The items, in pipeline order:
-paths.<column> for every PathSet column, taps, records, correlation (the
-(M, l_d + 1) matched-filter matrix), candidates (each beam's SIC delay set,
-iteration count and truncation flag, in beam order),
-selected, offsets
-(the fine offsets as integer indices on the refinement grid), filled, every
-estimated map and its truth (map.<key>, truth.<key> for each key of
-RunArtifacts.map_pairs), and file.<name> for each artifact the run writes;
-run.json is digested without its timings_s. The first differing item of a
-case shows where two trees part.
+paths.<column> for every PathSet column, taps, records, noise (each beam's
+tail noise level, Observation.noise_var), correlation (the (M, l_d + 1)
+matched-filter matrix: the rows of every cross_correlation call the
+pipeline makes, concatenated in call order), candidates (each beam's SIC
+delay set, iteration count and truncation flag, in beam order), selected,
+offsets (the fine offsets as integer indices on the refinement grid),
+filled, every estimated map and its truth (map.<key>, truth.<key> for each
+key of RunArtifacts.map_pairs), and file.<name> for each artifact the run
+writes; run.json is digested without its timings_s. The first differing
+item of a case shows where two trees part.
 
 The cases are the benchmark workloads (their configs are read from
 perfbench/run.py, not imported) at sim seeds 0-4, and one_wall at os 2.
@@ -114,14 +115,13 @@ def digests(config: dict) -> list[tuple[str, str]]:
             _kept("cancel_candidates", seen),
         ):
             art = run_scenario(cfg, out_dir=tmp)
-        (paths,), (taps,), (correlation,) = (
-            seen[name] for name in ("trace_backscatter_paths", "beamformed_taps_batch", "cross_correlation")
-        )
+        (paths,), (taps,) = (seen[name] for name in ("trace_backscatter_paths", "beamformed_taps_batch"))
         items = [(f"paths.{f.name}", _sha(getattr(paths, f.name))) for f in fields(PathSet)]
         items += [
             ("taps", _sha(taps)),
             ("records", _sha(np.stack([r.samples for r in art.records]))),
-            ("correlation", _sha(correlation)),
+            ("noise", _sha(art.observation.noise_var)),
+            ("correlation", _sha(np.concatenate(seen["cross_correlation"]))),
             ("candidates", _sha(_candidate_table(seen["cancel_candidates"]))),
             ("selected", _sha(art.selected.astype(np.int64))),
             ("offsets", _sha(np.rint(art.fine_offsets * cfg.estimator.refine_ratio).astype(np.int64))),

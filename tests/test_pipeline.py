@@ -26,6 +26,7 @@ from mmdepth.codebook import SceneView, UpaConfig, design_codebook
 from mmdepth.estimator import (
     cancel_candidates,
     correlation_threshold,
+    cross_correlation,
     joint_processing,
     sic_candidates,
     tail_noise_variance,
@@ -560,11 +561,8 @@ class TestRunScenario:
             art = run_scenario(small_config(radio__rolloff=1e-310))
         assert np.isfinite(art.depth_map).all()
 
-    def test_default_one_wall_heap_peak(self):
-        # 256 beams and ~83k paths at 7 m. With the paths held past the taps,
-        # the taps past the records and fresh arrays for every transform,
-        # noise draw and cancellation pass, the peak was about 25 MiB.
-        cfg = config_from_dict({"scene": {"builtin": "one_wall", "distance_m": 7.0}})
+    @staticmethod
+    def heap_peak(cfg):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -572,8 +570,40 @@ class TestRunScenario:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
+        return art, peak
+
+    def test_default_one_wall_heap_peak(self):
+        # 256 beams and ~83k paths at 7 m. With the paths held past the taps,
+        # the taps past the records and fresh arrays for every transform,
+        # noise draw and cancellation pass, the peak was about 25 MiB; with
+        # the whole (M, n_p + l_d) record array held, about 18 MiB.
+        art, peak = self.heap_peak(config_from_dict({"scene": {"builtin": "one_wall", "distance_m": 7.0}}))
         assert art.codebook.m == 256 and art.n_paths > 80_000
-        assert peak < 21 * 2**20
+        assert peak < 16 * 2**20
+
+    def test_default_two_walls_heap_peak(self):
+        # ~4.3k paths: the records were most of the peak, 16 MiB, when all
+        # 256 were held at once; one block of them is about 0.9 MiB.
+        art, peak = self.heap_peak(config_from_dict({"scene": {"builtin": "two_walls"}}))
+        assert art.codebook.m == 256
+        assert peak < 9 * 2**20
+
+    def test_records_are_formed_only_when_read(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_BLOCK", 5)  # 16 beams in blocks of 5, 5, 5 and 1
+        art = run_scenario(small_config())
+        obs = art.observation
+        assert "samples" not in vars(obs) and "records" not in vars(obs)
+        guard = art.config.sim.guard_taps
+        assert np.array_equal(cross_correlation(obs.samples, obs.preamble), obs.correlation)
+        assert np.array_equal(tail_noise_variance(obs.samples, guard), obs.noise_var)
+        for rec in art.records:
+            assert np.array_equal(cross_correlation(rec.samples, obs.preamble), obs.correlation[rec.beam])
+            assert tail_noise_variance(rec.samples, guard) == obs.noise_var[rec.beam]
+        assert art.records is obs.records and vars(obs)["samples"] is obs.samples
+        # Seeds, not generators, so that a second synthesis draws the same noise.
+        assert [seed.spawn_key for seed in obs.noise] == [(1 + m,) for m in range(16)]
+        for kept in (obs.taps, obs.correlation, obs.noise_var, obs.samples):
+            assert not kept.flags.writeable
 
     def test_every_beam_detects(self, small_run):
         assert small_run.filled.sum() == 0
@@ -635,6 +665,7 @@ class TestRunScenario:
         want = run_scenario(cfg, out_dir=tmp_path / "default")
         monkeypatch.setattr(waveform, "_BLOCK", block)
         monkeypatch.setattr(estimator, "_BLOCK", block)
+        monkeypatch.setattr(pipeline, "_BLOCK", block)
         for module in (scene, io, metrics):
             monkeypatch.setattr(module, "_ROWS", block)
         art = run_scenario(cfg, out_dir=tmp_path / "blocked")
@@ -883,8 +914,11 @@ class TestSimulateEstimate:
             want.append({column: cells[column] for column in SWEEP_COLUMNS})
         simulated, simulate = [], pipeline.simulate
         monkeypatch.setattr(pipeline, "simulate", lambda cfg: simulated.append(cfg) or simulate(cfg))
+        filtered, correlate = [], pipeline.cross_correlation
+        monkeypatch.setattr(pipeline, "cross_correlation", lambda *a: filtered.append(a) or correlate(*a))
         rows = sweep(self.DATA, "estimator.gamma", gammas, out_dir=tmp_path)
         assert len(simulated) == 1
+        assert len(filtered) == -(-runs[0].codebook.m // pipeline._BLOCK)  # once per block of one simulation
         assert rows == want
         lines = [",".join(SWEEP_COLUMNS)]
         lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row.values()) for row in want]

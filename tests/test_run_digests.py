@@ -20,7 +20,7 @@ SMALL = {
 }
 ITEMS = [
     *(f"paths.{c}" for c in ("delay_s", "amplitude", "theta_z", "theta_x", "range_m", "specular")),
-    "taps", "records", "correlation", "candidates", "selected", "offsets", "filled",
+    "taps", "records", "noise", "correlation", "candidates", "selected", "offsets", "filled",
     *(f"{kind}.{key}" for key in ("range", "depth", "range_out", "depth_out") for kind in ("map", "truth")),
 ]
 FILES = [
@@ -48,7 +48,7 @@ def test_small_run_digests_every_item_and_file():
     other = dict(digests({**SMALL, "sim": {**SMALL["sim"], "seed": 2}}))
     changed = {item for item, digest in got if other[item] != digest}
     # The scattering phases and the noise move; the geometry does not.
-    assert {"paths.amplitude", "taps", "records", "correlation", "file.records.bin"} <= changed
+    assert {"paths.amplitude", "taps", "records", "noise", "correlation", "file.records.bin"} <= changed
     assert not {"paths.delay_s", "paths.theta_z", "truth.range", "truth.depth_out"} & changed
 
 

@@ -251,6 +251,35 @@ class TestPreambleFilter:
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.array_equal(cross_correlation(records[1], preamble), got[1])
 
+    def test_section_spectra_are_built_once_per_preamble_window_and_direction(self, radio, golay_preamble):
+        rng = np.random.default_rng(5)
+        taps = rng.standard_normal((4, 114)) + 1j * rng.standard_normal((4, 114))
+        waveform._section_spectra.cache_clear()
+        records = synthesize_records(taps, golay_preamble, radio, np.ones(4))
+        rows = cross_correlation(records, golay_preamble)
+        assert waveform._section_spectra.cache_info()[:2] == (0, 2)  # (hits, misses): one build per direction
+        for block in (1, 3):  # the same filters over other blocks of beams
+            again = np.concatenate([
+                synthesize_records(taps[i : i + block], golay_preamble, radio, np.ones(block))
+                for i in range(0, 4, block)
+            ])
+            assert np.array_equal(again, records)
+            assert np.array_equal(cross_correlation(again, golay_preamble.copy()), rows)
+        info = waveform._section_spectra.cache_info()
+        assert (info.hits, info.misses) == ((4 + 1) + (2 + 1), 2)
+        size, step, spectra = waveform._section_spectra(golay_preamble.dtype.str, golay_preamble.tobytes(), 114, True)
+        assert (size, step) == waveform._plan(3328, 114)
+        assert spectra.shape == (9, 512) and not spectra.flags.writeable
+
+    def test_preambles_with_equal_bytes_and_other_dtypes_keep_their_own_spectra(self):
+        # 128 complex samples and 256 real ones share their bytes; at one window both must filter right.
+        preamble = make_preamble("pn", 128, seed=1)
+        rng = np.random.default_rng(6)
+        for p in (preamble, preamble.view(float)):
+            y = rng.standard_normal(len(p) + 114) + 1j * rng.standard_normal(len(p) + 114)
+            ref = np.correlate(y, p, "valid")
+            assert np.abs(cross_correlation(y, p) - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_default_preamble_is_cut_into_nine_512_point_sections(self):
         size, step = waveform._plan(3328, 114)
         assert size == 512 and step == 512 - 114
