@@ -320,8 +320,8 @@ def beamformed_taps_batch(
         raise ValueError(f"weights of shapes {shapes} do not match (M, n) for n in {widths}")
     m = int(np.prod(shapes[0][:-1]))
     ts = radio.sample_period_s
-    center = _pulse_centers(paths.delay_s, l_d, ts)
-    order = np.argsort(center, kind="stable")
+    center = _pulse_centers(paths.delay_s, l_d, ts).astype(np.int32)  # taps fit int32, at half the bytes
+    order = np.argsort(center, kind="stable").astype(np.int32)
     amplitude = paths.amplitude.astype(complex, copy=False)
     if factored:
         grid_v, grid_h = (f.reshape(-1, 1, n) if f.ndim == 2 else f for f, n in zip(weights, widths))

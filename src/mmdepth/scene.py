@@ -16,11 +16,12 @@ Two consumers look at the same geometry through one ray cast, _first_hit:
                         visible one a monostatic path (delay 2*rho/c, matched
                         departure and arrival angles, channel.path_gain
                         amplitude). Each facet is subdivided into small cells
-                        with a seeded scattering phase; a facet that contains
-                        the device's orthogonal foot adds that foot as one
-                        more scatterer, the specular return, with plane RCS
-                        pi*rho^2*(1 - scatter_ratio^2). It is all that
-                        survives on glass.
+                        with a seeded scattering phase, and traced and pruned
+                        to its visible cells before the next is cut; a facet
+                        that contains the device's orthogonal foot adds that
+                        foot as one more scatterer, the specular return, with
+                        plane RCS pi*rho^2*(1 - scatter_ratio^2). It is all
+                        that survives on glass.
 
 Every path, diffuse or specular, goes through the same free-space radar
 equation, which has no parameters. Scattering strength reduces the
@@ -402,35 +403,29 @@ def _subdivide(facet: PlanarFacet, cell_size_m: float):
     n_w = max(1, int(np.ceil(np.linalg.norm(v[3] - v[0]) / cell_size_m)))
     u = ((np.arange(n_u) + 0.5) / n_u)[:, None]           # (n_u, 1)
     w = ((np.arange(n_w) + 0.5) / n_w)[:, None]           # (n_w, 1)
-    uu = u[:, None]                                       # (n_u, 1, 1)
-    centers = (
-        (1 - uu) * (1 - w) * v[0]
-        + uu * (1 - w) * v[1]
-        + uu * w * v[2]
-        + (1 - uu) * w * v[3]
-    ).reshape(-1, 3)
+    uu, u_c, w_c = u[:, None], 1 - u[:, None], 1 - w      # (n_u, 1, 1), (n_u, 1, 1), (n_w, 1)
     # Bilinear-patch area elements via the cross product of the local tangents.
-    du = (1 - w) * (v[1] - v[0]) + w * (v[2] - v[3])      # (n_w, 3)
+    du = w_c * (v[1] - v[0]) + w * (v[2] - v[3])          # (n_w, 3)
     dw = (1 - u) * (v[3] - v[0]) + u * (v[2] - v[1])      # (n_u, 3)
     areas = np.linalg.norm(np.cross(du, dw[:, None]), axis=-1).reshape(-1) / (n_u * n_w)
-    return centers, areas
+    # The four corner terms, added left to right in one output and one term buffer.
+    centers = np.multiply(u_c * w_c, v[0])
+    term = np.empty_like(centers)
+    for a, b, corner in ((uu, w_c, v[1]), (uu, w, v[2]), (u_c, w, v[3])):
+        centers += np.multiply(a * b, corner, out=term)
+    return centers.reshape(-1, 3), areas
 
 
-def _visible(scene: Scene, targets: np.ndarray, skip_facet: int) -> np.ndarray:
-    """True where the segment device->target is not blocked by another facet."""
-    delta = targets - scene.device.position
-    dist = np.linalg.norm(delta, axis=1)
-    return ~(_first_hit(scene, delta / dist[:, None], skip_facet) < dist - 1e-9)
-
-
-def _device_angles(scene: Scene, targets: np.ndarray):
-    """Steering angles and ranges of world-frame target points."""
-    delta = targets - scene.device.position
-    rho = np.linalg.norm(delta, axis=1)
-    u_dev = scene.device.to_device(delta / rho[:, None])
-    theta_z = np.arccos(np.clip(u_dev[:, 2], -1.0, 1.0))
-    theta_x = np.arccos(np.clip(u_dev[:, 0], -1.0, 1.0))
-    return theta_z, theta_x, rho
+def _visible_rows(scene: Scene, fi: int, points: np.ndarray, sigma, xi, specular):
+    """
+    A group's rows of positive sigma_RCS that no facet but fi blocks, as
+    (unit rays, ranges, sigma, xi, specular); the points become the rays.
+    """
+    points -= scene.device.position
+    dist = np.linalg.norm(points, axis=1)
+    points /= dist[:, None]
+    keep = (sigma > 0) & ~(_first_hit(scene, points, fi) < dist - 1e-9)
+    return points[keep], dist[keep], sigma[keep], xi[keep], specular[keep]
 
 
 def trace_backscatter_paths(
@@ -459,38 +454,43 @@ def trace_backscatter_paths(
     gain lambda^2*(1 - scatter_ratio^2) / ((4*pi)^2 * (2*rho)^2). Specular
     paths follow all diffuse ones; PathSet.specular marks them.
 
-    Each group (a facet's cells, a specular foot) is masked to its visible
-    scatterers of positive sigma_RCS; the survivors then take one pass of
-    angles, delays and amplitudes.
+    One pass over the groups (each facet's cells in facet order, then each
+    foot) turns a group's points into unit rays in place, casts them against
+    the other facets and keeps only its visible rows of positive sigma_RCS,
+    so no facet's cells outlive its turn; the kept rows take one rotation to
+    the device frame. Only xi reads the seed, one draw per facet over all its
+    cells before pruning: delays, angles, ranges, specular flags and
+    |amplitude| (to ~1e-16 relative) are the same at every seed.
     """
     if cell_size_m <= 0:
         raise ValueError("cell_size_m must be positive")
     rng = np.random.default_rng(seed)
     origin = scene.device.position
-    # (facet index, points, sigma_RCS, xi, specular), diffuse cells by facet first
-    groups = []
+    groups = []  # each group's kept rows (_visible_rows), diffuse cells by facet first
     for fi, facet in enumerate(scene.facets):
-        centers, areas = _subdivide(facet, cell_size_m)
+        centers, sigma = _subdivide(facet, cell_size_m)
+        sigma *= BACKSCATTER_GAIN * facet.material.scatter_ratio  # the cell areas, in place
         # Draw the phases before any pruning so the set of random numbers a
         # facet consumes depends only on its own geometry.
-        xi = rng.uniform(0.0, 2.0 * np.pi, size=len(centers))
-        sigma = BACKSCATTER_GAIN * facet.material.scatter_ratio * areas
-        groups.append((fi, centers, sigma, xi, np.zeros(len(centers), dtype=bool)))
+        xi = rng.uniform(0.0, 2.0 * np.pi, size=len(sigma))
+        groups.append(_visible_rows(scene, fi, centers, sigma, xi, np.zeros(len(sigma), dtype=bool)))
+        del centers, sigma, xi  # before the next facet is cut
     for fi, facet in enumerate(scene.facets):
         n = facet.normal
         dist = np.dot(origin - facet.vertices[0], n)  # signed distance to the plane
         # The ray from the device along -sign(dist)*n meets the plane at the foot.
         if abs(dist) >= 1e-9 and np.isfinite(_ray_quad(origin, -np.sign(dist) * n[None, :], facet)[0]):
             sigma = np.pi * dist**2 * (1.0 - facet.material.scatter_ratio**2)  # power not diffused
-            groups.append((fi, (origin - dist * n)[None, :], np.array([sigma]), np.zeros(1), np.ones(1, dtype=bool)))
-
-    keep = [(sigma > 0) & _visible(scene, points, fi) for fi, points, sigma, _, _ in groups]
-    points, sigma, xi, specular = (
-        np.concatenate([col[k] for col, k in zip(column, keep)]) for column in list(zip(*groups))[1:]
-    )
+            foot = (origin - dist * n)[None, :]
+            groups.append(_visible_rows(scene, fi, foot, np.array([sigma]), np.zeros(1), np.ones(1, dtype=bool)))
+    rays, rho, sigma, xi, specular = (np.concatenate(column) for column in zip(*groups))
+    del groups
     if not len(sigma):
         raise ValueError("scene produced no backscatter paths")
-    theta_z, theta_x, rho = _device_angles(scene, points)
+    rays = scene.device.to_device(rays)
+    theta_z = np.arccos(np.clip(rays[:, 2], -1.0, 1.0))
+    theta_x = np.arccos(np.clip(rays[:, 0], -1.0, 1.0))
+    del rays
     tau = 2.0 * rho / SPEED_OF_LIGHT
     f_c = SPEED_OF_LIGHT / wavelength_m
     amp = np.sqrt(path_gain(sigma, rho, wavelength_m)) * np.exp(1j * (xi - 2.0 * np.pi * f_c * tau))

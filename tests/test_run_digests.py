@@ -1,11 +1,12 @@
 """The bit-identity check tests/run_digests.py: its cases and its output format."""
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import run_digests
-from run_digests import _candidate_table, _kept, benchmark_workloads, cases, digests
+from run_digests import BLAS_THREADS, _candidate_table, _kept, benchmark_workloads, cases, digests
 
 from mmdepth.pipeline import config_from_dict, run_scenario
 
@@ -89,3 +90,24 @@ def test_script_runs_from_the_repository_root():
     )
     assert done.returncode == 2, done.stderr
     assert "wall/seed0" in done.stderr and "one_wall_os2/seed4" in done.stderr
+
+
+def test_decisions_do_not_depend_on_the_blas_thread_count():
+    # The taps, and the records, noise levels and correlation rows filtered
+    # from them, may round differently with another BLAS thread count; every
+    # path column, candidate set, pick, offset, map and file may not.
+    root = Path(__file__).resolve().parents[1]
+    runs = []
+    for threads in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "tests/run_digests.py", "two_walls/seed0", "one_wall_os2/seed0"], cwd=root,
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src"), **dict.fromkeys(BLAS_THREADS, threads)},
+        )
+        assert done.returncode == 0, done.stderr
+        header, *lines = done.stdout.splitlines()
+        assert header == " ".join(f"{var}={threads}" for var in BLAS_THREADS)
+        runs.append([line for line in lines if line.split()[1] not in {"taps", "records", "noise", "correlation"}])
+    assert runs[0] == runs[1]
+    assert {line.split()[0] for line in runs[0]} == {"two_walls/seed0", "one_wall_os2/seed0"}
+    assert {"paths.delay_s", "candidates", "selected", "offsets", "map.depth"} <= {line.split()[1] for line in runs[0]}
