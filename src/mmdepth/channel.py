@@ -302,7 +302,8 @@ def beamformed_taps_batch(
     reversed views. A grid without the symmetry is patterned whole.
 
     Paths are sorted by their pulse-centre tap and taken in blocks of
-    _BLOCK. Within a block every run of paths sharing a centre tap c adds
+    _BLOCK. A block forms its coupling, frees its axis responses, then forms
+    amp * pulse; every run of its paths sharing a centre tap c then adds
     coupling @ (amp * pulse) to taps[:, c-8 : c+9] in one real product.
 
     Returns
@@ -363,12 +364,13 @@ def beamformed_taps_batch(
     for start in range(0, len(order), _BLOCK):
         sel = order[start : start + _BLOCK]
         c_blk = center[sel]
-        val = pulse_window(c_blk - paths.delay_s[sel] / ts, radio.rolloff)
-        # amp * pulse viewed as (P_b, 34) floats, so each group is a real GEMM.
-        shaped = (amplitude[sel][:, None] * val).view(float)
         b_v = axis_response(np.cos(paths.theta_z[sel]), upa.n_v, upa.spacing_wavelengths)
         b_h = axis_response(np.cos(paths.theta_x[sel]), upa.n_h, upa.spacing_wavelengths)
         cpl = coupling(b_v, b_h)                     # (M, P_b) real
+        del b_v, b_h  # freed before the pulse is formed, so the per-path arrays do not peak together
+        # amp * pulse viewed as (P_b, 34) floats, so each group is a real GEMM.
+        offset = c_blk - paths.delay_s[sel] / ts
+        shaped = (amplitude[sel][:, None] * pulse_window(offset, radio.rolloff)).view(float)
         bounds = np.flatnonzero(np.diff(c_blk)) + 1
         for lo, hi in zip(np.r_[0, bounds], np.r_[bounds, len(sel)]):
             col = 2 * (c_blk[lo] - PULSE_HALF_WIDTH)

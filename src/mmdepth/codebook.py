@@ -20,13 +20,14 @@ Geometry chain:
                       phase shifters
 
 The transmit and receive codebooks are identical (monostatic sensing with
-matched beams), so the design stores one weight matrix whose row m is both
-f_m and w_m.
+matched beams), so the design holds one weight matrix whose row m is both
+f_m and w_m, formed from the axis factors when first read.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -237,6 +238,11 @@ def quantize_phases(weights: np.ndarray, bits: int) -> np.ndarray:
     return np.abs(weights) * np.exp(1j * step * k)
 
 
+def _kron_rows(b_v: np.ndarray, b_h: np.ndarray) -> np.ndarray:
+    """Row-wise Kronecker product of (M, n_v) and (M, n_h); index layout matches steering_vector."""
+    return (b_v[:, :, None] * b_h[:, None, :]).reshape(len(b_v), -1)
+
+
 @dataclass
 class Codebook:
     """
@@ -247,8 +253,9 @@ class Codebook:
     over the sensor grid: m = v * n_bar_h + h with v = 0 the top image row.
 
     axis_factors holds the per-axis vectors (b_v, b_h), shapes (M, n_v) and
-    (M, n_h), whose row-wise Kronecker product is weights; it is None when
-    phase quantization has broken that structure.
+    (M, n_h); weights, their row-wise Kronecker product, is formed on first
+    read and kept. Phase quantization breaks that structure: axis_factors is
+    then None, and dense holds the weights.
     """
 
     upa: UpaConfig
@@ -259,12 +266,19 @@ class Codebook:
     theta_z: np.ndarray                # (n_bar_v, n_bar_h) steering angles
     theta_x: np.ndarray
     phi: np.ndarray                    # (n_bar_v, n_bar_h) projection azimuths
-    weights: np.ndarray                # (M, n) complex beam weights
     axis_factors: tuple[np.ndarray, np.ndarray] | None = None
+    dense: np.ndarray | None = field(default=None, repr=False)  # (M, n) weights without factors
     combine_norm_sq: np.ndarray = field(init=False)  # ||w_m||^2 per beam
 
     def __post_init__(self):
         self.combine_norm_sq = np.sum(np.abs(self.weights) ** 2, axis=1)
+        if self.dense is None:
+            del self.weights  # no stage of a run reads it; formed again, to the same bits
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """(M, n) complex beam weights."""
+        return _kron_rows(*self.axis_factors) if self.dense is None else self.dense
 
     @property
     def m(self) -> int:
@@ -291,7 +305,8 @@ def design_codebook(
     n_bar_v = n_v * os_v rows, M = n_bar_h * n_bar_v beams in total.
     Optional Gaussian tapers (slr_delta_* > 0; 0 disables, a negative delta
     raises, as in slr_weights) are applied per axis before the optional
-    phase quantization; quantization always runs last.
+    phase quantization, which always runs last and alone stores the dense
+    weights; otherwise the codebook keeps only its axis factors (Codebook).
     """
     n_bar_v, n_bar_h = beam_grid(upa, view)
     pts = sensor_grid(view, n_bar_h, n_bar_v)
@@ -304,10 +319,9 @@ def design_codebook(
         b_v = b_v * slr_weights(upa.n_v, slr_delta_v)[None, :]
     if slr_delta_h != 0:
         b_h = b_h * slr_weights(upa.n_h, slr_delta_h)[None, :]
-    # Row-wise Kronecker product; index layout matches steering_vector.
-    weights = (b_v[:, :, None] * b_h[:, None, :]).reshape(-1, upa.n)
+    factors, dense = (b_v, b_h), None
     if phase_bits is not None:
-        weights = quantize_phases(weights, phase_bits)
+        factors, dense = None, quantize_phases(_kron_rows(b_v, b_h), phase_bits)
 
     return Codebook(
         upa=upa,
@@ -318,8 +332,8 @@ def design_codebook(
         theta_z=theta_z,
         theta_x=theta_x,
         phi=phi,
-        weights=weights,
-        axis_factors=(b_v, b_h) if phase_bits is None else None,
+        axis_factors=factors,
+        dense=dense,
     )
 
 
@@ -360,7 +374,7 @@ def write_codebook_csv(cb: Codebook, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for m in range(cb.m):
+        for m, w in enumerate(cb.weights):
             v, h = divmod(m, cb.n_bar_h)
             pt = cb.grid_points[v, h]
             row = [
@@ -374,7 +388,6 @@ def write_codebook_csv(cb: Codebook, path) -> None:
                 repr(float(pt[1])),
                 repr(float(pt[2])),
             ]
-            w = cb.weights[m]
             for i in range(n):
                 row += [repr(float(w[i].real)), repr(float(w[i].imag))]
             writer.writerow(row)

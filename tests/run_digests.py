@@ -13,16 +13,17 @@ MKL_NUM_THREADS=<n>" with "unset" for a variable that is not set, so that
 diff shows a mismatch.
 
 Every other line is "<case> <item> <sha256>". The items, in pipeline order:
-paths.<column> for every PathSet column, taps, records, noise (each beam's
-tail noise level, Observation.noise_var), correlation (the (M, l_d + 1)
-matched-filter matrix: the rows of every cross_correlation call the
-pipeline makes, concatenated in call order), candidates (each beam's SIC
+codebook (combine_norm_sq, both axis factors and the weights as read, in
+that order), paths.<column> for every PathSet column, taps, records, noise
+(each beam's tail noise level, Observation.noise_var), correlation (the
+(M, l_d + 1) matched-filter matrix: the rows of every cross_correlation call
+the pipeline makes, concatenated in call order), candidates (each beam's SIC
 delay set, iteration count and truncation flag, in beam order), selected,
 offsets (the fine offsets as integer indices on the refinement grid),
 filled, every estimated map and its truth (map.<key>, truth.<key> for each
 key of RunArtifacts.map_pairs), and file.<name> for each artifact the run
-writes; run.json is digested without its timings_s. The first differing
-item of a case shows where two trees part.
+writes; run.json is digested without its timings_s. The first differing item
+of a case shows where two trees part.
 
 The cases are the benchmark workloads (their configs are read from
 perfbench/run.py, not imported) at sim seeds 0-4, and one_wall at os 2.
@@ -103,6 +104,12 @@ def _candidate_table(results) -> np.ndarray:
     )
 
 
+def _codebook_bytes(cb) -> bytes:
+    """combine_norm_sq, the axis factors (none for a quantized codebook) and the weights as read, as one run."""
+    parts = [cb.combine_norm_sq, *(cb.axis_factors or ()), cb.weights]
+    return b"".join(np.ascontiguousarray(part).tobytes() for part in parts)
+
+
 def digests(config: dict) -> list[tuple[str, str]]:
     """(item, sha256) pairs of one run of `config`, in pipeline order."""
     cfg = config_from_dict(config)
@@ -116,7 +123,8 @@ def digests(config: dict) -> list[tuple[str, str]]:
         ):
             art = run_scenario(cfg, out_dir=tmp)
         (paths,), (taps,) = (seen[name] for name in ("trace_backscatter_paths", "beamformed_taps_batch"))
-        items = [(f"paths.{f.name}", _sha(getattr(paths, f.name))) for f in fields(PathSet)]
+        items = [("codebook", _sha(_codebook_bytes(art.codebook)))]
+        items += [(f"paths.{f.name}", _sha(getattr(paths, f.name))) for f in fields(PathSet)]
         items += [
             ("taps", _sha(taps)),
             ("records", _sha(np.stack([r.samples for r in art.records]))),

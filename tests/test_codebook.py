@@ -1,4 +1,6 @@
 """Sensing codebook: focal-plane grid, steering algebra, tapers, quantization."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -265,3 +267,33 @@ class TestDesignCodebook:
         assert g_v.tobytes() == g_v[:, ::-1].tobytes()
         assert g_h.tobytes() == g_h[::-1].tobytes()
         assert design_codebook(upa, view, slr_delta_h=slr, slr_delta_v=slr, phase_bits=2).axis_factors is None
+
+    @pytest.mark.parametrize("slr, phase_bits", [(0.0, None), (2.5, None), (2.5, 2)])
+    def test_only_the_factors_are_held_and_weights_keep_their_bits(self, slr, phase_bits):
+        upa = UpaConfig()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cb = design_codebook(upa, SceneView(), slr_delta_h=slr, slr_delta_v=slr, phase_bits=phase_bits)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        # The dense weights, computed as design_codebook did when it stored them.
+        b_v = axis_response(np.cos(cb.theta_z).reshape(-1), upa.n_v, upa.spacing_wavelengths)
+        b_h = axis_response(np.cos(cb.theta_x).reshape(-1), upa.n_h, upa.spacing_wavelengths)
+        if slr:
+            b_v = b_v * slr_weights(upa.n_v, slr)[None, :]
+            b_h = b_h * slr_weights(upa.n_h, slr)[None, :]
+        want = (b_v[:, :, None] * b_h[:, None, :]).reshape(-1, upa.n)
+        if phase_bits is None:
+            # 256 x 256 complex weights are 1 MiB; the factors are 2 x 64 KiB.
+            assert held < 0.25 * 2**20
+            assert "weights" not in vars(cb) and cb.dense is None
+            assert cb.axis_factors[0].tobytes() == b_v.tobytes() and cb.axis_factors[1].tobytes() == b_h.tobytes()
+        else:
+            want = quantize_phases(want, phase_bits)
+            assert cb.axis_factors is None and cb.dense.tobytes() == want.tobytes()
+        weights = cb.weights
+        assert weights.tobytes() == want.tobytes() and weights.shape == (cb.m, upa.n)
+        assert cb.weights is weights  # formed once, then kept
+        assert cb.combine_norm_sq.tobytes() == np.sum(np.abs(weights) ** 2, axis=1).tobytes()

@@ -578,17 +578,20 @@ class TestRunScenario:
         # noise draw and cancellation pass, the peak was about 25 MiB; with
         # the whole (M, n_p + l_d) record array held, about 18 MiB; with
         # every facet's cells and direction arrays alive in the path trace
-        # and int64 tap indices, 14.7 MiB. The taps now set it, at 12.1 MiB.
+        # and int64 tap indices, 14.7 MiB; with the dense (M, N) weights held
+        # by the codebook, 12.1 MiB. The taps now set it, at 10.7 MiB.
         art, peak = self.heap_peak(config_from_dict({"scene": {"builtin": "one_wall", "distance_m": 7.0}}))
         assert art.codebook.m == 256 and art.n_paths > 80_000
-        assert peak < 13 * 2**20
+        assert peak < 11.5 * 2**20
 
     def test_default_two_walls_heap_peak(self):
         # ~4.3k paths: the records were most of the peak, 16 MiB, when all
-        # 256 were held at once; one block of them is about 0.9 MiB.
+        # 256 were held at once; one block of them is about 0.9 MiB. The
+        # codebook's dense weights (1 MiB) held it at 7.3 MiB; the taps'
+        # reused buffers and one block's expansions now set it, at 5.95 MiB.
         art, peak = self.heap_peak(config_from_dict({"scene": {"builtin": "two_walls"}}))
         assert art.codebook.m == 256
-        assert peak < 9 * 2**20
+        assert peak < 6.5 * 2**20
 
     def test_records_are_formed_only_when_read(self, monkeypatch):
         monkeypatch.setattr(pipeline, "_BLOCK", 5)  # 16 beams in blocks of 5, 5, 5 and 1

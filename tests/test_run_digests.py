@@ -20,6 +20,7 @@ SMALL = {
     "output": {"resolution": [9, 7], "write_records": True},
 }
 ITEMS = [
+    "codebook",
     *(f"paths.{c}" for c in ("delay_s", "amplitude", "theta_z", "theta_x", "range_m", "specular")),
     "taps", "records", "noise", "correlation", "candidates", "selected", "offsets", "filled",
     *(f"{kind}.{key}" for key in ("range", "depth", "range_out", "depth_out") for kind in ("map", "truth")),
@@ -48,9 +49,9 @@ def test_small_run_digests_every_item_and_file():
     assert got == digests(SMALL)  # timings_s is left out of run.json
     other = dict(digests({**SMALL, "sim": {**SMALL["sim"], "seed": 2}}))
     changed = {item for item, digest in got if other[item] != digest}
-    # The scattering phases and the noise move; the geometry does not.
+    # The scattering phases and the noise move; the codebook and the geometry do not.
     assert {"paths.amplitude", "taps", "records", "noise", "correlation", "file.records.bin"} <= changed
-    assert not {"paths.delay_s", "paths.theta_z", "truth.range", "truth.depth_out"} & changed
+    assert not {"codebook", "paths.delay_s", "paths.theta_z", "truth.range", "truth.depth_out"} & changed
 
 
 def test_candidates_are_every_beams_sic_result_in_beam_order():

@@ -572,6 +572,39 @@ class TestTracer:
         assert amp / abs(amp) == pytest.approx(np.exp(-2j * np.pi * (C / lam) * tau), abs=1e-9)
 
 
+def mirrored(scene):
+    """The scene with the x coordinate of every facet vertex negated; the device pose is kept."""
+    data = scene_to_dict(scene)
+    for facet in data["facets"]:
+        facet["vertices"] = [[-x, y, z] for x, y, z in facet["vertices"]]
+    return scene_from_dict(data)
+
+
+@pytest.mark.parametrize("name", ["one_wall", "two_walls", "pillar_room"])
+class TestMirrorEquivariance:
+    # The device sits on x = 0 looking along +y with +z up, and the sensor
+    # grid is sign-symmetric in x, so mirroring the geometry in x mirrors
+    # every seed-free output: the maps left to right, the paths' theta_x
+    # about pi/2.
+    @pytest.mark.parametrize("resolution", [(16, 16), (144, 256)])
+    def test_truth_maps_flip_left_to_right(self, name, resolution):
+        view = SceneView()
+        scene = build_scene({"builtin": name}, view)
+        for got, want in zip(ground_truth_maps(mirrored(scene), view, resolution),
+                             ground_truth_maps(scene, view, resolution)):
+            assert got.tobytes() == np.fliplr(want).tobytes()
+
+    def test_paths_keep_their_delays_and_mirror_their_azimuth(self, name):
+        scene = build_scene({"builtin": name}, SceneView())
+        lam = RadioConfig().wavelength_m
+        a, b = (trace_backscatter_paths(s, lam, 0.05, 0) for s in (scene, mirrored(scene)))
+        assert len(a) == len(b) > 0
+        for column in ("delay_s", "theta_z"):
+            assert np.sort(getattr(b, column)).tobytes() == np.sort(getattr(a, column)).tobytes(), column
+        assert np.sort(np.abs(b.amplitude)).tobytes() == np.sort(np.abs(a.amplitude)).tobytes()
+        assert np.abs(np.sort(b.theta_x) - np.sort(np.pi - a.theta_x)).max() <= 1e-15
+
+
 class TestVisibility:
     def test_matches_per_facet_reference_on_pillar_room(self):
         scene = build_scene({"builtin": "pillar_room"}, SceneView())
