@@ -243,7 +243,7 @@ def _kron_rows(b_v: np.ndarray, b_h: np.ndarray) -> np.ndarray:
     return (b_v[:, :, None] * b_h[:, None, :]).reshape(len(b_v), -1)
 
 
-@dataclass
+@dataclass(eq=False)
 class Codebook:
     """
     Grid-matched beam pair codebook.
@@ -256,6 +256,9 @@ class Codebook:
     (M, n_h); weights, their row-wise Kronecker product, is formed on first
     read and kept. Phase quantization breaks that structure: axis_factors is
     then None, and dense holds the weights.
+
+    Codebooks compare by identity: a field-wise == over arrays has no single
+    truth value.
     """
 
     upa: UpaConfig

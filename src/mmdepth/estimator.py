@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import PULSE_HALF_WIDTH, SPEED_OF_LIGHT, pulse_window
-from .waveform import _fft_size, _preamble_filter
+from .waveform import _preamble_filter, preamble_autocorrelation
 
 __all__ = [
     "cross_correlation",
@@ -100,22 +100,6 @@ def cross_correlation(samples: np.ndarray, preamble: np.ndarray) -> np.ndarray:
     return c.reshape(samples.shape[:-1] + c.shape[1:])
 
 
-def preamble_autocorrelation(preamble: np.ndarray, l_d: int) -> np.ndarray:
-    """
-    Preamble autocorrelation R[k] = sum_n s*[n] s[n + k] over lags
-    k = -l_d .. l_d, returned as r with r[l_d + k] = R[k], so E_Q = r[l_d].
-
-    It is the circular autocorrelation at nfft = _fft_size(n_p + l_d), which
-    is exact here: R vanishes beyond lag n_p - 1, so the alias R[k - nfft]
-    of a lag k <= l_d would need k >= nfft - n_p + 1 >= l_d + 1. Exact R is
-    what cancellation in the correlation domain needs, however
-    cross_correlation partitions its transforms.
-    """
-    nfft = _fft_size(len(preamble) + l_d)
-    auto = np.fft.ifft(np.abs(np.fft.fft(preamble, nfft)) ** 2)
-    return np.concatenate([auto[nfft - l_d :], auto[: l_d + 1]])
-
-
 def preamble_energy(preamble: np.ndarray) -> float:
     """E_Q = sum |s[n]|^2; the matched-filter gain of a unit path."""
     return float(np.vdot(preamble, preamble).real)
@@ -142,15 +126,17 @@ def tail_noise_variance(samples: np.ndarray, n_tail: int) -> float | np.ndarray:
     """
     Per-sample noise variance estimated from the last n_tail record samples.
 
-    This is the pipeline's only noise level: it reads the whole delay-window
-    guard, n_tail = sim.guard_taps, of every record. The guard follows the
-    latest path's delay, so its samples hold noise and at most the truncated
-    pulse tails of the latest paths, and their mean power estimates the
-    noise variance. The mean of n_tail samples of complex Gaussian noise
-    scatters by 1/sqrt(n_tail) relative, 12.5% at the default guard of 64;
-    a record without noise has a zero tail, hence a zero threshold. samples
-    is one record (a float comes back) or a stack of records (one value per
-    row).
+    This is the record model's noise level, over the whole delay-window
+    guard, n_tail = sim.guard_taps, of a record. The pipeline forms no
+    record: it takes its levels from waveform.matched_filter_rows, which
+    equal this on the records of synthesize_records within 4.2e-16
+    relative. The guard follows the latest path's delay, so its samples
+    hold noise and at most the truncated pulse tails of the latest paths,
+    and their mean power estimates the noise variance. The mean of n_tail
+    samples of complex Gaussian noise scatters by 1/sqrt(n_tail) relative,
+    12.5% at the default guard of 64; a record without noise has a zero
+    tail, hence a zero threshold. samples is one record (a float comes
+    back) or a stack of records (one value per row).
     """
     samples = np.asarray(samples)
     if not 0 < n_tail <= samples.shape[-1]:
@@ -274,6 +260,16 @@ def joint_processing(
     (the leading gap, if any, copies the first valid selection backwards).
     On the boolean (n_bar_v, n_bar_h, sorted distinct bins) grid the
     neighborhood is four shifted ORs and the first True is the smallest.
+
+    The neighborhood is raster-causal: it holds the neighbors that a scan
+    of rows top to bottom, each left to right, visits before (h, v). So the
+    rule is not mirror-equivariant, although the chain that feeds it is.
+    Fed the left-right mirrored candidate sets of pillar_room at sim seeds
+    0-2, it changed 84-92 of its 256 picks (flipped back), 49-58 on
+    one_wall and 18-26 on two_walls. Symmetric neighborhoods measured
+    worse on all three scenes and seeds: pillar_room depth MAE read
+    0.421-0.449 m with all 8 neighbors and 0.430-0.454 m with the 4 edge
+    neighbors, against 0.375-0.421 m under this, the paper's rule.
 
     Returns
     -------

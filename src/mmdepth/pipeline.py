@@ -12,7 +12,7 @@ processing what it measured:
 
     simulate(cfg) -> Observation
         codebook -> scene paths + ray-cast truth -> per-beam channel taps ->
-        noisy records, matched-filtered and dropped block by block
+        the noisy records' matched-filter rows and tail noise levels
     estimate(obs, cfg) -> RunArtifacts
         per-beam cancellation -> joint delay selection -> sub-sample
         refinement -> range / depth maps -> error reports
@@ -35,20 +35,22 @@ RunArtifacts.map_pairs and RunArtifacts.counts: scoring, the artifacts,
 sweep rows and the CLI all read them there, so a map pair added to the list
 is both scored and written.
 
-The records are synthesized a block of _BLOCK beams at a time, and each
-block is matched-filtered and its tail noise level taken at once, both
-through one partitioned FFT filter (mmdepth.waveform): the preamble is cut
-into sections of a short transform size above the delay window, transformed
-in place in reused block buffers. The Observation keeps only what
-estimation reads of a record: the (M, l_d + 1) correlation matrix and one
-noise level per beam, so no more than one block of records is alive. It
-also keeps the taps and the per-beam noise seeds, from which it rebuilds
-the (M, n_p + l_d) record array, with the same bytes, only when someone
-reads Observation.samples or .records (the records.bin dump does). The
-paths are released once the taps exist. The cancellation then runs beam
-after beam on that beam's correlation row, and refinement reads the 17 lags
-of each beam's row around its pick from the same matrix,
-scoring every fractional replica for all beams in one
+The records stage forms no record. Estimation reads a record only through
+its matched-filter row and its tail noise level, and both are linear in it,
+so one call (mmdepth.waveform.matched_filter_rows) takes them apart: the
+signal's rows are one product of the taps with the preamble
+autocorrelation, and only each beam's noise, drawn as the record model
+draws it, goes through the partitioned FFT filter. The Observation keeps
+the (M, l_d + 1) correlation matrix and one noise level per beam, the taps
+and the per-beam noise seeds. From the last two it rebuilds the
+(M, n_p + l_d) record array of synthesize_records only when someone reads
+Observation.samples or .records (the records.bin dump does); the rebuilt
+records' matched filter and tail level equal correlation and noise_var
+within 6.2e-16 of each row's peak and 4.2e-16 relative (measured on the
+benchmark scenes). The paths are released once the taps exist. The
+cancellation then runs beam after beam on that beam's correlation row, and
+refinement reads the 17 lags of each beam's row around its pick from the
+same matrix, scoring every fractional replica for all beams in one
 (M, 17) @ (17, 2*delta + 1) product. Every beam draws its noise from its own
 spawned seed, so results do not depend on beam order or block size. A
 beam's cancellation stops at gamma^2 E_p times its noise level, the mean
@@ -82,13 +84,10 @@ from .estimator import (
     cancel_candidates,
     construct_maps,
     correlation_threshold,
-    cross_correlation,
     interpolate_map,
     joint_processing,
     massive_correlator,
-    preamble_autocorrelation,
     sic_candidates,  # noqa: F401  unused; perfbench's tests list it among the traced layer calls
-    tail_noise_variance,
 )
 from .io import write_map_csv, write_pgm16, write_records
 from .metrics import ErrorReport, map_errors
@@ -101,7 +100,14 @@ from .scene import (
     scene_to_dict,
     trace_backscatter_paths,
 )
-from .waveform import PREAMBLE_LENGTH, SensingRecord, make_preamble, synthesize_records
+from .waveform import (
+    PREAMBLE_LENGTH,
+    SensingRecord,
+    make_preamble,
+    matched_filter_rows,
+    preamble_autocorrelation,
+    synthesize_records,
+)
 
 __all__ = [
     "CodebookConfig",
@@ -124,11 +130,6 @@ __all__ = [
     "sweep",
     "SWEEP_COLUMNS",
 ]
-
-# Beams per block of the records stage: a block's records are synthesized,
-# matched-filtered and dropped before the next block's.
-_BLOCK = 32
-
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -466,10 +467,13 @@ class Observation:
     output of simulate and the input of estimate, which only reads it.
 
     Estimation reads a record only through its matched-filter row and its
-    tail noise level, so those are what is kept: correlation and noise_var.
-    The records themselves are derived data. The first read of samples (or
-    of records, its row views) synthesizes them once from the kept taps and
-    noise seeds, with the bytes simulate filtered, and keeps them.
+    tail noise level, so those are what is kept: correlation and noise_var,
+    made without forming a record (waveform.matched_filter_rows). The
+    records themselves are derived data. The first read of samples (or of
+    records, its row views) synthesizes them once from the kept taps and
+    noise seeds (synthesize_records, the same noise draws) and keeps them;
+    their matched filter and tail level equal correlation and noise_var
+    within 6.2e-16 of each row's peak and 4.2e-16 relative.
     """
 
     config: ScenarioConfig             # the config it was simulated under
@@ -532,12 +536,12 @@ def simulate(cfg: ScenarioConfig) -> Observation:
     the records, one per beam for record noise (spawn keys 0 and 1 .. M), so
     results do not depend on beam execution order.
 
-    The records stage synthesizes _BLOCK beams' records at a time and takes
-    each block's tail noise levels and matched-filter rows before the next;
-    only those are kept, with the taps and the noise seeds. A record row
-    does not depend on its block, so the rows are those of one
-    synthesize_records call over all beams, the call that
-    Observation.samples makes when read.
+    The records stage is one matched_filter_rows call: the signal's rows
+    come from the taps and the preamble autocorrelation, and only the noise,
+    each beam's draw from its seed, is filtered. The correlation rows and
+    noise levels are kept, with the taps and the noise seeds; no record is
+    formed. Observation.samples rebuilds the records from them, with the
+    same noise, when read.
     """
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -570,13 +574,9 @@ def simulate(cfg: ScenarioConfig) -> Observation:
 
     preamble = make_preamble(cfg.waveform.kind, cfg.waveform.length, cfg.waveform.seed)
     noise = tuple(master.spawn(cb.m))
-    correlation = np.empty((cb.m, l_d + 1), dtype=complex)
-    noise_var = np.empty(cb.m)
-    for first in range(0, cb.m, _BLOCK):
-        part = slice(first, first + _BLOCK)
-        block = synthesize_records(taps[part], preamble, cfg.radio, cb.combine_norm_sq[part], noise[part])
-        noise_var[part] = tail_noise_variance(block, cfg.sim.guard_taps)
-        correlation[part] = cross_correlation(block, preamble)
+    correlation, noise_var = matched_filter_rows(
+        taps, preamble, cfg.radio, cb.combine_norm_sq, noise, cfg.sim.guard_taps
+    )
     for kept in (taps, correlation, noise_var):
         kept.flags.writeable = False
     _clock(timings, "records", t0)

@@ -14,10 +14,11 @@ diff shows a mismatch.
 
 Every other line is "<case> <item> <sha256>". The items, in pipeline order:
 codebook (combine_norm_sq, both axis factors and the weights as read, in
-that order), paths.<column> for every PathSet column, taps, records, noise
-(each beam's tail noise level, Observation.noise_var), correlation (the
-(M, l_d + 1) matched-filter matrix: the rows of every cross_correlation call
-the pipeline makes, concatenated in call order), candidates (each beam's SIC
+that order), paths.<column> for every PathSet column, taps, records (the
+records Observation.samples rebuilds), noise (each beam's tail noise level,
+Observation.noise_var), correlation (the (M, l_d + 1) matched-filter
+matrix, Observation.correlation; the run forms it without filtering a
+record), candidates (each beam's SIC
 delay set, iteration count and truncation flag, in beam order), selected,
 offsets (the fine offsets as integer indices on the refinement grid),
 filled, every estimated map and its truth (map.<key>, truth.<key> for each
@@ -118,7 +119,6 @@ def digests(config: dict) -> list[tuple[str, str]]:
         with (
             _kept("trace_backscatter_paths", seen),
             _kept("beamformed_taps_batch", seen),
-            _kept("cross_correlation", seen),
             _kept("cancel_candidates", seen),
         ):
             art = run_scenario(cfg, out_dir=tmp)
@@ -129,7 +129,7 @@ def digests(config: dict) -> list[tuple[str, str]]:
             ("taps", _sha(taps)),
             ("records", _sha(np.stack([r.samples for r in art.records]))),
             ("noise", _sha(art.observation.noise_var)),
-            ("correlation", _sha(np.concatenate(seen["cross_correlation"]))),
+            ("correlation", _sha(art.observation.correlation)),
             ("candidates", _sha(_candidate_table(seen["cancel_candidates"]))),
             ("selected", _sha(art.selected.astype(np.int64))),
             ("offsets", _sha(np.rint(art.fine_offsets * cfg.estimator.refine_ratio).astype(np.int64))),

@@ -297,3 +297,9 @@ class TestDesignCodebook:
         assert weights.tobytes() == want.tobytes() and weights.shape == (cb.m, upa.n)
         assert cb.weights is weights  # formed once, then kept
         assert cb.combine_norm_sq.tobytes() == np.sum(np.abs(weights) ** 2, axis=1).tobytes()
+
+    def test_codebooks_compare_by_identity(self):
+        # Field-wise equality would compare arrays, whose truth value is ambiguous.
+        cb, other = design_codebook(UpaConfig(), SceneView()), design_codebook(UpaConfig(), SceneView())
+        assert cb == cb
+        assert (cb == other) is False and cb != other

@@ -594,16 +594,19 @@ class TestRunScenario:
         assert peak < 6.5 * 2**20
 
     def test_records_are_formed_only_when_read(self, monkeypatch):
-        monkeypatch.setattr(pipeline, "_BLOCK", 5)  # 16 beams in blocks of 5, 5, 5 and 1
+        monkeypatch.setattr(waveform, "_BLOCK", 5)  # 16 beams in blocks of 5, 5, 5 and 1
         art = run_scenario(small_config())
         obs = art.observation
         assert "samples" not in vars(obs) and "records" not in vars(obs)
         guard = art.config.sim.guard_taps
-        assert np.array_equal(cross_correlation(obs.samples, obs.preamble), obs.correlation)
-        assert np.array_equal(tail_noise_variance(obs.samples, guard), obs.noise_var)
+        # The run filters no record, so the rebuilt records' matched filter
+        # and tail level equal what it kept up to rounding, not bit for bit.
+        rows, noise = cross_correlation(obs.samples, obs.preamble), tail_noise_variance(obs.samples, guard)
+        assert np.all(np.abs(rows - obs.correlation) <= 1e-14 * np.abs(rows).max(axis=1, keepdims=True))
+        assert np.all(np.abs(noise - obs.noise_var) <= 1e-14 * noise)
         for rec in art.records:
-            assert np.array_equal(cross_correlation(rec.samples, obs.preamble), obs.correlation[rec.beam])
-            assert tail_noise_variance(rec.samples, guard) == obs.noise_var[rec.beam]
+            assert np.array_equal(cross_correlation(rec.samples, obs.preamble), rows[rec.beam])
+            assert tail_noise_variance(rec.samples, guard) == noise[rec.beam]
         assert art.records is obs.records and vars(obs)["samples"] is obs.samples
         # Seeds, not generators, so that a second synthesis draws the same noise.
         assert [seed.spawn_key for seed in obs.noise] == [(1 + m,) for m in range(16)]
@@ -670,7 +673,6 @@ class TestRunScenario:
         want = run_scenario(cfg, out_dir=tmp_path / "default")
         monkeypatch.setattr(waveform, "_BLOCK", block)
         monkeypatch.setattr(estimator, "_BLOCK", block)
-        monkeypatch.setattr(pipeline, "_BLOCK", block)
         for module in (scene, io, metrics):
             monkeypatch.setattr(module, "_ROWS", block)
         art = run_scenario(cfg, out_dir=tmp_path / "blocked")
@@ -697,20 +699,28 @@ class TestRunScenario:
             return seen[-1]
 
         monkeypatch.setattr(pipeline, "cancel_candidates", keep)
-        # A guard off the default 64: each beam's noise is exactly its guard's mean power.
+        # A guard off the default 64: each beam's noise is the mean power of
+        # its record's last 40 samples, as matched_filter_rows gives it.
         art = run_scenario(small_config(sim__guard_taps=40))
-        cfg, cb = art.config, art.codebook
+        cfg, cb, obs = art.config, art.codebook, art.observation
         preamble = make_preamble(cfg.waveform.kind, cfg.waveform.length, cfg.waveform.seed)
+        rows, noise = waveform.matched_filter_rows(
+            obs.taps, preamble, cfg.radio, cb.combine_norm_sq, obs.noise, cfg.sim.guard_taps
+        )
+        assert np.array_equal(obs.correlation, rows) and np.array_equal(obs.noise_var, noise)
+        auto = waveform.preamble_autocorrelation(preamble, obs.l_d)
         results = []
         for m, rec in enumerate(art.records):
-            noise = tail_noise_variance(rec.samples, cfg.sim.guard_taps)
-            threshold = correlation_threshold(preamble, noise, cfg.estimator.gamma)
+            threshold = correlation_threshold(preamble, obs.noise_var[m], cfg.estimator.gamma)
             assert thresholds[m] == threshold
+            # Each beam's SIC on its own row, bit for bit; the decisions are
+            # also those of SIC on the record rebuilt from the same draws.
+            want = cancel_candidates(obs.correlation[m], auto, threshold)
+            assert np.array_equal(seen[m].coefficients, want.coefficients)
             results.append(sic_candidates(rec.samples, preamble, threshold))
         assert len(seen) == len(results) == 16
         for got, want in zip(seen, results):
             assert np.array_equal(got.delays, want.delays)
-            assert np.array_equal(got.coefficients, want.coefficients)
             assert (got.iterations, got.truncated) == (want.iterations, want.truncated)
         selected, filled = joint_processing([r.delays for r in results], cb.n_bar_h, cb.n_bar_v)
         assert np.array_equal(art.selected, selected)
@@ -919,11 +929,11 @@ class TestSimulateEstimate:
             want.append({column: cells[column] for column in SWEEP_COLUMNS})
         simulated, simulate = [], pipeline.simulate
         monkeypatch.setattr(pipeline, "simulate", lambda cfg: simulated.append(cfg) or simulate(cfg))
-        filtered, correlate = [], pipeline.cross_correlation
-        monkeypatch.setattr(pipeline, "cross_correlation", lambda *a: filtered.append(a) or correlate(*a))
+        filtered, rows_of = [], pipeline.matched_filter_rows
+        monkeypatch.setattr(pipeline, "matched_filter_rows", lambda *a: filtered.append(a) or rows_of(*a))
         rows = sweep(self.DATA, "estimator.gamma", gammas, out_dir=tmp_path)
         assert len(simulated) == 1
-        assert len(filtered) == -(-runs[0].codebook.m // pipeline._BLOCK)  # once per block of one simulation
+        assert len(filtered) == 1  # the records stage of one simulation
         assert rows == want
         lines = [",".join(SWEEP_COLUMNS)]
         lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row.values()) for row in want]

@@ -5,7 +5,8 @@ The FFT-batched record synthesis is checked against the direct per-beam
 convolution and noise draws it replaced (reference_records), and the
 partitioned preamble filter it shares with the matched filter against the
 direct sums, over a grid of preamble lengths and delay windows that covers
-one-block and partitioned plans.
+one-block and partitioned plans. matched_filter_rows is checked against the
+matched filter and tail level of the records it does not form.
 """
 import tracemalloc
 
@@ -17,12 +18,13 @@ from mmdepth.waveform import (
     SensingRecord,
     golay_pair_128,
     make_preamble,
+    matched_filter_rows,
     pi_half_rotate,
     synthesize_records,
     synthesize_rx,
 )
 from mmdepth.channel import noise_variance
-from mmdepth.estimator import cross_correlation
+from mmdepth.estimator import cross_correlation, tail_noise_variance
 
 
 def reference_records(taps, preamble, radio, combine_norm_sq, seeds=None):
@@ -210,6 +212,74 @@ class TestSynthesizeRecords:
         monkeypatch.setattr(waveform, "_preamble_filter", lambda *a, **k: pytest.fail("filtered before the check"))
         with pytest.raises(ValueError, match="one noise generator per beam"):
             synthesize_records(taps, pn_preamble, radio, norms, [1, 2])
+
+
+def dense_taps(seed, m, l_d):
+    """Complex taps on every bin, so that the last ones reach the record tail."""
+    rng = np.random.default_rng(seed)
+    return 1e-5 * (rng.standard_normal((m, l_d)) + 1j * rng.standard_normal((m, l_d)))
+
+
+class TestMatchedFilterRows:
+    @pytest.mark.parametrize(
+        "kind, length, n_tail",
+        [("golay_80211ad", 3328, 64), ("golay_80211ad", 128, 64), ("golay_80211ad", 128, 200), ("pn", 3328, 64)],
+    )
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_equals_the_filtered_records(self, radio, kind, length, n_tail, noisy):
+        # A 128-sample preamble is shorter than the 160-tap window, and a
+        # 200-sample tail reaches back past the start of the last path's preamble.
+        preamble = make_preamble(kind, length, seed=4)
+        taps = dense_taps(length + n_tail, 12, 160)
+        norms = np.random.default_rng(1).uniform(0.5, 300.0, 12)
+        seeds = np.random.SeedSequence(8).spawn(12) if noisy else None
+        rows, noise = matched_filter_rows(taps, preamble, radio, norms, seeds, n_tail)
+        records = synthesize_records(taps, preamble, radio, norms, seeds)
+        want_rows, want_noise = cross_correlation(records, preamble), tail_noise_variance(records, n_tail)
+        assert rows.shape == (12, 161) and noise.shape == (12,)
+        assert np.all(np.abs(rows - want_rows) <= 1e-14 * np.abs(want_rows).max(axis=1, keepdims=True))
+        assert np.all(np.abs(noise - want_noise) <= 1e-14 * want_noise)
+
+    def test_noise_alone_is_the_record_models_draw(self, radio, golay_preamble):
+        # Zero taps leave the noise rows, which must filter to the records' bits.
+        taps = np.zeros((7, 114), dtype=complex)
+        seeds = np.random.SeedSequence(2).spawn(7)
+        rows, noise = matched_filter_rows(taps, golay_preamble, radio, np.arange(1.0, 8.0), seeds, 64)
+        records = synthesize_records(taps, golay_preamble, radio, np.arange(1.0, 8.0), seeds)
+        assert np.array_equal(rows, cross_correlation(records, golay_preamble))
+        assert np.array_equal(noise, tail_noise_variance(records, 64))
+
+    @pytest.mark.parametrize("block", [1, 5, 40])
+    def test_block_size_does_not_matter(self, radio, golay_preamble, monkeypatch, block):
+        taps = dense_taps(3, 11, 114)
+        seeds = np.random.SeedSequence(3).spawn(11)
+        want = matched_filter_rows(taps, golay_preamble, radio, np.ones(11), seeds, 64)
+        monkeypatch.setattr(waveform, "_BLOCK", block)
+        got = matched_filter_rows(taps, golay_preamble, radio, np.ones(11), seeds, 64)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_holds_one_block_of_noise_rows(self, radio, golay_preamble):
+        # 256 records of the default preamble are 13.4 MiB. Beyond its rows
+        # it holds one block of noise rows, the filter's two block buffers
+        # and arrays under 1 MiB in all (tails, autocorrelation, spectra).
+        taps = dense_taps(4, 256, 114)
+        seeds = np.random.SeedSequence(4).spawn(256)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rows, _ = matched_filter_rows(taps, golay_preamble, radio, np.ones(256), seeds, 64)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.nbytes + waveform._BLOCK * (3442 + 2 * 512) * 16 + 2**20
+
+    def test_arguments_validated(self, radio, pn_preamble, beam_taps):
+        taps, norms = beam_taps
+        with pytest.raises(ValueError, match="one noise generator per beam"):
+            matched_filter_rows(taps, pn_preamble, radio, norms, [1, 2], 64)
+        for n_tail in (0, len(pn_preamble) + taps.shape[1] + 1):
+            with pytest.raises(ValueError, match="n_tail"):
+                matched_filter_rows(taps, pn_preamble, radio, norms, None, n_tail)
 
 
 # Preamble lengths (golay prefixes, and a pn preamble longer than the
