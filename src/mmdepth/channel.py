@@ -29,6 +29,7 @@ forms the other elements as its powers) and three sines/cosines for its
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -275,6 +276,17 @@ def _mirror_split(grid: np.ndarray, axis: int) -> int:
     return -(-n // 2) if np.array_equal(grid, np.flip(grid, axis)) else n
 
 
+def _longest_run(c_sorted: np.ndarray) -> int:
+    """
+    Length of the longest run of equal sorted centre taps, with runs cut at
+    _BLOCK edges: the most paths that one coupling product reads.
+    """
+    start = np.ones(len(c_sorted) + 1, dtype=bool)  # the last entry closes the last run
+    np.not_equal(c_sorted[1:], c_sorted[:-1], out=start[1:-1])
+    start[::_BLOCK] = True
+    return int(np.diff(np.flatnonzero(start)).max()) if len(c_sorted) else 0
+
+
 def beamformed_taps_batch(
     paths,
     weights: np.ndarray | tuple[np.ndarray, np.ndarray],
@@ -302,9 +314,16 @@ def beamformed_taps_batch(
     reversed views. A grid without the symmetry is patterned whole.
 
     Paths are sorted by their pulse-centre tap and taken in blocks of
-    _BLOCK. A block forms its coupling, frees its axis responses, then forms
-    amp * pulse; every run of its paths sharing a centre tap c then adds
-    coupling @ (amp * pulse) to taps[:, c-8 : c+9] in one real product.
+    _BLOCK. A block forms its axis patterns (a dense matrix: its coupling),
+    frees its axis responses, then forms amp * pulse; every run of its paths
+    sharing a centre tap c then adds coupling @ (amp * pulse) to
+    taps[:, c-8 : c+9] in one real product. The pattern products span the
+    whole block, but the factored coupling buffer holds only as many paths
+    as the longest run, cut at block edges (a property of the scene's
+    delays, not of the seed). A block forms its coupling for greedy chunks
+    of consecutive whole runs that fit, so a block whose runs all fit is
+    one chunk. No pattern or run product changes shape, and so no tap
+    changes a bit, whatever the chunks.
 
     Returns
     -------
@@ -331,13 +350,21 @@ def beamformed_taps_batch(
         hc, vc = _mirror_split(grid_v, 1), _mirror_split(grid_h, 0)
         w_v = _power_series(grid_v[:, :hc].reshape(-1, upa.n_v).conj())
         w_h = _power_series(grid_h[:vc].reshape(-1, upa.n_h).conj())
-        pat_v, pat_h = np.empty((rows * hc, _BLOCK)), np.empty((vc * cols, _BLOCK))
-        cpl_buf = np.empty((m, _BLOCK))
+        # b_v's pattern rows, then b_h's.
+        pat_buf = np.empty((rows * hc + vc * cols, _BLOCK))
+        chunk_len = _longest_run(center[order])
+        cpl_buf = np.empty((m, chunk_len))
 
-        def coupling(b_v, b_h):
+        def patterns(b_v, b_h):
             n = len(b_v)
-            p_v = np.matmul(w_v, b_v.view(float).T, out=pat_v[:, :n]).reshape(rows, hc, n)
-            p_h = np.matmul(w_h, b_h.view(float).T, out=pat_h[:, :n]).reshape(vc, cols, n)
+            np.matmul(w_v, b_v.view(float).T, out=pat_buf[: rows * hc, :n])
+            np.matmul(w_h, b_h.view(float).T, out=pat_buf[rows * hc :, :n])
+            return pat_buf
+
+        def coupling(pat, lo, hi):
+            n = hi - lo
+            p_v = pat[: rows * hc, lo:hi].reshape(rows, hc, n)
+            p_h = pat[rows * hc :, lo:hi].reshape(vc, cols, n)
             # Beam (v, h) takes b_v's pattern from column min(h, cols-1-h)
             # and b_h's from row min(v, rows-1-v).
             p_vr = p_v[:, : cols - hc][:, ::-1]
@@ -352,10 +379,14 @@ def beamformed_taps_batch(
 
     else:
         w_conj = weights.conj()
+        chunk_len = _BLOCK
 
-        def coupling(b_v, b_h):
+        def patterns(b_v, b_h):
             a = (b_v[:, :, None] * b_h[:, None, :]).reshape(len(b_v), -1)
             return np.abs(w_conj @ a.T) ** 2
+
+        def coupling(cpl, lo, hi):
+            return cpl[:, lo:hi]
 
     taps = np.zeros((m, l_d), dtype=complex)
     # Real view, (M, 2*l_d): tap d occupies columns 2d (re) and 2d+1 (im).
@@ -366,13 +397,21 @@ def beamformed_taps_batch(
         c_blk = center[sel]
         b_v = axis_response(np.cos(paths.theta_z[sel]), upa.n_v, upa.spacing_wavelengths)
         b_h = axis_response(np.cos(paths.theta_x[sel]), upa.n_h, upa.spacing_wavelengths)
-        cpl = coupling(b_v, b_h)                     # (M, P_b) real
+        pat = patterns(b_v, b_h)                     # what coupling reads
         del b_v, b_h  # freed before the pulse is formed, so the per-path arrays do not peak together
         # amp * pulse viewed as (P_b, 34) floats, so each group is a real GEMM.
         offset = c_blk - paths.delay_s[sel] / ts
         shaped = (amplitude[sel][:, None] * pulse_window(offset, radio.rolloff)).view(float)
-        bounds = np.flatnonzero(np.diff(c_blk)) + 1
-        for lo, hi in zip(np.r_[0, bounds], np.r_[bounds, len(sel)]):
-            col = 2 * (c_blk[lo] - PULSE_HALF_WIDTH)
-            acc[:, col : col + width] += cpl[:, lo:hi] @ shaped[lo:hi]
+        runs = np.r_[0, np.flatnonzero(np.diff(c_blk)) + 1, len(sel)].tolist()
+        first = 0
+        while first < len(runs) - 1:
+            # The most consecutive whole runs, from runs[first], that fit a chunk.
+            last = bisect_right(runs, runs[first] + chunk_len) - 1
+            base = runs[first]
+            cpl = coupling(pat, base, runs[last])        # (M, paths) real
+            for lo, hi in zip(runs[first:last], runs[first + 1 : last + 1]):
+                col = 2 * (c_blk[lo] - PULSE_HALF_WIDTH)
+                acc[:, col : col + width] += cpl[:, lo - base : hi - base] @ shaped[lo:hi]
+            first = last
+        del cpl, runs  # not held while the next block forms its pulse
     return taps

@@ -17,8 +17,9 @@ processing what it measured:
         per-beam cancellation -> joint delay selection -> sub-sample
         refinement -> range / depth maps -> error reports
 
-The Observation holds the matched-filter rows and noise levels
-(read-only), the codebook and the truth maps, and estimate only reads it.
+The Observation holds the matched-filter rows and noise levels, the
+codebook and the truth maps, every array read-only, and estimate only
+reads it.
 ESTIMATION_KEYS (name, estimator.gamma, estimator.refine_ratio,
 output.interpolation, output.write_records) are the config keys only
 estimation and the artifact writing read; estimate refuses a config that
@@ -406,7 +407,7 @@ class RunArtifacts:
     truncated_beams: int               # beams that hit the cancellation cap
     range_map: np.ndarray              # estimates at estimation resolution
     depth_map: np.ndarray
-    gt_range: np.ndarray               # truth at estimation resolution
+    gt_range: np.ndarray               # truth at estimation resolution, the observation's (read-only)
     gt_depth: np.ndarray
     out_range: np.ndarray | None       # estimates upscaled to display size
     out_depth: np.ndarray | None
@@ -480,11 +481,11 @@ class Observation:
     codebook: Codebook
     n_paths: int
     l_d: int
-    preamble: np.ndarray
-    taps: np.ndarray                   # (M, l_d) channel taps, read-only
+    preamble: np.ndarray               # read-only, as is every array below
+    taps: np.ndarray                   # (M, l_d) channel taps
     noise: tuple[np.random.SeedSequence, ...]  # one record noise seed per beam
-    correlation: np.ndarray            # (M, l_d + 1) matched-filter rows, read-only
-    noise_var: np.ndarray              # (M,) tail noise levels, read-only
+    correlation: np.ndarray            # (M, l_d + 1) matched-filter rows
+    noise_var: np.ndarray              # (M,) tail noise levels
     gt_range: np.ndarray               # truth at estimation resolution
     gt_depth: np.ndarray
     gt_range_out: np.ndarray | None    # truth at display size
@@ -577,8 +578,9 @@ def simulate(cfg: ScenarioConfig) -> Observation:
     correlation, noise_var = matched_filter_rows(
         taps, preamble, cfg.radio, cb.combine_norm_sq, noise, cfg.sim.guard_taps
     )
-    for kept in (taps, correlation, noise_var):
-        kept.flags.writeable = False
+    for kept in (preamble, taps, correlation, noise_var, gt_range, gt_depth, gt_range_out, gt_depth_out):
+        if kept is not None:  # the display truth exists only with output.resolution
+            kept.flags.writeable = False
     _clock(timings, "records", t0)
     return Observation(
         cfg, cb, n_paths, l_d, preamble, taps, noise, correlation, noise_var,

@@ -1,4 +1,6 @@
 """Radio link pieces: budgets, pulses, and beamformed channel taps."""
+import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,7 +28,7 @@ from mmdepth.channel import (
     PULSE_HALF_WIDTH,
 )
 from mmdepth.codebook import SceneView, UpaConfig, axis_response, design_codebook, steering_vector
-from mmdepth.scene import PathSet
+from mmdepth.scene import PathSet, build_scene, trace_backscatter_paths
 
 
 def random_paths(rng, count, ts):
@@ -45,14 +47,19 @@ def factor_grids(cb):
     return tuple(f.reshape(cb.n_bar_v, cb.n_bar_h, -1) for f in cb.axis_factors)
 
 
-def reference_beamformed_taps(paths, factors, upa, radio, l_d):
-    """Factored taps with both axis patterns formed for all M beams of (M, n) factors."""
+def reference_beamformed_taps(paths, weights, upa, radio, l_d):
+    """
+    Taps with each block's coupling formed whole: both axis patterns for all
+    M beams of (M, n) factors, or |w^H a|^2 for a dense (M, N) matrix.
+    """
     ts = radio.sample_period_s
     center = _pulse_centers(paths.delay_s, l_d, ts)
     order = np.argsort(center, kind="stable")
     amplitude = paths.amplitude.astype(complex, copy=False)
-    w_v, w_h = (_power_series(f.conj()) for f in factors)
-    taps = np.zeros((len(factors[0]), l_d), dtype=complex)
+    factored = isinstance(weights, tuple)
+    if factored:
+        w_v, w_h = (_power_series(f.conj()) for f in weights)
+    taps = np.zeros((len(weights[0]) if factored else len(weights), l_d), dtype=complex)
     acc = taps.view(float)
     width = 2 * (2 * PULSE_HALF_WIDTH + 1)
     for start in range(0, len(order), channel._BLOCK):
@@ -62,13 +69,30 @@ def reference_beamformed_taps(paths, factors, upa, radio, l_d):
         shaped = (amplitude[sel][:, None] * val).view(float)
         b_v = axis_response(np.cos(paths.theta_z[sel]), upa.n_v, upa.spacing_wavelengths)
         b_h = axis_response(np.cos(paths.theta_x[sel]), upa.n_h, upa.spacing_wavelengths)
-        cpl = w_v @ b_v.view(float).T
-        cpl *= w_h @ b_h.view(float).T
+        if factored:
+            cpl = w_v @ b_v.view(float).T
+            cpl *= w_h @ b_h.view(float).T
+        else:
+            a = (b_v[:, :, None] * b_h[:, None, :]).reshape(len(sel), -1)
+            cpl = np.abs(weights.conj() @ a.T) ** 2
         bounds = np.flatnonzero(np.diff(c_blk)) + 1
         for lo, hi in zip(np.r_[0, bounds], np.r_[bounds, len(sel)]):
             col = 2 * (c_blk[lo] - PULSE_HALF_WIDTH)
             acc[:, col : col + width] += cpl[:, lo:hi] @ shaped[lo:hi]
     return taps
+
+
+def paths_on_taps(rng, centers, ts):
+    """Random paths whose pulse-centre taps are the given integers."""
+    paths = random_paths(rng, len(centers), ts)
+    return dataclasses.replace(paths, delay_s=(centers + rng.uniform(-0.45, 0.45, len(centers))) * ts)
+
+
+def longest_run(centers):
+    """The longest run of equal sorted centre taps, cut at the _BLOCK edges."""
+    c = np.sort(centers)
+    starts = np.union1d(np.flatnonzero(np.diff(c)) + 1, np.arange(0, len(c), _BLOCK))
+    return np.diff(np.r_[starts, len(c)]).max()
 
 
 def test_constants_are_the_exact_si_values():
@@ -418,10 +442,12 @@ class TestSharedAxisPatterns:
         # Symmetric on one axis only: b_v mirrors left-right, b_h does not mirror up-down.
         g_v = np.concatenate([g_v[:, :3], g_v[:, 1::-1]], axis=1)
         assert channel._mirror_split(g_v, 1) == 3 and channel._mirror_split(g_h, 0) == 4
-        paths = random_paths(rng, _BLOCK + 300, radio.sample_period_s)
+        # Full blocks of short runs, so that the coupling is formed in chunks.
+        paths = random_paths(rng, 2 * _BLOCK, radio.sample_period_s)
+        assert longest_run(_pulse_centers(paths.delay_s, 160, radio.sample_period_s)) < 100
         want = reference_beamformed_taps(paths, (g_v.reshape(20, -1), g_h.reshape(20, -1)), upa, radio, 160)
         got = beamformed_taps_batch(paths, (g_v, g_h), upa, radio, 160)
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n_v, n_h, os_v, os_h", [(3, 4, 1, 1), (6, 5, 1, 1), (16, 16, 1, 2), (3, 4, 3, 1)])
     def test_pattern_rows_per_block(self, radio, monkeypatch, n_v, n_h, os_v, os_h):
@@ -439,6 +465,71 @@ class TestSharedAxisPatterns:
         beamformed_taps_batch(paths, factor_grids(cb), upa, radio, 160)
         v, h = cb.n_bar_v, cb.n_bar_h
         assert rows == [v * -(-h // 2), -(-v // 2) * h]
+
+
+class TestRunChunks:
+    """
+    With factors, the coupling buffer holds the longest run of equal centre
+    taps (cut at block edges), and each chunk of whole runs that fits is
+    coupled at once: the taps keep every bit of whole-block coupling. The
+    cases are whole blocks, as in test_bit_equal_to_all_beam_patterns: a
+    partial block's pattern product may round differently from the
+    reference's, chunks or not.
+    """
+
+    @pytest.fixture(scope="class")
+    def upa(self):
+        return UpaConfig()
+
+    @pytest.fixture(scope="class")
+    def cb(self, upa):
+        return design_codebook(upa, SceneView())
+
+    def test_one_run_longer_than_a_block(self, radio, upa, cb):
+        # 1500 paths on tap 40, cut at the first block edge, then short runs.
+        rng = np.random.default_rng(13)
+        centers = np.r_[np.full(1500, 40), rng.integers(41, 150, 2 * _BLOCK - 1500)]
+        assert channel._longest_run(centers) == longest_run(centers) == _BLOCK
+        paths = paths_on_taps(rng, rng.permutation(centers), radio.sample_period_s)
+        got = beamformed_taps_batch(paths, factor_grids(cb), upa, radio, 160)
+        assert np.array_equal(got, reference_beamformed_taps(paths, cb.axis_factors, upa, radio, 160))
+
+    def test_runs_that_fill_the_buffer_next_to_single_paths(self, radio, upa, cb):
+        # Greedy chunks of 50: [50], [1, 49], [1, 1, 48], [50], [1], ... and
+        # the block edges cut some runs short.
+        lengths = [50, 1, 49, 1, 1, 48, 50, 1] * 11
+        centers = np.repeat(10 + np.arange(len(lengths)), lengths)[: 2 * _BLOCK]
+        assert channel._longest_run(centers) == longest_run(centers) == 50
+        rng = np.random.default_rng(14)
+        paths = paths_on_taps(rng, rng.permutation(centers), radio.sample_period_s)
+        got = beamformed_taps_batch(paths, factor_grids(cb), upa, radio, 160)
+        assert np.array_equal(got, reference_beamformed_taps(paths, cb.axis_factors, upa, radio, 160))
+        # The dense matrix couples each block whole, as before.
+        dense = beamformed_taps_batch(paths, cb.weights, upa, radio, 160)
+        assert np.array_equal(dense, reference_beamformed_taps(paths, cb.weights, upa, radio, 160))
+
+    def test_heap_holds_the_longest_run_not_a_block(self, radio, upa, cb):
+        # two_walls: 39 runs cut at block edges, the longest 230 paths. A
+        # coupling buffer of a whole block held M x _BLOCK floats, 2 MiB.
+        paths = trace_backscatter_paths(build_scene({"builtin": "two_walls"}, cb.view), radio.wavelength_m, 0.05, 0)
+        ts = radio.sample_period_s
+        l_d = delay_window_length(paths.max_delay_s, ts, guard=64)
+        centers = _pulse_centers(paths.delay_s, l_d, ts)
+        longest = longest_run(centers)
+        assert longest < _BLOCK // 4
+        # The same paths on one centre tap: every block is one run, and the
+        # buffer must hold a whole block, as it did for any paths before.
+        one_tap = dataclasses.replace(paths, delay_s=np.full(len(paths), (centers.min() + 0.25) * ts))
+        peaks = []
+        for p in (paths, one_tap):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                beamformed_taps_batch(p, factor_grids(cb), upa, radio, l_d)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] > 0.8 * cb.m * (_BLOCK - longest) * 8
 
 
 class TestDelayWindow:

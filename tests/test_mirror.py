@@ -21,16 +21,15 @@ from mmdepth.pipeline import config_from_dict, run_scenario
 from mmdepth.scene import build_scene, trace_backscatter_paths
 
 
-@pytest.fixture(scope="module")
-def codebook():
-    return design_codebook(UpaConfig(), SceneView())
-
-
+@pytest.mark.parametrize("os", [1, 2])
 @pytest.mark.parametrize("name", ["two_walls", "pillar_room"])
 @pytest.mark.parametrize("dense", [False, True])
-def test_taps_mirror_with_the_paths(codebook, name, dense):
-    cb, upa, radio = codebook, UpaConfig(), RadioConfig()
-    paths = trace_backscatter_paths(build_scene({"builtin": name}, SceneView()), radio.wavelength_m, 0.05, 0)
+def test_taps_mirror_with_the_paths(name, dense, os):
+    # two_walls' longest run of equal centre taps is 230 paths, so its
+    # factored taps couple chunks of runs, not whole blocks, at either os.
+    upa, radio = UpaConfig(), RadioConfig()
+    cb = design_codebook(upa, SceneView(os_h=os, os_v=os))
+    paths = trace_backscatter_paths(build_scene({"builtin": name}, cb.view), radio.wavelength_m, 0.05, 0)
     l_d = delay_window_length(paths.max_delay_s, radio.sample_period_s, guard=64)
     # The factored beam grids the pipeline passes, or the dense (M, N) matrix.
     beams = cb.weights if dense else tuple(f.reshape(cb.n_bar_v, cb.n_bar_h, -1) for f in cb.axis_factors)
@@ -40,11 +39,30 @@ def test_taps_mirror_with_the_paths(codebook, name, dense):
 
     want = taps(paths)
     peak = np.abs(want).max()
-    # Measured within 2.7e-15 of the peak on both scenes and both mirrors.
+    # Measured within 2.7e-15 of the peak at os 1 and 3.8e-15 at os 2, on both
+    # scenes and both mirrors.
     left_right = taps(dataclasses.replace(paths, theta_x=np.pi - paths.theta_x))
     assert np.abs(left_right - want[:, ::-1]).max() <= 1e-14 * peak
     up_down = taps(dataclasses.replace(paths, theta_z=np.pi - paths.theta_z))
     assert np.abs(up_down - want[::-1]).max() <= 1e-14 * peak
+
+
+@pytest.mark.parametrize("name", ["two_walls", "pillar_room"])
+def test_cancellation_mirrors_with_the_rows(name):
+    # Cancellation is per beam: fed the matched-filter rows and noise levels
+    # of the mirrored beam grid, it returns the mirrored delay sets exactly.
+    cfg = config_from_dict({"scene": {"builtin": name}, "sim": {"seed": 0}})
+    obs = pipeline.simulate(cfg)
+    cb = obs.codebook
+    sets, truncated = pipeline._detect(obs, cfg)
+    beams = np.arange(cb.m).reshape(cb.n_bar_v, cb.n_bar_h)
+    for flip in (np.fliplr, np.flipud):
+        order = flip(beams).ravel()
+        mirrored = dataclasses.replace(obs, correlation=obs.correlation[order], noise_var=obs.noise_var[order])
+        got, again = pipeline._detect(mirrored, cfg)
+        assert again == truncated
+        for m, delays in zip(order, got):
+            assert delays.dtype == sets[m].dtype and np.array_equal(delays, sets[m])
 
 
 def test_joint_selection_is_not_mirror_equivariant(monkeypatch):

@@ -912,6 +912,21 @@ class TestSimulateEstimate:
             obs.records[0].samples[0] = 0.0
         assert list(first.timings_s) == [*obs.timings_s, "sic", "joint", "refine", "maps"]
 
+    def test_no_array_of_the_observation_is_writeable(self, observed):
+        # The artifacts hand out the observation's truth maps: a write to one
+        # would change what a later estimate of the observation scores against.
+        obs, cfg = observed
+        art = pipeline.estimate(obs, cfg)
+        for name in ("gt_range", "gt_depth", "gt_range_out", "gt_depth_out"):
+            assert getattr(art, name) is getattr(obs, name)
+        arrays = ("preamble", "taps", "correlation", "noise_var", "gt_range", "gt_depth", "gt_range_out", "gt_depth_out")
+        for name in arrays:
+            kept = getattr(obs, name)
+            with pytest.raises(ValueError, match="read-only"):
+                kept[(0,) * kept.ndim] = -1.0
+        again = pipeline.estimate(obs, cfg)
+        assert again.reports == art.reports and np.array_equal(again.range_map, art.range_map)
+
     def test_run_scenario_is_estimate_of_simulate(self, observed):
         obs, cfg = observed
         art, want = run_scenario(cfg), pipeline.estimate(obs, cfg)
