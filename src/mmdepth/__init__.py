@@ -14,7 +14,7 @@ stages plus a pipeline that chains them:
     waveform    Golay / PN sensing preambles, record synthesis
     estimator   matched filter, cancellation, joint selection, refinement
     metrics     error reports and the range estimation bound
-    io          PGM / CSV / binary record artifacts
+    io          PGM / CSV map artifacts
     pipeline    scenario configs, end-to-end runs, sweeps
 
 The package root re-exports each of these modules' __all__. The command

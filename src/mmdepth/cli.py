@@ -10,7 +10,11 @@ Every subcommand starts from the built-in defaults, optionally overlaid
 with --config FILE (JSON), then --scenario, then repeatable --set
 dotted.key=value overrides (values parse as JSON when possible, else
 literal strings). Those three are the only ways to set a config value:
-the display size, for one, is --set 'output.resolution=[rows,cols]'.
+the display size, for one, is --set 'output.resolution=[rows,cols]'. A
+section's keys overlay its defaults, except the scene section's: a scene
+section replaces the default scene whole, so it must name one itself
+(--scenario one_wall --set scene.distance_m=5, not --set
+scene.distance_m=5 alone).
 
 Exit codes: 0 success, 2 configuration or usage error, 3 runtime failure.
 """

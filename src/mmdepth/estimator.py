@@ -83,7 +83,8 @@ def cross_correlation(samples: np.ndarray, preamble: np.ndarray) -> np.ndarray:
     q = 0 .. l_d, so a path at integer delay d peaks at c[d] with value
     (LS coefficient) * (preamble energy). samples is one record or an
     (M, n_p + l_d) stack, giving one row of lags per record. Blocks of
-    _BLOCK records go through the partitioned filter of record synthesis
+    _BLOCK records go through the partitioned correlator that also filters
+    the noise rows of waveform.matched_filter_rows
     (waveform._preamble_filter, overlap-save): the preamble is cut into
     sections at the transform size of waveform._plan, the record window of
     each section is transformed and multiplied by the section's conjugate
@@ -96,7 +97,7 @@ def cross_correlation(samples: np.ndarray, preamble: np.ndarray) -> np.ndarray:
         raise ValueError("record shorter than preamble")
     rows = samples.reshape(-1, n)
     c = np.empty((len(rows), n - n_p + 1), dtype=complex)
-    _preamble_filter(rows, preamble, c, 1.0, _BLOCK, correlate=True)
+    _preamble_filter(rows, preamble, c, _BLOCK)
     return c.reshape(samples.shape[:-1] + c.shape[1:])
 
 
@@ -129,7 +130,7 @@ def tail_noise_variance(samples: np.ndarray, n_tail: int) -> float | np.ndarray:
     This is the record model's noise level, over the whole delay-window
     guard, n_tail = sim.guard_taps, of a record. The pipeline forms no
     record: it takes its levels from waveform.matched_filter_rows, which
-    equal this on the records of synthesize_records within 4.2e-16
+    equal this on the records of synthesize_records within 5.8e-16
     relative. The guard follows the latest path's delay, so its samples
     hold noise and at most the truncated pulse tails of the latest paths,
     and their mean power estimates the noise variance. The mean of n_tail

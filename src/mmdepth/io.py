@@ -1,5 +1,5 @@
 """
-Artifact file formats: 16-bit PGM maps, CSV maps, and binary record dumps.
+Artifact file formats: 16-bit PGM maps and CSV maps.
 
 Every writer here is byte-deterministic: no timestamps, no host names, no
 float formatting that depends on locale. Reruns with the same inputs must
@@ -13,23 +13,15 @@ pixels with +inf); finite values clamp to [0, 65534] mm.
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
-
-from .waveform import SensingRecord
 
 __all__ = [
     "write_pgm16",
     "read_pgm16",
     "write_map_csv",
-    "write_records",
-    "read_records",
 ]
 
 PGM_SENTINEL = 65535        # missing / no return
-_RECORD_MAGIC = b"MMDR"
-_RECORD_VERSION = 1
 # Map rows per block of PGM encoding; working memory is O(_ROWS * cols).
 _ROWS = 32
 
@@ -125,52 +117,3 @@ def write_map_csv(path, map_m: np.ndarray) -> None:
             fh.write(",".join(repr(float(v)) for v in row))
             fh.write("\n")
 
-
-def write_records(path, records: list[SensingRecord]) -> None:
-    """
-    Dump per-beam records to the binary container:
-
-        magic 'MMDR' | uint32 version | uint32 count
-        then per record:
-        uint32 beam | uint32 n_p | uint32 l_d | (n_p+l_d) x (re, im) float64
-
-    All integers and floats little-endian; the samples are the bytes of a
-    little-endian complex128 array.
-    """
-    with open(path, "wb") as fh:
-        fh.write(_RECORD_MAGIC)
-        fh.write(struct.pack("<II", _RECORD_VERSION, len(records)))
-        for rec in records:
-            fh.write(struct.pack("<III", rec.beam, rec.n_p, rec.l_d))
-            fh.write(rec.samples.astype("<c16").tobytes())
-
-
-def read_records(path) -> list[SensingRecord]:
-    """Read a write_records dump; a file cut short anywhere raises a ValueError saying so."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-
-    def need(end: int) -> None:
-        if end > len(data):
-            raise ValueError(f"truncated record dump: {len(data)} bytes, the next field ends at byte {end}")
-
-    if data[:4] != _RECORD_MAGIC[: len(data)]:
-        raise ValueError("not a record dump (bad magic)")
-    need(12)
-    version, count = struct.unpack_from("<II", data, 4)
-    if version != _RECORD_VERSION:
-        raise ValueError(f"unsupported record dump version {version}")
-    pos = 12
-    records = []
-    for _ in range(count):
-        need(pos + 12)
-        beam, n_p, l_d = struct.unpack_from("<III", data, pos)
-        pos += 12
-        n = n_p + l_d
-        need(pos + 16 * n)
-        samples = np.frombuffer(data, dtype="<c16", count=n, offset=pos).astype(complex)
-        pos += 16 * n
-        records.append(SensingRecord(beam=beam, n_p=n_p, l_d=l_d, samples=samples))
-    if pos != len(data):
-        raise ValueError("trailing bytes after last record")
-    return records

@@ -21,16 +21,16 @@ The Observation holds the matched-filter rows and noise levels, the
 codebook and the truth maps, every array read-only, and estimate only
 reads it.
 ESTIMATION_KEYS (name, estimator.gamma, estimator.refine_ratio,
-output.interpolation, output.write_records) are the config keys only
-estimation and the artifact writing read; estimate refuses a config that
-differs from the observation's anywhere else. A sweep
-simulates only when a value's config differs from the previous one outside
-those keys, so a sweep over estimator.gamma simulates once.
+output.interpolation) are the config keys only estimation and the
+artifact writing read; estimate refuses a config that differs from the
+observation's anywhere else. A sweep simulates only when a value's config
+differs from the previous one outside those keys, so a sweep over
+estimator.gamma simulates once.
 
 run_scenario is estimate(simulate(cfg), cfg), and optionally writes the
-artifact files (PGM and CSV maps, error table, run.json and an optional
-record dump). Every artifact except run.json is
-byte-deterministic for a given config; run.json carries wall-clock timings.
+artifact files (PGM and CSV maps, error table and run.json). Every
+artifact except run.json is byte-deterministic for a given config;
+run.json carries wall-clock timings.
 The maps a run scores and the counts it reports are listed once, as
 RunArtifacts.map_pairs and RunArtifacts.counts: scoring, the artifacts,
 sweep rows and the CLI all read them there, so a map pair added to the list
@@ -45,9 +45,9 @@ draws it, goes through the partitioned FFT filter. The Observation keeps
 the (M, l_d + 1) correlation matrix and one noise level per beam, the taps
 and the per-beam noise seeds. From the last two it rebuilds the
 (M, n_p + l_d) record array of synthesize_records only when someone reads
-Observation.samples or .records (the records.bin dump does); the rebuilt
+Observation.samples or .records (no stage of a run does); the rebuilt
 records' matched filter and tail level equal correlation and noise_var
-within 6.2e-16 of each row's peak and 4.2e-16 relative (measured on the
+within 7.5e-16 of each row's peak and 5.8e-16 relative (measured on the
 benchmark scenes). The paths are released once the taps exist. The
 cancellation then runs beam after beam on that beam's correlation row, and
 refinement reads the 17 lags of each beam's row around its pick from the
@@ -90,7 +90,7 @@ from .estimator import (
     massive_correlator,
     sic_candidates,  # noqa: F401  unused; perfbench's tests list it among the traced layer calls
 )
-from .io import write_map_csv, write_pgm16, write_records
+from .io import write_map_csv, write_pgm16
 from .metrics import ErrorReport, map_errors
 from .scene import (
     BUILTIN_SCENES,
@@ -199,7 +199,6 @@ class SimConfig:
 class OutputConfig:
     resolution: tuple[int, int] | None = None  # (rows, cols) display size
     interpolation: str = "bicubic"             # nearest | bicubic
-    write_records: bool = False                # dump records.bin (large)
 
     def __post_init__(self):
         if self.interpolation not in ("nearest", "bicubic"):
@@ -247,24 +246,21 @@ class ScenarioConfig:
 
 def _check_kinds(annotations: dict[str, str], data: dict, where: str) -> None:
     """
-    Integer, float and boolean entries take exactly that JSON kind (None where
-    the annotation allows it; a float also takes an integer). A string, a
-    float where an integer belongs, or a NaN would fail or mislead later.
+    Integer and float entries take exactly that JSON kind (None where the
+    annotation allows it; a float also takes an integer, a boolean neither).
+    A string, a float where an integer belongs, or a NaN would fail or
+    mislead later.
     """
     for name, annotation in annotations.items():
         kind, _, optional = annotation.partition(" | ")  # annotations are strings
         value = data.get(name)
-        if kind not in ("int", "float", "bool") or name not in data or (value is None and optional == "None"):
+        if kind not in ("int", "float") or name not in data or (value is None and optional == "None"):
             continue
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        ok = {
-            "bool": isinstance(value, bool),
-            "int": number and isinstance(value, int),
-            "float": number and (isinstance(value, int) or math.isfinite(value)),
-        }[kind]
-        if not ok:
-            what = {"bool": "a boolean", "int": "an integer", "float": "a finite number"}[kind]
-            raise TypeError(f"{where}.{name} must be {what}, got {value!r}")
+        if kind == "int" and not (number and isinstance(value, int)):
+            raise TypeError(f"{where}.{name} must be an integer, got {value!r}")
+        if kind == "float" and not (number and (isinstance(value, int) or math.isfinite(value))):
+            raise TypeError(f"{where}.{name} must be a finite number, got {value!r}")
 
 
 def _build_section(cls, data: dict, where: str):
@@ -457,7 +453,6 @@ ESTIMATION_KEYS = (
     "estimator.gamma",
     "estimator.refine_ratio",
     "output.interpolation",
-    "output.write_records",
 )
 
 
@@ -474,7 +469,7 @@ class Observation:
     records, its row views) synthesizes them once from the kept taps and
     noise seeds (synthesize_records, the same noise draws) and keeps them;
     their matched filter and tail level equal correlation and noise_var
-    within 6.2e-16 of each row's peak and 4.2e-16 relative.
+    within 7.5e-16 of each row's peak and 5.8e-16 relative.
     """
 
     config: ScenarioConfig             # the config it was simulated under
@@ -701,8 +696,6 @@ def _write_artifacts(art: RunArtifacts, out_dir: Path) -> None:
         _put(f"gt_{key}.pgm", write_pgm16, truth)
     for key in ("range", "depth"):
         _put(f"{key}.csv", write_map_csv, pairs[key][0])
-    if cfg.output.write_records:
-        _put("records.bin", write_records, art.records)
 
     err_path = out_dir / "errors.csv"
     with open(err_path, "w", newline="") as fh:

@@ -687,6 +687,11 @@ def build_scene(scene_cfg: dict, view: SceneView) -> Scene:
     and bad parameter values raise ValueError; an unreadable file, OSError.
     """
     modes = [k for k in ("builtin", "file", "inline") if k in scene_cfg]
+    if not modes and scene_cfg:
+        raise ValueError(
+            f"scene config sets {sorted(scene_cfg)} but names no scene: add builtin, file or inline "
+            "(e.g. --scenario one_wall)"
+        )
     if len(modes) != 1:
         raise ValueError("scene config needs exactly one of: builtin, file, inline")
     mode = modes[0]

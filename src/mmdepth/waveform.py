@@ -12,18 +12,22 @@ single matched filter per beam resolve multipath taps.
 synthesize_records applies the tapped channels of mmdepth.channel, one
 tap line per beam, to a preamble and adds circular complex noise scaled by
 each beam's combiner norm, producing the (M, n_p + l_d) record array the
-estimators consume; synthesize_rx is its one-beam case. The convolutions
-and the matched filter of mmdepth.estimator share one partitioned FFT
-filter (_preamble_filter, overlap-save after T. G. Stockham, "High-speed
+estimators consume; synthesize_rx is its one-beam case. It is the plain
+reference model: one zero-padded FFT convolution per block of beams, at
+the power of two at or above the record length.
+
+The matched filter of mmdepth.estimator and the noise rows of
+matched_filter_rows go through one partitioned FFT correlator
+(_preamble_filter, overlap-save after T. G. Stockham, "High-speed
 convolution and correlation", AFIPS SJCC 1966): the preamble is cut into
 sections of a transform size just above the delay window, 512 points for
 the default preamble and a 114-sample window, instead of one transform of
 the whole 4096-point record. _plan picks the size from n_p and l_d alone;
 where partitioning does not pay, a short preamble or a wide window, it
-keeps one block at the full size. The spectra of the preamble sections are
-built once per preamble, window and direction and kept (_section_spectra),
-so a caller that filters one record or one block at a time pays for them
-once.
+keeps one block at the full size. The conjugate spectra of the preamble
+sections are built once per preamble and window and kept
+(_section_spectra), so a caller that filters one record or one block at a
+time pays for them once.
 
 matched_filter_rows gives what the estimators read of those records, their
 matched-filter rows and tail noise levels, without forming them: the
@@ -166,12 +170,10 @@ def _plan(n_p: int, l_d: int) -> tuple[int, int]:
     for an n_p-sample preamble and an l_d-sample delay window.
 
     At a power-of-two size > l_d the preamble is cut into sections of
-    step = size - l_d samples: a record row is correlated in
-    ceil(n_p / step) sections and synthesized in ceil((n_p + l_d - 1) / step)
-    output blocks, each direction taking one transform more than it has
-    sections. The one-block plan, size _fft_size(n_p + l_d) with
-    step = size, takes two transforms each way. The plan is the one with the
-    fewest transformed points over both directions; a tie goes to one
+    step = size - l_d samples, and a record row is correlated in
+    ceil(n_p / step) section transforms and one inverse. The one-block plan,
+    size _fft_size(n_p + l_d) with step = size, takes two transforms. The
+    plan is the one with the fewest transformed points; a tie goes to one
     block, then to the smaller size. A transform costs about the same per
     point from 256 to 2048 points, so points stand for time there, but
     below 256 its fixed cost per call outweighs its arithmetic; and a
@@ -179,107 +181,74 @@ def _plan(n_p: int, l_d: int) -> tuple[int, int]:
     overlap than preamble. No partition uses such sizes.
     """
     whole = _fft_size(n_p + l_d)
-    plans = [(4 * whole, 0, whole, whole)]  # (points, tie order, size, step)
+    plans = [(2 * whole, 0, whole, whole)]  # (points, tie order, size, step)
     size = _fft_size(max(256, 2 * l_d))
     while size < whole:
         step = size - l_d
-        transforms = -(-n_p // step) + -(-(n_p + l_d - 1) // step) + 2
-        plans.append((transforms * size, size, size, step))
+        plans.append(((-(-n_p // step) + 1) * size, size, size, step))
         size *= 2
     return min(plans)[2:]
 
 
 @functools.lru_cache(maxsize=16)
-def _section_spectra(dtype: str, data: bytes, l_d: int, correlate: bool) -> tuple[int, int, np.ndarray]:
+def _section_spectra(dtype: str, data: bytes, l_d: int) -> tuple[int, int, np.ndarray]:
     """
-    The plan (_plan) of _preamble_filter and the spectra of the preamble
-    sections it multiplies by, read-only, one row per section: the
-    conjugate spectra of the zero-padded sections when correlating, and the
-    spectra of the sections with their l_d - 1 samples of overlap when
-    convolving, over the whole convolution (n_p + l_d - 1 samples). The
-    preamble enters as its dtype and bytes, so that calls with equal
-    preambles, windows and directions share one build; the dtype is part of
-    the key because a complex preamble and a real one twice as long can
-    have the same bytes.
+    The plan (_plan) of _preamble_filter and the conjugate spectra of the
+    zero-padded preamble sections it multiplies by, read-only, one row per
+    section. The preamble enters as its dtype and bytes, so that calls with
+    equal preambles and windows share one build; the dtype is part of the
+    key because a complex preamble and a real one twice as long can have
+    the same bytes.
     """
     preamble = np.frombuffer(data, dtype=dtype)
     n_p = len(preamble)
     size, step = _plan(n_p, l_d)
-    starts = range(0, n_p if correlate else n_p + l_d - 1, step)
-    at = np.arange(size)
-    padded = np.concatenate([preamble, np.zeros(size)])  # negative indices read its zero tail
-    if correlate:
-        sections = padded[np.add.outer(starts, at)]
-        sections[:, step:] = 0.0
-        spectra = np.fft.fft(sections).conj()
-    else:
-        spectra = np.fft.fft(padded[np.add.outer(starts, np.where(at <= step, at, at - size))])
+    padded = np.concatenate([preamble, np.zeros(size)])
+    sections = padded[np.add.outer(range(0, n_p, step), np.arange(size))]
+    sections[:, step:] = 0.0
+    spectra = np.fft.fft(sections).conj()
     spectra.flags.writeable = False
     return size, step, spectra
 
 
-def _preamble_filter(
-    rows: np.ndarray, preamble: np.ndarray, out: np.ndarray, scale: float, block: int, correlate: bool
-) -> None:
+def _preamble_filter(rows: np.ndarray, preamble: np.ndarray, out: np.ndarray, block: int) -> None:
     """
-    Convolve tap lines with the preamble, or correlate records with it, at
-    the transform size of _plan(n_p, l_d), writing scale times the result
-    into out, one row per row:
+    Correlate records with the preamble at the transform size of
+    _plan(n_p, l_d): out[i, q] = sum_n s*[n] rows[i, n + q] for
+    q = 0 .. l_d = out.shape[1] - 1. Section k of the preamble,
+    s[k*step : (k+1)*step], meets the record window
+    rows[i, k*step : k*step + size], and one inverse transform of the sum of
+    the K products gives every lag (overlap-save). With one section
+    (step = size) it is one transform each way at the one-block size.
 
-      correlate=False: rows are (R, l_d) tap lines and out[i] is the first
-          out.shape[1] <= n_p + l_d - 1 samples of preamble * rows[i].
-          Output block k, out[i, k*step : (k+1)*step], is
-          ifft(fft(rows[i]) * fft(t_k))[:step],
-          where t_k holds s[k*step + j] at j mod size for j = -(l_d - 1) ..
-          step: the l_d - 1 samples before the block wrap to its end, so the
-          kept samples do not wrap (overlap-save) and the blocks tile out.
-      correlate=True: rows are records and out[i, q] = sum_n s*[n] rows[i, n + q]
-          for q = 0 .. l_d = out.shape[1] - 1. Section k of the preamble,
-          s[k*step : (k+1)*step], meets the record window
-          rows[i, k*step : k*step + size], and one inverse transform of the
-          sum of the K products gives every lag (overlap-save).
-
-    With one section (step = size) both are one transform each way at the
-    one-block size. Blocks of `block` rows go through one reused (block,
-    size) buffer, plus a second one when there are several sections, both
-    transformed in place. A row does not depend on the others or on the
-    block size. The section spectra are built once per preamble, window
-    and direction (_section_spectra).
+    Blocks of `block` rows go through one reused (block, size) buffer, plus
+    a second one when there are several sections, both transformed in
+    place. A row does not depend on the others or on the block size. The
+    section spectra are built once per preamble and window
+    (_section_spectra).
     """
     preamble = np.asarray(preamble)
-    n_p = len(preamble)
-    l_d = out.shape[1] - 1 if correlate else rows.shape[1]
-    size, step, spectra = _section_spectra(preamble.dtype.str, preamble.tobytes(), l_d, correlate)
-    starts = range(0, n_p if correlate else out.shape[1], step)
+    l_d = out.shape[1] - 1
+    size, step, spectra = _section_spectra(preamble.dtype.str, preamble.tobytes(), l_d)
     buf = np.empty((min(block, len(rows)), size), dtype=complex)
-    spare = np.empty_like(buf) if len(starts) > 1 else buf
+    spare = np.empty_like(buf) if len(spectra) > 1 else buf
     for first in range(0, len(rows), block):
         part = buf[: min(block, len(rows) - first)]
         work = spare[: len(part)]
-        rows_in, rows_out = rows[first : first + len(part)], out[first : first + len(part)]
-        if correlate:
-            for k, start in enumerate(starts):
-                dst = work if k else part
-                window = rows_in[:, start : start + size]
-                if window.shape[1] < size:  # runs past the record end: zero-pad
-                    dst[:, : window.shape[1]] = window
-                    dst[:, window.shape[1] :] = 0.0
-                    window = dst
-                np.fft.fft(window, out=dst)
-                dst *= spectra[k]
-                if k:
-                    part += work
-            np.fft.ifft(part, out=part)
-            np.multiply(part[:, : out.shape[1]], scale, out=rows_out)
-        else:
-            part[:, :l_d] = rows_in
-            part[:, l_d:] = 0.0
-            np.fft.fft(part, out=part)
-            for k, start in enumerate(starts):
-                np.multiply(part, spectra[k], out=work)
-                np.fft.ifft(work, out=work)
-                keep = rows_out[:, start : start + step]
-                np.multiply(work[:, : keep.shape[1]], scale, out=keep)
+        rows_in = rows[first : first + len(part)]
+        for k, spectrum in enumerate(spectra):
+            dst = work if k else part
+            window = rows_in[:, k * step : k * step + size]
+            if window.shape[1] < size:  # runs past the record end: zero-pad
+                dst[:, : window.shape[1]] = window
+                dst[:, window.shape[1] :] = 0.0
+                window = dst
+            np.fft.fft(window, out=dst)
+            dst *= spectrum
+            if k:
+                part += work
+        np.fft.ifft(part, out=part)
+        out[first : first + len(part)] = part[:, : out.shape[1]]
 
 
 def _draw_noise(
@@ -290,13 +259,14 @@ def _draw_noise(
     draw: np.ndarray,
 ) -> None:
     """
-    The record model's noise: write beam k's noise into rows[k], a
-    C-contiguous complex (K, n) array. Each beam draws its real then its
-    imaginary parts from its own generator, one standard-normal (2, n) draw
-    into the reused buffer draw, scaled by sigma_n * ||w_k|| / sqrt(2)
-    (combine_norm_sq[k] = ||w_k||^2). synthesize_records adds these rows to
-    its signal and matched_filter_rows filters them, so both see the same
-    bits.
+    The record model's noise: write beam k's noise into rows[k] of a complex
+    (K, n) array whose rows are contiguous, a C-contiguous array or the
+    first n columns of a wider row-strided block. Each beam draws its real
+    then its imaginary parts from its own generator, one standard-normal
+    (2, n) draw into the reused buffer draw, scaled by
+    sigma_n * ||w_k|| / sqrt(2) (combine_norm_sq[k] = ||w_k||^2).
+    synthesize_records adds these rows to its signal and matched_filter_rows
+    filters them, so both see the same bits.
     """
     sigma = np.sqrt(noise_variance(radio) * combine_norm_sq / 2.0)
     pairs = rows.view(float).reshape(len(rows), rows.shape[1], 2).transpose(0, 2, 1)  # (re, im) of each row
@@ -320,18 +290,18 @@ def synthesize_records(
     for n = 0 .. n_p+l_d-1, with taps of shape (M, l_d) and nu_m circular
     complex noise of variance sigma_n^2 * ||w_m||^2 per sample
     (combine_norm_sq[m] = ||w_m||^2). The convolutions are FFT products
-    over blocks of _BLOCK beams: each beam's taps are transformed once at
-    the size of _plan and multiplied by the spectrum of each preamble
-    section, and each inverse gives one block of the record
-    (_preamble_filter). The blocks tile the record, none wraps, and the
-    last sample of a record drawn without noise is exactly 0. The number of
-    noise generators is checked before any transform.
+    over blocks of _BLOCK beams: each block's tap lines are zero-padded to
+    _fft_size(n_p + l_d), so no sample wraps, and transformed, multiplied
+    by the preamble's spectrum and transformed back in one reused buffer.
+    The last sample of a record drawn without noise is exactly 0. The
+    number of noise generators is checked before any transform.
 
     noise is None for clean records (no noise draw), or one Generator or seed (for
     np.random.default_rng) per beam. Row m draws its real then its imaginary
     parts from its own generator, into one reused (2, n) array (_draw_noise),
-    and the noise rows are added _BLOCK beams at a time, so a beam's noise
-    does not depend on the other beams or on the block size.
+    and a block's noise rows are drawn into its transform buffer once its
+    signal is out, so a beam's noise does not depend on the other beams or
+    on the block size.
     """
     taps = np.asarray(taps)
     preamble = np.asarray(preamble)
@@ -339,17 +309,25 @@ def synthesize_records(
     n = len(preamble) + l_d
     if noise is not None and len(noise) != m:
         raise ValueError("need one noise generator per beam")
+    nfft = _fft_size(n)
+    spectrum = np.fft.fft(preamble, nfft)
+    amp = np.sqrt(radio.symbol_energy_j)
+    norms = np.asarray(combine_norm_sq)
+    draw = np.empty((2, n))
+    buf = np.empty((min(_BLOCK, m), nfft), dtype=complex)
     y = np.zeros((m, n), dtype=complex)
-    _preamble_filter(taps, preamble, y[:, : n - 1], np.sqrt(radio.symbol_energy_j), _BLOCK, correlate=False)
-    if noise is not None:
-        norms = np.asarray(combine_norm_sq)
-        draw = np.empty((2, n))
-        rows = np.empty((min(_BLOCK, m), n), dtype=complex)
-        for start in range(0, m, _BLOCK):
-            part = slice(start, start + len(rows))
-            size = len(y[part])
-            _draw_noise(rows[:size], noise[part], radio, norms[part], draw)
-            y[part] += rows[:size]
+    for start in range(0, m, _BLOCK):
+        part = slice(start, start + len(buf))
+        block = buf[: len(y[part])]
+        block[:, :l_d] = taps[part]
+        block[:, l_d:] = 0.0
+        np.fft.fft(block, out=block)
+        block *= spectrum
+        np.fft.ifft(block, out=block)
+        np.multiply(block[:, : n - 1], amp, out=y[part, : n - 1])
+        if noise is not None:
+            _draw_noise(block[:, :n], noise[part], radio, norms[part], draw)
+            y[part] += block[:, :n]
     return y
 
 
@@ -396,10 +374,10 @@ def matched_filter_rows(
               beams at a time; their last n_tail samples join the signal's.
 
     The result equals cross_correlation and tail_noise_variance of the
-    records up to rounding: within 6.2e-16 of each row's peak and 4.2e-16
-    relative, measured on the three benchmark scenes at sim seeds 0-4 and on
-    one_wall at os 2. The noise draws are those of the records. A row does
-    not depend on the others or on the block size.
+    records up to rounding: within 7.5e-16 of each row's peak and 5.8e-16
+    relative, measured on the three benchmark scenes and on one_wall and
+    pillar_room at os 2, at sim seeds 0-4. The noise draws are those of the
+    records. A row does not depend on the others or on the block size.
     """
     taps = np.asarray(taps)
     preamble = np.asarray(preamble)
@@ -431,7 +409,7 @@ def matched_filter_rows(
             part = slice(start, start + len(rows))
             size = len(taps[part])
             _draw_noise(rows[:size], noise[part], radio, norms[part], draw)
-            _preamble_filter(rows[:size], preamble, filtered[:size], 1.0, size, correlate=True)
+            _preamble_filter(rows[:size], preamble, filtered[:size], size)
             correlation[part] += filtered[:size]
             tail[part] += rows[:size, -n_tail:]
     return correlation, np.mean(np.abs(tail) ** 2, axis=-1)

@@ -27,7 +27,8 @@ writes; run.json is digested without its timings_s. The first differing item
 of a case shows where two trees part.
 
 The cases are the benchmark workloads (their configs are read from
-perfbench/run.py, not imported) at sim seeds 0-4, and one_wall at os 2.
+perfbench/run.py, not imported), one_wall at os 2 and pillar_room at os 2,
+each at sim seeds 0-4.
 Arguments, if given, are fnmatch patterns on the case names:
 
     PYTHONPATH=src python tests/run_digests.py 'wall/*' 'one_wall_os2/*'
@@ -67,7 +68,8 @@ def benchmark_workloads(path: Path = BENCHMARK) -> dict:
 def cases() -> dict:
     """Case name -> config dict."""
     configs = {name: spec["config"] for name, spec in benchmark_workloads().items()}
-    configs["one_wall_os2"] = {"scene": {"builtin": "one_wall"}, "view": {"os_h": 2, "os_v": 2}}
+    for scene in ("one_wall", "pillar_room"):
+        configs[f"{scene}_os2"] = {"scene": {"builtin": scene}, "view": {"os_h": 2, "os_v": 2}}
     out = {}
     for name, config in configs.items():
         for seed in SIM_SEEDS:

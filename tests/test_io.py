@@ -1,18 +1,14 @@
-"""Artifact formats: the 16-bit PGM map and record dump round trips, the
-readers' rejection of files they did not write, and the writers' rejection
-of maps that are not 2-D."""
-import struct
+"""Artifact formats: the 16-bit PGM map round trip, the reader's rejection
+of files it did not write, and the writers' rejection of maps that are not
+2-D."""
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from mmdepth import io
-from mmdepth.io import read_pgm16, read_records, write_map_csv, write_pgm16, write_records
-from mmdepth.waveform import SensingRecord
+from mmdepth.io import read_pgm16, write_map_csv, write_pgm16
 
-# One beam, n_p = 1, l_d = 0, sample 1 + 2j.
-RECORD_DUMP = b"MMDR" + struct.pack("<II", 1, 1) + struct.pack("<III", 0, 1, 0) + struct.pack("<dd", 1.0, 2.0)
 # One pixel, 1.000 m.
 PGM_1X1 = b"P5\n1 1\n65535\n\x03\xe8"
 
@@ -93,29 +89,6 @@ def test_pgm16_writes_a_block_at_a_time(tmp_path):
     assert (tmp_path / "map.pgm").read_bytes() == reference_pgm16(values)
 
 
-def test_records_round_trip_every_bit(tmp_path):
-    # Infinite parts and signed zeros come back as written: a reader that
-    # rebuilt re + 1j * im would turn an infinite imaginary part into a NaN
-    # real part.
-    samples = np.array(
-        [complex(1.5, np.inf), complex(-0.0, 2.0), complex(3.0, -0.0), complex(-np.inf, -0.0), 0.25 - 1e-300j]
-    )
-    records = [SensingRecord(beam=7, n_p=3, l_d=2, samples=samples), SensingRecord(0, 1, 4, samples[::-1])]
-    path = tmp_path / "records.bin"
-    write_records(path, records)
-    header = b"MMDR" + struct.pack("<II", 1, 2)
-    beam7 = struct.pack("<III", 7, 3, 2) + b"".join(struct.pack("<dd", z.real, z.imag) for z in samples)
-    assert path.read_bytes().startswith(header + beam7)
-    back = read_records(path)
-    assert [(r.beam, r.n_p, r.l_d) for r in back] == [(7, 3, 2), (0, 1, 4)]
-    for a, b in zip(back, records):
-        assert a.samples.dtype == complex and a.samples.flags.writeable
-        assert a.samples.tobytes() == b.samples.tobytes()
-    # The dump the rejection cases below corrupt is itself valid.
-    path.write_bytes(RECORD_DUMP)
-    assert read_records(path)[0].samples.tolist() == [1.0 + 2.0j]
-
-
 @pytest.mark.parametrize(
     "reader, data, match",
     [
@@ -125,9 +98,6 @@ def test_records_round_trip_every_bit(tmp_path):
         (read_pgm16, b"P5\n-1 2\n65535\n\x00\x00", "negative PGM size -1 x 2"),
         (read_pgm16, b"P5\n2 x\n65535\n", "malformed PGM header: 'x' is not an integer"),
         (read_pgm16, b"P5\n2 2\n65535.0\n", "malformed PGM header: '65535.0' is not an integer"),
-        (read_records, b"MMDX" + RECORD_DUMP[4:], "not a record dump \\(bad magic\\)"),
-        (read_records, b"MMDR" + struct.pack("<II", 2, 1) + RECORD_DUMP[12:], "unsupported record dump version 2"),
-        (read_records, RECORD_DUMP + b"\x00", "trailing bytes after last record"),
     ],
 )
 def test_readers_reject_foreign_files(tmp_path, reader, data, match):
@@ -135,21 +105,6 @@ def test_readers_reject_foreign_files(tmp_path, reader, data, match):
     path.write_bytes(data)
     with pytest.raises(ValueError, match=match):
         reader(path)
-
-
-def test_truncated_record_dump_rejected(tmp_path):
-    # Cut a two-record dump at every byte, so at every field boundary (magic,
-    # version, count, each record's beam, n_p and l_d, each sample) and inside
-    # each field: every cut raises the same ValueError.
-    samples = np.arange(3) * (1.0 - 1.0j)
-    path = tmp_path / "records.bin"
-    write_records(path, [SensingRecord(0, 2, 1, samples), SensingRecord(1, 1, 1, samples[:2])])
-    dump = path.read_bytes()
-    assert len(dump) == 12 + (12 + 3 * 16) + (12 + 2 * 16)
-    for cut in range(len(dump)):
-        path.write_bytes(dump[:cut])
-        with pytest.raises(ValueError, match=f"truncated record dump: {cut} bytes"):
-            read_records(path)
 
 
 def test_truncated_pgm_rejected(tmp_path):

@@ -31,7 +31,7 @@ from mmdepth.estimator import (
     sic_candidates,
     tail_noise_variance,
 )
-from mmdepth.io import read_pgm16, read_records
+from mmdepth.io import read_pgm16
 from mmdepth.pipeline import (
     SWEEP_ALIASES,
     SWEEP_COLUMNS,
@@ -165,10 +165,16 @@ class TestConfigFromDict:
             config_from_dict({"radio": {"tx_dbm": 30}})
 
     def test_scene_needs_exactly_one_mode(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            config_from_dict({"scene": {}})
-        with pytest.raises(ValueError, match="exactly one"):
-            config_from_dict({"scene": {"builtin": "one_wall", "file": "x.json"}})
+        for scene in ({}, {"builtin": "one_wall", "file": "x.json"}):
+            with pytest.raises(ValueError, match="^scene config needs exactly one of: builtin, file, inline$"):
+                config_from_dict({"scene": scene})
+        # Parameters without a mode: the message names them and the fix.
+        with pytest.raises(ValueError) as info:
+            config_from_dict({"scene": {"distance_m": 5, "margin": 1.2}})
+        assert str(info.value) == (
+            "scene config sets ['distance_m', 'margin'] but names no scene: add builtin, file or inline "
+            "(e.g. --scenario one_wall)"
+        )
 
     def test_unknown_builtin_rejected(self):
         with pytest.raises(ValueError, match="unknown builtin"):
@@ -291,8 +297,7 @@ class TestConfigFromDict:
         # Fields of the wrong kind fail at load in every section.
         for bad, match in [
             ({"sim": {"seed": "abc"}}, "seed"),
-            ({"output": {"write_records": "no"}}, "write_records"),
-            ({"output": {"write_records": 1}}, "write_records"),
+            ({"output": {"write_records": True}}, "unknown output keys: \\['write_records'\\]"),
             ({"upa": {"n_h": 16.0}}, "n_h"),
             ({"codebook": {"phase_bits": 2.0}}, "phase_bits"),
             ({"output": {"write_codebook": True}}, "unknown output keys"),
@@ -669,7 +674,7 @@ class TestRunScenario:
     @pytest.mark.parametrize("block", [1, 5, 40])
     def test_block_size_does_not_change_the_run(self, small_run, monkeypatch, tmp_path, block):
         # A 37 x 45 display is not a multiple of the 5-row blocks.
-        cfg = small_config(output__resolution=[37, 45], output__write_records=True)
+        cfg = small_config(output__resolution=[37, 45])
         want = run_scenario(cfg, out_dir=tmp_path / "default")
         monkeypatch.setattr(waveform, "_BLOCK", block)
         monkeypatch.setattr(estimator, "_BLOCK", block)
@@ -683,7 +688,7 @@ class TestRunScenario:
         for key in ("gt_range", "gt_depth", "out_range", "out_depth", "gt_range_out", "gt_depth_out"):
             assert np.array_equal(getattr(art, key), getattr(want, key)), key
         assert art.reports == want.reports
-        assert len(art.files) == len(want.files) == 13
+        assert len(art.files) == len(want.files) == 12
         for a, b in zip(art.files, want.files):
             got, expect = Path(a).read_bytes(), Path(b).read_bytes()
             if a.endswith("run.json"):
@@ -762,14 +767,6 @@ class TestArtifactFiles:
         assert lines[0] == "map,rows,cols,rmse_m,mae_m,bias_m,n_valid,n_total"
         assert {ln.split(",")[0] for ln in lines[1:]} == {"range", "depth"}
 
-    def test_records_roundtrip(self, tmp_path):
-        art = run_scenario(small_config(output__write_records=True), out_dir=tmp_path)
-        loaded = read_records(tmp_path / "records.bin")
-        assert len(loaded) == 16
-        for a, b in zip(loaded, art.records):
-            assert a.beam == b.beam and a.n_p == b.n_p and a.l_d == b.l_d
-            assert np.array_equal(a.samples, b.samples)
-
     def test_optional_outputs(self, tmp_path):
         run_scenario(small_config(output__resolution=[8, 8]), out_dir=tmp_path)
         for name in ("range_out.pgm", "depth_out.pgm", "gt_range_out.pgm", "gt_depth_out.pgm"):
@@ -777,9 +774,9 @@ class TestArtifactFiles:
 
 
 class TestDisplayOutputs:
-    """A run with display maps and the record dump: every output lists the same maps and counts."""
+    """A run with display maps: every output lists the same maps and counts."""
 
-    DATA = {**SMALL, "output": {"resolution": [8, 12], "write_records": True}}
+    DATA = {**SMALL, "output": {"resolution": [8, 12]}}
 
     @pytest.fixture(scope="class")
     def written(self, tmp_path_factory):
@@ -844,12 +841,12 @@ class TestDisplayOutputs:
 
     def test_readme_lists_every_file_a_run_writes(self, written):
         # README's "Output files" bullets name each file; a run with display
-        # maps and the record dump writes all of them and nothing else.
+        # maps writes all of them and nothing else.
         art, out = written
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = readme.split("## Output files\n", 1)[1].split("\n## ", 1)[0]
         bullets = re.findall(r"^- (.*?):", section, flags=re.MULTILINE | re.DOTALL)
-        listed = [name for b in bullets for name in re.findall(r"`([a-z_]+\.(?:pgm|csv|json|bin))`", b)]
+        listed = [name for b in bullets for name in re.findall(r"`([a-z_]+\.(?:pgm|csv|json))`", b)]
         written_names = sorted(Path(p).name for p in art.files)
         assert sorted(p.name for p in out.iterdir()) == written_names
         assert sorted(listed) == written_names
@@ -865,7 +862,6 @@ class TestSimulateEstimate:
         "estimator.gamma": 5.0,
         "estimator.refine_ratio": 50,
         "output.interpolation": "nearest",
-        "output.write_records": True,
     }
 
     def config(self, **updates):
@@ -1010,8 +1006,8 @@ class TestCli:
 
     def test_run_set_override_parses_json(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
-        code = cli_main(["run", "--config", str(cfg), "--set", "output.write_records=true",
-                         "--set", "estimator.gamma=4.5", "--set", "output.resolution=[8,12]"])
+        code = cli_main(["run", "--config", str(cfg), "--set", "estimator.gamma=4.5",
+                         "--set", "output.resolution=[8,12]"])
         assert code == 0
 
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
@@ -1034,6 +1030,14 @@ class TestCli:
         cfg = self.write_config(tmp_path)
         assert cli_main(["run", "--config", str(cfg), "--set", "noequals"]) == 2
 
+    def test_scene_parameter_without_a_scene_is_usage_error(self, tmp_path, capsys):
+        # A scene section replaces the default scene, so it must name one.
+        assert cli_main(["run", "--set", "scene.distance_m=5"]) == 2
+        err = capsys.readouterr().err
+        assert "scene config sets ['distance_m'] but names no scene" in err and "--scenario one_wall" in err
+        assert cli_main(["ground-truth", "--scenario", "one_wall", "--set", "scene.distance_m=5",
+                         "--out", str(tmp_path / "gt")]) == 0
+
     def test_invalid_estimator_setting_is_usage_error(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
         for setting, match in [
@@ -1045,8 +1049,7 @@ class TestCli:
             ("estimator.max_iterations=32", "unknown estimator keys: ['max_iterations']"),
             *((f"{key}={json.dumps(value)}", f"bad {key} section: must be a JSON object, got {value!r}")
               for key, value in NON_OBJECT_SECTIONS),
-            ("output.write_records=1", "output.write_records must be a boolean"),
-            ('output.write_records="no"', "output.write_records must be a boolean"),
+            ("output.write_records=true", "unknown output keys: ['write_records']"),
             ("output.resolution=[720.7,1280]", "output.resolution entries must be integers"),
             ('output.resolution="abc"', "output.resolution must be a [rows, cols] pair, got 'abc'"),
             ('radio.tx_power_dbm="abc"', "radio.tx_power_dbm must be a finite number"),
@@ -1241,6 +1244,7 @@ class TestCli:
             (["--parameter", "radio.bogus", "--values", "1"], "unknown radio keys: ['bogus']"),
             (["--scenario", "two_walls", "--parameter", "distance", "--values", "1"],
              "unknown two_walls scene keys: ['distance_m']"),
+            (["--parameter", "distance", "--values", "3,5"], "scene config sets ['distance_m'] but names no scene"),
         ]:
             assert cli_main(["sweep", *args, "--out", str(out)]) == 2
             assert match in capsys.readouterr().err

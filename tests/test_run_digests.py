@@ -17,7 +17,7 @@ SMALL = {
     "waveform": {"kind": "pn", "length": 256, "seed": 3},
     "sim": {"seed": 1, "cell_size_m": 0.15},
     "scene": {"builtin": "one_wall", "distance_m": 1.5},
-    "output": {"resolution": [9, 7], "write_records": True},
+    "output": {"resolution": [9, 7]},
 }
 ITEMS = [
     "codebook",
@@ -27,19 +27,22 @@ ITEMS = [
 ]
 FILES = [
     "depth.csv", "depth.pgm", "depth_out.pgm", "errors.csv", "gt_depth.pgm", "gt_depth_out.pgm",
-    "gt_range.pgm", "gt_range_out.pgm", "range.csv", "range.pgm", "range_out.pgm", "records.bin", "run.json",
+    "gt_range.pgm", "gt_range_out.pgm", "range.csv", "range.pgm", "range_out.pgm", "run.json",
 ]
 
 
-def test_cases_are_the_benchmark_workloads_and_one_wall_at_os_2():
+def test_cases_are_the_benchmark_workloads_and_two_scenes_at_os_2():
     workloads = benchmark_workloads()
     assert set(workloads) == {"wall", "two_walls", "room_display"}
     got = cases()
-    assert len(got) == 5 * (len(workloads) + 1)
+    assert len(got) == 5 * (len(workloads) + 2)
     for seed in range(5):
         for name, spec in workloads.items():
             assert got[f"{name}/seed{seed}"] == {**spec["config"], "sim": {"seed": seed}}
-        assert got[f"one_wall_os2/seed{seed}"]["view"] == {"os_h": 2, "os_v": 2}
+        for scene in ("one_wall", "pillar_room"):
+            assert got[f"{scene}_os2/seed{seed}"] == {
+                "scene": {"builtin": scene}, "view": {"os_h": 2, "os_v": 2}, "sim": {"seed": seed},
+            }
 
 
 def test_small_run_digests_every_item_and_file():
@@ -50,7 +53,7 @@ def test_small_run_digests_every_item_and_file():
     other = dict(digests({**SMALL, "sim": {**SMALL["sim"], "seed": 2}}))
     changed = {item for item, digest in got if other[item] != digest}
     # The scattering phases and the noise move; the codebook and the geometry do not.
-    assert {"paths.amplitude", "taps", "records", "noise", "correlation", "file.records.bin"} <= changed
+    assert {"paths.amplitude", "taps", "records", "noise", "correlation"} <= changed
     assert not {"codebook", "paths.delay_s", "paths.theta_z", "truth.range", "truth.depth_out"} & changed
 
 

@@ -580,22 +580,45 @@ def mirrored(scene):
     return scene_from_dict(data)
 
 
-@pytest.mark.parametrize("name", ["one_wall", "two_walls", "pillar_room"])
+# A file scene with no symmetry of its own: an oblique wall on the right, a
+# floor slab off centre and a tilted panel on the left.
+ASYMMETRIC_SCENE = {
+    "facets": [
+        {"vertices": [[0.3, 3.0, -1.2], [2.1, 4.5, -1.2], [2.1, 4.5, 1.5], [0.3, 3.0, 1.5]], "material": "concrete"},
+        {"vertices": [[-2.0, 1.0, -1.2], [1.5, 1.0, -1.2], [1.5, 5.0, -1.2], [-2.0, 5.0, -1.2]],
+         "material": "floorboard"},
+        {"vertices": [[-1.6, 2.0, -0.8], [-1.2, 3.4, -0.8], [-1.2, 3.4, 0.9], [-1.6, 2.0, 0.9]], "material": "wood"},
+    ],
+}
+
+
+def mirror_case(name, tmp_path):
+    """A builtin scene, or for "asymmetric_file" ASYMMETRIC_SCENE saved to a file and read back."""
+    if name in BUILTIN_SCENES:
+        return build_scene({"builtin": name}, SceneView())
+    path = tmp_path / "scene.json"
+    save_scene(scene_from_dict(ASYMMETRIC_SCENE), path)
+    return build_scene({"file": str(path)}, SceneView())
+
+
+@pytest.mark.parametrize("name", ["one_wall", "two_walls", "pillar_room", "asymmetric_file"])
 class TestMirrorEquivariance:
     # The device sits on x = 0 looking along +y with +z up, and the sensor
     # grid is sign-symmetric in x, so mirroring the geometry in x mirrors
     # every seed-free output: the maps left to right, the paths' theta_x
     # about pi/2.
-    @pytest.mark.parametrize("resolution", [(16, 16), (144, 256)])
-    def test_truth_maps_flip_left_to_right(self, name, resolution):
+    @pytest.mark.parametrize("resolution", [(16, 16), (144, 256), (32, 32)])  # 32 x 32: the os 2 beam grid
+    def test_truth_maps_flip_left_to_right(self, name, resolution, tmp_path):
         view = SceneView()
-        scene = build_scene({"builtin": name}, view)
+        scene = mirror_case(name, tmp_path)
         for got, want in zip(ground_truth_maps(mirrored(scene), view, resolution),
                              ground_truth_maps(scene, view, resolution)):
             assert got.tobytes() == np.fliplr(want).tobytes()
+            if name == "asymmetric_file":  # the mirror is a different scene
+                assert not np.array_equal(want, np.fliplr(want))
 
-    def test_paths_keep_their_delays_and_mirror_their_azimuth(self, name):
-        scene = build_scene({"builtin": name}, SceneView())
+    def test_paths_keep_their_delays_and_mirror_their_azimuth(self, name, tmp_path):
+        scene = mirror_case(name, tmp_path)
         lam = RadioConfig().wavelength_m
         a, b = (trace_backscatter_paths(s, lam, 0.05, 0) for s in (scene, mirrored(scene)))
         assert len(a) == len(b) > 0

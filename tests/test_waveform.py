@@ -2,11 +2,11 @@
 Preamble construction and sensing-record synthesis.
 
 The FFT-batched record synthesis is checked against the direct per-beam
-convolution and noise draws it replaced (reference_records), and the
-partitioned preamble filter it shares with the matched filter against the
-direct sums, over a grid of preamble lengths and delay windows that covers
-one-block and partitioned plans. matched_filter_rows is checked against the
-matched filter and tail level of the records it does not form.
+convolution and noise draws (reference_records), and the partitioned
+preamble filter of the matched filter against the direct sums, over a grid
+of preamble lengths and delay windows that covers one-block and partitioned
+plans. matched_filter_rows is checked against the matched filter and tail
+level of the records it does not form.
 """
 import tracemalloc
 
@@ -208,8 +208,16 @@ class TestSynthesizeRecords:
             synthesize_records(taps, pn_preamble, radio, norms, [1, 2])
 
     def test_noise_generator_count_checked_before_any_transform(self, radio, pn_preamble, beam_taps, monkeypatch):
+        class Transformed(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Transformed
+
         taps, norms = beam_taps
-        monkeypatch.setattr(waveform, "_preamble_filter", lambda *a, **k: pytest.fail("filtered before the check"))
+        monkeypatch.setattr(np.fft, "fft", refuse)
+        with pytest.raises(Transformed):  # synthesis transforms through the patched call
+            synthesize_records(taps, pn_preamble, radio, norms)
         with pytest.raises(ValueError, match="one noise generator per beam"):
             synthesize_records(taps, pn_preamble, radio, norms, [1, 2])
 
@@ -321,23 +329,22 @@ class TestPreambleFilter:
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.array_equal(cross_correlation(records[1], preamble), got[1])
 
-    def test_section_spectra_are_built_once_per_preamble_window_and_direction(self, radio, golay_preamble):
+    def test_section_spectra_are_built_once_per_preamble_and_window(self, radio, golay_preamble):
         rng = np.random.default_rng(5)
-        taps = rng.standard_normal((4, 114)) + 1j * rng.standard_normal((4, 114))
+        records = rng.standard_normal((4, 3442)) + 1j * rng.standard_normal((4, 3442))
         waveform._section_spectra.cache_clear()
-        records = synthesize_records(taps, golay_preamble, radio, np.ones(4))
         rows = cross_correlation(records, golay_preamble)
-        assert waveform._section_spectra.cache_info()[:2] == (0, 2)  # (hits, misses): one build per direction
-        for block in (1, 3):  # the same filters over other blocks of beams
+        assert waveform._section_spectra.cache_info()[:2] == (0, 1)  # (hits, misses)
+        for block in (1, 3):  # the same filter over other blocks of records
             again = np.concatenate([
-                synthesize_records(taps[i : i + block], golay_preamble, radio, np.ones(block))
-                for i in range(0, 4, block)
+                cross_correlation(records[i : i + block], golay_preamble.copy()) for i in range(0, 4, block)
             ])
-            assert np.array_equal(again, records)
-            assert np.array_equal(cross_correlation(again, golay_preamble.copy()), rows)
+            assert np.array_equal(again, rows)
+        # The noise rows of matched_filter_rows go through the same filter.
+        matched_filter_rows(np.zeros((4, 114)), golay_preamble, radio, np.ones(4), [0, 1, 2, 3], 64)
         info = waveform._section_spectra.cache_info()
-        assert (info.hits, info.misses) == ((4 + 1) + (2 + 1), 2)
-        size, step, spectra = waveform._section_spectra(golay_preamble.dtype.str, golay_preamble.tobytes(), 114, True)
+        assert (info.hits, info.misses) == (4 + 2 + 1, 1)
+        size, step, spectra = waveform._section_spectra(golay_preamble.dtype.str, golay_preamble.tobytes(), 114)
         assert (size, step) == waveform._plan(3328, 114)
         assert spectra.shape == (9, 512) and not spectra.flags.writeable
 
@@ -353,8 +360,12 @@ class TestPreambleFilter:
     def test_default_preamble_is_cut_into_nine_512_point_sections(self):
         size, step = waveform._plan(3328, 114)
         assert size == 512 and step == 512 - 114
-        # nine preamble sections to correlate, nine record blocks to synthesize
-        assert -(-3328 // step) == -(-(3328 + 114 - 1) // step) == 9
+        assert -(-3328 // step) == 9  # nine preamble sections to correlate
+
+    def test_plans_of_the_benchmark_windows(self):
+        # one_wall at 7 m, two_walls and pillar_room: 238, 114 and 140 taps.
+        # pillar_room's 512-point plan ties the 1024-point one (10 x 512 = 5 x 1024 points).
+        assert [waveform._plan(3328, l_d) for l_d in (238, 114, 140)] == [(1024, 786), (512, 398), (512, 372)]
 
     def test_one_block_where_partitioning_measured_slower(self):
         # Wide windows on the structured preamble, and short preambles.
