@@ -5,23 +5,29 @@ A scene is a set of coplanar convex quads with material tags plus a device
 pose. The device frame is right-handed with boresight along +y and up along
 +z; the virtual sensor of mmdepth.codebook lives in this frame.
 
-Two consumers look at the same geometry through one ray cast, _first_hit:
+Two consumers look at the same geometry through one ray-facet test,
+_ray_quad's:
 
-  ground_truth_maps     per-pixel ray casting through the sensor grid, a
-                        band of rows at a time, each facet against the
-                        pixels of its image window only; the reference the
-                        estimated maps are scored against.
+  ground_truth_maps     one ray through each sensor pixel, with the test in
+                        its pinhole form (_pinhole_spans): a facet hits one
+                        run of columns on each sensor row, at a depth that
+                        is one division of a column term plus a row term;
+                        the reference the estimated maps are scored
+                        against. It matches _ray_quad on the unit rays to a
+                        few ulp (see its docstring).
   trace_backscatter_paths
                         the radio view: a sum of point scatterers, each
                         visible one a monostatic path (delay 2*rho/c, matched
                         departure and arrival angles, channel.path_gain
                         amplitude). Each facet is subdivided into small cells
-                        with a seeded scattering phase, and traced and pruned
-                        to its visible cells before the next is cut; a facet
-                        that contains the device's orthogonal foot adds that
-                        foot as one more scatterer, the specular return, with
-                        plane RCS pi*rho^2*(1 - scatter_ratio^2). It is all
-                        that survives on glass.
+                        with a seeded scattering phase, cast against the
+                        other facets (_first_hit, _ray_quad on unit rays)
+                        and pruned to its visible cells before the next is
+                        cut; a facet that contains the device's orthogonal
+                        foot adds that foot as one more scatterer, the
+                        specular return, with plane RCS
+                        pi*rho^2*(1 - scatter_ratio^2). It is all that
+                        survives on glass.
 
 Every path, diffuse or specular, goes through the same free-space radar
 equation, which has no parameters. Scattering strength reduces the
@@ -219,82 +225,83 @@ def _ray_quad(origin: np.ndarray, dirs: np.ndarray, facet: PlanarFacet) -> np.nd
     return np.where(hit, t, np.inf)
 
 
-def _first_hit(
-    scene: Scene, dirs: np.ndarray, skip_facet: int | None = None, windows: list | None = None
-) -> np.ndarray:
+def _first_hit(scene: Scene, dirs: np.ndarray, skip_facet: int | None = None) -> np.ndarray:
     """
-    Distance along unit rays dirs (..., 3) from the device to the nearest
-    facet other than skip_facet; inf on a miss. windows, when given, holds
-    one index per facet into the leading axes of dirs: facet j is tested
-    only against the rays windows[j] selects, and against none if it is
-    None.
+    Distance along unit rays dirs (N, 3) from the device to the nearest
+    facet other than skip_facet; inf on a miss.
     """
-    if windows is None:
-        windows = [...] * len(scene.facets)  # every facet against every ray
     origin = scene.device.position
-    t_best = np.full(dirs.shape[:-1], np.inf)
-    for j, (facet, w) in enumerate(zip(scene.facets, windows)):
-        if j != skip_facet and w is not None:
-            best = t_best[w]  # a view: basic indexing only
-            np.minimum(best, _ray_quad(origin, dirs[w], facet), out=best)
+    t_best = np.full(len(dirs), np.inf)
+    for j, facet in enumerate(scene.facets):
+        if j != skip_facet:
+            np.minimum(t_best, _ray_quad(origin, dirs, facet), out=t_best)
     return t_best
 
-
-# Near plane of the truth-ray windows, in metres in front of the device.
-_NEAR_M = 1e-3
 
 # Sensor rows per band of the truth cast; working memory is O(_ROWS * cols).
 _ROWS = 32
 
 
-def _clip_near(poly: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman clip of a device-frame polygon (K, 3) to y >= _NEAR_M."""
-    out = []
-    for a, b in zip(poly, np.roll(poly, -1, axis=0)):
-        if a[1] >= _NEAR_M:
-            out.append(a)
-        if (a[1] >= _NEAR_M) != (b[1] >= _NEAR_M):
-            out.append(a + (_NEAR_M - a[1]) / (b[1] - a[1]) * (b - a))
-    return np.array(out).reshape(-1, 3)
-
-
-def _facet_window(scene: Scene, facet: PlanarFacet, view: SceneView, rows: int, cols: int):
+def _pinhole_planes(scene: Scene):
     """
-    (row slice, col slice) of the rows x cols sensor grid outside which no
-    truth ray hits facet; None when no ray can hit it.
+    Each facet's truth-ray tests as five device-frame planes, (F, 5, 3),
+    and its |off| (F,), for facets n.p = off with p taken from the device.
+    Planes 0-3 are sigma_i = sign(off)*(s_i + 1e-12*n), the side planes of
+    the facet's view pyramid, and plane 4 is sign(off)*n.
 
-    The window is the bounding box of the facet's image: its device-frame
-    polygon clipped to the near plane y >= _NEAR_M, projected through the
-    pinhole (x/y*F_L, z/y*F_L), in sensor_grid's row and column indices,
-    widened by one pixel on each side and clipped to the grid. It is exact,
-    not a tolerance: a ray through pixel (r, c) meets the facet at
-    p = t*d, and p projects onto that pixel's centre. If p_y >= _NEAR_M, p
-    lies in the clipped polygon, whose image is the convex hull of its
-    projected vertices, so (r, c) lies in their box. _ray_quad accepts points
-    up to 1e-12/|edge| outside an edge; seen from _NEAR_M or further, that
-    moves the image by at most (1 + |x/y|) * 1e-9/|edge| in tangent units,
-    far below a pixel (1.9e-3 for 1280 columns over 100 degrees) for edges
-    longer than 0.1 mm. The one-pixel margin absorbs it and the rounding of
-    the projection. A hit with 0 < p_y < _NEAR_M lies within _NEAR_M / min(d_y)
-    of the device, so a facet whose plane passes that close to the device
-    is tested against all rays. At their default parameters every builtin
-    facet is at least 1 m from the device.
+    The ray through the sensor point d = (x_c, F_L, z_r) of the device frame
+    meets the plane at p = off/(n.d) * d, at depth off*F_L/(n.d). On that
+    plane the linear form s_i.p = off*(e_i.p) - (v_i.e_i)*(n.p), vertices
+    taken from the device, equals off*(p - v_i).e_i. So _ray_quad's inside
+    test (p - v_i).e_i >= -1e-12 reads sigma_i.d >= 0, and its t > 0 reads
+    sign(off)*(n.d) > 0. A facet whose plane contains the device (off 0)
+    has all-zero planes and is seen edge-on.
     """
-    f_l = view.focal_length_m
-    half_w, half_h = view.sensor_width_m / 2.0, view.sensor_height_m / 2.0
-    d_y_min = f_l / np.sqrt(f_l**2 + half_w**2 + half_h**2)  # the sensor's corner ray
-    if abs(np.dot(scene.device.position - facet.vertices[0], facet.normal)) < _NEAR_M / d_y_min:
-        return slice(None), slice(None)
-    poly = _clip_near(scene.device.to_device(facet.vertices - scene.device.position))
-    if not len(poly):
+    origin = scene.device.position
+    v = np.array([f.vertices for f in scene.facets]) - origin
+    e = np.array([f.edge_normals for f in scene.facets])
+    n = np.array([f.normal for f in scene.facets])
+    off = np.array([np.dot(f.vertices[0] - origin, f.normal) for f in scene.facets])  # as _ray_quad
+    sign = np.sign(off)[:, None]
+    planes = np.empty((len(n), 5, 3))
+    np.multiply(np.abs(off)[:, None, None], e, out=planes[:, :4])
+    planes[:, :4] -= (sign * (np.einsum("fij,fij->fi", v, e) - 1e-12))[..., None] * n[:, None]
+    np.multiply(sign, n, out=planes[:, 4])
+    return scene.device.to_device(planes.reshape(-1, 3)).reshape(planes.shape), np.abs(off)
+
+
+def _pinhole_spans(planes: np.ndarray, x: np.ndarray, z: np.ndarray, f_l: float):
+    """
+    The truth rays that pass a facet's five planes (_pinhole_planes), as
+    (first row, lo, hi, den_x, den_z): row first + k passes on columns
+    lo[k] <= c < hi[k], and den_x[c] + den_z[k] is sign(off)*(n.d) there.
+    None when no ray passes.
+
+    Each test is a column term plus a row term, fl(a*x_c) + fl(b*F_L +
+    b'*z_r), and a sum of two doubles has the sign of its exact value, so
+    on each row a test holds on one run of columns, which a binary search
+    over the column terms finds. Five broadcast sums and compares over each
+    pixel of a facet's image box give the same runs bit for bit, but only
+    inside such boxes, and took 28 ms against 21 ms for pillar_room at
+    720 x 1280 (one BLAS thread, 2-core x86_64).
+    """
+    col_terms = planes[:, :1] * x
+    row_terms = planes[:, 1:2] * f_l + planes[:, 2:3] * z
+    lo = np.zeros(len(z), dtype=np.intp)
+    hi = np.full(len(z), len(x))
+    for k, (a, u, b) in enumerate(zip(planes[:, 0], col_terms, row_terms)):
+        strict = k == 4  # a side plane holds on its boundary, n.d > 0 does not
+        if a > 0:  # u ascends: the run starts at the first u >= -b
+            np.maximum(lo, np.searchsorted(u, -b, "right" if strict else "left"), out=lo)
+        elif a < 0:  # -u ascends: the run ends after the last -u <= b
+            np.minimum(hi, np.searchsorted(-u, b, "left" if strict else "right"), out=hi)
+        else:
+            hi[(b <= 0) if strict else (b < 0)] = 0
+    hit = np.flatnonzero(lo < hi)
+    if not len(hit):
         return None
-    col = poly[:, 0] / poly[:, 1] * (f_l * cols / view.sensor_width_m) + (cols - 1) / 2.0
-    row = (rows - 1) / 2.0 - poly[:, 2] / poly[:, 1] * (f_l * rows / view.sensor_height_m)
-    c0, c1 = max(int(np.ceil(col.min() - 1.0)), 0), min(int(np.floor(col.max() + 1.0)), cols - 1)
-    r0, r1 = max(int(np.ceil(row.min() - 1.0)), 0), min(int(np.floor(row.max() + 1.0)), rows - 1)
-    if c0 > c1 or r0 > r1:
-        return None
-    return slice(r0, r1 + 1), slice(c0, c1 + 1)
+    rows = slice(hit[0], hit[-1] + 1)
+    return rows.start, lo[rows], hi[rows], col_terms[4].copy(), row_terms[4, rows].copy()
 
 
 def ground_truth_maps(scene: Scene, view: SceneView, resolution: tuple[int, int]):
@@ -306,16 +313,21 @@ def ground_truth_maps(scene: Scene, view: SceneView, resolution: tuple[int, int]
     map holds euclidean distance to the nearest facet hit; the depth map
     holds the boresight (device-frame y) component of the hit point. Misses
     are +inf in both. Depth never exceeds range, with equality only on
-    boresight. Each facet is intersected only with the rays inside its
-    image window (_facet_window), which gives the same maps as testing
-    every ray against every facet.
+    boresight.
 
-    The cast runs over bands of _ROWS sensor rows, so each facet pass works
-    on arrays that stay in cache; no whole-grid ray array is formed. A ray
-    through the cell centre (x, F_L, z) has the unit direction
-    (x, F_L, z) / sqrt((x^2 + F_L^2) + z^2), the same doubles as normalising
-    the sensor_grid points with np.linalg.norm, and a pixel's value does
-    not depend on the band it falls in.
+    Each facet is _ray_quad on the pinhole grid (_pinhole_planes,
+    _pinhole_spans): it hits one run of columns per sensor row, at depth
+    |off|*F_L / (den_x[c] + den_z[r]), and each pixel keeps the least depth.
+    Range is depth * ||(x, F_L, z)|| / F_L. No ray direction is formed and
+    nothing is rotated per pixel. Against _ray_quad on the normalised,
+    rotated rays, the builtin scenes have the same finite pixels and the
+    same nearest facet on each, up to exact ties, and range and depth agree
+    within 3 ulp. Elsewhere the drift grows with the condition numbers of
+    off = (v_0 - origin).n and of n.d, which are unbounded where a facet's
+    plane nears the device or a ray grazes it; each hit point still lies
+    within a few u of its facet's plane per metre of its distance. The cast
+    runs over bands of _ROWS sensor rows, so its temporaries stay in cache,
+    and a pixel's value does not depend on the band it falls in.
 
     Returns
     -------
@@ -328,31 +340,42 @@ def ground_truth_maps(scene: Scene, view: SceneView, resolution: tuple[int, int]
     z = sensor_grid(view, 1, rows)[:, 0, 2]
     f_l = view.focal_length_m
     xy_sq = x * x + f_l * f_l
-    # Each facet's window as (first row, end row, col slice), or None.
     spans = []
-    for facet in scene.facets:
-        w = _facet_window(scene, facet, view, rows, cols)
-        spans.append(None if w is None else (*w[0].indices(rows)[:2], w[1]))
+    for planes, abs_off in zip(*_pinhole_planes(scene)):
+        s = _pinhole_spans(planes, x, z, f_l)
+        if s is not None:
+            spans.append((*s, abs_off))
     range_map = np.empty((rows, cols))
-    depth_map = np.empty((rows, cols))
-    band = np.empty((min(_ROWS, rows), cols, 3))
+    depth_map = np.full((rows, cols), MISS)
     for r0 in range(0, rows, _ROWS):
         r1 = min(r0 + _ROWS, rows)
+        for first, lo, hi, den_x, den_z, abs_off in spans:
+            band = slice(max(first, r0) - first, min(first + len(lo), r1) - first)
+            if band.start >= band.stop:
+                continue
+            lo_b, hi_b = lo[band, None], hi[band, None]
+            c0, c1 = lo_b.min(), hi_b.max()
+            if c0 >= c1:
+                continue
+            c = np.arange(c0, c1)
+            inside = c >= lo_b
+            inside &= c < hi_b
+            den = np.add(den_x[c0:c1], den_z[band, None])  # sign(off)*(n.d), > 0 inside
+            if abs_off <= 1e-12:
+                # _ray_quad also asks |n.u| > 1e-15 and t > 1e-12 of the unit
+                # ray u. As t >= |off|, and t >= |off|*1e15 where |n.u| <= 1e-15,
+                # they cut no hit off a facet whose plane lies further from the
+                # device and which ends within 1 km of it.
+                z_b = z[first + band.start : first + band.stop, None]
+                d_norm = np.sqrt(xy_sq[c0:c1] + z_b * z_b)  # ||(x, F_L, z)||
+                inside &= den > 1e-15 * d_norm
+                inside &= abs_off * d_norm > 1e-12 * den  # t = |off|*||d|| / den
+            depth = np.divide(abs_off * f_l, den, out=den)
+            best = depth_map[first + band.start : first + band.stop, c0:c1]
+            np.minimum(best, depth, out=best, where=inside)
         z_band = z[r0:r1, None]
-        norm = np.sqrt(xy_sq + z_band * z_band)
-        dirs_dev = band[: r1 - r0]
-        np.divide(x, norm, out=dirs_dev[..., 0])
-        np.divide(f_l, norm, out=dirs_dev[..., 1])
-        np.divide(z_band, norm, out=dirs_dev[..., 2])
-        dirs = scene.device.to_world(dirs_dev.reshape(-1, 3)).reshape(dirs_dev.shape)
-        windows = [
-            None if s is None or max(s[0], r0) >= min(s[1], r1)
-            else (slice(max(s[0], r0) - r0, min(s[1], r1) - r0), s[2])
-            for s in spans
-        ]
-        t = _first_hit(scene, dirs, windows=windows)
-        range_map[r0:r1] = t
-        depth_map[r0:r1] = np.where(np.isfinite(t), t * dirs_dev[..., 1], MISS)
+        np.multiply(depth_map[r0:r1], np.sqrt(xy_sq + z_band * z_band), out=range_map[r0:r1])
+        range_map[r0:r1] /= f_l
     return range_map, depth_map
 
 
